@@ -56,15 +56,9 @@ def _arr(x) -> np.ndarray:
 
 
 class Node:
-    """One value in the computation graph.
+    """One value in the computation graph."""
 
-    ``grad`` is filled in by :func:`backward` for the nodes it was asked
-    to differentiate with respect to. It holds a raw array normally, or
-    another Node when the backward pass ran with ``create_graph=True``,
-    in which case the gradient is itself differentiable.
-    """
-
-    __slots__ = ("op", "value", "parents", "requires_grad", "attrs", "grad")
+    __slots__ = ("op", "value", "parents", "requires_grad", "attrs")
 
     def __init__(self, op: str, value: np.ndarray, parents: tuple = (),
                  attrs: tuple = (), requires_grad: bool | None = None):
@@ -79,7 +73,6 @@ class Node:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
-        self.grad = None
 
     @property
     def shape(self):
@@ -101,10 +94,6 @@ class Variable:
     @property
     def value(self) -> np.ndarray:
         return self.node.value
-
-    @property
-    def grad(self):
-        return self.node.grad
 
     @property
     def shape(self):
@@ -771,19 +760,8 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     results = []
     for t in targets:
         g = grads.get(id(t))
-        if g is None:
-            g = B.zeros(t.value.shape)
-        results.append(g)
-        t.grad = g
-    for t, w in zip(targets, wrt):
-        if isinstance(w, Variable):
-            w.node.grad = t.grad
+        results.append(B.zeros(t.value.shape) if g is None else g)
     return results
-
-
-def grad_values(output, wrt: Iterable) -> list[np.ndarray]:
-    """Convenience wrapper: plain-array gradients."""
-    return backward(output, wrt, create_graph=False)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .envs import make_env
 from .metacritic import MetaState, train_iteration
 from .nets import Actor, MetaCriticNet, actor_named_params, save_params
 from .offpac import AlgoState, Hyper, exploration_action
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 
 CSV_COLUMNS = ("step", "eval_return_mean", "eval_return_std",
                "loss_critic", "loss_mcritic", "loss_meta")
@@ -91,6 +91,24 @@ class RunConfig:
             raise ValueError("control multipliers must be >= 1")
         if self.total_steps < 0 or self.eval_every < 1 or self.eval_episodes < 1:
             raise ValueError("bad step/eval settings")
+        if 0 < self.total_steps < self.eval_every:
+            raise ValueError("eval_every exceeds total_steps: the curve would have no rows")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
+        if self.batch_n < 1 or self.batch_m < 1:
+            raise ValueError("batch_n and batch_m must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be in [0, 1)")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError("tau must be in [0, 1]")
+        if self.policy_delay < 1:
+            raise ValueError("policy_delay must be >= 1")
+        for name in ("hidden_actor", "hidden_critic"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} needs at least one layer, each of width >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
         return self
@@ -384,7 +402,10 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
                           hidden_actor=scaled["hidden_actor"],
                           hidden_critic=scaled["hidden_critic"])
     base = ms.base
-    buffer = ReplayBuffer(cfg.buffer_capacity, spec.state_dim, spec.action_dim)
+    # the ring never holds more rows than the run has env steps, so a short
+    # run does not allocate columns of buffer_capacity rows it never fills
+    buffer = ReplayBuffer(max(1, min(cfg.buffer_capacity, cfg.total_steps)),
+                          spec.state_dim, spec.action_dim)
 
     rows: list[tuple] = []
     acc = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
@@ -405,8 +426,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
             a = exploration_action(base, s, streams.exploration)
         s2, r, done = env.step(s, a, streams.env)
         # horizon timeouts are not terminal: bootstrap through the cutoff
-        buffer.push(Transition(s.copy(), np.asarray(a, dtype=np.float64), r,
-                               s2.copy(), False))
+        buffer.push(s, a, r, s2, False)
         s = env.reset(streams.env) if done else s2
 
         if step > cfg.warmup_steps:
@@ -416,8 +436,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
                                     batch_n=cfg.batch_n, batch_m=cfg.batch_m)
                 update_blocks += 1
                 credit -= 1.0
-                if any(math.isnan(m[k]) for k in ("loss_critic", "loss_mcritic",
-                                                  "loss_meta", "loss_td")):
+                if not all(math.isfinite(m[k]) for k in ("loss_critic", "loss_mcritic",
+                                                         "loss_meta", "loss_td")):
                     aborted_at = step
                     break
                 for k in acc:

@@ -128,9 +128,6 @@ class DenseNet:
         for p, v in zip(self.params, values):
             p.set_value(v)
 
-    def n_params(self) -> int:
-        return sum(p.value.size for p in self.params)
-
     def clone(self, name: str | None = None) -> "DenseNet":
         other = object.__new__(DenseNet)
         other.dims = list(self.dims)
@@ -282,14 +279,6 @@ class Actor:
         return other
 
 
-def actor_features(actor: Actor, states) -> Node:
-    return actor.features(states)
-
-
-def actor_act(actor: Actor, states, mode: str = "deterministic", noise=None):
-    return actor.act(states, mode=mode, noise=noise)
-
-
 class Critic:
     """Action-value network Q(s, a), optionally twinned."""
 
@@ -361,9 +350,6 @@ class MetaCriticNet:
 
     def parameters(self) -> list[Variable]:
         return self.f.params if self.f is not None else list(self.reg_weights)
-
-    def n_params(self) -> int:
-        return sum(p.value.size for p in self.parameters())
 
     def loss(self, actor: Actor, states, actions=None, actor_params=None) -> Node:
         """Scalar auxiliary loss, differentiable in actor and own parameters."""

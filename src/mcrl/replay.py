@@ -1,8 +1,10 @@
-"""Transition storage with uniform with-replacement sampling.
+"""Transition storage as a column ring, with uniform with-replacement sampling.
 
-Sampling draws independent uniform indices, so the training and
-validation mini-batches of one iteration are independent draws that may
-overlap by chance. Sampling never mutates stored transitions.
+Each transition is stored once, as one row of five preallocated float64
+columns (s, a, r, s_next, done). Sampling draws independent uniform
+indices, so the training and validation mini-batches of one iteration
+are independent draws that may overlap by chance. Sampling gathers
+copies of the rows and never mutates stored transitions.
 """
 
 from __future__ import annotations
@@ -12,18 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
-
-
 @dataclass
 class Batch:
-    """Column-stacked view of a list of transitions."""
+    """Column-stacked mini-batch of transitions."""
 
     s: np.ndarray
     a: np.ndarray
@@ -35,88 +28,63 @@ class Batch:
         return self.s.shape[0]
 
 
-def stack(transitions: list[Transition]) -> Batch:
-    return Batch(
-        s=np.stack([t.s for t in transitions]).astype(np.float64),
-        a=np.stack([t.a for t in transitions]).astype(np.float64),
-        r=np.array([[t.r] for t in transitions], dtype=np.float64),
-        s_next=np.stack([t.s_next for t in transitions]).astype(np.float64),
-        done=np.array([[1.0 if t.done else 0.0] for t in transitions], dtype=np.float64),
-    )
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring; oldest entries are overwritten first.
+    """Fixed-capacity column ring; the oldest rows are overwritten first.
 
-    Alongside the transition objects, columns are mirrored into
-    preallocated arrays (when dims are known) so batched sampling is a
-    fancy-index gather instead of a python-level stack.
+    ``push`` copies the transition into the next row of the columns, so
+    the caller may reuse or mutate its arrays afterwards. Rows fill in
+    order until the ring is full; from then on row ``_head`` (the
+    oldest) is replaced and ``_head`` advances. Batched sampling is a
+    fancy-index gather over the filled rows.
     """
 
-    def __init__(self, capacity: int = 100_000,
-                 state_dim: int | None = None, action_dim: int | None = None):
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._items: list[Transition] = []
+        self._len = 0
         self._head = 0
-        self._cols = None
-        if state_dim is not None and action_dim is not None:
-            self._cols = {
-                "s": np.empty((capacity, state_dim)),
-                "a": np.empty((capacity, action_dim)),
-                "r": np.empty((capacity, 1)),
-                "s_next": np.empty((capacity, state_dim)),
-                "done": np.empty((capacity, 1)),
-            }
+        self._cols = {
+            "s": np.empty((capacity, state_dim)),
+            "a": np.empty((capacity, action_dim)),
+            "r": np.empty((capacity, 1)),
+            "s_next": np.empty((capacity, state_dim)),
+            "done": np.empty((capacity, 1)),
+        }
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def push(self, t: Transition) -> None:
-        if self.state_dim is not None and (t.s.shape != (self.state_dim,)
-                                           or t.s_next.shape != (self.state_dim,)):
-            raise ValueError(f"state shape {t.s.shape} does not match ({self.state_dim},)")
-        if self.action_dim is not None and t.a.shape != (self.action_dim,):
-            raise ValueError(f"action shape {t.a.shape} does not match ({self.action_dim},)")
-        if not np.isfinite(t.r):
+    def push(self, s: np.ndarray, a: np.ndarray, r: float,
+             s_next: np.ndarray, done: bool) -> None:
+        if s.shape != (self.state_dim,) or s_next.shape != (self.state_dim,):
+            raise ValueError(f"state shape {s.shape} does not match ({self.state_dim},)")
+        if a.shape != (self.action_dim,):
+            raise ValueError(f"action shape {a.shape} does not match ({self.action_dim},)")
+        if not np.isfinite(r):
             raise ValueError("reward must be finite")
-        if len(self._items) < self.capacity:
-            slot = len(self._items)
-            self._items.append(t)
+        if self._len < self.capacity:
+            slot = self._len
+            self._len += 1
         else:
             slot = self._head
-            self._items[self._head] = t
             self._head = (self._head + 1) % self.capacity
-        if self._cols is not None:
-            self._cols["s"][slot] = t.s
-            self._cols["a"][slot] = t.a
-            self._cols["r"][slot, 0] = t.r
-            self._cols["s_next"][slot] = t.s_next
-            self._cols["done"][slot, 0] = 1.0 if t.done else 0.0
+        c = self._cols
+        c["s"][slot] = s
+        c["a"][slot] = a
+        c["r"][slot, 0] = r
+        c["s_next"][slot] = s_next
+        c["done"][slot, 0] = 1.0 if done else 0.0
 
     def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if not self._items:
+        if not self._len:
             raise ValueError("cannot sample from an empty buffer")
-        return rng.integers(0, len(self._items), size=n)
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        idx = self.sample_indices(n, rng)
-        return [self._items[i] for i in idx]
+        return rng.integers(0, self._len, size=n)
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> Batch:
         idx = self.sample_indices(n, rng)
-        if self._cols is not None:
-            c = self._cols
-            return Batch(s=c["s"][idx], a=c["a"][idx], r=c["r"][idx],
-                         s_next=c["s_next"][idx], done=c["done"][idx])
-        return stack([self._items[i] for i in idx])
-
-    def items(self) -> list[Transition]:
-        return list(self._items)
+        c = self._cols
+        return Batch(s=c["s"][idx], a=c["a"][idx], r=c["r"][idx],
+                     s_next=c["s_next"][idx], done=c["done"][idx])

@@ -40,6 +40,13 @@ def test_invalid_values_rejected_before_work():
         parse_config(BASE_CFG + "updates_multiplier=0.5\n")
     with pytest.raises(ValueError):
         parse_config("seeds=\n")
+    # each of these used to fail only after warmup work, or not at all
+    for bad in ("batch_n=0", "batch_m=0", "tau=-0.1", "tau=2", "policy_delay=0",
+                "gamma=1.5", "gamma=1.0", "gamma=-0.1", "hidden_actor=",
+                "hidden_critic=", "hidden_actor=8,0", "warmup_steps=-1",
+                "eval_every=401", "buffer_capacity=0"):
+        with pytest.raises(ValueError):
+            parse_config(BASE_CFG + bad + "\n")
 
 
 def test_comments_and_blank_lines():
@@ -162,24 +169,38 @@ def test_updates_multiplier_counts(tmp_path):
     assert meta["update_blocks"] == "375"
 
 
-def test_nan_abort_writes_diagnostic_row(tmp_path, monkeypatch):
+def _poisoned_run(tmp_path, monkeypatch, key, value, from_call):
+    """run_seed with ``key`` of every train_iteration result from call
+    ``from_call`` on replaced by ``value``; returns the result record."""
     calls = {"n": 0}
     real = harness.train_iteration
 
     def poisoned(ms, buffer, rng, batch_n=64, batch_m=64):
         calls["n"] += 1
-        if calls["n"] >= 50:
-            return {"loss_critic": float("nan"), "loss_mcritic": 0.0,
-                    "loss_meta": 0.0, "loss_td": 0.0}
-        return real(ms, buffer, rng, batch_n=batch_n, batch_m=batch_m)
+        m = real(ms, buffer, rng, batch_n=batch_n, batch_m=batch_m)
+        if calls["n"] >= from_call:
+            m[key] = value
+        return m
 
     monkeypatch.setattr(harness, "train_iteration", poisoned)
-    cfg = _quick_cfg()
-    res = harness.run_seed(cfg, 0, str(tmp_path))
+    return harness.run_seed(_quick_cfg(), 0, str(tmp_path))
+
+
+def test_nan_abort_writes_diagnostic_row(tmp_path, monkeypatch):
+    res = _poisoned_run(tmp_path, monkeypatch, "loss_critic", float("nan"), 50)
     assert res["aborted_at"] == 150  # warmup 100 + 50th iteration
     assert math_isnan_row(res["rows"][-1])
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "150"
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_infinite_loss_aborts_like_nan(tmp_path, monkeypatch, bad):
+    res = _poisoned_run(tmp_path, monkeypatch, "loss_td", bad, 30)
+    assert res["aborted_at"] == 130  # warmup 100 + 30th iteration
+    assert math_isnan_row(res["rows"][-1])
+    meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
+    assert meta["aborted_at_step"] == "130"
 
 
 def math_isnan_row(row):
@@ -268,7 +289,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
     from mcrl import offpac
     from mcrl.envs import make_env
     from mcrl.offpac import exploration_action, vanilla_iteration
-    from mcrl.replay import ReplayBuffer, Transition
+    from mcrl.replay import ReplayBuffer
 
     cfg = _quick_cfg()
     res = harness.run_seed(cfg, 3, str(tmp_path))
@@ -288,7 +309,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
         else:
             a = exploration_action(ms.base, s, streams.exploration)
         s2, r, done = env.step(s, a, streams.env)
-        buf.push(Transition(s.copy(), np.asarray(a), r, s2.copy(), False))
+        buf.push(s, a, r, s2, False)
         s = env.reset(streams.env) if done else s2
         if step > cfg.warmup_steps:
             losses.append(vanilla_iteration(ms.base, buf, streams.replay,

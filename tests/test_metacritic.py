@@ -5,7 +5,7 @@ from mcrl import autodiff as ad
 from mcrl import metacritic as mcmod
 from mcrl import nets, offpac
 from mcrl.envs import EnvSpec
-from mcrl.replay import ReplayBuffer, Transition, stack
+from mcrl.replay import Batch, ReplayBuffer
 
 
 SPEC = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20,
@@ -21,11 +21,18 @@ def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, inner_rate=None
     return mcmod.MetaState(base, mc, meta_loss_kind=kind, inner_rate=inner_rate)
 
 
+def batch_from_rows(rows):
+    """Column-stack (s, a, r, s_next, done) rows into a Batch, as sample_batch returns."""
+    s, a, r, s_next, done = zip(*rows)
+    return Batch(s=np.stack(s), a=np.stack(a), r=np.array(r, dtype=np.float64)[:, None],
+                 s_next=np.stack(s_next), done=np.array(done, dtype=np.float64)[:, None])
+
+
 def batch_of(n, seed):
     rng = np.random.default_rng(seed)
-    return stack([Transition(rng.normal(size=2), rng.uniform(-1, 1, 1),
+    return batch_from_rows([(rng.normal(size=2), rng.uniform(-1, 1, 1),
                              float(rng.normal()), rng.normal(size=2), False)
-                  for _ in range(n)])
+                            for _ in range(n)])
 
 
 def randomize_weights(ms, seed, scale=0.5):
@@ -229,8 +236,8 @@ def fill_buffer(n=64, seed=40):
     buf = ReplayBuffer(capacity=256, state_dim=2, action_dim=1)
     rng = np.random.default_rng(seed)
     for _ in range(n):
-        buf.push(Transition(rng.normal(size=2), rng.uniform(-1, 1, 1),
-                            float(rng.normal()), rng.normal(size=2), False))
+        buf.push(rng.normal(size=2), rng.uniform(-1, 1, 1),
+                 float(rng.normal()), rng.normal(size=2), False)
     return buf
 
 

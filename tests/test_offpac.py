@@ -4,7 +4,7 @@ import pytest
 from mcrl import autodiff as ad
 from mcrl import offpac
 from mcrl.envs import EnvSpec
-from mcrl.replay import ReplayBuffer, Transition, stack
+from mcrl.replay import Batch, ReplayBuffer
 
 
 SPEC = EnvSpec(state_dim=3, action_dim=2, action_bound=1.0, horizon=50,
@@ -17,12 +17,18 @@ def make_state(algo, seed=0, **hyper_kw):
                             hidden_actor=(8, 8), hidden_critic=(8, 8))
 
 
+def batch_from_rows(rows):
+    """Column-stack (s, a, r, s_next, done) rows into a Batch, as sample_batch returns."""
+    s, a, r, s_next, done = zip(*rows)
+    return Batch(s=np.stack(s), a=np.stack(a), r=np.array(r, dtype=np.float64)[:, None],
+                 s_next=np.stack(s_next), done=np.array(done, dtype=np.float64)[:, None])
+
+
 def random_batch(n=16, seed=1, done=False, r=None):
     rng = np.random.default_rng(seed)
-    ts = [Transition(rng.normal(size=3), rng.uniform(-1, 1, size=2),
-                     float(rng.normal()) if r is None else r,
-                     rng.normal(size=3), done) for _ in range(n)]
-    return stack(ts)
+    return batch_from_rows([(rng.normal(size=3), rng.uniform(-1, 1, size=2),
+                             float(rng.normal()) if r is None else r,
+                             rng.normal(size=3), done) for _ in range(n)])
 
 
 def set_constant_critic(state, c):
@@ -135,8 +141,7 @@ def test_sac_entropy_monotonicity():
 def test_single_transition_regression_converges():
     state = make_state("ddpg", seed=17, gamma=0.0, optimizer="adam")
     buf = ReplayBuffer(capacity=4, state_dim=3, action_dim=2)
-    buf.push(Transition(np.array([0.1, -0.2, 0.3]), np.array([0.5, -0.5]),
-                        0.7, np.zeros(3), False))
+    buf.push(np.array([0.1, -0.2, 0.3]), np.array([0.5, -0.5]), 0.7, np.zeros(3), False)
     rng = np.random.default_rng(0)
     for _ in range(2000):
         batch = buf.sample_batch(1, rng)
@@ -175,8 +180,8 @@ def test_td3_delay_schedule():
     buf = ReplayBuffer(capacity=64, state_dim=3, action_dim=2)
     rng_fill = np.random.default_rng(5)
     for _ in range(32):
-        buf.push(Transition(rng_fill.normal(size=3), rng_fill.uniform(-1, 1, 2),
-                            float(rng_fill.normal()), rng_fill.normal(size=3), False))
+        buf.push(rng_fill.normal(size=3), rng_fill.uniform(-1, 1, 2),
+                 float(rng_fill.normal()), rng_fill.normal(size=3), False)
     rng = np.random.default_rng(6)
     changed = []
     for _ in range(6):
@@ -194,8 +199,8 @@ def test_metric_stream_deterministic():
         buf = ReplayBuffer(capacity=64, state_dim=3, action_dim=2)
         fill = np.random.default_rng(7)
         for _ in range(32):
-            buf.push(Transition(fill.normal(size=3), fill.uniform(-1, 1, 2),
-                                float(fill.normal()), fill.normal(size=3), False))
+            buf.push(fill.normal(size=3), fill.uniform(-1, 1, 2),
+                     float(fill.normal()), fill.normal(size=3), False)
         rng = np.random.default_rng(8)
         return [offpac.vanilla_iteration(state, buf, rng, batch_size=8)
                 for _ in range(10)]
