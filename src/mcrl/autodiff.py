@@ -5,12 +5,16 @@ holding its value, the primitive kind, and references to its parents.
 ``backward`` walks the graph once in reverse topological order and
 accumulates vector-Jacobian products. Each primitive's backward rule is
 written against a small backend protocol with two implementations, one
-that works on raw numpy arrays (fast path) and one that builds new Nodes
-out of the same primitives. The second is what ``create_graph=True``
+that works on raw numpy arrays (``NumpyOps``) and one that builds new
+Nodes out of the same primitives. The second is what ``create_graph=True``
 uses: the returned gradients are themselves differentiable Nodes, so a
 second backward pass yields mixed second derivatives such as the
 derivative of a gradient step with respect to parameters of the loss
 that produced it.
+
+Forwards use the same split. A forward written once against an ``ops``
+argument builds a graph when given this module and computes the same
+values on plain arrays, building no Nodes, when given ``NumpyOps``.
 
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
@@ -21,6 +25,7 @@ argument; this module owns no RNG state.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -362,109 +367,87 @@ def transpose(a) -> Node:
 # stochastic / density compositions (noise is always an explicit input)
 # ---------------------------------------------------------------------------
 
-def gaussian_sample(mean_, log_std, noise) -> Node:
+_graph = sys.modules[__name__]  # the graph ops namespace: this module
+
+
+def gaussian_sample(mean_, log_std, noise, ops=_graph):
     """Reparameterized draw mean + exp(log_std) * noise; deterministic in its inputs."""
-    return add(mean_, mul(exp(log_std), as_node(noise)))
+    return ops.add(mean_, ops.mul(ops.exp(log_std), ops.as_node(noise)))
 
 
-def gaussian_log_density(x, mean_, log_std) -> Node:
+def gaussian_log_density(x, mean_, log_std, ops=_graph):
     """Row-wise diagonal-gaussian log density, shape (N, 1)."""
-    z = mul(sub(as_node(x), mean_), exp(neg(log_std)))
-    per = sub(scale(square(z), -0.5), log_std)
-    return add(sum_axis1(per), constant(np.array(-0.5 * LOG_2PI)
-                                        * as_node(x).value.shape[1]))
+    x = ops.as_node(x)
+    z = ops.mul(ops.sub(x, mean_), ops.exp(ops.neg(log_std)))
+    per = ops.sub(ops.scale(ops.square(z), -0.5), log_std)
+    return ops.add(ops.sum_axis1(per), ops.constant(np.array(-0.5 * LOG_2PI) * x.shape[1]))
 
 
-def squashed_gaussian(mean_, log_std, noise, action_scale: float):
+def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
+                      with_logp: bool = True):
     """tanh-squashed reparameterized gaussian.
 
     Returns (action, log_prob) with action = scale * tanh(u),
     u = mean + exp(log_std) * noise, and log_prob including the change of
     variables correction sum log(scale * (1 - tanh(u)^2) + eps), shape (N, 1).
+    Without ``with_logp`` the log-prob is not computed and reads None.
     """
-    u = gaussian_sample(mean_, log_std, noise)
-    t = tanh(u)
-    action = scale(t, action_scale)
-    corr = log(add(scale(sub(constant(np.array(1.0)), square(t)), action_scale),
-                   constant(np.array(SQUASH_EPS))))
-    logp = sub(gaussian_log_density(u, mean_, log_std), sum_axis1(corr))
+    u = gaussian_sample(mean_, log_std, noise, ops)
+    t = ops.tanh(u)
+    action = ops.scale(t, action_scale)
+    if not with_logp:
+        return action, None
+    corr = ops.log(ops.add(ops.scale(ops.sub(ops.constant(np.array(1.0)), ops.square(t)),
+                                     action_scale),
+                           ops.constant(np.array(SQUASH_EPS))))
+    logp = ops.sub(gaussian_log_density(u, mean_, log_std, ops), ops.sum_axis1(corr))
     return action, logp
 
 
 # ---------------------------------------------------------------------------
-# backward
+# the raw-array ops namespace
 # ---------------------------------------------------------------------------
 
-class _NumpyBackend:
-    """Backward arithmetic on raw arrays (create_graph=False)."""
+class NumpyOps:
+    """The raw-array ops namespace: numpy arithmetic that builds no Nodes.
+
+    A forward written once against an ops namespace (the compositions
+    above, ``nets``, ``offpac.actor_loss``) runs on the graph with this
+    module as ``ops`` and on plain arrays with ``ops=NumpyOps``. Each
+    forward op here computes exactly the expression the graph primitive of
+    the same name computes on ``.value``, so the two give the same bits.
+    ``backward`` also uses this class as its create_graph=False backend.
+    """
 
     create_graph = False
 
-    @staticmethod
-    def val(p):
-        return p.value
-
-    @staticmethod
-    def acc(a, b):
-        return a + b
-
+    as_node = staticmethod(lambda x: x.value if type(x) is Variable else x)
+    constant = staticmethod(lambda x: x)
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
     neg = staticmethod(np.negative)
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def scale(a, c):
-        return a * c
-
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
-
-    @staticmethod
-    def transpose(a):
-        return a.T
-
-    @staticmethod
-    def square(a):
-        return a * a
-
-    @staticmethod
-    def one_minus(a):
-        return 1.0 - a
-
-    @staticmethod
-    def power(a, p):
-        return a ** p
-
-    @staticmethod
-    def sigmoid(a):
-        return 0.5 * (1.0 + np.tanh(0.5 * a))
-
-    @staticmethod
-    def exp(a):
-        return np.exp(a)
-
-    @staticmethod
-    def mul_mask(a, mask):
-        return a * mask
-
-    @staticmethod
-    def sum_to(a, shape):
-        return _np_sum_to(a, shape)
-
-    @staticmethod
-    def broadcast(a, shape):
-        return np.broadcast_to(a, shape)
-
-    @staticmethod
-    def sum_axis0(a):
-        return a.sum(axis=0)
-
-    @staticmethod
-    def slice_cols(a, i0, i1):
-        return a[:, i0:i1]
+    mul = staticmethod(np.multiply)
+    scale = staticmethod(np.multiply)
+    matmul = staticmethod(np.matmul)
+    exp = staticmethod(np.exp)
+    log = staticmethod(np.log)
+    tanh = staticmethod(np.tanh)
+    minimum = staticmethod(np.minimum)
+    clip = staticmethod(np.clip)
+    square = staticmethod(lambda a: a * a)
+    power = staticmethod(lambda a, p: a ** p)
+    relu = staticmethod(lambda a: np.maximum(a, 0.0))
+    softplus = staticmethod(lambda a: np.logaddexp(0.0, a))
+    sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
+    affine = staticmethod(lambda x, w, b: x @ w + b)
+    mean = staticmethod(lambda a: a.sum() * (1.0 / a.size))
+    sum_axis0 = staticmethod(lambda a: a.sum(axis=0))
+    sum_axis1 = staticmethod(lambda a: a.sum(axis=1, keepdims=True))
+    sum_to = staticmethod(_np_sum_to)
+    broadcast = staticmethod(np.broadcast_to)
+    concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
+    slice_cols = staticmethod(lambda a, i0, i1: a[:, i0:i1])
+    transpose = staticmethod(lambda a: a.T)
 
     @staticmethod
     def pad_cols(a, i0, total):
@@ -472,18 +455,18 @@ class _NumpyBackend:
         v[:, i0:i0 + a.shape[1]] = a
         return v
 
-    @staticmethod
-    def zeros(shape):
-        return np.zeros(shape, dtype=DTYPE)
+    # backward-only arithmetic
+    val = staticmethod(lambda p: p.value)
+    one_minus = staticmethod(lambda a: 1.0 - a)
+    mul_mask = staticmethod(np.multiply)
+    zeros = staticmethod(lambda shape: np.zeros(shape, dtype=DTYPE))
+    seed_for = staticmethod(lambda node: np.ones(node.value.shape, dtype=DTYPE))
+    raw = staticmethod(lambda g: g)
 
-    @staticmethod
-    def seed_for(node):
-        return np.ones(node.value.shape, dtype=DTYPE)
 
-    @staticmethod
-    def raw(g):
-        return g
-
+# ---------------------------------------------------------------------------
+# backward
+# ---------------------------------------------------------------------------
 
 class _GraphBackend:
     """Backward arithmetic that builds Nodes (create_graph=True)."""
@@ -494,7 +477,7 @@ class _GraphBackend:
     def val(p):
         return p
 
-    acc = staticmethod(add)
+    add = staticmethod(add)
     neg = staticmethod(neg)
     mul = staticmethod(mul)
     scale = staticmethod(scale)
@@ -733,7 +716,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     if out.value.size != 1:
         raise ShapeError("backward(non-scalar output)", out.value.shape)
     targets = [as_node(w) for w in wrt]
-    B = _GraphBackend if create_graph else _NumpyBackend
+    B = _GraphBackend if create_graph else NumpyOps
 
     grads: dict[int, object] = {}
     if out.requires_grad:
@@ -755,7 +738,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
                 if c is None or not p.requires_grad:
                     continue
                 prev = grads.get(id(p))
-                grads[id(p)] = c if prev is None else B.acc(prev, c)
+                grads[id(p)] = c if prev is None else B.add(prev, c)
 
     results = []
     for t in targets:

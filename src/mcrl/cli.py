@@ -18,11 +18,10 @@ def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
     spec = env.spec
     scaled = harness.params_scale(cfg, spec.state_dim, spec.action_dim)
-    head = "gaussian" if cfg.algo == "sac" else "deterministic"
-    actor = nets.Actor(spec.state_dim, spec.action_dim, spec.action_bound,
-                       np.random.default_rng(0), hidden=scaled["hidden_actor"],
-                       head_kind=head)
-    return env, actor
+    ms = harness.build_meta_state(cfg, spec, np.random.default_rng(0),
+                                  hidden_actor=scaled["hidden_actor"],
+                                  hidden_critic=scaled["hidden_critic"])
+    return env, ms.base.actor
 
 
 def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:

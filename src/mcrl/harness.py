@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .autodiff import NanGradientError
 from .envs import make_env
 from .metacritic import MetaState, train_iteration
 from .nets import Actor, MetaCriticNet, actor_named_params, save_params
@@ -391,7 +392,13 @@ def build_meta_state(cfg: RunConfig, env_spec, init_rng,
 
 def run_seed(cfg: RunConfig, seed: int, out_dir: str,
              evaluation_enabled: bool = True) -> dict:
-    """Train one seed; writes seedK.csv / seedK.meta.txt into out_dir."""
+    """Train one seed; writes seedK.csv / seedK.meta.txt into out_dir.
+
+    A seed whose losses turn non-finite, or whose backward raises
+    NanGradientError, stops there: its CSV ends in an all-NaN row and its
+    metadata records the step, the iteration and, for the error, the
+    primitive it names.
+    """
     streams = rng_streams(seed)
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
     eval_env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
@@ -413,6 +420,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
     update_blocks = 0
     credit = 0.0
     aborted_at = None
+    aborted_op = ""
     snap_dir = os.path.join(out_dir, "snapshots")
     if cfg.snapshot_every > 0:
         os.makedirs(snap_dir, exist_ok=True)
@@ -432,8 +440,14 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
         if step > cfg.warmup_steps:
             credit += cfg.updates_multiplier
             while credit >= 1.0:
-                m = train_iteration(ms, buffer, streams.replay,
-                                    batch_n=cfg.batch_n, batch_m=cfg.batch_m)
+                try:
+                    m = train_iteration(ms, buffer, streams.replay,
+                                        batch_n=cfg.batch_n, batch_m=cfg.batch_m)
+                except NanGradientError as err:
+                    # divergence that reaches a gradient before any loss is
+                    # non-finite ends the seed the same way as such a loss
+                    aborted_at, aborted_op = step, err.op
+                    break
                 update_blocks += 1
                 credit -= 1.0
                 if not all(math.isfinite(m[k]) for k in ("loss_critic", "loss_mcritic",
@@ -474,7 +488,9 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
             "params_hidden_actor": ",".join(map(str, scaled["hidden_actor"])),
             "params_hidden_critic": ",".join(map(str, scaled["hidden_critic"])),
             "params_formula": "hidden widths scaled by common integer-rounded factor",
-            "aborted_at_step": aborted_at if aborted_at is not None else ""}
+            "aborted_at_step": aborted_at if aborted_at is not None else "",
+            "aborted_at_iteration": ms.base.it if aborted_at is not None else "",
+            "aborted_primitive": aborted_op}
     for line in config_to_text(cfg).splitlines():
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v

@@ -146,8 +146,8 @@ def meta_loss_clip(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
         raise ValueError("empty batch")
     _require_omega_path(ms, pu)
     l_new = actor_loss(ms.base, d_val, noise=noise, actor_params=pu.phi_new)
-    # the baseline is all constants, so its value comes from the numpy
-    # twin (bit-identical to the graph path) and enters as a plain leaf
+    # the baseline is all constants, so its value is computed on raw arrays
+    # (the same actor_loss forward, so the same bits) and enters as a leaf
     l_old = actor_loss_np(ms.base, d_val, noise=noise, params_values=pu.phi_old)
     return ad.tanh(ad.sub(l_new, ad.constant(np.asarray(l_old))))
 

@@ -10,10 +10,12 @@ through them. Three auxiliary variants are supported:
 * ``feature-state-action``: the same MLP over (features, state, action),
 * ``param-reg``: a learned nonnegative per-parameter weight on |phi|.
 
-All networks expose two forward paths: a graph-building one (optionally
-with overridden parameters, which is how putative parameter sets are
-evaluated) and a raw-numpy one for rollouts and target computations
-where no gradient is ever needed.
+Every forward is written once, against an ``ops`` namespace (see
+``autodiff``). The default, the autodiff module, builds a graph, with
+parameters optionally overridden, which is how putative parameter sets
+are evaluated. ``autodiff.NumpyOps`` computes the same values on raw
+arrays, building no graph, for rollouts and target computations where no
+gradient is ever needed.
 
 Parameter snapshots are saved as plain text, one tensor per line:
 ``name<TAB>dim0,dim1<TAB>v0 v1 v2 ...`` with full-precision floats
@@ -28,18 +30,12 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Variable
+from .autodiff import Node, NumpyOps, Variable
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
-_ACTS = {"relu": ad.relu, "tanh": ad.tanh, "softplus": ad.softplus, "linear": None}
-_ACTS_NP = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "softplus": lambda x: np.logaddexp(0.0, x),
-    "linear": None,
-}
+_ACTIVATIONS = ("relu", "tanh", "softplus", "linear")
 
 
 def softplus_inverse(y: float) -> float:
@@ -60,7 +56,7 @@ class DenseNet:
         if len(activations) != len(dims) - 1:
             raise ValueError("need one activation per layer")
         for a in activations:
-            if a not in _ACTS:
+            if a not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
         self.dims = list(dims)
         self.activations = list(activations)
@@ -85,38 +81,19 @@ class DenseNet:
     def output_dim(self) -> int:
         return self.dims[-1]
 
-    def forward(self, x, params=None) -> Node:
-        """Graph forward pass; ``params`` overrides the stored Variables."""
-        h = ad.as_node(x)
+    def forward(self, x, params=None, ops=ad):
+        """Forward pass on ``ops``; ``params`` overrides the stored Variables."""
         if params is None:
-            ps = [p.node for p in self.params]
-        else:
-            if len(params) != len(self.params):
-                raise ValueError(f"{self.name}: expected {len(self.params)} params, "
-                                 f"got {len(params)}")
-            ps = [ad.as_node(p) for p in params]
+            params = self.params
+        elif len(params) != len(self.params):
+            raise ValueError(f"{self.name}: expected {len(self.params)} params, "
+                             f"got {len(params)}")
+        as_node = ops.as_node
+        h = as_node(x)
         for i, act in enumerate(self.activations):
-            h = ad.affine(h, ps[2 * i], ps[2 * i + 1])
-            fn = _ACTS[act]
-            if fn is not None:
-                h = fn(h)
-        return h
-
-    def forward_np(self, x: np.ndarray, params=None) -> np.ndarray:
-        """Numpy-only forward pass; never builds graph nodes."""
-        h = x
-        ps = None
-        if params is not None:
-            ps = params
-        for i, act in enumerate(self.activations):
-            if ps is None:
-                w, b = self.params[2 * i].value, self.params[2 * i + 1].value
-            else:
-                w, b = ps[2 * i], ps[2 * i + 1]
-            h = h @ w + b
-            fn = _ACTS_NP[act]
-            if fn is not None:
-                h = fn(h)
+            h = ops.affine(h, as_node(params[2 * i]), as_node(params[2 * i + 1]))
+            if act != "linear":
+                h = getattr(ops, act)(h)
         return h
 
     def param_values(self) -> list[np.ndarray]:
@@ -204,69 +181,50 @@ class Actor:
         fp, _ = self._split(params)
         return self.feature.forward(states, fp)
 
-    def head_out(self, states, params=None) -> Node:
+    def head_out(self, states, params=None, ops=ad):
         fp, hp = self._split(params)
-        return self.head.forward(self.feature.forward(states, fp), hp)
+        return self.head.forward(self.feature.forward(states, fp, ops), hp, ops)
 
-    def act(self, states, mode: str = "deterministic", noise=None, params=None):
-        """Batched policy output as graph nodes.
+    def act(self, states, mode: str = "deterministic", noise=None, params=None, ops=ad,
+            with_logp: bool = True):
+        """Batched policy output on ``ops``.
 
         Returns (action, log_prob); log_prob is None unless the head is
-        gaussian and mode is "sample".
+        gaussian, mode is "sample" and ``with_logp`` holds.
         """
-        out = self.head_out(states, params)
+        out = self.head_out(states, params, ops)
         if self.head_kind == "deterministic":
-            return ad.scale(ad.tanh(out), self.action_scale), None
-        mean_ = ad.slice_cols(out, 0, self.action_dim)
-        log_std = ad.clip(ad.slice_cols(out, self.action_dim, 2 * self.action_dim),
-                          LOG_STD_MIN, LOG_STD_MAX)
+            return ops.scale(ops.tanh(out), self.action_scale), None
+        d = self.action_dim
+        mean_ = ops.slice_cols(out, 0, d)
+        log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
         if mode == "mean":
-            return ad.scale(ad.tanh(mean_), self.action_scale), None
+            return ops.scale(ops.tanh(mean_), self.action_scale), None
         if mode != "sample":
             raise ValueError(f"unknown act mode {mode!r}")
         if noise is None:
             raise ValueError("sample mode requires an explicit noise tensor")
-        return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale)
+        return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, ops, with_logp)
 
     def act_np(self, state: np.ndarray, mode: str = "deterministic",
                noise: np.ndarray | None = None, params=None,
                return_logp: bool = False):
-        """Numpy policy output; accepts a single state or a batch.
+        """``act`` on ``NumpyOps``, for a single state or a batch.
 
         A batch of shape (N, state_dim) gives an action of shape
-        (N, action_dim) and, with ``return_logp``, a log-prob of shape
-        (N, 1). A 1-D state gives an action of shape (action_dim,) and a
-        log-prob of shape (1,).
+        (N, action_dim) and a log-prob of shape (N, 1). A 1-D state gives
+        an action of shape (action_dim,) and a log-prob of shape (1,).
+        Returns the action alone, or (action, log_prob) with
+        ``return_logp``; the log-prob is None outside sample mode.
         """
         single = state.ndim == 1
-        x = state[None, :] if single else state
-        fp, hp = self._split(params)
-        out = self.head.forward_np(self.feature.forward_np(x, fp), hp)
-        if self.head_kind == "deterministic":
-            a = self.action_scale * np.tanh(out)
-            return (a[0] if single else a)
-        d = self.action_dim
-        mean_, log_std = out[:, :d], np.clip(out[:, d:], LOG_STD_MIN, LOG_STD_MAX)
-        if mode == "mean":
-            a = self.action_scale * np.tanh(mean_)
-            return (a[0] if single else a)
-        if noise is None:
-            raise ValueError("sample mode requires an explicit noise tensor")
-        if noise.ndim == 1:
+        if noise is not None and noise.ndim == 1:
             noise = noise[None, :]
-        u = mean_ + np.exp(log_std) * noise
-        t = np.tanh(u)
-        a = self.action_scale * t
-        if not return_logp:
-            return (a[0] if single else a)
-        # mirrors the graph composition operation-for-operation so values
-        # agree bit-for-bit with the differentiable path
-        z = (u - mean_) * np.exp(-log_std)
-        logp = ((z * z) * -0.5 - log_std).sum(axis=1, keepdims=True) \
-            + np.asarray(-0.5 * math.log(2.0 * math.pi)) * d
-        corr = np.log((1.0 - t * t) * self.action_scale + ad.SQUASH_EPS).sum(axis=1, keepdims=True)
-        logp = logp - corr
-        return (a[0] if single else a), (logp[0] if single else logp)
+        a, logp = self.act(state[None, :] if single else state, mode, noise, params,
+                           NumpyOps, return_logp)
+        if single:
+            a, logp = a[0], (None if logp is None else logp[0])
+        return (a, logp) if return_logp else a
 
     def clone(self) -> "Actor":
         other = object.__new__(Actor)
@@ -291,23 +249,13 @@ class Critic:
         self.net = DenseNet(dims, acts, rng, "q1")
         self.twin = DenseNet(dims, acts, rng, "q2") if twin else None
 
-    def q(self, states, actions, params=None) -> Node:
-        x = ad.concat([ad.as_node(states), ad.as_node(actions)])
-        return self.net.forward(x, params)
+    def q(self, states, actions, params=None, ops=ad):
+        return self.net.forward(ops.concat([states, actions]), params, ops)
 
-    def q_twin(self, states, actions, params=None) -> Node:
+    def q_twin(self, states, actions, params=None, ops=ad):
         if self.twin is None:
             raise ValueError("critic has no twin network")
-        x = ad.concat([ad.as_node(states), ad.as_node(actions)])
-        return self.twin.forward(x, params)
-
-    def q_np(self, states: np.ndarray, actions: np.ndarray, params=None) -> np.ndarray:
-        return self.net.forward_np(np.concatenate([states, actions], axis=1), params)
-
-    def q_twin_np(self, states: np.ndarray, actions: np.ndarray, params=None) -> np.ndarray:
-        if self.twin is None:
-            raise ValueError("critic has no twin network")
-        return self.twin.forward_np(np.concatenate([states, actions], axis=1), params)
+        return self.twin.forward(ops.concat([states, actions]), params, ops)
 
     def parameters(self) -> list[Variable]:
         ps = list(self.net.params)

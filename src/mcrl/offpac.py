@@ -7,10 +7,10 @@ The actor is trained on the critic-provided loss:
     sac:   mean( alpha * log pi(a|s) - min(Q1, Q2)(s, a) ),  a reparameterized
 
 and the critic regresses on one-step TD targets built from target
-networks. Targets are computed on the numpy fast path, so they are
-gradient-isolated by construction; the critic enters the actor loss
-through constant parameter snapshots, so the actor update cannot move
-the critic either.
+networks. Targets are computed with ``autodiff.NumpyOps``, on raw arrays,
+so they are gradient-isolated by construction; the critic enters the
+actor loss through constant parameter snapshots, so the actor update
+cannot move the critic either.
 
 All stochasticity is drawn from the caller-provided generator in a
 documented order (batch indices, then the algorithm's learning noise),
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import NumpyOps
 from .envs import EnvSpec
 from .nets import Actor, Critic, polyak
 from .replay import Batch, ReplayBuffer
@@ -132,68 +133,61 @@ class AlgoState:
 
 
 def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
-               actor_params=None) -> ad.Node:
-    """Critic-provided actor loss as a graph node; critic held constant."""
+               actor_params=None, ops=ad):
+    """Critic-provided actor loss on ``ops``; critic held constant.
+
+    A graph node by default; with ``ops=NumpyOps``, the same value as a
+    numpy scalar, with no graph built.
+    """
     if len(batch) == 0:
         raise ValueError("empty batch")
+    sac = state.algo == "sac"
+    if sac and noise is None:
+        raise ValueError("sac actor loss needs reparameterization noise")
+    mode = "sample" if sac else "deterministic"
+    if ops is ad:
+        a, logp = state.actor.act(batch.s, mode, noise, actor_params)
+    else:  # every raw-array policy call goes through act_np, where traces count them
+        a, logp = state.actor.act_np(batch.s, mode, noise, actor_params, return_logp=True)
     q1c, q2c = state.critic_const_params()
-    if state.algo == "sac":
-        if noise is None:
-            raise ValueError("sac actor loss needs reparameterization noise")
-        a, logp = state.actor.act(batch.s, mode="sample", noise=noise,
-                                  params=actor_params)
-        q = ad.minimum(state.critic.q(batch.s, a, q1c),
-                       state.critic.q_twin(batch.s, a, q2c))
-        return ad.mean(ad.sub(ad.scale(logp, state.hyper.alpha), q))
-    a, _ = state.actor.act(batch.s, params=actor_params)
-    q = state.critic.q(batch.s, a, q1c)
-    return ad.mean(ad.neg(q))
+    q = state.critic.q(batch.s, a, q1c, ops)
+    if not sac:
+        return ops.mean(ops.neg(q))
+    q = ops.minimum(q, state.critic.q_twin(batch.s, a, q2c, ops))
+    return ops.mean(ops.sub(ops.scale(logp, state.hyper.alpha), q))
 
 
 def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
                   params_values=None) -> float:
-    """Numpy twin of actor_loss; mirrors its arithmetic bit-for-bit.
+    """Value of ``actor_loss`` at constant parameters, on raw arrays.
 
-    Used where the loss value is needed at constant parameters and no
-    gradient will ever be taken, e.g. the detached baseline branch.
+    Used where no gradient will ever be taken, e.g. the detached
+    baseline branch of the meta-test.
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    q1c, q2c = state.critic_const_params()
-    if state.algo == "sac":
-        if noise is None:
-            raise ValueError("sac actor loss needs reparameterization noise")
-        a, logp = state.actor.act_np(batch.s, mode="sample", noise=noise,
-                                     params=params_values, return_logp=True)
-        q = np.minimum(state.critic.q_np(batch.s, a, q1c),
-                       state.critic.q_twin_np(batch.s, a, q2c))
-        elems = logp * state.hyper.alpha - q
-        return float(elems.sum() * (1.0 / elems.size))
-    a = state.actor.act_np(batch.s, params=params_values)
-    q = state.critic.q_np(batch.s, a, q1c)
-    return float((-q).sum() * (1.0 / q.size))
+    return float(actor_loss(state, batch, noise, params_values, NumpyOps))
 
 
 def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> np.ndarray:
     """One-step TD regression targets; numpy only, never part of a graph."""
     h = state.hyper
     scale = state.spec.action_bound
+    critic = state.target_critic
     if state.algo == "ddpg":
         a2 = state.target_actor.act_np(batch.s_next)
-        q2 = state.target_critic.q_np(batch.s_next, a2)
+        q2 = critic.q(batch.s_next, a2, ops=NumpyOps)
     elif state.algo == "td3":
         a2 = state.target_actor.act_np(batch.s_next)
         eps = rng.standard_normal(a2.shape) * (h.target_noise * scale)
         eps = np.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
         a2 = np.clip(a2 + eps, -scale, scale)
-        q2 = np.minimum(state.target_critic.q_np(batch.s_next, a2),
-                        state.target_critic.q_twin_np(batch.s_next, a2))
+        q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
+                        critic.q_twin(batch.s_next, a2, ops=NumpyOps))
     else:  # sac: fresh sample from the live actor, entropy-corrected target
         noise = rng.standard_normal((len(batch), state.spec.action_dim))
         a2, logp2 = state.actor.act_np(batch.s_next, mode="sample", noise=noise,
                                        return_logp=True)
-        q2 = np.minimum(state.target_critic.q_np(batch.s_next, a2),
-                        state.target_critic.q_twin_np(batch.s_next, a2))
+        q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
+                        critic.q_twin(batch.s_next, a2, ops=NumpyOps))
         q2 = q2 - h.alpha * logp2
     return batch.r + h.gamma * (1.0 - batch.done) * q2
 

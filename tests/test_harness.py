@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from mcrl import envs, harness, metacritic
-from mcrl.harness import RunConfig, parse_config
+from mcrl import envs, harness
+from mcrl.harness import parse_config
 
 
 BASE_CFG = """\
@@ -192,6 +192,7 @@ def test_nan_abort_writes_diagnostic_row(tmp_path, monkeypatch):
     assert math_isnan_row(res["rows"][-1])
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "150"
+    assert meta["aborted_at_iteration"] == "50" and meta["aborted_primitive"] == ""
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
@@ -201,6 +202,26 @@ def test_infinite_loss_aborts_like_nan(tmp_path, monkeypatch, bad):
     assert math_isnan_row(res["rows"][-1])
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "130"
+
+
+def test_real_divergence_aborts_with_the_primitive(tmp_path):
+    # learning rates of 1e6 overflow the SAC nets within a few iterations,
+    # and backward raises NanGradientError before any loss is non-finite
+    cfg = parse_config("algo=sac\nenv=pointmass\nactor_lr=1e6\ncritic_lr=1e6\n"
+                       "total_steps=105\nwarmup_steps=100\neval_every=105\n"
+                       "eval_episodes=1\nhidden_actor=8,8\nhidden_critic=8,8\n"
+                       "batch_n=8\nbatch_m=8\n")
+    with pytest.warns(RuntimeWarning):  # overflow, then invalid values
+        res = harness.run_seed(cfg, 0, str(tmp_path))
+    assert res["aborted_at"] == 104  # warmup 100 + 4th iteration
+    assert len(res["rows"]) == 1 and math_isnan_row(res["rows"][-1])
+    curve = harness.read_curve(str(tmp_path / "seed0.csv"))
+    assert list(curve["step"]) == [104.0] and np.isnan(curve["loss_critic"][-1])
+    meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
+    assert meta["aborted_at_step"] == "104"
+    assert meta["aborted_at_iteration"] == "4"
+    assert meta["aborted_primitive"] == "affine"
+    assert meta["update_blocks"] == "3"
 
 
 def math_isnan_row(row):
@@ -286,7 +307,6 @@ def test_rng_streams_are_independent_and_reproducible():
 def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
     # the harness with mc_variant=none must match a manual loop over the
     # offpac primitives using identically derived streams
-    from mcrl import offpac
     from mcrl.envs import make_env
     from mcrl.offpac import exploration_action, vanilla_iteration
     from mcrl.replay import ReplayBuffer
@@ -302,7 +322,6 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
                                   hidden_critic=scaled["hidden_critic"])
     buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
     s = env.reset(streams.env)
-    losses = []
     for step in range(1, cfg.total_steps + 1):
         if step <= cfg.warmup_steps:
             a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
@@ -312,8 +331,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
         buf.push(s, a, r, s2, False)
         s = env.reset(streams.env) if done else s2
         if step > cfg.warmup_steps:
-            losses.append(vanilla_iteration(ms.base, buf, streams.replay,
-                                            batch_size=cfg.batch_n))
+            vanilla_iteration(ms.base, buf, streams.replay, batch_size=cfg.batch_n)
     final = [p.value for p in ms.base.actor.parameters()]
     harness_final = [p.value for p in res["meta_state"].base.actor.parameters()]
     for a_, b_ in zip(final, harness_final):

@@ -25,7 +25,7 @@ def test_identity_linear_layer_passes_states_through():
     net = nets.DenseNet([3, 3], ["linear"], rng)
     net.set_param_values([np.eye(3), np.zeros(3)])
     x = rng.normal(size=(4, 3))
-    np.testing.assert_allclose(net.forward_np(x), x)
+    np.testing.assert_allclose(net.forward(x, ops=ad.NumpyOps), x)
     np.testing.assert_allclose(ad.evaluate(net.forward(x)), x)
 
 
@@ -71,7 +71,7 @@ def test_squashed_logp_matches_quadrature():
     # and compare exp(logp) against it pointwise
     actor = make_actor(head="gaussian", state_dim=2, action_dim=1, scale=1.0, seed=9)
     state = np.random.default_rng(3).normal(size=(1, 2))
-    out = actor.head.forward_np(actor.feature.forward_np(state))
+    out = actor.head_out(state, ops=ad.NumpyOps)
     mu, log_std = out[0, 0], np.clip(out[0, 1], nets.LOG_STD_MIN, nets.LOG_STD_MAX)
     sigma = np.exp(log_std)
 
@@ -225,8 +225,52 @@ def test_snapshot_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_graph_and_numpy_forwards_agree():
+def _forward_pairs(case, override):
+    """(graph output, numpy output) pairs of one forward on random inputs."""
     rng = np.random.default_rng(41)
-    net = nets.DenseNet([4, 7, 3], ["relu", "tanh"], rng)
-    x = rng.normal(size=(5, 4))
-    np.testing.assert_allclose(ad.evaluate(net.forward(x)), net.forward_np(x), rtol=1e-15)
+    states = rng.normal(size=(5, 3))
+    kind, variant = case.split("-", 1)
+
+    def params_for(variables):
+        return [rng.normal(size=v.shape) * 0.5 for v in variables] if override else None
+
+    if kind == "dense":
+        net = nets.DenseNet([3, 7, 4], [variant, variant], rng)
+        params = params_for(net.params)
+        return [(net.forward(states, params), net.forward(states, params, ops=ad.NumpyOps))]
+    if kind == "critic":
+        critic = nets.Critic(3, 2, rng, hidden=(6, 6), twin=True)
+        q = getattr(critic, variant)
+        actions = rng.uniform(-1.0, 1.0, size=(5, 2))
+        params = params_for(critic.net.params)
+        return [(q(states, actions, params), q(states, actions, params, ops=ad.NumpyOps))]
+    actor = make_actor(head="deterministic" if variant == "deterministic" else "gaussian",
+                       seed=41)
+    noise = rng.normal(size=(5, 2)) if variant == "sample" else None
+    params = params_for(actor.parameters())
+    pairs = []
+    for i in (None, 0, 1, 2, 3, 4):  # the batch, then each state alone
+        rows = slice(None) if i is None else slice(i, i + 1)
+        n = None if noise is None else noise[rows]
+        graph = actor.act(states[rows], variant, n, params)
+        if i is None:
+            raw = actor.act_np(states, variant, n, params, return_logp=True)
+        else:  # a 1-D state and noise against a graph batch of one
+            raw = actor.act_np(states[i], variant, None if n is None else n[0], params,
+                               return_logp=True)
+            graph = [None if g is None else g.value[0] for g in graph]
+        if variant != "sample":
+            assert graph[1] is None and raw[1] is None
+            graph, raw = graph[:1], raw[:1]
+        pairs += zip(graph, raw)
+    return pairs
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["stored", "override"])
+@pytest.mark.parametrize("case", [f"dense-{act}" for act in ("relu", "tanh", "softplus", "linear")]
+                         + ["actor-deterministic", "actor-mean", "actor-sample",
+                            "critic-q", "critic-q_twin"])
+def test_graph_and_numpy_forwards_agree(case, override):
+    for graph, raw in _forward_pairs(case, override):
+        assert isinstance(raw, np.ndarray)
+        assert np.array_equal(ad.evaluate(graph), raw)

@@ -146,7 +146,8 @@ def test_single_transition_regression_converges():
     for _ in range(2000):
         batch = buf.sample_batch(1, rng)
         offpac.critic_update(state, batch, rng)
-    q = state.critic.q_np(np.array([[0.1, -0.2, 0.3]]), np.array([[0.5, -0.5]]))
+    q = state.critic.q(np.array([[0.1, -0.2, 0.3]]), np.array([[0.5, -0.5]]),
+                       ops=ad.NumpyOps)
     assert abs(float(q[0, 0]) - 0.7) < 1e-3
 
 
@@ -223,6 +224,27 @@ def test_actor_loss_numpy_twin_is_bit_identical(algo):
         np_val = offpac.actor_loss_np(state, batch, noise=noise,
                                       params_values=params_vals)
         assert graph_val == np_val
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_numpy_paths_build_no_nodes(algo, monkeypatch):
+    state = make_state(algo)
+    batch = random_batch(seed=1)
+    noise = state.actor_noise(len(batch), np.random.default_rng(2))
+    made = []
+    real_init = ad.Node.__init__
+
+    def counting_init(node, op, *args, **kwargs):
+        made.append(op)
+        real_init(node, op, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counting_init)
+    offpac.actor_loss_np(state, batch, noise=noise)
+    offpac.critic_targets(state, batch, np.random.default_rng(3))
+    offpac.exploration_action(state, batch.s[0], np.random.default_rng(4))
+    assert made == []
+    offpac.actor_loss(state, batch, noise=noise)
+    assert made  # the same forward on the graph namespace does build Nodes
 
 
 def test_empty_batch_rejected():
