@@ -2,8 +2,11 @@
 
 The engine is a define-by-run tape: every primitive produces a `Node`
 holding its value, the primitive kind, and references to its parents.
-``backward`` walks the graph once in reverse topological order and
-accumulates vector-Jacobian products. Each primitive's backward rule is
+``backward`` walks, once and in reverse topological order, only the
+nodes on a path from the output to a requested gradient, and
+accumulates vector-Jacobian products there; it checks the returned
+gradients for NaN once and walks again with a per-node check only to
+name the primitive a NaN came from. Each primitive's backward rule is
 written against a small backend protocol with two implementations, one
 that works on raw numpy arrays (``NumpyOps``) and one that builds new
 Nodes out of the same primitives. The second is what ``create_graph=True``
@@ -18,8 +21,9 @@ values on plain arrays, building no Nodes, when given ``NumpyOps``.
 
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
-bit-identical. Sampling primitives take their noise as an explicit
-argument; this module owns no RNG state.
+bit-identical, and a gradient's bits do not depend on which other
+gradients the same call requests. Sampling primitives take their noise
+as an explicit argument; this module owns no RNG state.
 """
 
 from __future__ import annotations
@@ -520,146 +524,141 @@ def _fit(B, g, shape):
     return g if raw.shape == shape else B.sum_to(g, shape)
 
 
-def _vjp_add(B, g, n):
+def _vjp_add(B, g, n, live):
     a, b = n.parents
-    return (_fit(B, g, a.value.shape) if a.requires_grad else None,
-            _fit(B, g, b.value.shape) if b.requires_grad else None)
+    return (_fit(B, g, a.value.shape) if a in live else None,
+            _fit(B, g, b.value.shape) if b in live else None)
 
 
-def _vjp_sub(B, g, n):
+def _vjp_sub(B, g, n, live):
     a, b = n.parents
-    return (_fit(B, g, a.value.shape) if a.requires_grad else None,
-            _fit(B, B.neg(g), b.value.shape) if b.requires_grad else None)
+    return (_fit(B, g, a.value.shape) if a in live else None,
+            _fit(B, B.neg(g), b.value.shape) if b in live else None)
 
 
-def _vjp_neg(B, g, n):
+def _vjp_neg(B, g, n, live):
     return (B.neg(g),)
 
 
-def _vjp_mul(B, g, n):
+def _vjp_mul(B, g, n, live):
     a, b = n.parents
-    ga = _fit(B, B.mul(g, B.val(b)), a.value.shape) if a.requires_grad else None
-    gb = _fit(B, B.mul(g, B.val(a)), b.value.shape) if b.requires_grad else None
+    ga = _fit(B, B.mul(g, B.val(b)), a.value.shape) if a in live else None
+    gb = _fit(B, B.mul(g, B.val(a)), b.value.shape) if b in live else None
     return (ga, gb)
 
 
-def _vjp_scale(B, g, n):
+def _vjp_scale(B, g, n, live):
     return (B.scale(g, n.attrs[0]),)
 
 
-def _vjp_matmul(B, g, n):
+def _vjp_matmul(B, g, n, live):
     a, b = n.parents
-    ga = B.matmul(g, B.transpose(B.val(b))) if a.requires_grad else None
-    gb = B.matmul(B.transpose(B.val(a)), g) if b.requires_grad else None
+    ga = B.matmul(g, B.transpose(B.val(b))) if a in live else None
+    gb = B.matmul(B.transpose(B.val(a)), g) if b in live else None
     return (ga, gb)
 
 
-def _vjp_affine(B, g, n):
+def _vjp_affine(B, g, n, live):
     x, w, b = n.parents
-    gx = B.matmul(g, B.transpose(B.val(w))) if x.requires_grad else None
-    gw = B.matmul(B.transpose(B.val(x)), g) if w.requires_grad else None
-    gb = B.sum_axis0(g) if b.requires_grad else None
+    gx = B.matmul(g, B.transpose(B.val(w))) if x in live else None
+    gw = B.matmul(B.transpose(B.val(x)), g) if w in live else None
+    gb = B.sum_axis0(g) if b in live else None
     return (gx, gw, gb)
 
 
-def _vjp_relu(B, g, n):
+def _vjp_relu(B, g, n, live):
     mask = n.parents[0].value > 0.0
     return (B.mul_mask(g, mask),)
 
 
-def _vjp_tanh(B, g, n):
+def _vjp_tanh(B, g, n, live):
     y = B.val(n) if B.create_graph else n.value
     return (B.mul(g, B.one_minus(B.square(y))),)
 
 
-def _vjp_sigmoid(B, g, n):
+def _vjp_sigmoid(B, g, n, live):
     y = B.val(n) if B.create_graph else n.value
     return (B.mul(g, B.mul(y, B.one_minus(y))),)
 
 
-def _vjp_softplus(B, g, n):
+def _vjp_softplus(B, g, n, live):
     return (B.mul(g, B.sigmoid(B.val(n.parents[0]))),)
 
 
-def _vjp_exp(B, g, n):
+def _vjp_exp(B, g, n, live):
     y = B.val(n) if B.create_graph else n.value
     return (B.mul(g, y),)
 
 
-def _vjp_log(B, g, n):
+def _vjp_log(B, g, n, live):
     return (B.mul(g, B.power(B.val(n.parents[0]), -1.0)),)
 
 
-def _vjp_square(B, g, n):
+def _vjp_square(B, g, n, live):
     return (B.scale(B.mul(g, B.val(n.parents[0])), 2.0),)
 
 
-def _vjp_power(B, g, n):
+def _vjp_power(B, g, n, live):
     p = n.attrs[0]
     return (B.scale(B.mul(g, B.power(B.val(n.parents[0]), p - 1.0)), p),)
 
 
-def _vjp_absval(B, g, n):
+def _vjp_absval(B, g, n, live):
     sign = np.sign(n.parents[0].value)
     return (B.mul_mask(g, sign),)
 
 
-def _vjp_minimum(B, g, n):
+def _vjp_minimum(B, g, n, live):
     a, b = n.parents
     mask = a.value <= b.value
-    ga = B.mul_mask(g, mask) if a.requires_grad else None
-    gb = B.mul_mask(g, ~mask) if b.requires_grad else None
+    ga = B.mul_mask(g, mask) if a in live else None
+    gb = B.mul_mask(g, ~mask) if b in live else None
     return (ga, gb)
 
 
-def _vjp_clip(B, g, n):
+def _vjp_clip(B, g, n, live):
     lo, hi = n.attrs
     x = n.parents[0].value
     return (B.mul_mask(g, (x > lo) & (x < hi)),)
 
 
-def _vjp_asum(B, g, n):
+def _vjp_asum(B, g, n, live):
     return (B.broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_sum_axis0(B, g, n):
+def _vjp_sum_axis0(B, g, n, live):
     return (B.broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_sum_axis1(B, g, n):
+def _vjp_sum_axis1(B, g, n, live):
     return (B.broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_broadcast(B, g, n):
+def _vjp_broadcast(B, g, n, live):
     return (B.sum_to(g, n.parents[0].value.shape),)
 
 
-def _vjp_sum_to(B, g, n):
+def _vjp_sum_to(B, g, n, live):
     return (B.broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_concat(B, g, n):
+def _vjp_concat(B, g, n, live):
     offs, _total = n.attrs
-    out = []
-    for p, o in zip(n.parents, offs):
-        if p.requires_grad:
-            out.append(B.slice_cols(g, o, o + p.value.shape[1]))
-        else:
-            out.append(None)
-    return tuple(out)
+    return tuple(B.slice_cols(g, o, o + p.value.shape[1]) if p in live else None
+                 for p, o in zip(n.parents, offs))
 
 
-def _vjp_slice_cols(B, g, n):
+def _vjp_slice_cols(B, g, n, live):
     i0, _i1 = n.attrs
     return (B.pad_cols(g, i0, n.parents[0].value.shape[1]),)
 
 
-def _vjp_pad_cols(B, g, n):
+def _vjp_pad_cols(B, g, n, live):
     i0, _total = n.attrs
     return (B.slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
 
 
-def _vjp_transpose(B, g, n):
+def _vjp_transpose(B, g, n, live):
     return (B.transpose(g),)
 
 
@@ -677,26 +676,74 @@ _VJP: dict[str, Callable] = {
 }
 
 
-def _toposort(root: Node) -> list[Node]:
+def _live_order(root: Node, targets: set) -> tuple[list[Node], set, set]:
+    """The nodes on a path from ``root`` to a target, in post-order.
+
+    Returns ``(order, live, ends)``: ``order`` lists the live nodes, those
+    that are a target or have a live parent, in the depth-first post-order
+    of the whole graph with the other nodes left out; ``live`` holds the
+    same nodes; ``ends`` holds the live nodes with no live parent, which
+    are targets whose VJP the walk skips.
+    """
     # mark visited at expansion, not at push: pre-marking reorders interior
     # diamond nodes and silently drops their late gradient contributions
     order: list[Node] = []
-    visited: set[int] = set()
+    live: set[Node] = set()
+    ends: set[Node] = set()
+    visited: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            # every parent is finished by now, so its liveness is known
+            for p in node.parents:
+                if p in live:
+                    break
+            else:
+                if node not in targets:
+                    continue
+                ends.add(node)
+            live.add(node)
             order.append(node)
             continue
-        nid = id(node)
-        if nid in visited:
+        if node in visited:
             continue
-        visited.add(nid)
+        visited.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
-    return order
+    return order, live, ends
+
+
+def _walk(out: Node, targets: list[Node], B, check: bool) -> dict:
+    """Accumulate VJPs from ``out`` over the live nodes in reverse post-order.
+
+    Returns the gradient of each live node, keyed on the node. With
+    ``check`` it raises NanGradientError at the first node in the walk
+    whose gradient holds a NaN, naming that node's primitive.
+    """
+    grads: dict[Node, object] = {}
+    if not out.requires_grad:
+        return grads
+    order, live, ends = _live_order(out, set(targets))
+    if not order:
+        return grads
+    grads[out] = B.seed_for(out)
+    vjps = _VJP
+    for node in reversed(order):
+        g = grads[node]
+        if check:
+            m = B.raw(g).min()  # min propagates NaN
+            if m != m:
+                raise NanGradientError(node.op)
+        if node in ends:
+            continue
+        for p, c in zip(node.parents, vjps[node.op](B, g, node, live)):
+            if c is not None:
+                prev = grads.get(p)
+                grads[p] = c if prev is None else B.add(prev, c)
+    return grads
 
 
 def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
@@ -708,9 +755,15 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     and remain differentiable, which is what enables second-order
     gradients through an inner update step.
 
-    Raises ShapeError for a non-scalar output and NanGradientError the
-    first time a NaN shows up during accumulation, naming the primitive
-    whose output gradient went bad.
+    Only the nodes on a path from ``output`` to an entry of ``wrt`` are
+    walked, so a branch that reaches no entry gets no VJP and, with
+    ``create_graph=True``, builds no Node. Each returned gradient has the
+    same bits whatever the other entries of ``wrt`` are.
+
+    Raises ShapeError for a non-scalar output. Raises NanGradientError
+    when a returned gradient holds a NaN, naming the first primitive in
+    the reverse walk whose output gradient held one; a NaN confined to a
+    branch that reaches no entry of ``wrt`` raises nothing.
     """
     out = as_node(output)
     if out.value.size != 1:
@@ -718,32 +771,18 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     targets = [as_node(w) for w in wrt]
     B = _GraphBackend if create_graph else NumpyOps
 
-    grads: dict[int, object] = {}
-    if out.requires_grad:
-        topo = _toposort(out)
-        grads[id(out)] = B.seed_for(out)
-        vjps = _VJP
-        for node in reversed(topo):
-            g = grads.get(id(node))
-            if g is None:
-                continue
-            raw = g if create_graph is False else g.value
-            m = raw.min()  # min propagates NaN
-            if m != m:
-                raise NanGradientError(node.op)
-            if not node.parents:
-                continue
-            contribs = vjps[node.op](B, g, node)
-            for p, c in zip(node.parents, contribs):
-                if c is None or not p.requires_grad:
-                    continue
-                prev = grads.get(id(p))
-                grads[id(p)] = c if prev is None else B.add(prev, c)
-
+    grads = _walk(out, targets, B, check=False)
     results = []
     for t in targets:
-        g = grads.get(id(t))
-        results.append(B.zeros(t.value.shape) if g is None else g)
+        g = grads.get(t)
+        if g is None:
+            results.append(B.zeros(t.value.shape))
+            continue
+        m = B.raw(g).min()
+        if m != m:
+            # walk again with the per-node check on; it raises at the source
+            _walk(out, targets, B, check=True)
+        results.append(g)
     return results
 
 
@@ -777,15 +816,15 @@ def fd_gradient(f: Callable[[np.ndarray], float], point, epsilon: float = 1e-4) 
 
 def reaches(node: Node, targets: Iterable[Node]) -> bool:
     """True if any of ``targets`` is reachable from ``node`` through parents."""
-    wanted = {id(as_node(t)) for t in targets}
-    seen: set[int] = set()
+    wanted = {as_node(t) for t in targets}
+    seen: set[Node] = set()
     stack = [as_node(node)]
     while stack:
         n = stack.pop()
-        if id(n) in wanted:
+        if n in wanted:
             return True
-        if id(n) in seen:
+        if n in seen:
             continue
-        seen.add(id(n))
+        seen.add(n)
         stack.extend(n.parents)
     return False

@@ -119,10 +119,8 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
     phi_new = [ad.sub(ad.constant(old), ad.scale(gm, eta))
                for old, gm in zip(phi_old, g_m)]
     grad_total = [gc + gm.value for gc, gm in zip(g_c, g_m)]
-    pu = PutativeUpdate(phi_old, phi_new, grad_total,
-                        float(ad.evaluate(l_c)), float(ad.evaluate(h)))
-    _require_omega_path(ms, pu)
-    return pu
+    return PutativeUpdate(phi_old, phi_new, grad_total,
+                          float(ad.evaluate(l_c)), float(ad.evaluate(h)))
 
 
 def meta_loss_plain(ms: MetaState, d_val: Batch, pu: PutativeUpdate,

@@ -202,6 +202,32 @@ def test_omega_gradient_nonzero_for_generic_weights():
     assert np.linalg.norm(g) > 0.0
 
 
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+@pytest.mark.parametrize("variant", nets.MC_VARIANTS)
+def test_gradient_bits_do_not_depend_on_other_targets(algo, variant):
+    # backward walks only the paths to its targets; adding omega (or the
+    # actor) to wrt must not change one bit of the other gradients
+    ms = make_ms(algo=algo, variant=variant, seed=41, inner_rate=0.05)
+    randomize_weights(ms, seed=42)
+    d_trn, d_val = batch_of(7, 43), batch_of(7, 44)
+    rng = np.random.default_rng(45)
+    noise_trn, noise_val = ms.base.actor_noise(7, rng), ms.base.actor_noise(7, rng)
+    actor, omega = ms.base.actor.parameters(), ms.mc.parameters()
+
+    h = ms.mc.loss(ms.base.actor, d_trn.s, d_trn.a)
+    alone = ad.backward(h, actor, create_graph=True)
+    with_omega = ad.backward(h, actor + omega, create_graph=True)
+    for a, b in zip(alone, with_omega):
+        assert np.array_equal(ad.evaluate(a), ad.evaluate(b))
+
+    pu = mcmod.meta_train(ms, d_trn, noise_trn)
+    meta = mcmod.meta_loss_clip(ms, d_val, pu, noise_val)
+    alone = ad.backward(meta, omega)
+    with_actor = ad.backward(meta, omega + actor)
+    for a, b in zip(alone, with_actor):
+        assert np.array_equal(a, b)
+
+
 def test_detached_putative_update_fails_loudly():
     ms = make_ms(seed=29)
     pu = mcmod.meta_train(ms, batch_of(8, 30))
