@@ -7,7 +7,8 @@ Submodules:
     envs        tabular MDP and continuous-control toy environments
     offpac      vanilla DDPG / TD3 / SAC update rules
     metacritic  bi-level meta-train / meta-test / meta-optimise loop
-    harness     seeded experiment runner, curves, PCA and surface analysis
+    harness     seeded experiment runner, curves and run comparison
+    analysis    PCA of parameter snapshots and return surfaces over them
 """
 
 __version__ = "0.1.0"

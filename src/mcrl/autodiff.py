@@ -6,18 +6,18 @@ holding its value, the primitive kind, and references to its parents.
 nodes on a path from the output to a requested gradient, and
 accumulates vector-Jacobian products there; it checks the returned
 gradients for NaN once and walks again with a per-node check only to
-name the primitive a NaN came from. Each primitive's backward rule is
-written against a small backend protocol with two implementations, one
-that works on raw numpy arrays (``NumpyOps``) and one that builds new
-Nodes out of the same primitives. The second is what ``create_graph=True``
-uses: the returned gradients are themselves differentiable Nodes, so a
+name the primitive a NaN came from.
+
+There are two ops namespaces: this module, whose primitives build Nodes,
+and ``NumpyOps``, whose ops of the same names compute the same values on
+plain arrays and build none. A forward written once against an ``ops``
+argument runs on either. Each primitive's backward rule is written the
+same way, against the same two namespaces: ``backward`` runs it on
+``NumpyOps`` by default and on this module with ``create_graph=True``,
+where the returned gradients are themselves differentiable Nodes, so a
 second backward pass yields mixed second derivatives such as the
 derivative of a gradient step with respect to parameters of the loss
-that produced it.
-
-Forwards use the same split. A forward written once against an ``ops``
-argument builds a graph when given this module and computes the same
-values on plain arrays, building no Nodes, when given ``NumpyOps``.
+that produced it. Both modes give the same gradient bits.
 
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
@@ -135,11 +135,6 @@ def as_node(x) -> Node:
 def evaluate(expr) -> np.ndarray:
     """Numeric value of an expression; does not touch graph structure."""
     return as_node(expr).value
-
-
-def detach(x) -> Node:
-    """A constant view of x's value: backward through it contributes zero."""
-    return Node("const", as_node(x).value, (), (), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +415,16 @@ class NumpyOps:
     module as ``ops`` and on plain arrays with ``ops=NumpyOps``. Each
     forward op here computes exactly the expression the graph primitive of
     the same name computes on ``.value``, so the two give the same bits.
-    ``backward`` also uses this class as its create_graph=False backend.
+    ``as_node`` and ``evaluate`` unwrap a Variable or a Node to its value.
+    The backward rules run on this class unless ``create_graph=True``.
     """
 
-    create_graph = False
+    @staticmethod
+    def as_node(x):
+        t = type(x)
+        return x.value if t is Variable or t is Node else x
 
-    as_node = staticmethod(lambda x: x.value if type(x) is Variable else x)
+    evaluate = as_node
     constant = staticmethod(lambda x: x)
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
@@ -459,207 +458,140 @@ class NumpyOps:
         v[:, i0:i0 + a.shape[1]] = a
         return v
 
-    # backward-only arithmetic
-    val = staticmethod(lambda p: p.value)
-    one_minus = staticmethod(lambda a: 1.0 - a)
-    mul_mask = staticmethod(np.multiply)
-    zeros = staticmethod(lambda shape: np.zeros(shape, dtype=DTYPE))
-    seed_for = staticmethod(lambda node: np.ones(node.value.shape, dtype=DTYPE))
-    raw = staticmethod(lambda g: g)
-
 
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
+# A rule maps the output gradient g of node n to one gradient per parent, or
+# None for a parent off the live set, using only ops that both namespaces
+# define: ``NumpyOps`` for plain gradients, this module for create_graph.
 
-class _GraphBackend:
-    """Backward arithmetic that builds Nodes (create_graph=True)."""
-
-    create_graph = True
-
-    @staticmethod
-    def val(p):
-        return p
-
-    add = staticmethod(add)
-    neg = staticmethod(neg)
-    mul = staticmethod(mul)
-    scale = staticmethod(scale)
-    matmul = staticmethod(matmul)
-    transpose = staticmethod(transpose)
-    square = staticmethod(square)
-    power = staticmethod(power)
-    sigmoid = staticmethod(sigmoid)
-    exp = staticmethod(exp)
-    sum_to = staticmethod(sum_to)
-    broadcast = staticmethod(broadcast)
-    sum_axis0 = staticmethod(sum_axis0)
-    slice_cols = staticmethod(slice_cols)
-    pad_cols = staticmethod(pad_cols)
-
-    @staticmethod
-    def one_minus(a):
-        return sub(constant(np.array(1.0)), a)
-
-    @staticmethod
-    def mul_mask(a, mask):
-        return mul(a, constant(mask))
-
-    @staticmethod
-    def zeros(shape):
-        return constant(np.zeros(shape, dtype=DTYPE))
-
-    @staticmethod
-    def seed_for(node):
-        return constant(np.ones(node.value.shape, dtype=DTYPE))
-
-    @staticmethod
-    def raw(g):
-        return g.value
-
-
-def _fit(B, g, shape):
+def _fit(ops, g, shape):
     # skip the reduction node entirely when shapes already agree
-    raw = g.value if isinstance(g, Node) else g
-    return g if raw.shape == shape else B.sum_to(g, shape)
+    return g if ops.evaluate(g).shape == shape else ops.sum_to(g, shape)
 
 
-def _vjp_add(B, g, n, live):
+def _vjp_add(ops, g, n, live):
     a, b = n.parents
-    return (_fit(B, g, a.value.shape) if a in live else None,
-            _fit(B, g, b.value.shape) if b in live else None)
+    return (_fit(ops, g, a.value.shape) if a in live else None,
+            _fit(ops, g, b.value.shape) if b in live else None)
 
 
-def _vjp_sub(B, g, n, live):
+def _vjp_sub(ops, g, n, live):
     a, b = n.parents
-    return (_fit(B, g, a.value.shape) if a in live else None,
-            _fit(B, B.neg(g), b.value.shape) if b in live else None)
+    return (_fit(ops, g, a.value.shape) if a in live else None,
+            _fit(ops, ops.neg(g), b.value.shape) if b in live else None)
 
 
-def _vjp_neg(B, g, n, live):
-    return (B.neg(g),)
+def _vjp_neg(ops, g, n, live):
+    return (ops.neg(g),)
 
 
-def _vjp_mul(B, g, n, live):
+def _vjp_mul(ops, g, n, live):
     a, b = n.parents
-    ga = _fit(B, B.mul(g, B.val(b)), a.value.shape) if a in live else None
-    gb = _fit(B, B.mul(g, B.val(a)), b.value.shape) if b in live else None
+    ga = _fit(ops, ops.mul(g, ops.as_node(b)), a.value.shape) if a in live else None
+    gb = _fit(ops, ops.mul(g, ops.as_node(a)), b.value.shape) if b in live else None
     return (ga, gb)
 
 
-def _vjp_scale(B, g, n, live):
-    return (B.scale(g, n.attrs[0]),)
+def _vjp_scale(ops, g, n, live):
+    return (ops.scale(g, n.attrs[0]),)
 
 
-def _vjp_matmul(B, g, n, live):
+def _vjp_matmul(ops, g, n, live):
     a, b = n.parents
-    ga = B.matmul(g, B.transpose(B.val(b))) if a in live else None
-    gb = B.matmul(B.transpose(B.val(a)), g) if b in live else None
+    ga = ops.matmul(g, ops.transpose(ops.as_node(b))) if a in live else None
+    gb = ops.matmul(ops.transpose(ops.as_node(a)), g) if b in live else None
     return (ga, gb)
 
 
-def _vjp_affine(B, g, n, live):
+def _vjp_affine(ops, g, n, live):
     x, w, b = n.parents
-    gx = B.matmul(g, B.transpose(B.val(w))) if x in live else None
-    gw = B.matmul(B.transpose(B.val(x)), g) if w in live else None
-    gb = B.sum_axis0(g) if b in live else None
+    gx = ops.matmul(g, ops.transpose(ops.as_node(w))) if x in live else None
+    gw = ops.matmul(ops.transpose(ops.as_node(x)), g) if w in live else None
+    gb = ops.sum_axis0(g) if b in live else None
     return (gx, gw, gb)
 
 
-def _vjp_relu(B, g, n, live):
-    mask = n.parents[0].value > 0.0
-    return (B.mul_mask(g, mask),)
+def _vjp_relu(ops, g, n, live):
+    return (ops.mul(g, ops.constant(n.parents[0].value > 0.0)),)
 
 
-def _vjp_tanh(B, g, n, live):
-    y = B.val(n) if B.create_graph else n.value
-    return (B.mul(g, B.one_minus(B.square(y))),)
+def _vjp_tanh(ops, g, n, live):
+    return (ops.mul(g, ops.sub(ops.constant(np.array(1.0)), ops.square(ops.as_node(n)))),)
 
 
-def _vjp_sigmoid(B, g, n, live):
-    y = B.val(n) if B.create_graph else n.value
-    return (B.mul(g, B.mul(y, B.one_minus(y))),)
+def _vjp_sigmoid(ops, g, n, live):
+    y = ops.as_node(n)
+    return (ops.mul(g, ops.mul(y, ops.sub(ops.constant(np.array(1.0)), y))),)
 
 
-def _vjp_softplus(B, g, n, live):
-    return (B.mul(g, B.sigmoid(B.val(n.parents[0]))),)
+def _vjp_softplus(ops, g, n, live):
+    return (ops.mul(g, ops.sigmoid(ops.as_node(n.parents[0]))),)
 
 
-def _vjp_exp(B, g, n, live):
-    y = B.val(n) if B.create_graph else n.value
-    return (B.mul(g, y),)
+def _vjp_exp(ops, g, n, live):
+    return (ops.mul(g, ops.as_node(n)),)
 
 
-def _vjp_log(B, g, n, live):
-    return (B.mul(g, B.power(B.val(n.parents[0]), -1.0)),)
+def _vjp_log(ops, g, n, live):
+    return (ops.mul(g, ops.power(ops.as_node(n.parents[0]), -1.0)),)
 
 
-def _vjp_square(B, g, n, live):
-    return (B.scale(B.mul(g, B.val(n.parents[0])), 2.0),)
+def _vjp_square(ops, g, n, live):
+    return (ops.scale(ops.mul(g, ops.as_node(n.parents[0])), 2.0),)
 
 
-def _vjp_power(B, g, n, live):
+def _vjp_power(ops, g, n, live):
     p = n.attrs[0]
-    return (B.scale(B.mul(g, B.power(B.val(n.parents[0]), p - 1.0)), p),)
+    return (ops.scale(ops.mul(g, ops.power(ops.as_node(n.parents[0]), p - 1.0)), p),)
 
 
-def _vjp_absval(B, g, n, live):
-    sign = np.sign(n.parents[0].value)
-    return (B.mul_mask(g, sign),)
+def _vjp_absval(ops, g, n, live):
+    return (ops.mul(g, ops.constant(np.sign(n.parents[0].value))),)
 
 
-def _vjp_minimum(B, g, n, live):
+def _vjp_minimum(ops, g, n, live):
     a, b = n.parents
     mask = a.value <= b.value
-    ga = B.mul_mask(g, mask) if a in live else None
-    gb = B.mul_mask(g, ~mask) if b in live else None
+    ga = ops.mul(g, ops.constant(mask)) if a in live else None
+    gb = ops.mul(g, ops.constant(~mask)) if b in live else None
     return (ga, gb)
 
 
-def _vjp_clip(B, g, n, live):
+def _vjp_clip(ops, g, n, live):
     lo, hi = n.attrs
     x = n.parents[0].value
-    return (B.mul_mask(g, (x > lo) & (x < hi)),)
+    return (ops.mul(g, ops.constant((x > lo) & (x < hi))),)
 
 
-def _vjp_asum(B, g, n, live):
-    return (B.broadcast(g, n.parents[0].value.shape),)
+def _vjp_reduce(ops, g, n, live):
+    # asum, sum_axis0, sum_axis1 and sum_to: spread g back over the input
+    return (ops.broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_sum_axis0(B, g, n, live):
-    return (B.broadcast(g, n.parents[0].value.shape),)
+def _vjp_broadcast(ops, g, n, live):
+    return (ops.sum_to(g, n.parents[0].value.shape),)
 
 
-def _vjp_sum_axis1(B, g, n, live):
-    return (B.broadcast(g, n.parents[0].value.shape),)
-
-
-def _vjp_broadcast(B, g, n, live):
-    return (B.sum_to(g, n.parents[0].value.shape),)
-
-
-def _vjp_sum_to(B, g, n, live):
-    return (B.broadcast(g, n.parents[0].value.shape),)
-
-
-def _vjp_concat(B, g, n, live):
+def _vjp_concat(ops, g, n, live):
     offs, _total = n.attrs
-    return tuple(B.slice_cols(g, o, o + p.value.shape[1]) if p in live else None
+    return tuple(ops.slice_cols(g, o, o + p.value.shape[1]) if p in live else None
                  for p, o in zip(n.parents, offs))
 
 
-def _vjp_slice_cols(B, g, n, live):
+def _vjp_slice_cols(ops, g, n, live):
     i0, _i1 = n.attrs
-    return (B.pad_cols(g, i0, n.parents[0].value.shape[1]),)
+    return (ops.pad_cols(g, i0, n.parents[0].value.shape[1]),)
 
 
-def _vjp_pad_cols(B, g, n, live):
+def _vjp_pad_cols(ops, g, n, live):
     i0, _total = n.attrs
-    return (B.slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
+    return (ops.slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
 
 
-def _vjp_transpose(B, g, n, live):
-    return (B.transpose(g),)
+def _vjp_transpose(ops, g, n, live):
+    return (ops.transpose(g),)
 
 
 _VJP: dict[str, Callable] = {
@@ -668,9 +600,9 @@ _VJP: dict[str, Callable] = {
     "relu": _vjp_relu, "tanh": _vjp_tanh, "sigmoid": _vjp_sigmoid,
     "softplus": _vjp_softplus, "exp": _vjp_exp, "log": _vjp_log,
     "square": _vjp_square, "power": _vjp_power, "absval": _vjp_absval,
-    "minimum": _vjp_minimum, "clip": _vjp_clip, "asum": _vjp_asum,
-    "sum_axis0": _vjp_sum_axis0, "sum_axis1": _vjp_sum_axis1,
-    "broadcast": _vjp_broadcast, "sum_to": _vjp_sum_to, "concat": _vjp_concat,
+    "minimum": _vjp_minimum, "clip": _vjp_clip, "asum": _vjp_reduce,
+    "sum_axis0": _vjp_reduce, "sum_axis1": _vjp_reduce,
+    "broadcast": _vjp_broadcast, "sum_to": _vjp_reduce, "concat": _vjp_concat,
     "slice_cols": _vjp_slice_cols, "pad_cols": _vjp_pad_cols,
     "transpose": _vjp_transpose,
 }
@@ -716,7 +648,7 @@ def _live_order(root: Node, targets: set) -> tuple[list[Node], set, set]:
     return order, live, ends
 
 
-def _walk(out: Node, targets: list[Node], B, check: bool) -> dict:
+def _walk(out: Node, targets: list[Node], ops, check: bool) -> dict:
     """Accumulate VJPs from ``out`` over the live nodes in reverse post-order.
 
     Returns the gradient of each live node, keyed on the node. With
@@ -729,20 +661,20 @@ def _walk(out: Node, targets: list[Node], B, check: bool) -> dict:
     order, live, ends = _live_order(out, set(targets))
     if not order:
         return grads
-    grads[out] = B.seed_for(out)
+    grads[out] = ops.constant(np.ones(out.value.shape, dtype=DTYPE))
     vjps = _VJP
     for node in reversed(order):
         g = grads[node]
         if check:
-            m = B.raw(g).min()  # min propagates NaN
+            m = ops.evaluate(g).min()  # min propagates NaN
             if m != m:
                 raise NanGradientError(node.op)
         if node in ends:
             continue
-        for p, c in zip(node.parents, vjps[node.op](B, g, node, live)):
+        for p, c in zip(node.parents, vjps[node.op](ops, g, node, live)):
             if c is not None:
                 prev = grads.get(p)
-                grads[p] = c if prev is None else B.add(prev, c)
+                grads[p] = c if prev is None else ops.add(prev, c)
     return grads
 
 
@@ -769,19 +701,19 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     if out.value.size != 1:
         raise ShapeError("backward(non-scalar output)", out.value.shape)
     targets = [as_node(w) for w in wrt]
-    B = _GraphBackend if create_graph else NumpyOps
+    ops = _graph if create_graph else NumpyOps
 
-    grads = _walk(out, targets, B, check=False)
+    grads = _walk(out, targets, ops, check=False)
     results = []
     for t in targets:
         g = grads.get(t)
         if g is None:
-            results.append(B.zeros(t.value.shape))
+            results.append(ops.constant(np.zeros(t.value.shape, dtype=DTYPE)))
             continue
-        m = B.raw(g).min()
+        m = ops.evaluate(g).min()
         if m != m:
             # walk again with the per-node check on; it raises at the source
-            _walk(out, targets, B, check=True)
+            _walk(out, targets, ops, check=True)
         results.append(g)
     return results
 

@@ -215,8 +215,5 @@ def tabular_optimal_return(mdp: TabularMdp, gamma: float | None = None,
 
 def tabular_greedy_policy(mdp: TabularMdp, gamma: float, iters: int = 500) -> np.ndarray:
     """Stationary greedy policy from converged value iteration."""
-    V = np.zeros(mdp.n_states)
-    for _ in range(iters):
-        Q = mdp.R + gamma * (mdp.P @ V)
-        V = Q.max(axis=1)
+    V = value_iteration(mdp, gamma, iters)
     return (mdp.R + gamma * (mdp.P @ V)).argmax(axis=1)

@@ -15,9 +15,9 @@ Each seed writes ``seed<k>.csv`` with columns exactly
     step,eval_return_mean,eval_return_std,loss_critic,loss_mcritic,loss_meta
 
 (loss columns are means over the gradient iterations since the previous
-evaluation row; loss_critic is the actor's critic-provided loss), a
-``seed<k>.meta.txt`` key=value metadata record, and a generated
-``plot_curves.py`` so nothing in the core imports a plotting library.
+evaluation row; loss_critic is the actor's critic-provided loss) and a
+``seed<k>.meta.txt`` key=value metadata record. No output file is a
+plot: ``smooth`` and ``max_average_return`` summarise the curves.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class RunConfig:
     updates_multiplier: float = 1.0
     params_multiplier: float = 1.0
     snapshot_every: int = 0             # env steps between actor snapshots; 0 off
-    smooth_window: int = 30
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
@@ -278,48 +277,6 @@ def read_metadata(path: str) -> dict[str, str]:
     return out
 
 
-_PLOT_SCRIPT = """\
-# Generated plot helper; run with: python3 plot_curves.py
-# Reads every seed*.csv next to this file and plots smoothed eval returns.
-import glob
-import os
-
-import matplotlib.pyplot as plt
-import numpy as np
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-WINDOW = {window}
-
-
-def smooth(x, w):
-    out = np.empty(len(x))
-    lo_off = (w - 1) // 2
-    for i in range(len(x)):
-        lo = max(0, i - lo_off)
-        hi = min(len(x), i + (w - 1 - lo_off) + 1)
-        out[i] = np.mean(x[lo:hi])
-    return out
-
-
-curves = []
-for path in sorted(glob.glob(os.path.join(HERE, "seed*.csv"))):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    curves.append(np.atleast_1d(data["eval_return_mean"]))
-    steps = np.atleast_1d(data["step"])
-if curves:
-    m = np.mean(np.stack(curves), axis=0)
-    s = np.std(np.stack(curves), axis=0)
-    ms = smooth(m, WINDOW)
-    plt.plot(steps, ms)
-    plt.fill_between(steps, ms - s, ms + s, alpha=0.25)
-    plt.xlabel("environment steps")
-    plt.ylabel("eval return")
-    plt.title(os.path.basename(HERE))
-    plt.savefig(os.path.join(HERE, "curves.png"), dpi=150)
-    print("wrote", os.path.join(HERE, "curves.png"))
-"""
-
-
 # ---------------------------------------------------------------------------
 # parameter-count control ("+params")
 # ---------------------------------------------------------------------------
@@ -495,8 +452,6 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v
     write_metadata(os.path.join(out_dir, f"seed{seed}.meta.txt"), meta)
-    with open(os.path.join(out_dir, "plot_curves.py"), "w") as fh:
-        fh.write(_PLOT_SCRIPT.format(window=cfg.smooth_window))
     return {"csv": csv_path, "rows": rows, "update_blocks": update_blocks,
             "meta_state": ms, "aborted_at": aborted_at}
 

@@ -320,14 +320,6 @@ class MetaCriticNet:
         return ad.mean(self.f.forward(x))
 
 
-def meta_critic_loss(mc: MetaCriticNet, actor: Actor, batch, actor_params=None) -> Node:
-    """Auxiliary loss over a transition batch (anything with .s and .a stacks)."""
-    states, actions = batch if isinstance(batch, tuple) else (batch.s, batch.a)
-    if len(states) == 0:
-        raise ValueError("empty batch")
-    return mc.loss(actor, states, actions, actor_params)
-
-
 # ---------------------------------------------------------------------------
 # parameter snapshots
 # ---------------------------------------------------------------------------

@@ -138,10 +138,10 @@ def test_create_graph_builds_nothing_off_the_requested_paths(monkeypatch):
     assert both == alone
 
 
-def test_detach_blocks_gradient():
+def test_constant_blocks_gradient():
     x = ad.Variable(np.array([1.0, 2.0]))
     straight = ad.asum(ad.square(x))
-    blocked = ad.asum(ad.square(ad.detach(x)))
+    blocked = ad.asum(ad.square(ad.constant(x.value)))
     y = ad.add(straight, blocked)
     (g,) = ad.backward(y, [x])
     np.testing.assert_allclose(g, 2.0 * x.value)
@@ -278,7 +278,8 @@ def _rand(rng, *shape):
 
 
 # (op name, argument factory): the raw-array arguments of one forward call;
-# the graph primitive of the same name gets them wrapped as constants
+# the graph primitive of the same name gets them wrapped as constants. A
+# suffix after "-" only tells apart cases of the same op.
 _NUMPY_OPS_CASES = [
     ("add", lambda r: (_rand(r, 4, 3), _rand(r, 3))),
     ("sub", lambda r: (_rand(r, 4, 3), _rand(r, 4, 3))),
@@ -306,6 +307,11 @@ _NUMPY_OPS_CASES = [
     ("slice_cols", lambda r: (_rand(r, 4, 5), 1, 4)),
     ("pad_cols", lambda r: (_rand(r, 4, 2), 1, 5)),
     ("transpose", lambda r: (_rand(r, 4, 3),)),
+    ("as_node-array", lambda r: (_rand(r, 4, 3),)),
+    ("as_node-variable", lambda r: (ad.Variable(_rand(r, 4, 3)),)),
+    ("as_node-node", lambda r: (ad.tanh(ad.Variable(_rand(r, 4, 3))),)),
+    ("evaluate-array", lambda r: (_rand(r, 4, 3),)),
+    ("evaluate-node", lambda r: (ad.tanh(ad.Variable(_rand(r, 4, 3))),)),
 ]
 
 
@@ -321,10 +327,74 @@ def _as_graph_arg(arg):
 def test_numpy_ops_match_graph_primitives_bit_for_bit(name, make_args):
     for seed in range(5):
         args = make_args(np.random.default_rng(seed))
-        raw = getattr(ad.NumpyOps, name)(*args)
-        graph = getattr(ad, name)(*(_as_graph_arg(a) for a in args))
-        assert np.shape(raw) == graph.value.shape
-        assert np.array_equal(raw, graph.value), name
+        op = name.split("-")[0]
+        raw = getattr(ad.NumpyOps, op)(*args)
+        graph = ad.evaluate(getattr(ad, op)(*(_as_graph_arg(a) for a in args)))
+        assert type(raw) is not ad.Node
+        assert np.shape(raw) == graph.shape
+        assert np.array_equal(raw, graph), name
+
+
+# op -> (shape of x, shape of z, expression over the Variables x and z that
+# applies the op); the backward rules are shared by both modes, so each must
+# give the same bits in both
+_VJP_CASES = {
+    "add": ((4, 3), (3,), lambda x, z: ad.add(x, z)),
+    "sub": ((4, 3), (4, 1), lambda x, z: ad.sub(x, z)),
+    "neg": ((4, 3), (1,), lambda x, z: ad.neg(x)),
+    "mul": ((4, 3), (4, 1), lambda x, z: ad.mul(x, z)),
+    "scale": ((4, 3), (1,), lambda x, z: ad.scale(x, -1.7)),
+    "matmul": ((4, 3), (3, 2), lambda x, z: ad.matmul(x, z)),
+    "affine": ((4, 3), (3, 2), lambda x, z: ad.affine(x, z, ad.sum_axis0(z))),
+    "relu": ((4, 3), (1,), lambda x, z: ad.relu(x)),
+    "tanh": ((4, 3), (1,), lambda x, z: ad.tanh(x)),
+    "sigmoid": ((4, 3), (1,), lambda x, z: ad.sigmoid(x)),
+    "softplus": ((4, 3), (1,), lambda x, z: ad.softplus(x)),
+    "exp": ((4, 3), (1,), lambda x, z: ad.exp(x)),
+    "log": ((4, 3), (1,), lambda x, z: ad.log(ad.add(ad.square(x), z))),
+    "square": ((4, 3), (1,), lambda x, z: ad.square(x)),
+    "power": ((4, 3), (1,), lambda x, z: ad.power(ad.absval(x), -1.5)),
+    "absval": ((4, 3), (1,), lambda x, z: ad.absval(x)),
+    "minimum": ((4, 3), (4, 3), lambda x, z: ad.minimum(x, z)),
+    "clip": ((4, 3), (1,), lambda x, z: ad.clip(x, -0.5, 0.5)),
+    "asum": ((4, 3), (1,), lambda x, z: ad.asum(x)),
+    "sum_axis0": ((4, 3), (1,), lambda x, z: ad.sum_axis0(x)),
+    "sum_axis1": ((4, 3), (1,), lambda x, z: ad.sum_axis1(x)),
+    "broadcast": ((4, 3), (3,), lambda x, z: ad.mul(x, ad.broadcast(z, (4, 3)))),
+    "sum_to": ((4, 3), (1,), lambda x, z: ad.sum_to(x, (1, 3))),
+    "concat": ((4, 3), (4, 2), lambda x, z: ad.concat([x, z])),
+    "slice_cols": ((4, 3), (1,), lambda x, z: ad.slice_cols(x, 1, 3)),
+    "pad_cols": ((4, 3), (1,), lambda x, z: ad.pad_cols(x, 2, 6)),
+    "transpose": ((4, 3), (1,), lambda x, z: ad.transpose(x)),
+}
+
+
+def _ops_reached(node):
+    seen, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            stack.extend(n.parents)
+    return {n.op for n in seen}
+
+
+@pytest.mark.parametrize("op", sorted(ad._VJP))
+def test_first_order_and_create_graph_gradients_agree_bit_for_bit(op):
+    assert op in _VJP_CASES, f"no case for the backward rule of {op!r}"
+    x_shape, z_shape, fn = _VJP_CASES[op]
+    rng = np.random.default_rng(sorted(ad._VJP).index(op))
+    x = ad.Variable(rng.normal(size=x_shape))
+    z = ad.Variable(np.abs(rng.normal(size=z_shape)) + 0.1)
+    out = fn(x, z)
+    assert op in _ops_reached(out)
+    # a random cotangent, so every rule sees an upstream gradient that is not all ones
+    y = ad.asum(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
+    first = ad.backward(y, [x, z])
+    graph = ad.backward(y, [x, z], create_graph=True)
+    for g1, g2 in zip(first, graph):
+        assert type(g1) is np.ndarray and type(g2) is ad.Node
+        assert np.array_equal(g1, g2.value), op
 
 
 def _random_composition(rng, w_arr=None, b_arr=None):

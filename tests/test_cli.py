@@ -34,7 +34,7 @@ def test_run_outputs(run_dir):
     _, _, out = run_dir
     names = sorted(os.listdir(out))
     assert "seed0.csv" in names and "seed1.csv" in names
-    assert "seed0.meta.txt" in names and "plot_curves.py" in names
+    assert "seed0.meta.txt" in names and "plot_curves.py" not in names
     curve = harness.read_curve(str(out / "seed0.csv"))
     assert len(curve["step"]) == 3
 

@@ -133,9 +133,9 @@ def test_meta_loss_nonnegative_and_permutation_invariant(variant):
         n = int(rng.integers(2, 17))
         s = rng.normal(size=(n, 3))
         a = rng.normal(size=(n, 2))
-        v1 = float(ad.evaluate(nets.meta_critic_loss(mc, actor, (s, a))))
+        v1 = float(ad.evaluate(mc.loss(actor, s, a)))
         perm = rng.permutation(n)
-        v2 = float(ad.evaluate(nets.meta_critic_loss(mc, actor, (s[perm], a[perm]))))
+        v2 = float(ad.evaluate(mc.loss(actor, s[perm], a[perm])))
         assert v1 >= 0.0
         assert abs(v1 - v2) <= 1e-9
 
@@ -147,7 +147,7 @@ def test_meta_loss_zero_final_layer_gives_log2():
     w.set_value(np.zeros_like(w.value))
     b.set_value(np.zeros_like(b.value))
     s = np.random.default_rng(0).normal(size=(9, 3))
-    v = float(ad.evaluate(nets.meta_critic_loss(mc, actor, (s, np.zeros((9, 2))))))
+    v = float(ad.evaluate(mc.loss(actor, s, np.zeros((9, 2)))))
     assert v == pytest.approx(np.log(2.0))
 
 
@@ -158,8 +158,7 @@ def test_param_reg_effective_ones_sums_abs():
     for w in mc.reg_weights:
         w.set_value(np.full_like(w.value, raw_one))
     total_abs = sum(float(np.abs(p.value).sum()) for p in actor.parameters())
-    v = float(ad.evaluate(nets.meta_critic_loss(
-        mc, actor, (np.zeros((1, 1)), np.zeros((1, 1))))))
+    v = float(ad.evaluate(mc.loss(actor, np.zeros((1, 1)), np.zeros((1, 1)))))
     assert v == pytest.approx(total_abs, rel=1e-12)
 
     # the spec's tiny example: weights one, parameter values {1, -2, 3}
@@ -167,8 +166,7 @@ def test_param_reg_effective_ones_sums_abs():
     probe = np.zeros_like(flat)
     probe[:3] = [1.0, -2.0, 3.0]
     actor.set_param_values(nets.unflatten_values(probe, [p.value for p in actor.parameters()]))
-    v = float(ad.evaluate(nets.meta_critic_loss(
-        mc, actor, (np.zeros((1, 1)), np.zeros((1, 1))))))
+    v = float(ad.evaluate(mc.loss(actor, np.zeros((1, 1)), np.zeros((1, 1)))))
     assert v == pytest.approx(6.0, rel=1e-12)
 
 
@@ -178,7 +176,7 @@ def test_meta_loss_gradient_reaches_actor():
         mc = nets.MetaCriticNet(variant, actor, np.random.default_rng(23))
         s = np.random.default_rng(1).normal(size=(8, 3))
         a = np.random.default_rng(2).normal(size=(8, 2))
-        loss = nets.meta_critic_loss(mc, actor, (s, a))
+        loss = mc.loss(actor, s, a)
         grads = ad.backward(loss, actor.feature.params)
         assert any(np.abs(g).max() > 0 for g in grads), variant
 
@@ -187,7 +185,7 @@ def test_meta_loss_empty_batch_rejected():
     actor = make_actor(seed=29)
     mc = nets.MetaCriticNet("feature", actor, np.random.default_rng(29))
     with pytest.raises(ValueError):
-        nets.meta_critic_loss(mc, actor, (np.zeros((0, 3)), np.zeros((0, 2))))
+        mc.loss(actor, np.zeros((0, 3)), np.zeros((0, 2)))
 
 
 def test_polyak_identities():
