@@ -8,16 +8,18 @@ accumulates vector-Jacobian products there; it checks the returned
 gradients for NaN once and walks again with a per-node check only to
 name the primitive a NaN came from.
 
-There are two ops namespaces: this module, whose primitives build Nodes,
-and ``NumpyOps``, whose ops of the same names compute the same values on
-plain arrays and build none. A forward written once against an ``ops``
-argument runs on either. Each primitive's backward rule is written the
-same way, against the same two namespaces: ``backward`` runs it on
-``NumpyOps`` by default and on this module with ``create_graph=True``,
-where the returned gradients are themselves differentiable Nodes, so a
-second backward pass yields mixed second derivatives such as the
-derivative of a gradient step with respect to parameters of the loss
-that produced it. Both modes give the same gradient bits.
+There are two ops namespaces. ``NumpyOps`` is the one place each
+primitive's value formula is written: its ops compute on plain arrays and
+build no Node. Each primitive of this module checks shapes, takes its
+value from the ``NumpyOps`` op of the same name and records one Node, so
+the two namespaces give the same bits. A forward written once against an
+``ops`` argument runs on either. Each backward rule is written the same
+way: ``backward`` runs it on ``NumpyOps`` by default and on this module
+with ``create_graph=True``, where the returned gradients are themselves
+differentiable Nodes, so a second backward pass yields mixed second
+derivatives such as the derivative of a gradient step with respect to
+parameters of the loss that produced it. Both modes give the same
+gradient bits.
 
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
@@ -37,6 +39,8 @@ import numpy as np
 DTYPE = np.float64
 LOG_2PI = math.log(2.0 * math.pi)
 SQUASH_EPS = 1e-9
+
+_graph = sys.modules[__name__]  # the graph ops namespace: this module
 
 
 class AutodiffError(Exception):
@@ -138,11 +142,84 @@ def evaluate(expr) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward primitives
+# the raw-array ops namespace: every value formula
 # ---------------------------------------------------------------------------
 
-_mk = Node
+class NumpyOps:
+    """The raw-array ops namespace, where each primitive's value formula lives.
 
+    Each op computes its value on plain arrays and builds no Node. The
+    graph primitive of the same name checks shapes, calls the op here for
+    its value and records one Node, so the two namespaces give the same
+    bits by construction. A forward written once against an ops namespace
+    (the compositions below, ``nets``, ``offpac.actor_loss``) runs on the
+    graph with this module as ``ops`` and on plain arrays with
+    ``ops=NumpyOps``. ``as_node`` and ``evaluate`` unwrap a Variable or a
+    Node to its value. The backward rules run on this class unless
+    ``create_graph=True``.
+    """
+
+    @staticmethod
+    def as_node(x):
+        t = type(x)
+        return x.value if t is Variable or t is Node else x
+
+    evaluate = as_node
+    constant = staticmethod(lambda x: x)
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    neg = staticmethod(np.negative)
+    mul = staticmethod(np.multiply)
+    scale = staticmethod(np.multiply)
+    matmul = staticmethod(np.matmul)
+    exp = staticmethod(np.exp)
+    log = staticmethod(np.log)
+    tanh = staticmethod(np.tanh)
+    absval = staticmethod(np.abs)
+    minimum = staticmethod(np.minimum)
+    clip = staticmethod(np.clip)
+    square = staticmethod(lambda a: a * a)
+    power = staticmethod(lambda a, p: a ** p)
+    relu = staticmethod(lambda a: np.maximum(a, 0.0))
+    softplus = staticmethod(lambda a: np.logaddexp(0.0, a))
+    # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
+    sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
+    affine = staticmethod(lambda x, w, b: x @ w + b)
+    # sum of all elements, as a 0-d array
+    asum = staticmethod(lambda a: np.asarray(a.sum(), dtype=DTYPE))
+    sum_axis0 = staticmethod(lambda a: a.sum(axis=0))
+    sum_axis1 = staticmethod(lambda a: a.sum(axis=1, keepdims=True))
+    broadcast = staticmethod(np.broadcast_to)
+    concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
+    slice_cols = staticmethod(lambda a, i0, i1: a[:, i0:i1])
+    transpose = staticmethod(lambda a: a.T)
+
+    @staticmethod
+    def mean(a):
+        # the module-level composition, which both namespaces share
+        return mean(a, NumpyOps)
+
+    @staticmethod
+    def sum_to(g, shape):
+        if g.shape == tuple(shape):
+            return g
+        while g.ndim > len(shape):
+            g = g.sum(axis=0)
+        for i, (gs, s) in enumerate(zip(g.shape, shape)):
+            if s == 1 and gs != 1:
+                g = g.sum(axis=i, keepdims=True)
+        return g.reshape(shape)
+
+    @staticmethod
+    def pad_cols(a, i0, total):
+        v = np.zeros((a.shape[0], total), dtype=DTYPE)
+        v[:, i0:i0 + a.shape[1]] = a
+        return v
+
+
+# ---------------------------------------------------------------------------
+# graph primitives: shape checks around the NumpyOps value, one Node each
+# ---------------------------------------------------------------------------
 
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     # supported: equal shapes, either side scalar, and row-broadcast
@@ -159,39 +236,43 @@ def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    if av.shape != bv.shape and not _binary_shapes_ok(av, bv):
-        raise ShapeError("add", av.shape, bv.shape)
-    return _mk("add", av + bv, (a, b))
+def _unary(name: str) -> Callable[..., Node]:
+    """The graph primitive ``name``: one input, any shape, no attrs."""
+    value = getattr(NumpyOps, name)
+
+    def primitive(a) -> Node:
+        a = as_node(a)
+        return Node(name, value(a.value), (a,))
+
+    primitive.__name__ = primitive.__qualname__ = name
+    return primitive
 
 
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    if av.shape != bv.shape and not _binary_shapes_ok(av, bv):
-        raise ShapeError("sub", av.shape, bv.shape)
-    return _mk("sub", av - bv, (a, b))
+def _binary(name: str) -> Callable[..., Node]:
+    """The graph primitive ``name``: two inputs whose shapes pass ``_binary_shapes_ok``."""
+    value = getattr(NumpyOps, name)
+
+    def primitive(a, b) -> Node:
+        a, b = as_node(a), as_node(b)
+        av, bv = a.value, b.value
+        if av.shape != bv.shape and not _binary_shapes_ok(av, bv):
+            raise ShapeError(name, av.shape, bv.shape)
+        return Node(name, value(av, bv), (a, b))
+
+    primitive.__name__ = primitive.__qualname__ = name
+    return primitive
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    return _mk("neg", -a.value, (a,))
-
-
-def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    if av.shape != bv.shape and not _binary_shapes_ok(av, bv):
-        raise ShapeError("mul", av.shape, bv.shape)
-    return _mk("mul", av * bv, (a, b))
+add, sub, mul = (_binary(name) for name in ("add", "sub", "mul"))
+neg, relu, tanh, sigmoid, softplus, exp, log, square, absval, asum = (
+    _unary(name) for name in
+    ("neg", "relu", "tanh", "sigmoid", "softplus", "exp", "log", "square", "absval", "asum"))
 
 
 def scale(a, c: float) -> Node:
     """Multiply by a python scalar constant (kept out of the graph)."""
     a = as_node(a)
-    return _mk("scale", a.value * c, (a,), (float(c),))
+    return Node("scale", NumpyOps.scale(a.value, c), (a,), (float(c),))
 
 
 def matmul(a, b) -> Node:
@@ -199,7 +280,7 @@ def matmul(a, b) -> Node:
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError("matmul", av.shape, bv.shape)
-    return _mk("matmul", av @ bv, (a, b))
+    return Node("matmul", NumpyOps.matmul(av, bv), (a, b))
 
 
 def affine(x, w, b) -> Node:
@@ -209,79 +290,32 @@ def affine(x, w, b) -> Node:
     if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
             or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise ShapeError("affine", xv.shape, wv.shape, bv.shape)
-    return _mk("affine", xv @ wv + bv, (x, w, b))
-
-
-def relu(a) -> Node:
-    a = as_node(a)
-    return _mk("relu", np.maximum(a.value, 0.0), (a,))
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    return _mk("tanh", np.tanh(a.value), (a,))
-
-
-def sigmoid(a) -> Node:
-    a = as_node(a)
-    # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
-    return _mk("sigmoid", 0.5 * (1.0 + np.tanh(0.5 * a.value)), (a,))
-
-
-def softplus(a) -> Node:
-    a = as_node(a)
-    return _mk("softplus", np.logaddexp(0.0, a.value), (a,))
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    return _mk("exp", np.exp(a.value), (a,))
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    return _mk("log", np.log(a.value), (a,))
-
-
-def square(a) -> Node:
-    a = as_node(a)
-    return _mk("square", a.value * a.value, (a,))
+    return Node("affine", NumpyOps.affine(xv, wv, bv), (x, w, b))
 
 
 def power(a, p: float) -> Node:
     a = as_node(a)
-    return _mk("power", a.value ** p, (a,), (float(p),))
-
-
-def absval(a) -> Node:
-    a = as_node(a)
-    return _mk("absval", np.abs(a.value), (a,))
+    return Node("power", NumpyOps.power(a.value, p), (a,), (float(p),))
 
 
 def minimum(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     if a.value.shape != b.value.shape:
         raise ShapeError("minimum", a.value.shape, b.value.shape)
-    return _mk("minimum", np.minimum(a.value, b.value), (a, b))
+    return Node("minimum", NumpyOps.minimum(a.value, b.value), (a, b))
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes only where lo < x < hi holds."""
     a = as_node(a)
-    return _mk("clip", np.clip(a.value, lo, hi), (a,), (float(lo), float(hi)))
-
-
-def asum(a) -> Node:
-    """Sum of all elements, scalar result."""
-    a = as_node(a)
-    return _mk("asum", np.asarray(a.value.sum(), dtype=DTYPE), (a,))
+    return Node("clip", NumpyOps.clip(a.value, lo, hi), (a,), (float(lo), float(hi)))
 
 
 def sum_axis0(a) -> Node:
     a = as_node(a)
     if a.value.ndim != 2:
         raise ShapeError("sum_axis0", a.value.shape)
-    return _mk("sum_axis0", a.value.sum(axis=0), (a,))
+    return Node("sum_axis0", NumpyOps.sum_axis0(a.value), (a,))
 
 
 def sum_axis1(a) -> Node:
@@ -289,39 +323,22 @@ def sum_axis1(a) -> Node:
     a = as_node(a)
     if a.value.ndim != 2:
         raise ShapeError("sum_axis1", a.value.shape)
-    return _mk("sum_axis1", a.value.sum(axis=1, keepdims=True), (a,))
-
-
-def mean(a) -> Node:
-    """Mean of all elements (batch reduction)."""
-    a = as_node(a)
-    return scale(asum(a), 1.0 / a.value.size)
+    return Node("sum_axis1", NumpyOps.sum_axis1(a.value), (a,))
 
 
 def broadcast(a, shape: tuple) -> Node:
     a = as_node(a)
     try:
-        v = np.broadcast_to(a.value, shape)
+        v = NumpyOps.broadcast(a.value, shape)
     except ValueError:
         raise ShapeError("broadcast", a.value.shape, shape) from None
-    return _mk("broadcast", v, (a,), (tuple(shape),))
-
-
-def _np_sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == tuple(shape):
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, (gs, s) in enumerate(zip(g.shape, shape)):
-        if s == 1 and gs != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g.reshape(shape)
+    return Node("broadcast", v, (a,), (tuple(shape),))
 
 
 def sum_to(a, shape: tuple) -> Node:
     """Reduce-sum down to a broadcast-compatible smaller shape."""
     a = as_node(a)
-    return _mk("sum_to", _np_sum_to(a.value, tuple(shape)), (a,), (tuple(shape),))
+    return Node("sum_to", NumpyOps.sum_to(a.value, tuple(shape)), (a,), (tuple(shape),))
 
 
 def concat(parts: Sequence, ) -> Node:
@@ -336,37 +353,37 @@ def concat(parts: Sequence, ) -> Node:
     for nd in nodes:
         offs.append(o)
         o += nd.value.shape[1]
-    return _mk("concat", np.concatenate([nd.value for nd in nodes], axis=1),
-               tuple(nodes), (tuple(offs), o))
+    return Node("concat", NumpyOps.concat([nd.value for nd in nodes]),
+                tuple(nodes), (tuple(offs), o))
 
 
 def slice_cols(a, i0: int, i1: int) -> Node:
     a = as_node(a)
     if a.value.ndim != 2 or not (0 <= i0 <= i1 <= a.value.shape[1]):
         raise ShapeError("slice_cols", a.value.shape, (i0, i1))
-    return _mk("slice_cols", a.value[:, i0:i1], (a,), (int(i0), int(i1)))
+    return Node("slice_cols", NumpyOps.slice_cols(a.value, i0, i1), (a,), (int(i0), int(i1)))
 
 
 def pad_cols(a, i0: int, total: int) -> Node:
     """Embed an (N, D) block into (N, total) zeros starting at column i0."""
     a = as_node(a)
-    v = np.zeros((a.value.shape[0], total), dtype=DTYPE)
-    v[:, i0:i0 + a.value.shape[1]] = a.value
-    return _mk("pad_cols", v, (a,), (int(i0), int(total)))
+    return Node("pad_cols", NumpyOps.pad_cols(a.value, i0, total), (a,), (int(i0), int(total)))
 
 
 def transpose(a) -> Node:
     a = as_node(a)
     if a.value.ndim != 2:
         raise ShapeError("transpose", a.value.shape)
-    return _mk("transpose", a.value.T, (a,))
+    return Node("transpose", NumpyOps.transpose(a.value), (a,))
 
 
 # ---------------------------------------------------------------------------
-# stochastic / density compositions (noise is always an explicit input)
+# compositions on either namespace (noise is always an explicit input)
 # ---------------------------------------------------------------------------
 
-_graph = sys.modules[__name__]  # the graph ops namespace: this module
+def mean(a, ops=_graph):
+    """Mean of all elements (batch reduction): the sum scaled by 1/size."""
+    return ops.scale(ops.asum(a), 1.0 / ops.evaluate(a).size)
 
 
 def gaussian_sample(mean_, log_std, noise, ops=_graph):
@@ -401,62 +418,6 @@ def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
                            ops.constant(np.array(SQUASH_EPS))))
     logp = ops.sub(gaussian_log_density(u, mean_, log_std, ops), ops.sum_axis1(corr))
     return action, logp
-
-
-# ---------------------------------------------------------------------------
-# the raw-array ops namespace
-# ---------------------------------------------------------------------------
-
-class NumpyOps:
-    """The raw-array ops namespace: numpy arithmetic that builds no Nodes.
-
-    A forward written once against an ops namespace (the compositions
-    above, ``nets``, ``offpac.actor_loss``) runs on the graph with this
-    module as ``ops`` and on plain arrays with ``ops=NumpyOps``. Each
-    forward op here computes exactly the expression the graph primitive of
-    the same name computes on ``.value``, so the two give the same bits.
-    ``as_node`` and ``evaluate`` unwrap a Variable or a Node to its value.
-    The backward rules run on this class unless ``create_graph=True``.
-    """
-
-    @staticmethod
-    def as_node(x):
-        t = type(x)
-        return x.value if t is Variable or t is Node else x
-
-    evaluate = as_node
-    constant = staticmethod(lambda x: x)
-    add = staticmethod(np.add)
-    sub = staticmethod(np.subtract)
-    neg = staticmethod(np.negative)
-    mul = staticmethod(np.multiply)
-    scale = staticmethod(np.multiply)
-    matmul = staticmethod(np.matmul)
-    exp = staticmethod(np.exp)
-    log = staticmethod(np.log)
-    tanh = staticmethod(np.tanh)
-    minimum = staticmethod(np.minimum)
-    clip = staticmethod(np.clip)
-    square = staticmethod(lambda a: a * a)
-    power = staticmethod(lambda a, p: a ** p)
-    relu = staticmethod(lambda a: np.maximum(a, 0.0))
-    softplus = staticmethod(lambda a: np.logaddexp(0.0, a))
-    sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
-    affine = staticmethod(lambda x, w, b: x @ w + b)
-    mean = staticmethod(lambda a: a.sum() * (1.0 / a.size))
-    sum_axis0 = staticmethod(lambda a: a.sum(axis=0))
-    sum_axis1 = staticmethod(lambda a: a.sum(axis=1, keepdims=True))
-    sum_to = staticmethod(_np_sum_to)
-    broadcast = staticmethod(np.broadcast_to)
-    concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
-    slice_cols = staticmethod(lambda a, i0, i1: a[:, i0:i1])
-    transpose = staticmethod(lambda a: a.T)
-
-    @staticmethod
-    def pad_cols(a, i0, total):
-        v = np.zeros((a.shape[0], total), dtype=DTYPE)
-        v[:, i0:i0 + a.shape[1]] = a
-        return v
 
 
 # ---------------------------------------------------------------------------

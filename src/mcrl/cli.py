@@ -115,7 +115,7 @@ def cmd_compare(args) -> int:
     res = harness.compare(args.dir_a, args.dir_b, window=args.window)
     print(f"max_average_return[{args.dir_a}]={res['a']!r}")
     print(f"max_average_return[{args.dir_b}]={res['b']!r}")
-    print(f"ratio={res['ratio']!r}")
+    print(f"difference={res['difference']!r}")
     return 0
 
 

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NanGradientError
-from .envs import make_env
+from .envs import ENV_NAMES, make_env
 from .metacritic import MetaState, train_iteration
 from .nets import Actor, MetaCriticNet, actor_named_params, save_params
-from .offpac import AlgoState, Hyper, exploration_action
+from .offpac import OPTIMIZERS, AlgoState, Hyper, exploration_action
 from .replay import ReplayBuffer
 
 CSV_COLUMNS = ("step", "eval_return_mean", "eval_return_std",
@@ -109,8 +109,20 @@ class RunConfig:
             widths = getattr(self, name)
             if not widths or min(widths) < 1:
                 raise ValueError(f"{name} needs at least one layer, each of width >= 1")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0 or self.env_seed < 0:
+            raise ValueError("need at least one seed, and seeds must be >= 0")
+        if self.env not in ENV_NAMES:
+            raise ValueError(f"unknown env {self.env!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("actor_lr", "critic_lr", "mc_lr", "expl_noise", "target_noise",
+                     "noise_clip", "alpha", "horizon", "snapshot_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.inner_lr < 0 and self.inner_lr != -1.0:
+            raise ValueError("inner_lr must be >= 0, or -1 to share actor_lr")
+        if self.mc_hidden < 1:
+            raise ValueError("mc_hidden must be >= 1")
         return self
 
 
@@ -331,11 +343,7 @@ def params_scale(cfg: RunConfig, state_dim: int, action_dim: int) -> dict:
 
 def build_meta_state(cfg: RunConfig, env_spec, init_rng,
                      hidden_actor=None, hidden_critic=None) -> MetaState:
-    hyper = Hyper(actor_lr=cfg.actor_lr, critic_lr=cfg.critic_lr, gamma=cfg.gamma,
-                  tau=cfg.tau, expl_noise=cfg.expl_noise,
-                  policy_delay=cfg.policy_delay, target_noise=cfg.target_noise,
-                  noise_clip=cfg.noise_clip, alpha=cfg.alpha,
-                  optimizer=cfg.optimizer)
+    hyper = Hyper(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(Hyper)})
     base = AlgoState(cfg.algo, env_spec, init_rng, hyper=hyper,
                      hidden_actor=tuple(hidden_actor or cfg.hidden_actor),
                      hidden_critic=tuple(hidden_critic or cfg.hidden_critic))
@@ -514,6 +522,11 @@ def load_run_curves(run_dir: str) -> list[dict]:
 
 
 def compare(dir_a: str, dir_b: str, window: int = 30) -> dict:
+    """Max-average-return of two runs and their difference a - b.
+
+    A difference, not a ratio: returns may be negative, and the ratio of
+    two negative returns reads above 1 when run a is the worse one.
+    """
     a = max_average_return(load_run_curves(dir_a), window)
     b = max_average_return(load_run_curves(dir_b), window)
-    return {"a": a, "b": b, "ratio": (a / b if b != 0 else float("inf"))}
+    return {"a": a, "b": b, "difference": a - b}

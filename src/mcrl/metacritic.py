@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import MetaCriticNet
-from .offpac import (AlgoState, actor_loss, actor_loss_np, apply_target_updates,
+from .offpac import (AlgoState, Sgd, actor_loss, actor_loss_np, apply_target_updates,
                      critic_update, vanilla_iteration)
 from .replay import Batch, ReplayBuffer
 
@@ -62,7 +62,7 @@ class MetaState:
         self.mc = mc
         self.meta_loss_kind = meta_loss_kind
         self.inner_rate = base.hyper.actor_lr if inner_rate is None else inner_rate
-        self.mc_rate = mc_rate
+        self.mc_opt = Sgd(mc.parameters(), mc_rate) if mc is not None else None
         self.sequential_inner = sequential_inner
         self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
@@ -165,8 +165,7 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
 
     # actor takes the summed inner gradient; omega a plain SGD step
     ms.base.actor_opt.step(pu.grad_total)
-    for w, g in zip(omega, g_omega):
-        w.set_value(w.value - ms.mc_rate * g)
+    ms.mc_opt.step(g_omega)
     ms.base.last_actor_loss = pu.l_critic_trn
     return {"loss_critic": pu.l_critic_trn,
             "loss_mcritic": pu.l_mcritic_trn,

@@ -105,14 +105,6 @@ class DenseNet:
         for p, v in zip(self.params, values):
             p.set_value(v)
 
-    def clone(self, name: str | None = None) -> "DenseNet":
-        other = object.__new__(DenseNet)
-        other.dims = list(self.dims)
-        other.activations = list(self.activations)
-        other.name = name or self.name
-        other.params = [Variable(p.value.copy(), p.name) for p in self.params]
-        return other
-
     def architecture_matches(self, other: "DenseNet") -> bool:
         return self.dims == other.dims and self.activations == other.activations
 
@@ -226,16 +218,6 @@ class Actor:
             a, logp = a[0], (None if logp is None else logp[0])
         return (a, logp) if return_logp else a
 
-    def clone(self) -> "Actor":
-        other = object.__new__(Actor)
-        other.state_dim = self.state_dim
-        other.action_dim = self.action_dim
-        other.action_scale = self.action_scale
-        other.head_kind = self.head_kind
-        other.feature = self.feature.clone()
-        other.head = self.head.clone()
-        return other
-
 
 class Critic:
     """Action-value network Q(s, a), optionally twinned."""
@@ -262,14 +244,6 @@ class Critic:
         if self.twin is not None:
             ps += self.twin.params
         return ps
-
-    def clone(self) -> "Critic":
-        other = object.__new__(Critic)
-        other.state_dim = self.state_dim
-        other.action_dim = self.action_dim
-        other.net = self.net.clone()
-        other.twin = self.twin.clone() if self.twin is not None else None
-        return other
 
 
 MC_VARIANTS = ("feature", "feature-state-action", "param-reg")

@@ -20,6 +20,7 @@ reproduce this module's behaviour exactly when disabled.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ ALGOS = ("ddpg", "td3", "sac")
 
 @dataclass
 class Hyper:
+    """Learner settings; ``harness.RunConfig`` has each field, by name and default."""
+
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     gamma: float = 0.99
@@ -77,12 +80,13 @@ class Adam:
             var.set_value(var.value - step)
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
 def make_optimizer(kind: str, variables, lr: float):
-    if kind == "sgd":
-        return Sgd(variables, lr)
-    if kind == "adam":
-        return Adam(variables, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](variables, lr)
 
 
 class AlgoState:
@@ -105,8 +109,8 @@ class AlgoState:
                            head_kind=head)
         self.critic = Critic(env_spec.state_dim, env_spec.action_dim, rng,
                              hidden=hidden_critic, twin=twin)
-        self.target_actor = self.actor.clone() if algo in ("ddpg", "td3") else None
-        self.target_critic = self.critic.clone()
+        self.target_actor = copy.deepcopy(self.actor) if algo in ("ddpg", "td3") else None
+        self.target_critic = copy.deepcopy(self.critic)
         self.actor_opt = make_optimizer(self.hyper.optimizer,
                                         self.actor.parameters(), self.hyper.actor_lr)
         self.critic_opt = make_optimizer(self.hyper.optimizer,

@@ -76,4 +76,4 @@ def test_compare_subcommand(run_dir, capsys):
     _, _, out = run_dir
     assert cli.main(["compare", str(out), str(out), "--window", "3"]) == 0
     printed = capsys.readouterr().out
-    assert "ratio=1.0" in printed
+    assert "difference=0.0" in printed

@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from mcrl import envs, harness
+from mcrl import envs, harness, offpac
 from mcrl.harness import parse_config
 
 
@@ -44,9 +45,21 @@ def test_invalid_values_rejected_before_work():
     for bad in ("batch_n=0", "batch_m=0", "tau=-0.1", "tau=2", "policy_delay=0",
                 "gamma=1.5", "gamma=1.0", "gamma=-0.1", "hidden_actor=",
                 "hidden_critic=", "hidden_actor=8,0", "warmup_steps=-1",
-                "eval_every=401", "buffer_capacity=0"):
+                "eval_every=401", "buffer_capacity=0", "actor_lr=-0.1",
+                "critic_lr=-0.1", "mc_lr=-0.1", "expl_noise=-0.1", "target_noise=-0.1",
+                "noise_clip=-0.1", "inner_lr=-0.5", "alpha=-0.1", "optimizer=rmsprop",
+                "env=cartpole", "mc_hidden=0", "horizon=-1", "snapshot_every=-1",
+                "seeds=0,-1", "env_seed=-1"):
         with pytest.raises(ValueError):
             parse_config(BASE_CFG + bad + "\n")
+
+
+def test_hyper_defaults_are_the_run_config_defaults():
+    # build_meta_state copies Hyper's fields from RunConfig by name
+    defaults = harness.RunConfig()
+    for f in dataclasses.fields(offpac.Hyper):
+        assert hasattr(defaults, f.name), f.name
+        assert getattr(defaults, f.name) == f.default, f.name
 
 
 def test_comments_and_blank_lines():
@@ -269,7 +282,13 @@ def test_max_average_return_and_compare(tmp_path):
     fake(str(tmp_path / "B"), [[0, 1, 2, 1, 0], [0, 1, 2, 1, 0]])
     # window 1: no smoothing; A's across-seed mean peaks at (4+6)/2 = 5
     res = harness.compare(str(tmp_path / "A"), str(tmp_path / "B"), window=1)
-    assert res["a"] == 5.0 and res["b"] == 2.0 and res["ratio"] == 2.5
+    assert res["a"] == 5.0 and res["b"] == 2.0 and res["difference"] == 3.0
+    # negative returns: A is the worse run, so the difference reads below 0
+    # (the ratio -8 / -2 = 4 would read as A four times better)
+    fake(str(tmp_path / "C"), [[-9, -8, -9, -9, -9], [-9, -8, -9, -9, -9]])
+    fake(str(tmp_path / "D"), [[-3, -2, -3, -3, -3], [-3, -2, -3, -3, -3]])
+    res = harness.compare(str(tmp_path / "C"), str(tmp_path / "D"), window=1)
+    assert res["a"] == -8.0 and res["b"] == -2.0 and res["difference"] == -6.0
     # window 3 smooths the peak: mean curve A = [0,2,5,2,0] -> max (2+5+2)/3 = 3
     assert harness.max_average_return(
         harness.load_run_curves(str(tmp_path / "A")), window=3) == 3.0

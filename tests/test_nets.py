@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -192,17 +194,17 @@ def test_polyak_identities():
     rng = np.random.default_rng(31)
     a = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng)
     b = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng)
-    t = a.clone()
+    t = copy.deepcopy(a)
     nets.polyak(t, b, 1.0)
     for tp, bp in zip(t.params, b.params):
         np.testing.assert_array_equal(tp.value, bp.value)
-    t = a.clone()
+    t = copy.deepcopy(a)
     nets.polyak(t, b, 0.0)
     for tp, ap in zip(t.params, a.params):
         np.testing.assert_array_equal(tp.value, ap.value)
-    t = a.clone()
+    t = copy.deepcopy(a)
     t.set_param_values([np.zeros_like(p.value) for p in t.params])
-    ones = b.clone()
+    ones = copy.deepcopy(b)
     ones.set_param_values([np.ones_like(p.value) for p in b.params])
     nets.polyak(t, ones, 0.005)
     for tp in t.params:

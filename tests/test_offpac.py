@@ -94,6 +94,23 @@ def test_critic_targets_terminal_and_gamma_zero():
         np.testing.assert_allclose(y0, b.r)
 
 
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_target_nets_start_as_independent_copies(algo):
+    state = make_state(algo, seed=8)
+    pairs = [(state.critic, state.target_critic)]
+    if state.target_actor is not None:
+        pairs.append((state.actor, state.target_actor))
+    for live, target in pairs:
+        assert type(target) is type(live) and vars(target).keys() == vars(live).keys()
+        before = [p.value.copy() for p in target.parameters()]
+        for p, t in zip(live.parameters(), target.parameters()):
+            assert p is not t and p.name == t.name
+            np.testing.assert_array_equal(p.value, t.value)
+            p.set_value(p.value + 1.0)
+        for b, t in zip(before, target.parameters()):
+            np.testing.assert_array_equal(b, t.value)
+
+
 def test_critic_targets_are_gradient_isolated():
     # target computation must not touch graph machinery at all
     state = make_state("td3", seed=6)
