@@ -6,6 +6,16 @@ functions of (state, action, rng draw); the only internal state is the
 episode step counter used for the horizon cutoff. Actions are clamped
 into bounds; NaN actions are rejected.
 
+The per-step math runs on Python floats, not one-element numpy values:
+on values this small numpy's dispatch costs several times the
+arithmetic. The float forms give the numpy forms' bits, which
+``tests/test_envs.py`` checks against a numpy copy of each step:
+``min(max(x, -b), b)`` is ``np.clip`` for every non-NaN input, float
+``%`` is numpy's ``remainder``, and ``math.sin`` gave ``np.sin``'s bits
+on every sampled angle. PointMass keeps ``np.linalg.norm`` and
+``f @ f``, because a float norm and a float dot product round
+differently in the last bit on a share of inputs.
+
 The tabular MDP exposes a continuous interface so the same actors work
 everywhere: observations are one-hot state vectors and the scalar
 action in [-1, 1] selects the discrete action by sign.
@@ -13,6 +23,7 @@ action in [-1, 1] selects the discrete action by sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +46,19 @@ class EnvSpec:
             raise ValueError("gamma must lie in (0, 1)")
 
 
-def _check_action(a: np.ndarray, bound: float) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if np.isnan(a).any():
-        raise ValueError("NaN action")
-    return np.clip(a, -bound, bound)
+def _clamp(x: float, bound: float) -> float:
+    """``np.clip(x, -bound, bound)`` on a float; NaN passes through."""
+    return min(max(x, -bound), bound)
+
+
+def _check_action(action: np.ndarray, bound: float) -> list[float]:
+    """The action's elements as floats clamped into [-bound, bound]."""
+    out = []
+    for x in np.asarray(action, dtype=np.float64).ravel().tolist():
+        if x != x:
+            raise ValueError("NaN action")
+        out.append(_clamp(x, bound))
+    return out
 
 
 class TabularMdp:
@@ -74,10 +93,6 @@ class TabularMdp:
         P = rng.dirichlet(np.ones(2), size=(2, 2))
         return cls(P, R, horizon=horizon, gamma=gamma)
 
-    @staticmethod
-    def action_bin(a: np.ndarray) -> int:
-        return 1 if float(np.asarray(a).ravel()[0]) > 0.0 else 0
-
     def _encode(self, s: int) -> np.ndarray:
         v = np.zeros(2, dtype=np.float64)
         v[s] = 1.0
@@ -91,7 +106,7 @@ class TabularMdp:
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
         a = _check_action(action, self.spec.action_bound)
         s = int(np.argmax(state))
-        k = self.action_bin(a)
+        k = 1 if a[0] > 0.0 else 0
         r = float(self.R[s, k])
         s2 = int(rng.choice(2, p=self.P[s, k]))
         self._t += 1
@@ -128,14 +143,17 @@ class PointMass:
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
         f = _check_action(action, self.spec.action_bound)
-        pos, vel = state[:2], state[2:]
-        vel = np.clip(vel + f * self.DT, -self.VEL_BOX, self.VEL_BOX)
-        pos = np.clip(pos + vel * self.DT, -self.POS_BOX, self.POS_BOX)
-        dist = float(np.linalg.norm(pos - self.goal))
-        r = -dist - 0.01 * float(f @ f)
+        x, y, vx, vy = state.tolist()
+        vx = _clamp(vx + f[0] * self.DT, self.VEL_BOX)
+        vy = _clamp(vy + f[1] * self.DT, self.VEL_BOX)
+        x = _clamp(x + vx * self.DT, self.POS_BOX)
+        y = _clamp(y + vy * self.DT, self.POS_BOX)
+        s2 = np.array([x, y, vx, vy])
+        f = np.array(f)
+        r = -float(np.linalg.norm(s2[:2] - self.goal)) - 0.01 * float(f @ f)
         self._t += 1
         done = self._t >= self.spec.horizon
-        return np.concatenate([pos, vel]), r, done
+        return s2, r, done
 
 
 class Pendulum:
@@ -159,19 +177,19 @@ class Pendulum:
 
     @staticmethod
     def _wrap(theta: float) -> float:
-        return float((theta + np.pi) % (2.0 * np.pi) - np.pi)
+        return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._t = 0
         return np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0)])
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
-        tau = float(_check_action(action, self.spec.action_bound).ravel()[0])
-        th, thdot = float(state[0]), float(state[1])
+        tau = _check_action(action, self.spec.action_bound)[0]
+        th, thdot = state.tolist()
         r = -(th * th + 0.1 * thdot * thdot + 0.001 * tau * tau)
-        thdot = thdot + (3.0 * self.G / (2.0 * self.L) * np.sin(th)
+        thdot = thdot + (3.0 * self.G / (2.0 * self.L) * math.sin(th)
                          + 3.0 / (self.M * self.L**2) * tau) * self.DT
-        thdot = float(np.clip(thdot, -self.MAX_SPEED, self.MAX_SPEED))
+        thdot = _clamp(thdot, self.MAX_SPEED)
         th = self._wrap(th + thdot * self.DT)
         self._t += 1
         done = self._t >= self.spec.horizon

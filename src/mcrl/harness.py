@@ -23,6 +23,7 @@ plot: ``smooth`` and ``max_average_return`` summarise the curves.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ CSV_COLUMNS = ("step", "eval_return_mean", "eval_return_std",
                "loss_critic", "loss_mcritic", "loss_meta")
 
 MC_VARIANT_CHOICES = ("none", "feature", "feature-state-action", "param-reg")
+
+# warmup actions are drawn this many rows at a time
+WARMUP_BLOCK = 1024
 
 
 @dataclass
@@ -81,6 +85,10 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.algo not in ("ddpg", "td3", "sac"):
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.mc_variant not in MC_VARIANT_CHOICES:
@@ -202,11 +210,6 @@ def rng_streams(seed: int) -> Streams:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def greedy_action(actor: Actor, s: np.ndarray) -> np.ndarray:
-    mode = "mean" if actor.head_kind == "gaussian" else "deterministic"
-    return actor.act_np(s, mode=mode)
-
-
 def evaluate_policy(policy, env, episodes: int = 10,
                     rng: np.random.Generator | None = None):
     """Mean and std of the undiscounted episode return under greedy actions.
@@ -217,7 +220,10 @@ def evaluate_policy(policy, env, episodes: int = 10,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     rng = rng or np.random.default_rng(0)
-    act = (lambda s: greedy_action(policy, s)) if isinstance(policy, Actor) else policy
+    act = policy
+    if isinstance(policy, Actor):
+        mode = "mean" if policy.head_kind == "gaussian" else "deterministic"
+        act = functools.partial(policy.act_np, mode=mode)
     returns = []
     for _ in range(episodes):
         s = env.reset(rng)
@@ -390,11 +396,19 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
     if cfg.snapshot_every > 0:
         os.makedirs(snap_dir, exist_ok=True)
 
+    warmup = min(cfg.warmup_steps, cfg.total_steps)
     s = env.reset(streams.env)
     for step in range(1, cfg.total_steps + 1):
-        if step <= cfg.warmup_steps:
-            a = streams.exploration.uniform(-spec.action_bound, spec.action_bound,
-                                            size=spec.action_dim)
+        if step <= warmup:
+            # one draw per block: PCG64 gives an (n, action_dim) draw the doubles
+            # of n per-step draws, and the last block ends at the last warmup
+            # step, so the exploration stream is left as per-step draws leave it
+            row = (step - 1) % WARMUP_BLOCK
+            if row == 0:
+                block = streams.exploration.uniform(
+                    -spec.action_bound, spec.action_bound,
+                    size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim))
+            a = block[row]
         else:
             a = exploration_action(base, s, streams.exploration)
         s2, r, done = env.step(s, a, streams.env)
@@ -402,7 +416,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
         buffer.push(s, a, r, s2, False)
         s = env.reset(streams.env) if done else s2
 
-        if step > cfg.warmup_steps:
+        if step > warmup:
             credit += cfg.updates_multiplier
             while credit >= 1.0:
                 try:

@@ -9,6 +9,7 @@ copies of the rows and never mutates stored transitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,11 @@ class ReplayBuffer:
             raise ValueError(f"state shape {s.shape} does not match ({self.state_dim},)")
         if a.shape != (self.action_dim,):
             raise ValueError(f"action shape {a.shape} does not match ({self.action_dim},)")
-        if not np.isfinite(r):
+        try:
+            finite = math.isfinite(r)
+        except TypeError:
+            raise ValueError(f"reward must be a scalar, got {type(r).__name__}") from None
+        if not finite:
             raise ValueError("reward must be finite")
         if self._len < self.capacity:
             slot = self._len

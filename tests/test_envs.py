@@ -39,10 +39,107 @@ def test_tabular_tables_validated():
 
 
 def test_nan_action_rejected():
-    env = envs.PointMass()
-    s = env.reset(np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        env.step(s, np.array([np.nan, 0.0]), np.random.default_rng(0))
+    for name in envs.ENV_NAMES:
+        env = envs.make_env(name)
+        s = env.reset(np.random.default_rng(0))
+        for i in range(env.spec.action_dim):
+            a = np.zeros(env.spec.action_dim)
+            a[i] = np.nan
+            with pytest.raises(ValueError, match="NaN action"):
+                env.step(s, a, np.random.default_rng(0))
+
+
+# The numpy form of each step, kept as the reference the float forms in
+# envs must reproduce bit for bit.
+
+def _numpy_check_action(a, bound):
+    a = np.asarray(a, dtype=np.float64)
+    if np.isnan(a).any():
+        raise ValueError("NaN action")
+    return np.clip(a, -bound, bound)
+
+
+def _numpy_tabular_step(env, state, action, rng):
+    a = _numpy_check_action(action, env.spec.action_bound)
+    s = int(np.argmax(state))
+    k = 1 if float(np.asarray(a).ravel()[0]) > 0.0 else 0
+    r = float(env.R[s, k])
+    s2 = int(rng.choice(2, p=env.P[s, k]))
+    env._t += 1
+    env._s = s2
+    done = env._t >= env.spec.horizon
+    v = np.zeros(2, dtype=np.float64)
+    v[s2] = 1.0
+    return v, r, done
+
+
+def _numpy_pointmass_step(env, state, action, rng):
+    f = _numpy_check_action(action, env.spec.action_bound)
+    pos, vel = state[:2], state[2:]
+    vel = np.clip(vel + f * env.DT, -env.VEL_BOX, env.VEL_BOX)
+    pos = np.clip(pos + vel * env.DT, -env.POS_BOX, env.POS_BOX)
+    dist = float(np.linalg.norm(pos - env.goal))
+    r = -dist - 0.01 * float(f @ f)
+    env._t += 1
+    done = env._t >= env.spec.horizon
+    return np.concatenate([pos, vel]), r, done
+
+
+def _numpy_pendulum_step(env, state, action, rng):
+    tau = float(_numpy_check_action(action, env.spec.action_bound).ravel()[0])
+    th, thdot = float(state[0]), float(state[1])
+    r = -(th * th + 0.1 * thdot * thdot + 0.001 * tau * tau)
+    thdot = thdot + (3.0 * env.G / (2.0 * env.L) * np.sin(th)
+                     + 3.0 / (env.M * env.L**2) * tau) * env.DT
+    thdot = float(np.clip(thdot, -env.MAX_SPEED, env.MAX_SPEED))
+    th = float((th + thdot * env.DT + np.pi) % (2.0 * np.pi) - np.pi)
+    env._t += 1
+    done = env._t >= env.spec.horizon
+    return np.array([th, thdot]), r, done
+
+
+def _random_state(name, rng):
+    if name == "tabular":
+        return np.eye(2)[rng.integers(2)]
+    if name == "pointmass":
+        return rng.uniform(-3.0, 3.0, size=4)  # beyond both boxes
+    return np.array([rng.uniform(-4.0, 4.0), rng.uniform(-10.0, 10.0)])  # past pi, MAX_SPEED
+
+
+_NUMPY_STEP = {"tabular": _numpy_tabular_step, "pointmass": _numpy_pointmass_step,
+               "pendulum": _numpy_pendulum_step}
+
+
+@pytest.mark.parametrize("name", envs.ENV_NAMES)
+def test_step_matches_numpy_reference_bit_for_bit(name):
+    reference = _NUMPY_STEP[name]
+    env, ref_env = envs.make_env(name, 5, horizon=7), envs.make_env(name, 5, horizon=7)
+    bound = env.spec.action_bound
+    special = np.array([bound, -bound, -0.0, 0.0, np.inf, -np.inf,
+                        np.nextafter(bound, np.inf), np.nextafter(-bound, -np.inf)])
+    draw = np.random.default_rng(23)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    states, ref_states, rewards, ref_rewards = [], [], [], []
+    for _ in range(10_000):
+        s = _random_state(name, draw)
+        a = draw.uniform(-3.0 * bound, 3.0 * bound, size=env.spec.action_dim)
+        pick = draw.random(a.size) < 0.3
+        a[pick] = draw.choice(special, size=int(pick.sum()))
+        s2, r, done = env.step(s, a, rng)
+        ref_s2, ref_r, ref_done = reference(ref_env, s.copy(), a.copy(), ref_rng)
+        assert done == ref_done
+        if done:
+            env.reset(rng)
+            ref_env.reset(ref_rng)
+        states.append(s2)
+        ref_states.append(ref_s2)
+        rewards.append(r)
+        ref_rewards.append(ref_r)
+    # compared as raw bits, so a -0.0 where numpy gives 0.0 fails too
+    assert np.array_equal(np.stack(states).view(np.uint64),
+                          np.stack(ref_states).view(np.uint64))
+    assert np.array_equal(np.array(rewards).view(np.uint64),
+                          np.array(ref_rewards).view(np.uint64))
 
 
 def test_pointmass_reset_within_box():

@@ -52,6 +52,14 @@ def test_invalid_values_rejected_before_work():
                 "seeds=0,-1", "env_seed=-1"):
         with pytest.raises(ValueError):
             parse_config(BASE_CFG + bad + "\n")
+    # non-finite floats compare false against every bound; an inf
+    # updates_multiplier would never leave the training-credit loop
+    for bad in ("updates_multiplier=inf", "updates_multiplier=nan", "params_multiplier=nan",
+                "params_multiplier=inf", "actor_lr=nan", "critic_lr=inf", "mc_lr=inf",
+                "inner_lr=nan", "expl_noise=nan", "noise_clip=nan", "alpha=inf",
+                "target_noise=-inf", "tau=nan", "gamma=nan"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_config(BASE_CFG + bad + "\n")
 
 
 def test_hyper_defaults_are_the_run_config_defaults():
@@ -330,28 +338,32 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
     from mcrl.offpac import exploration_action, vanilla_iteration
     from mcrl.replay import ReplayBuffer
 
-    cfg = _quick_cfg()
-    res = harness.run_seed(cfg, 3, str(tmp_path))
+    # the second config's warmup crosses two warmup-block boundaries and
+    # ends inside a third block
+    warmup = 2 * harness.WARMUP_BLOCK + 37
+    for cfg in (_quick_cfg(), _quick_cfg(f"warmup_steps={warmup}\ntotal_steps={warmup + 20}\n"
+                                         f"eval_every={warmup + 20}\n")):
+        res = harness.run_seed(cfg, 3, str(tmp_path))
 
-    streams = harness.rng_streams(3)
-    env = make_env(cfg.env, cfg.env_seed)
-    scaled = harness.params_scale(cfg, env.spec.state_dim, env.spec.action_dim)
-    ms = harness.build_meta_state(cfg, env.spec, streams.init,
-                                  hidden_actor=scaled["hidden_actor"],
-                                  hidden_critic=scaled["hidden_critic"])
-    buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
-    s = env.reset(streams.env)
-    for step in range(1, cfg.total_steps + 1):
-        if step <= cfg.warmup_steps:
-            a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
-        else:
-            a = exploration_action(ms.base, s, streams.exploration)
-        s2, r, done = env.step(s, a, streams.env)
-        buf.push(s, a, r, s2, False)
-        s = env.reset(streams.env) if done else s2
-        if step > cfg.warmup_steps:
-            vanilla_iteration(ms.base, buf, streams.replay, batch_size=cfg.batch_n)
-    final = [p.value for p in ms.base.actor.parameters()]
-    harness_final = [p.value for p in res["meta_state"].base.actor.parameters()]
-    for a_, b_ in zip(final, harness_final):
-        np.testing.assert_array_equal(a_, b_)
+        streams = harness.rng_streams(3)
+        env = make_env(cfg.env, cfg.env_seed)
+        scaled = harness.params_scale(cfg, env.spec.state_dim, env.spec.action_dim)
+        ms = harness.build_meta_state(cfg, env.spec, streams.init,
+                                      hidden_actor=scaled["hidden_actor"],
+                                      hidden_critic=scaled["hidden_critic"])
+        buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
+        s = env.reset(streams.env)
+        for step in range(1, cfg.total_steps + 1):
+            if step <= cfg.warmup_steps:
+                a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
+            else:
+                a = exploration_action(ms.base, s, streams.exploration)
+            s2, r, done = env.step(s, a, streams.env)
+            buf.push(s, a, r, s2, False)
+            s = env.reset(streams.env) if done else s2
+            if step > cfg.warmup_steps:
+                vanilla_iteration(ms.base, buf, streams.replay, batch_size=cfg.batch_n)
+        final = [p.value for p in ms.base.actor.parameters()]
+        harness_final = [p.value for p in res["meta_state"].base.actor.parameters()]
+        for a_, b_ in zip(final, harness_final):
+            np.testing.assert_array_equal(a_, b_)

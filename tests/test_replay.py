@@ -52,8 +52,12 @@ def test_shape_and_reward_validation():
         buf.push(np.zeros(2), np.zeros(1), 0.0, np.zeros(3), False)
     with pytest.raises(ValueError):
         buf.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2), False)
-    with pytest.raises(ValueError):
-        buf.push(np.zeros(2), np.zeros(1), float("inf"), np.zeros(2), False)
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2), False)
+    for bad in (np.zeros(2), np.ones(1), [1.0]):
+        with pytest.raises(ValueError, match="scalar"):
+            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2), False)
     assert len(buf) == 0
 
 
