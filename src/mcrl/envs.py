@@ -10,11 +10,11 @@ The per-step math runs on Python floats, not one-element numpy values:
 on values this small numpy's dispatch costs several times the
 arithmetic. The float forms give the numpy forms' bits, which
 ``tests/test_envs.py`` checks against a numpy copy of each step:
-``min(max(x, -b), b)`` is ``np.clip`` for every non-NaN input, float
-``%`` is numpy's ``remainder``, and ``math.sin`` gave ``np.sin``'s bits
-on every sampled angle. PointMass keeps ``np.linalg.norm`` and
-``f @ f``, because a float norm and a float dot product round
-differently in the last bit on a share of inputs.
+``min(max(x, -b), b)`` is ``np.clip`` for every non-NaN input, and
+``math.sin`` gave ``np.sin``'s bits on every sampled angle. PointMass
+keeps ``np.linalg.norm`` and ``f @ f``, because a float norm and a
+float dot product round differently in the last bit on a share of
+inputs.
 
 The tabular MDP exposes a continuous interface so the same actors work
 everywhere: observations are one-hot state vectors and the scalar
