@@ -18,9 +18,8 @@ def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
     spec = env.spec
     scaled = harness.params_scale(cfg, spec.state_dim, spec.action_dim)
-    ms = harness.build_meta_state(cfg, spec, np.random.default_rng(0),
-                                  hidden_actor=scaled["hidden_actor"],
-                                  hidden_critic=scaled["hidden_critic"])
+    ms = harness.build_meta_state(harness.learner_config(cfg, scaled), spec,
+                                  np.random.default_rng(0))
     return env, ms.base.actor
 
 

@@ -83,7 +83,6 @@ class TabularMdp:
                             horizon=horizon, gamma=gamma,
                             reward_min=float(R.min()), reward_max=float(R.max()))
         self._t = 0
-        self._s = 0
 
     @classmethod
     def random_instance(cls, seed: int, horizon: int = 10, gamma: float = 0.9) -> "TabularMdp":
@@ -100,8 +99,7 @@ class TabularMdp:
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._t = 0
-        self._s = 0  # delta initial distribution at state 0
-        return self._encode(self._s)
+        return self._encode(0)  # delta initial distribution at state 0
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
         a = _check_action(action, self.spec.action_bound)
@@ -110,7 +108,6 @@ class TabularMdp:
         r = float(self.R[s, k])
         s2 = int(rng.choice(2, p=self.P[s, k]))
         self._t += 1
-        self._s = s2
         done = self._t >= self.spec.horizon
         return self._encode(s2), r, done
 

@@ -33,15 +33,13 @@ import numpy as np
 from . import __version__
 from .autodiff import NanGradientError
 from .envs import ENV_NAMES, make_env
-from .metacritic import MetaState, train_iteration
-from .nets import Actor, MetaCriticNet, actor_named_params, save_params
-from .offpac import OPTIMIZERS, AlgoState, Hyper, exploration_action
+from .metacritic import META_LOSS_KINDS, MetaState, train_iteration
+from .nets import MC_VARIANTS, Actor, actor_named_params, save_params
+from .offpac import ALGOS, OPTIMIZERS, AlgoState, exploration_action
 from .replay import ReplayBuffer
 
 CSV_COLUMNS = ("step", "eval_return_mean", "eval_return_std",
                "loss_critic", "loss_mcritic", "loss_meta")
-
-MC_VARIANT_CHOICES = ("none", "feature", "feature-state-action", "param-reg")
 
 # warmup actions are drawn this many rows at a time
 WARMUP_BLOCK = 1024
@@ -49,9 +47,11 @@ WARMUP_BLOCK = 1024
 
 @dataclass
 class RunConfig:
-    algo: str = "ddpg"
-    mc_variant: str = "none"
-    meta_loss: str = "clip"
+    """One run's settings: the one place each learner setting is named, defaulted and checked."""
+
+    algo: str = "ddpg"                  # one of offpac.ALGOS
+    mc_variant: str = "none"            # "none" or one of nets.MC_VARIANTS
+    meta_loss: str = "clip"             # one of metacritic.META_LOSS_KINDS
     env: str = "pointmass"
     env_seed: int = 0
     horizon: int = 0                    # 0 -> environment default
@@ -59,23 +59,23 @@ class RunConfig:
     eval_every: int = 1000
     eval_episodes: int = 10
     seeds: tuple = (0,)
-    batch_n: int = 64
-    batch_m: int = 64
+    batch_n: int = 64                   # meta-train (and vanilla) batch rows
+    batch_m: int = 64                   # meta-test validation batch rows
     warmup_steps: int = 1000
     buffer_capacity: int = 100_000
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
-    mc_lr: float = 1e-3
+    mc_lr: float = 1e-3                 # plain SGD rate for omega
     inner_lr: float = -1.0              # -1 -> share actor_lr
     gamma: float = 0.99
     tau: float = 0.005
-    expl_noise: float = 0.1
-    policy_delay: int = 2
-    target_noise: float = 0.2
-    noise_clip: float = 0.5
-    alpha: float = 0.2
-    optimizer: str = "sgd"
-    sequential_inner: bool = False
+    expl_noise: float = 0.1             # std of exploration noise as a fraction of scale
+    policy_delay: int = 2               # td3 actor/target update period
+    target_noise: float = 0.2           # td3 smoothing noise std, fraction of scale
+    noise_clip: float = 0.5             # td3 smoothing noise clamp, fraction of scale
+    alpha: float = 0.2                  # sac entropy coefficient (fixed)
+    optimizer: str = "sgd"              # "sgd" or "adam" for actor and critic
+    sequential_inner: bool = False      # auxiliary gradient taken at phi_old
     hidden_actor: tuple = (64, 64)
     hidden_critic: tuple = (64, 64)
     mc_hidden: int = 100
@@ -89,14 +89,16 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.algo not in ("ddpg", "td3", "sac"):
+        if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if self.mc_variant not in MC_VARIANT_CHOICES:
+        if self.mc_variant != "none" and self.mc_variant not in MC_VARIANTS:
             raise ValueError(f"unknown mc_variant {self.mc_variant!r}")
-        if self.meta_loss not in ("plain", "clip"):
+        if self.meta_loss not in META_LOSS_KINDS:
             raise ValueError(f"unknown meta_loss {self.meta_loss!r}")
         if self.updates_multiplier < 1.0 or self.params_multiplier < 1.0:
             raise ValueError("control multipliers must be >= 1")
+        if self.updates_multiplier >= 2.0 ** 53:  # from here on credit - 1.0 == credit
+            raise ValueError("updates_multiplier must be < 2**53, or training never ends")
         if self.total_steps < 0 or self.eval_every < 1 or self.eval_episodes < 1:
             raise ValueError("bad step/eval settings")
         if 0 < self.total_steps < self.eval_every:
@@ -119,6 +121,8 @@ class RunConfig:
                 raise ValueError(f"{name} needs at least one layer, each of width >= 1")
         if not self.seeds or min(self.seeds) < 0 or self.env_seed < 0:
             raise ValueError("need at least one seed, and seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):  # a repeat would overwrite files
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.env not in ENV_NAMES:
             raise ValueError(f"unknown env {self.env!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -131,6 +135,9 @@ class RunConfig:
             raise ValueError("inner_lr must be >= 0, or -1 to share actor_lr")
         if self.mc_hidden < 1:
             raise ValueError("mc_hidden must be >= 1")
+        if self.params_multiplier != 1.0:  # the width search raises if out of reach
+            spec = make_env(self.env, self.env_seed, horizon=self.horizon or None).spec
+            params_scale(self, spec.state_dim, spec.action_dim)
         return self
 
 
@@ -167,6 +174,8 @@ def parse_config(text: str) -> RunConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in fields:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in kw:
+            raise ValueError(f"line {lineno}: config key {key!r} given twice")
         kw[key] = _parse_value(key, val, type(getattr(RunConfig(), key)))
     return RunConfig(**kw).validate()
 
@@ -347,18 +356,14 @@ def params_scale(cfg: RunConfig, state_dim: int, action_dim: int) -> dict:
 # the runner
 # ---------------------------------------------------------------------------
 
-def build_meta_state(cfg: RunConfig, env_spec, init_rng,
-                     hidden_actor=None, hidden_critic=None) -> MetaState:
-    hyper = Hyper(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(Hyper)})
-    base = AlgoState(cfg.algo, env_spec, init_rng, hyper=hyper,
-                     hidden_actor=tuple(hidden_actor or cfg.hidden_actor),
-                     hidden_critic=tuple(hidden_critic or cfg.hidden_critic))
-    mc = None
-    if cfg.mc_variant != "none":
-        mc = MetaCriticNet(cfg.mc_variant, base.actor, init_rng, hidden=cfg.mc_hidden)
-    inner = None if cfg.inner_lr < 0 else cfg.inner_lr
-    return MetaState(base, mc, meta_loss_kind=cfg.meta_loss, inner_rate=inner,
-                     mc_rate=cfg.mc_lr, sequential_inner=cfg.sequential_inner)
+def build_meta_state(cfg: RunConfig, env_spec, init_rng) -> MetaState:
+    return MetaState(AlgoState(cfg, env_spec, init_rng), init_rng)
+
+
+def learner_config(cfg: RunConfig, scaled: dict) -> RunConfig:
+    """``cfg`` at the ``params_scale`` widths, which already carry the multiplier."""
+    return dataclasses.replace(cfg, params_multiplier=1.0, hidden_actor=scaled["hidden_actor"],
+                               hidden_critic=scaled["hidden_critic"])
 
 
 def run_seed(cfg: RunConfig, seed: int, out_dir: str,
@@ -376,9 +381,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
     spec = env.spec
 
     scaled = params_scale(cfg, spec.state_dim, spec.action_dim)
-    ms = build_meta_state(cfg, spec, streams.init,
-                          hidden_actor=scaled["hidden_actor"],
-                          hidden_critic=scaled["hidden_critic"])
+    ms = build_meta_state(learner_config(cfg, scaled), spec, streams.init)
     base = ms.base
     # the ring never holds more rows than the run has env steps, so a short
     # run does not allocate columns of buffer_capacity rows it never fills
@@ -420,8 +423,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
             credit += cfg.updates_multiplier
             while credit >= 1.0:
                 try:
-                    m = train_iteration(ms, buffer, streams.replay,
-                                        batch_n=cfg.batch_n, batch_m=cfg.batch_m)
+                    m = train_iteration(ms, buffer, streams.replay)
                 except NanGradientError as err:
                     # divergence that reaches a gradient before any loss is
                     # non-finite ends the seed the same way as such a loss

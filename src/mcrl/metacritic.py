@@ -18,15 +18,20 @@ Each gradient iteration, after the usual critic TD step:
    the meta-loss.
 
 Both inner gradients are evaluated at the current parameters by default.
-``sequential_inner`` switches to evaluating the auxiliary gradient at
-phi_old instead, the step-by-step reading of the update recipe; the two
-coincide as the inner rate goes to zero.
+The ``sequential_inner`` setting switches to evaluating the auxiliary
+gradient at phi_old instead, the step-by-step reading of the update
+recipe; the two coincide as the inner rate goes to zero.
+
+``MetaState`` builds omega's network from the base learner's
+``harness.RunConfig``, and every setting here is read from that config.
 
 Disabling the auxiliary critic reduces the iteration to the vanilla
 algorithm exactly, consuming the identical RNG stream.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,30 +49,21 @@ class MetaGraphError(RuntimeError):
 
 
 class MetaState:
-    """A base learner plus the auxiliary-loss network and its schedule."""
+    """A base learner plus omega's network and optimizer, built from ``base.cfg`` and ``rng``."""
 
-    def __init__(self, base: AlgoState, mc: MetaCriticNet | None,
-                 meta_loss_kind: str = "clip", inner_rate: float | None = None,
-                 mc_rate: float = 1e-3, sequential_inner: bool = False):
-        if meta_loss_kind not in META_LOSS_KINDS:
-            raise ValueError(f"unknown meta-loss kind {meta_loss_kind!r}")
-        if mc is not None and mc.f is not None:
-            want = base.actor.feature_dim
-            if mc.variant == "feature-state-action":
-                want += base.spec.state_dim + base.spec.action_dim
-            if mc.f.input_dim != want:
-                raise ValueError(f"meta-critic input dim {mc.f.input_dim} "
-                                 f"does not match actor ({want})")
+    def __init__(self, base: AlgoState, rng: np.random.Generator):
+        cfg = base.cfg
         self.base = base
-        self.mc = mc
-        self.meta_loss_kind = meta_loss_kind
-        self.inner_rate = base.hyper.actor_lr if inner_rate is None else inner_rate
-        self.mc_opt = Sgd(mc.parameters(), mc_rate) if mc is not None else None
-        self.sequential_inner = sequential_inner
+        self.mc = self.mc_opt = None
+        if cfg.mc_variant != "none":
+            self.mc = MetaCriticNet(cfg.mc_variant, base.actor, rng, hidden=cfg.mc_hidden)
+            self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
+        # the one derived setting: an inner_lr of -1 shares the actor's rate
+        self.inner_rate = cfg.actor_lr if cfg.inner_lr < 0 else cfg.inner_lr
         self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
 
-class PutativeUpdate:
+class PutativeUpdate(NamedTuple):
     """Trial parameter step measured by the meta-test.
 
     phi_old holds plain arrays (no graph at all); phi_new holds Nodes
@@ -76,14 +72,11 @@ class PutativeUpdate:
     update.
     """
 
-    __slots__ = ("phi_old", "phi_new", "grad_total", "l_critic_trn", "l_mcritic_trn")
-
-    def __init__(self, phi_old, phi_new, grad_total, l_critic_trn, l_mcritic_trn):
-        self.phi_old = phi_old
-        self.phi_new = phi_new
-        self.grad_total = grad_total
-        self.l_critic_trn = l_critic_trn
-        self.l_mcritic_trn = l_mcritic_trn
+    phi_old: list
+    phi_new: list
+    grad_total: list
+    l_critic_trn: float
+    l_mcritic_trn: float
 
 
 def _require_omega_path(ms: MetaState, pu: PutativeUpdate) -> None:
@@ -108,7 +101,7 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
     g_c = ad.backward(l_c, params)
     phi_old = [p.value - eta * g for p, g in zip(params, g_c)]
 
-    if ms.sequential_inner:
+    if base.cfg.sequential_inner:
         at = [ad.Variable(v, f"phi_old.{i}") for i, v in enumerate(phi_old)]
         h = ms.mc.loss(base.actor, d_trn.s, d_trn.a, actor_params=at)
         g_m = ad.backward(h, at, create_graph=True)
@@ -155,10 +148,8 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
                   noise_val: np.ndarray | None = None) -> dict:
     """Meta-train, meta-test, then commit both the actor and omega updates."""
     pu = meta_train(ms, d_trn, noise_trn)
-    if ms.meta_loss_kind == "clip":
-        meta = meta_loss_clip(ms, d_val, pu, noise_val)
-    else:
-        meta = meta_loss_plain(ms, d_val, pu, noise_val)
+    meta_loss = meta_loss_clip if ms.base.cfg.meta_loss == "clip" else meta_loss_plain
+    meta = meta_loss(ms, d_val, pu, noise_val)
     meta_value = float(ad.evaluate(meta))
     omega = ms.mc.parameters()
     g_omega = ad.backward(meta, omega)
@@ -172,9 +163,8 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
             "loss_meta": meta_value}
 
 
-def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator,
-                    batch_n: int = 64, batch_m: int = 64) -> dict:
-    """One full gradient iteration.
+def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
+    """One full gradient iteration on ``batch_n`` training and ``batch_m`` validation rows.
 
     RNG draw order: d_trn indices, critic target noise, [actor-path:
     training reparameterization noise, d_val indices, validation noise].
@@ -183,17 +173,17 @@ def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generato
     path and produces identical metrics.
     """
     if ms.mc is None:
-        return vanilla_iteration(ms.base, buffer, rng, batch_n)
+        return vanilla_iteration(ms.base, buffer, rng)
     base = ms.base
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     base.it += 1
-    d_trn = buffer.sample_batch(batch_n, rng)
+    d_trn = buffer.sample_batch(base.cfg.batch_n, rng)
     td_loss = critic_update(base, d_trn, rng)
     if base.actor_due():
         noise_trn = base.actor_noise(len(d_trn), rng)
-        d_val = buffer.sample_batch(batch_m, rng)
-        noise_val = base.actor_noise(batch_m, rng)
+        d_val = buffer.sample_batch(base.cfg.batch_m, rng)
+        noise_val = base.actor_noise(len(d_val), rng)
         ms.last_metrics = meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
         apply_target_updates(base)
     out = dict(ms.last_metrics)

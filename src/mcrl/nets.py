@@ -130,8 +130,7 @@ class Actor:
     """
 
     def __init__(self, state_dim: int, action_dim: int, action_scale: float,
-                 rng: np.random.Generator, hidden=(64, 64),
-                 head_kind: str = "deterministic"):
+                 rng: np.random.Generator, hidden, head_kind: str = "deterministic"):
         if head_kind not in ("deterministic", "gaussian"):
             raise ValueError(f"unknown head kind {head_kind!r}")
         self.state_dim = state_dim
@@ -223,7 +222,7 @@ class Critic:
     """Action-value network Q(s, a), optionally twinned."""
 
     def __init__(self, state_dim: int, action_dim: int, rng: np.random.Generator,
-                 hidden=(64, 64), twin: bool = False):
+                 hidden, twin: bool = False):
         dims = [state_dim + action_dim] + list(hidden) + [1]
         acts = ["relu"] * len(hidden) + ["linear"]
         self.state_dim = state_dim
@@ -252,8 +251,7 @@ MC_VARIANTS = ("feature", "feature-state-action", "param-reg")
 class MetaCriticNet:
     """Learned auxiliary loss for the actor; output is always >= 0."""
 
-    def __init__(self, variant: str, actor: Actor, rng: np.random.Generator,
-                 hidden: int = 100):
+    def __init__(self, variant: str, actor: Actor, rng: np.random.Generator, hidden: int):
         if variant not in MC_VARIANTS:
             raise ValueError(f"unknown meta-critic variant {variant!r}")
         self.variant = variant

@@ -12,6 +12,9 @@ so they are gradient-isolated by construction; the critic enters the
 actor loss through constant parameter snapshots, so the actor update
 cannot move the critic either.
 
+Every learner setting is read from the validated ``harness.RunConfig``
+the state was built with, the one place each is named and checked.
+
 All stochasticity is drawn from the caller-provided generator in a
 documented order (batch indices, then the algorithm's learning noise),
 which is what makes runs reproducible and lets the meta-learning layer
@@ -21,7 +24,7 @@ reproduce this module's behaviour exactly when disabled.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,23 +34,10 @@ from .envs import EnvSpec
 from .nets import Actor, Critic, polyak
 from .replay import Batch, ReplayBuffer
 
+if TYPE_CHECKING:  # harness imports this module, so RunConfig is named for annotations only
+    from .harness import RunConfig
+
 ALGOS = ("ddpg", "td3", "sac")
-
-
-@dataclass
-class Hyper:
-    """Learner settings; ``harness.RunConfig`` has each field, by name and default."""
-
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
-    gamma: float = 0.99
-    tau: float = 0.005
-    expl_noise: float = 0.1     # std of exploration noise as a fraction of scale
-    policy_delay: int = 2       # td3 actor/target update period
-    target_noise: float = 0.2   # td3 smoothing noise std, fraction of scale
-    noise_clip: float = 0.5     # td3 smoothing noise clamp, fraction of scale
-    alpha: float = 0.2          # sac entropy coefficient (fixed)
-    optimizer: str = "sgd"      # "sgd" or "adam" for actor and critic
 
 
 class Sgd:
@@ -83,45 +73,30 @@ class Adam:
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
 
 
-def make_optimizer(kind: str, variables, lr: float):
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {kind!r}")
-    return OPTIMIZERS[kind](variables, lr)
-
-
 class AlgoState:
-    """Everything one learner owns: nets, targets, optimizers, counters."""
+    """Everything one learner owns: validated config, nets, targets, optimizers, counters."""
 
-    def __init__(self, algo: str, env_spec: EnvSpec, rng: np.random.Generator,
-                 hyper: Hyper | None = None, hidden_actor=(64, 64),
-                 hidden_critic=(64, 64)):
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-        self.algo = algo
+    def __init__(self, cfg: RunConfig, env_spec: EnvSpec, rng: np.random.Generator):
+        self.cfg = cfg.validate()
         self.spec = env_spec
-        self.hyper = hyper or Hyper()
-        if self.hyper.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        head = "gaussian" if algo == "sac" else "deterministic"
-        twin = algo in ("td3", "sac")
+        head = "gaussian" if cfg.algo == "sac" else "deterministic"
         self.actor = Actor(env_spec.state_dim, env_spec.action_dim,
-                           env_spec.action_bound, rng, hidden=hidden_actor,
+                           env_spec.action_bound, rng, hidden=cfg.hidden_actor,
                            head_kind=head)
         self.critic = Critic(env_spec.state_dim, env_spec.action_dim, rng,
-                             hidden=hidden_critic, twin=twin)
-        self.target_actor = copy.deepcopy(self.actor) if algo in ("ddpg", "td3") else None
+                             hidden=cfg.hidden_critic, twin=cfg.algo in ("td3", "sac"))
+        self.target_actor = copy.deepcopy(self.actor) if cfg.algo in ("ddpg", "td3") else None
         self.target_critic = copy.deepcopy(self.critic)
-        self.actor_opt = make_optimizer(self.hyper.optimizer,
-                                        self.actor.parameters(), self.hyper.actor_lr)
-        self.critic_opt = make_optimizer(self.hyper.optimizer,
-                                         self.critic.parameters(), self.hyper.critic_lr)
+        optimizer = OPTIMIZERS[cfg.optimizer]
+        self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
+        self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
         self.it = 0
         self.last_actor_loss = 0.0
 
     def actor_due(self) -> bool:
         """True when this iteration performs an actor (and target) update."""
-        if self.algo == "td3":
-            return self.it % self.hyper.policy_delay == 0
+        if self.cfg.algo == "td3":
+            return self.it % self.cfg.policy_delay == 0
         return True
 
     def critic_const_params(self):
@@ -131,7 +106,7 @@ class AlgoState:
 
     def actor_noise(self, n: int, rng: np.random.Generator):
         """Learning-time reparameterization noise; only SAC consumes any."""
-        if self.algo == "sac":
+        if self.cfg.algo == "sac":
             return rng.standard_normal((n, self.spec.action_dim))
         return None
 
@@ -145,7 +120,7 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    sac = state.algo == "sac"
+    sac = state.cfg.algo == "sac"
     if sac and noise is None:
         raise ValueError("sac actor loss needs reparameterization noise")
     mode = "sample" if sac else "deterministic"
@@ -158,7 +133,7 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
     if not sac:
         return ops.mean(ops.neg(q))
     q = ops.minimum(q, state.critic.q_twin(batch.s, a, q2c, ops))
-    return ops.mean(ops.sub(ops.scale(logp, state.hyper.alpha), q))
+    return ops.mean(ops.sub(ops.scale(logp, state.cfg.alpha), q))
 
 
 def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
@@ -173,13 +148,13 @@ def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = Non
 
 def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> np.ndarray:
     """One-step TD regression targets; numpy only, never part of a graph."""
-    h = state.hyper
+    h = state.cfg
     scale = state.spec.action_bound
     critic = state.target_critic
-    if state.algo == "ddpg":
+    if h.algo == "ddpg":
         a2 = state.target_actor.act_np(batch.s_next)
         q2 = critic.q(batch.s_next, a2, ops=NumpyOps)
-    elif state.algo == "td3":
+    elif h.algo == "td3":
         a2 = state.target_actor.act_np(batch.s_next)
         eps = rng.standard_normal(a2.shape) * (h.target_noise * scale)
         eps = np.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
@@ -215,17 +190,17 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
 def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Training-time action: noisy deterministic (ddpg/td3) or posterior sample (sac)."""
     scale = state.spec.action_bound
-    if state.algo == "sac":
+    if state.cfg.algo == "sac":
         noise = rng.standard_normal(state.spec.action_dim)
         a = state.actor.act_np(s, mode="sample", noise=noise)
     else:
         a = state.actor.act_np(s)
-        a = a + rng.standard_normal(state.spec.action_dim) * (state.hyper.expl_noise * scale)
+        a = a + rng.standard_normal(state.spec.action_dim) * (state.cfg.expl_noise * scale)
     return np.clip(a, -scale, scale)
 
 
 def apply_target_updates(state: AlgoState) -> None:
-    tau = state.hyper.tau
+    tau = state.cfg.tau
     polyak(state.target_critic.net, state.critic.net, tau)
     if state.critic.twin is not None:
         polyak(state.target_critic.twin, state.critic.twin, tau)
@@ -235,14 +210,14 @@ def apply_target_updates(state: AlgoState) -> None:
 
 
 def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer,
-                      rng: np.random.Generator, batch_size: int = 64) -> dict:
+                      rng: np.random.Generator) -> dict:
     """One gradient iteration: critic step, (possibly delayed) actor step,
     polyak target updates. Draw order from ``rng``: batch indices, critic
     target noise, actor loss noise."""
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     state.it += 1
-    batch = buffer.sample_batch(batch_size, rng)
+    batch = buffer.sample_batch(state.cfg.batch_n, rng)
     td_loss = critic_update(state, batch, rng)
     if state.actor_due():
         noise = state.actor_noise(len(batch), rng)

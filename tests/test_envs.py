@@ -66,7 +66,6 @@ def _numpy_tabular_step(env, state, action, rng):
     r = float(env.R[s, k])
     s2 = int(rng.choice(2, p=env.P[s, k]))
     env._t += 1
-    env._s = s2
     done = env._t >= env.spec.horizon
     v = np.zeros(2, dtype=np.float64)
     v[s2] = 1.0

@@ -21,8 +21,14 @@ hidden_critic=8,8
 """
 
 
+def cfg_text(extra=""):
+    """BASE_CFG with each key=value line of ``extra`` replacing or adding its key."""
+    pairs = (line.split("=", 1) for line in (BASE_CFG + extra).splitlines() if line)
+    return "".join(f"{k}={v}\n" for k, v in dict(pairs).items())
+
+
 def test_parse_and_roundtrip():
-    cfg = parse_config(BASE_CFG + "batch_n=16\nsequential_inner=true\n")
+    cfg = parse_config(cfg_text("batch_n=16\nsequential_inner=true\n"))
     assert cfg.algo == "ddpg" and cfg.batch_n == 16 and cfg.sequential_inner
     text = harness.config_to_text(cfg)
     again = parse_config(text)
@@ -32,13 +38,18 @@ def test_parse_and_roundtrip():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config(BASE_CFG + "learning_rte=0.1\n")
+    # a repeated key is an error, not an override; BASE_CFG has 9 lines
+    with pytest.raises(ValueError, match="line 11: config key 'actor_lr' given twice"):
+        parse_config(BASE_CFG + "actor_lr=0.5\nactor_lr=0.25\n")
+    with pytest.raises(ValueError, match="line 10: config key 'seeds' given twice"):
+        parse_config(BASE_CFG + "seeds=1\n")
 
 
 def test_invalid_values_rejected_before_work():
     with pytest.raises(ValueError):
-        parse_config(BASE_CFG + "algo=ppo\n")
+        parse_config(cfg_text("algo=ppo\n"))
     with pytest.raises(ValueError):
-        parse_config(BASE_CFG + "updates_multiplier=0.5\n")
+        parse_config(cfg_text("updates_multiplier=0.5\n"))
     with pytest.raises(ValueError):
         parse_config("seeds=\n")
     # each of these used to fail only after warmup work, or not at all
@@ -49,9 +60,11 @@ def test_invalid_values_rejected_before_work():
                 "critic_lr=-0.1", "mc_lr=-0.1", "expl_noise=-0.1", "target_noise=-0.1",
                 "noise_clip=-0.1", "inner_lr=-0.5", "alpha=-0.1", "optimizer=rmsprop",
                 "env=cartpole", "mc_hidden=0", "horizon=-1", "snapshot_every=-1",
-                "seeds=0,-1", "env_seed=-1"):
+                "seeds=0,-1", "env_seed=-1", "seeds=3,3", "seeds=0,1,0",
+                # from 2**53 on, credit - 1.0 == credit and the credit loop never ends
+                "updates_multiplier=1e16", "updates_multiplier=9007199254740992"):
         with pytest.raises(ValueError):
-            parse_config(BASE_CFG + bad + "\n")
+            parse_config(cfg_text(bad + "\n"))
     # non-finite floats compare false against every bound; an inf
     # updates_multiplier would never leave the training-credit loop
     for bad in ("updates_multiplier=inf", "updates_multiplier=nan", "params_multiplier=nan",
@@ -59,15 +72,58 @@ def test_invalid_values_rejected_before_work():
                 "inner_lr=nan", "expl_noise=nan", "noise_clip=nan", "alpha=inf",
                 "target_noise=-inf", "tau=nan", "gamma=nan"):
         with pytest.raises(ValueError, match="must be finite"):
-            parse_config(BASE_CFG + bad + "\n")
+            parse_config(cfg_text(bad + "\n"))
 
 
-def test_hyper_defaults_are_the_run_config_defaults():
-    # build_meta_state copies Hyper's fields from RunConfig by name
+def test_unreachable_params_target_rejected_before_work(tmp_path):
+    with pytest.raises(ValueError, match="cannot hit parameter target"):
+        parse_config(cfg_text("params_multiplier=100\n"))
+    cfg = dataclasses.replace(_quick_cfg(), params_multiplier=100.0)
+    with pytest.raises(ValueError, match="cannot hit parameter target"):
+        harness.run(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_default_settings_reach_the_learner():
+    from mcrl.replay import ReplayBuffer
+
+    cfg = harness.RunConfig(
+        algo="td3", mc_variant="feature-state-action", meta_loss="plain", env="pendulum",
+        batch_n=5, batch_m=7, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04, inner_lr=0.05,
+        gamma=0.9, tau=0.1, expl_noise=0.3, policy_delay=3, target_noise=0.4,
+        noise_clip=0.6, alpha=0.7, optimizer="adam", sequential_inner=True,
+        hidden_actor=(5, 6), hidden_critic=(7,), mc_hidden=9)
     defaults = harness.RunConfig()
-    for f in dataclasses.fields(offpac.Hyper):
-        assert hasattr(defaults, f.name), f.name
-        assert getattr(defaults, f.name) == f.default, f.name
+    learner = ("algo", "mc_variant", "meta_loss", "batch_n", "batch_m", "actor_lr",
+               "critic_lr", "mc_lr", "inner_lr", "gamma", "tau", "expl_noise",
+               "policy_delay", "target_noise", "noise_clip", "alpha", "optimizer",
+               "sequential_inner", "hidden_actor", "hidden_critic", "mc_hidden")
+    assert all(getattr(cfg, k) != getattr(defaults, k) for k in learner)
+    spec = envs.make_env(cfg.env).spec
+    sd, ad = spec.state_dim, spec.action_dim
+    ms = harness.build_meta_state(cfg, spec, np.random.default_rng(0))
+    base = ms.base
+    assert base.cfg is cfg  # the settings below are read from it at use
+    assert type(base.actor_opt) is offpac.Adam and base.actor_opt.lr == 0.02
+    assert type(base.critic_opt) is offpac.Adam and base.critic_opt.lr == 0.03
+    assert type(ms.mc_opt) is offpac.Sgd and ms.mc_opt.lr == 0.04
+    assert ms.inner_rate == 0.05
+    assert base.actor.feature.dims == [sd, 5, 6] and base.actor.head.dims == [6, ad]
+    assert base.critic.net.dims == base.critic.twin.dims == [sd + ad, 7, 1]
+    assert ms.mc.variant == "feature-state-action" and ms.mc.f.dims == [6 + sd + ad, 9, 9, 1]
+
+    buf = ReplayBuffer(16, sd, ad)
+    rng = np.random.default_rng(1)
+    for _ in range(16):
+        buf.push(rng.normal(size=sd), rng.uniform(-1, 1, ad), float(rng.normal()),
+                 rng.normal(size=sd), False)
+    sizes = []
+    sample = buf.sample_batch
+    buf.sample_batch = lambda n, r: sizes.append(n) or sample(n, r)
+    for _ in range(3):
+        harness.train_iteration(ms, buf, rng)
+    # policy_delay 3: iterations 1 and 2 draw d_trn only, iteration 3 also d_val
+    assert sizes == [5, 5, 5, 7]
 
 
 def test_comments_and_blank_lines():
@@ -145,7 +201,7 @@ def test_csv_roundtrip_exact(tmp_path):
 
 
 def _quick_cfg(extra=""):
-    return parse_config(BASE_CFG + extra)
+    return parse_config(cfg_text(extra))
 
 
 def test_run_deterministic_byte_identical(tmp_path):
@@ -196,9 +252,9 @@ def _poisoned_run(tmp_path, monkeypatch, key, value, from_call):
     calls = {"n": 0}
     real = harness.train_iteration
 
-    def poisoned(ms, buffer, rng, batch_n=64, batch_m=64):
+    def poisoned(ms, buffer, rng):
         calls["n"] += 1
-        m = real(ms, buffer, rng, batch_n=batch_n, batch_m=batch_m)
+        m = real(ms, buffer, rng)
         if calls["n"] >= from_call:
             m[key] = value
         return m
@@ -264,14 +320,15 @@ def test_params_scale_identity_and_doubling():
 
 
 def test_params_scale_ten_percent_within_five(tmp_path):
-    cfg = parse_config(BASE_CFG + "params_multiplier=1.10\nhidden_actor=64,64\nhidden_critic=64,64\n")
+    cfg = parse_config(cfg_text("params_multiplier=1.10\nhidden_actor=64,64\n"
+                                "hidden_critic=64,64\n"))
     out = harness.params_scale(cfg, 4, 2)
     achieved = out["achieved_count"] / out["base_count"]
     assert abs(out["achieved_count"] - out["target_count"]) <= 0.05 * out["target_count"]
     assert achieved > 1.0
-    run_cfg = parse_config(
-        BASE_CFG + "params_multiplier=1.10\ntotal_steps=150\nwarmup_steps=100\n"
-        "hidden_actor=64,64\nhidden_critic=64,64\n")
+    run_cfg = parse_config(cfg_text(
+        "params_multiplier=1.10\ntotal_steps=150\nwarmup_steps=100\n"
+        "hidden_actor=64,64\nhidden_critic=64,64\n"))
     harness.run_seed(run_cfg, 0, str(tmp_path))
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert int(meta["params_actor_critic"]) > int(meta["params_base_count"])
@@ -303,7 +360,7 @@ def test_max_average_return_and_compare(tmp_path):
 
 
 def test_parallel_run_matches_serial(tmp_path):
-    cfg = parse_config(BASE_CFG + "seeds=0,1\ntotal_steps=200\n")
+    cfg = parse_config(cfg_text("seeds=0,1\ntotal_steps=200\n"))
     harness.run(cfg, str(tmp_path / "ser"), workers=1)
     harness.run(cfg, str(tmp_path / "par"), workers=2)
     for k in (0, 1):
@@ -348,9 +405,8 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
         streams = harness.rng_streams(3)
         env = make_env(cfg.env, cfg.env_seed)
         scaled = harness.params_scale(cfg, env.spec.state_dim, env.spec.action_dim)
-        ms = harness.build_meta_state(cfg, env.spec, streams.init,
-                                      hidden_actor=scaled["hidden_actor"],
-                                      hidden_critic=scaled["hidden_critic"])
+        ms = harness.build_meta_state(harness.learner_config(cfg, scaled), env.spec,
+                                      streams.init)
         buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
         s = env.reset(streams.env)
         for step in range(1, cfg.total_steps + 1):
@@ -362,7 +418,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
             buf.push(s, a, r, s2, False)
             s = env.reset(streams.env) if done else s2
             if step > cfg.warmup_steps:
-                vanilla_iteration(ms.base, buf, streams.replay, batch_size=cfg.batch_n)
+                vanilla_iteration(ms.base, buf, streams.replay)
         final = [p.value for p in ms.base.actor.parameters()]
         harness_final = [p.value for p in res["meta_state"].base.actor.parameters()]
         for a_, b_ in zip(final, harness_final):

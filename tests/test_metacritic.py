@@ -3,7 +3,7 @@ import pytest
 
 from mcrl import autodiff as ad
 from mcrl import metacritic as mcmod
-from mcrl import nets, offpac
+from mcrl import harness, nets, offpac
 from mcrl.envs import EnvSpec
 from mcrl.replay import Batch, ReplayBuffer
 
@@ -12,13 +12,17 @@ SPEC = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20,
                gamma=0.99, reward_min=-5, reward_max=5)
 
 
+def small_cfg(algo="ddpg", **cfg_kw):
+    return harness.RunConfig(algo=algo, hidden_actor=(4, 4), hidden_critic=(6, 6), **cfg_kw)
+
+
 def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, inner_rate=None,
-            mc_hidden=6, sequential=False, **hyper_kw):
+            mc_hidden=6, sequential=False, **cfg_kw):
     rng = np.random.default_rng(seed)
-    base = offpac.AlgoState(algo, SPEC, rng, hyper=offpac.Hyper(**hyper_kw),
-                            hidden_actor=(4, 4), hidden_critic=(6, 6))
-    mc = nets.MetaCriticNet(variant, base.actor, rng, hidden=mc_hidden)
-    return mcmod.MetaState(base, mc, meta_loss_kind=kind, inner_rate=inner_rate)
+    cfg = small_cfg(algo, mc_variant=variant, meta_loss=kind, mc_hidden=mc_hidden,
+                    inner_lr=-1.0 if inner_rate is None else inner_rate,
+                    sequential_inner=sequential, **cfg_kw)
+    return mcmod.MetaState(offpac.AlgoState(cfg, SPEC, rng), rng)
 
 
 def batch_from_rows(rows):
@@ -273,16 +277,15 @@ def test_disabled_variant_reproduces_vanilla(algo):
 
     def run_meta():
         rng0 = np.random.default_rng(41)
-        base = offpac.AlgoState(algo, SPEC, rng0, hidden_actor=(4, 4), hidden_critic=(6, 6))
-        ms = mcmod.MetaState(base, None)
+        ms = mcmod.MetaState(offpac.AlgoState(small_cfg(algo, batch_n=8), SPEC, rng0), rng0)
         rng = np.random.default_rng(42)
-        return [mcmod.train_iteration(ms, buf, rng, batch_n=8) for _ in range(20)]
+        return [mcmod.train_iteration(ms, buf, rng) for _ in range(20)]
 
     def run_vanilla():
         rng0 = np.random.default_rng(41)
-        base = offpac.AlgoState(algo, SPEC, rng0, hidden_actor=(4, 4), hidden_critic=(6, 6))
+        base = offpac.AlgoState(small_cfg(algo, batch_n=8), SPEC, rng0)
         rng = np.random.default_rng(42)
-        return [offpac.vanilla_iteration(base, buf, rng, batch_size=8) for _ in range(20)]
+        return [offpac.vanilla_iteration(base, buf, rng) for _ in range(20)]
 
     assert run_meta() == run_vanilla()
 
@@ -291,10 +294,9 @@ def test_full_iteration_bit_identical_across_runs():
     buf = fill_buffer()
 
     def run():
-        ms = make_ms(algo="sac", seed=43)
+        ms = make_ms(algo="sac", seed=43, batch_n=8, batch_m=8)
         rng = np.random.default_rng(44)
-        metrics = [mcmod.train_iteration(ms, buf, rng, batch_n=8, batch_m=8)
-                   for _ in range(5)]
+        metrics = [mcmod.train_iteration(ms, buf, rng) for _ in range(5)]
         phis = [p.value.copy() for p in ms.base.actor.parameters()]
         omegas = [w.value.copy() for w in ms.mc.parameters()]
         thetas = [p.value.copy() for p in ms.base.critic.parameters()]
@@ -308,23 +310,23 @@ def test_full_iteration_bit_identical_across_runs():
 
 
 def test_clip_metrics_stay_in_open_interval():
-    ms = make_ms(algo="ddpg", seed=45)
+    ms = make_ms(algo="ddpg", seed=45, batch_n=8, batch_m=8)
     buf = fill_buffer(seed=46)
     rng = np.random.default_rng(47)
     for _ in range(30):
-        m = mcmod.train_iteration(ms, buf, rng, batch_n=8, batch_m=8)
+        m = mcmod.train_iteration(ms, buf, rng)
         assert -1.0 < m["loss_meta"] < 1.0
 
 
 def test_td3_meta_respects_delay_and_stream_order():
-    ms = make_ms(algo="td3", seed=49, mc_hidden=16)
+    ms = make_ms(algo="td3", seed=49, mc_hidden=16, batch_n=8, batch_m=8)
     buf = fill_buffer(seed=50)
     rng = np.random.default_rng(51)
     omega_before = [w.value.copy() for w in ms.mc.parameters()]
-    mcmod.train_iteration(ms, buf, rng, batch_n=8, batch_m=8)  # it=1: no actor step
+    mcmod.train_iteration(ms, buf, rng)  # it=1: no actor step
     for w, old in zip(ms.mc.parameters(), omega_before):
         np.testing.assert_array_equal(w.value, old)
-    mcmod.train_iteration(ms, buf, rng, batch_n=8, batch_m=8)  # it=2: actor + omega
+    mcmod.train_iteration(ms, buf, rng)  # it=2: actor + omega
     assert any(not np.array_equal(w.value, old)
                for w, old in zip(ms.mc.parameters(), omega_before))
 
@@ -332,8 +334,7 @@ def test_td3_meta_respects_delay_and_stream_order():
 def test_sequential_inner_variant_runs_and_differs():
     d_trn = batch_of(8, 52)
     ms_par = make_ms(seed=53, inner_rate=0.05, mc_hidden=16)
-    ms_seq = make_ms(seed=53, inner_rate=0.05, mc_hidden=16)
-    ms_seq.sequential_inner = True
+    ms_seq = make_ms(seed=53, inner_rate=0.05, mc_hidden=16, sequential=True)
     pu_par = mcmod.meta_train(ms_par, d_trn)
     pu_seq = mcmod.meta_train(ms_seq, d_trn)
     for old_p, old_s in zip(pu_par.phi_old, pu_seq.phi_old):
@@ -343,11 +344,3 @@ def test_sequential_inner_variant_runs_and_differs():
              for a, b in zip(pu_par.phi_new, pu_seq.phi_new)]
     assert max(diffs) > 0.0
 
-
-def test_mismatched_meta_critic_rejected():
-    rng = np.random.default_rng(55)
-    base = offpac.AlgoState("ddpg", SPEC, rng, hidden_actor=(4, 4), hidden_critic=(6, 6))
-    other = offpac.AlgoState("ddpg", SPEC, rng, hidden_actor=(8, 8), hidden_critic=(6, 6))
-    mc = nets.MetaCriticNet("feature", other.actor, rng, hidden=6)
-    with pytest.raises(ValueError):
-        mcmod.MetaState(base, mc)

@@ -130,7 +130,7 @@ def test_logp_gradient_matches_fd():
 def test_meta_loss_nonnegative_and_permutation_invariant(variant):
     rng = np.random.default_rng(13)
     actor = make_actor(seed=13)
-    mc = nets.MetaCriticNet(variant, actor, rng)
+    mc = nets.MetaCriticNet(variant, actor, rng, hidden=100)
     for trial in range(20):
         n = int(rng.integers(2, 17))
         s = rng.normal(size=(n, 3))
@@ -144,7 +144,7 @@ def test_meta_loss_nonnegative_and_permutation_invariant(variant):
 
 def test_meta_loss_zero_final_layer_gives_log2():
     actor = make_actor(seed=17)
-    mc = nets.MetaCriticNet("feature", actor, np.random.default_rng(17))
+    mc = nets.MetaCriticNet("feature", actor, np.random.default_rng(17), hidden=100)
     w, b = mc.f.params[-2], mc.f.params[-1]
     w.set_value(np.zeros_like(w.value))
     b.set_value(np.zeros_like(b.value))
@@ -155,7 +155,7 @@ def test_meta_loss_zero_final_layer_gives_log2():
 
 def test_param_reg_effective_ones_sums_abs():
     actor = make_actor(seed=19, state_dim=1, action_dim=1, hidden=(2, 2))
-    mc = nets.MetaCriticNet("param-reg", actor, np.random.default_rng(19))
+    mc = nets.MetaCriticNet("param-reg", actor, np.random.default_rng(19), hidden=100)
     raw_one = nets.softplus_inverse(1.0)
     for w in mc.reg_weights:
         w.set_value(np.full_like(w.value, raw_one))
@@ -175,7 +175,7 @@ def test_param_reg_effective_ones_sums_abs():
 def test_meta_loss_gradient_reaches_actor():
     actor = make_actor(seed=23)
     for variant in ("feature", "feature-state-action"):
-        mc = nets.MetaCriticNet(variant, actor, np.random.default_rng(23))
+        mc = nets.MetaCriticNet(variant, actor, np.random.default_rng(23), hidden=100)
         s = np.random.default_rng(1).normal(size=(8, 3))
         a = np.random.default_rng(2).normal(size=(8, 2))
         loss = mc.loss(actor, s, a)
@@ -185,7 +185,7 @@ def test_meta_loss_gradient_reaches_actor():
 
 def test_meta_loss_empty_batch_rejected():
     actor = make_actor(seed=29)
-    mc = nets.MetaCriticNet("feature", actor, np.random.default_rng(29))
+    mc = nets.MetaCriticNet("feature", actor, np.random.default_rng(29), hidden=100)
     with pytest.raises(ValueError):
         mc.loss(actor, np.zeros((0, 3)), np.zeros((0, 2)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcrl import autodiff as ad
-from mcrl import offpac
+from mcrl import harness, offpac
 from mcrl.envs import EnvSpec
 from mcrl.replay import Batch, ReplayBuffer
 
@@ -11,10 +11,9 @@ SPEC = EnvSpec(state_dim=3, action_dim=2, action_bound=1.0, horizon=50,
                gamma=0.99, reward_min=-10, reward_max=10)
 
 
-def make_state(algo, seed=0, **hyper_kw):
-    return offpac.AlgoState(algo, SPEC, np.random.default_rng(seed),
-                            hyper=offpac.Hyper(**hyper_kw),
-                            hidden_actor=(8, 8), hidden_critic=(8, 8))
+def make_state(algo, seed=0, **cfg_kw):
+    cfg = harness.RunConfig(algo=algo, hidden_actor=(8, 8), hidden_critic=(8, 8), **cfg_kw)
+    return offpac.AlgoState(cfg, SPEC, np.random.default_rng(seed))
 
 
 def batch_from_rows(rows):
@@ -194,7 +193,7 @@ def test_sac_exploration_zero_noise_is_mean():
 
 
 def test_td3_delay_schedule():
-    state = make_state("td3", seed=29, policy_delay=2)
+    state = make_state("td3", seed=29, policy_delay=2, batch_n=8)
     buf = ReplayBuffer(capacity=64, state_dim=3, action_dim=2)
     rng_fill = np.random.default_rng(5)
     for _ in range(32):
@@ -204,7 +203,7 @@ def test_td3_delay_schedule():
     changed = []
     for _ in range(6):
         before = [p.value.copy() for p in state.actor.parameters()]
-        offpac.vanilla_iteration(state, buf, rng, batch_size=8)
+        offpac.vanilla_iteration(state, buf, rng)
         after = state.actor.parameters()
         changed.append(any(not np.array_equal(b, a.value)
                            for b, a in zip(before, after)))
@@ -213,15 +212,14 @@ def test_td3_delay_schedule():
 
 def test_metric_stream_deterministic():
     def run():
-        state = make_state("sac", seed=31)
+        state = make_state("sac", seed=31, batch_n=8)
         buf = ReplayBuffer(capacity=64, state_dim=3, action_dim=2)
         fill = np.random.default_rng(7)
         for _ in range(32):
             buf.push(fill.normal(size=3), fill.uniform(-1, 1, 2),
                      float(fill.normal()), fill.normal(size=3), False)
         rng = np.random.default_rng(8)
-        return [offpac.vanilla_iteration(state, buf, rng, batch_size=8)
-                for _ in range(10)]
+        return [offpac.vanilla_iteration(state, buf, rng) for _ in range(10)]
 
     m1, m2 = run(), run()
     assert m1 == m2
