@@ -17,7 +17,8 @@ from .nets import Actor, flatten_values, load_params, unflatten_values
 
 
 def pca_trajectory(snapshots: list[np.ndarray]):
-    """2-D coordinates for each snapshot plus top-2 explained-variance ratios."""
+    """2-D coordinates for each snapshot, top-2 explained-variance ratios and
+    the two directions, as rows of a (2, n_params) array."""
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
     flats = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
@@ -30,18 +31,7 @@ def pca_trajectory(snapshots: list[np.ndarray]):
     coords = np.stack([f - final for f in flats]) @ directions.T
     total = float(np.sum(svals**2))
     ratios = (svals[:2] ** 2) / total
-    return coords, ratios
-
-
-def pca_reconstruction_error(snapshots: list[np.ndarray], k: int = 2) -> tuple[float, float]:
-    """(squared Frobenius error of rank-k reconstruction, sum of discarded
-    squared singular values); the two are equal by the eigendecomposition."""
-    flats = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
-    final = flats[-1]
-    M = np.stack([f - final for f in flats[:-1]])
-    u, svals, vt = np.linalg.svd(M, full_matrices=False)
-    Mk = (u[:, :k] * svals[:k]) @ vt[:k]
-    return float(np.sum((M - Mk) ** 2)), float(np.sum(svals[k:] ** 2))
+    return coords, ratios, directions
 
 
 def load_snapshot_vectors(paths: list[str]) -> list[np.ndarray]:
@@ -65,22 +55,17 @@ def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
     d2 = np.asarray(d2, dtype=np.float64).ravel()
     if np.linalg.matrix_rank(np.stack([d1, d2])) < 2:
         raise ValueError("directions must be linearly independent")
-    params = actor.parameters()
-    like = [p.value for p in params]
-    center = flatten_values(like)
+    saved = [p.value.copy() for p in actor.parameters()]
+    center = flatten_values(saved)
     if center.size != d1.size or center.size != d2.size:
         raise ValueError("direction length does not match parameter count")
-    saved = [p.value.copy() for p in params]
     grid = np.zeros((len(ys), len(xs)))
     try:
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
-                vec = center + x * d1 + y * d2
-                for p, v in zip(params, unflatten_values(vec, like)):
-                    p.set_value(v)
+                actor.set_param_values(unflatten_values(center + x * d1 + y * d2, saved))
                 rng = np.random.default_rng(eval_seed)
                 grid[j, i], _ = evaluate_policy(actor, env, episodes, rng)
     finally:
-        for p, v in zip(params, saved):
-            p.set_value(v)
+        actor.set_param_values(saved)
     return grid

@@ -10,26 +10,24 @@ import sys
 
 import numpy as np
 
-from . import analysis, harness, nets
+from . import analysis, harness, nets, offpac
 from .envs import make_env
 
 
 def _build_actor_for(cfg: harness.RunConfig):
-    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
+    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
     scaled = harness.params_scale(cfg, spec.state_dim, spec.action_dim)
-    ms = harness.build_meta_state(harness.learner_config(cfg, scaled), spec,
-                                  np.random.default_rng(0))
-    return env, ms.base.actor
+    state = offpac.AlgoState(harness.learner_config(cfg, scaled), spec, np.random.default_rng(0))
+    return env, state.actor
 
 
 def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
     named = nets.load_params(snapshot_path)
-    params = actor.parameters()
-    if len(named) != len(params):
-        raise SystemExit(f"snapshot has {len(named)} tensors, actor needs {len(params)}")
-    for p, (_, arr) in zip(params, named):
-        p.set_value(arr)
+    n_params = len(actor.parameters())
+    if len(named) != n_params:
+        raise SystemExit(f"snapshot has {len(named)} tensors, actor needs {n_params}")
+    actor.set_param_values([arr for _, arr in named])
 
 
 def cmd_run(args) -> int:
@@ -67,7 +65,7 @@ def _snapshot_paths(snapshot_dir: str, pattern: str) -> list[str]:
 def cmd_pca(args) -> int:
     paths = _snapshot_paths(args.snapshots, args.pattern)
     vecs = analysis.load_snapshot_vectors(paths)
-    coords, ratios = analysis.pca_trajectory(vecs)
+    coords, ratios, _ = analysis.pca_trajectory(vecs)
     with open(args.out, "w") as fh:
         fh.write("# explained_variance_ratio=" +
                  ",".join(repr(float(r)) for r in ratios) + "\n")
@@ -86,9 +84,7 @@ def cmd_surface(args) -> int:
         paths = _snapshot_paths(args.snapshots, args.pattern)
         vecs = analysis.load_snapshot_vectors(paths)
         _load_actor_params(actor, paths[-1])
-        flats = [v - vecs[-1] for v in vecs[:-1]]
-        _, _, vt = np.linalg.svd(np.stack(flats), full_matrices=False)
-        d1, d2 = vt[0], vt[1]
+        _, _, (d1, d2) = analysis.pca_trajectory(vecs)
     else:
         if not (args.center and args.d1 and args.d2):
             raise SystemExit("need either --snapshots or --center/--d1/--d2")

@@ -19,6 +19,9 @@ inputs.
 The tabular MDP exposes a continuous interface so the same actors work
 everywhere: observations are one-hot state vectors and the scalar
 action in [-1, 1] selects the discrete action by sign.
+
+An environment declares no discount: the learner's ``RunConfig.gamma``
+is the only one, and the tabular oracle takes its ``gamma`` explicitly.
 """
 
 from __future__ import annotations
@@ -35,15 +38,10 @@ class EnvSpec:
     action_dim: int
     action_bound: float
     horizon: int
-    gamma: float
-    reward_min: float
-    reward_max: float
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
 
 
 def _clamp(x: float, bound: float) -> float:
@@ -67,8 +65,7 @@ class TabularMdp:
     n_states = 2
     n_actions = 2
 
-    def __init__(self, transitions: np.ndarray, rewards: np.ndarray,
-                 horizon: int = 10, gamma: float = 0.9):
+    def __init__(self, transitions: np.ndarray, rewards: np.ndarray, horizon: int = 10):
         P = np.asarray(transitions, dtype=np.float64)
         R = np.asarray(rewards, dtype=np.float64)
         if P.shape != (2, 2, 2) or R.shape != (2, 2):
@@ -79,18 +76,16 @@ class TabularMdp:
             raise ValueError("rewards must be finite")
         self.P = P
         self.R = R
-        self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0,
-                            horizon=horizon, gamma=gamma,
-                            reward_min=float(R.min()), reward_max=float(R.max()))
+        self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=horizon)
         self._t = 0
 
     @classmethod
-    def random_instance(cls, seed: int, horizon: int = 10, gamma: float = 0.9) -> "TabularMdp":
+    def random_instance(cls, seed: int, horizon: int = 10) -> "TabularMdp":
         """Seeded instance: uniform [0,1] rewards, Dirichlet transition rows."""
         rng = np.random.default_rng(seed)
         R = rng.uniform(0.0, 1.0, size=(2, 2))
         P = rng.dirichlet(np.ones(2), size=(2, 2))
-        return cls(P, R, horizon=horizon, gamma=gamma)
+        return cls(P, R, horizon=horizon)
 
     def _encode(self, s: int) -> np.ndarray:
         v = np.zeros(2, dtype=np.float64)
@@ -124,13 +119,9 @@ class PointMass:
     VEL_BOX = 2.0
     INIT_BOX = 1.0
 
-    def __init__(self, horizon: int = 100, gamma: float = 0.99):
+    def __init__(self, horizon: int = 100):
         self.goal = np.zeros(2)
-        # worst case: opposite corner of the position box plus full-force cost
-        self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0,
-                            horizon=horizon, gamma=gamma,
-                            reward_min=-(2.0 * np.sqrt(2.0) + 0.01 * 2.0),
-                            reward_max=0.0)
+        self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0, horizon=horizon)
         self._t = 0
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
@@ -165,11 +156,8 @@ class Pendulum:
     L = 1.0
     MAX_SPEED = 8.0
 
-    def __init__(self, horizon: int = 200, gamma: float = 0.99):
-        self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0,
-                            horizon=horizon, gamma=gamma,
-                            reward_min=-(np.pi**2 + 0.1 * self.MAX_SPEED**2 + 0.001 * 4.0**2),
-                            reward_max=0.0)
+    def __init__(self, horizon: int = 200):
+        self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)
         self._t = 0
 
     @staticmethod
@@ -196,8 +184,8 @@ class Pendulum:
 ENV_NAMES = ("tabular", "pointmass", "pendulum")
 
 
-def make_env(name: str, env_seed: int = 0, horizon: int | None = None):
-    """Environment registry used by config files and the CLI."""
+def make_env(name: str, env_seed: int = 0, horizon: int = 0):
+    """Environment registry used by config files and the CLI; horizon 0 is the env's default."""
     if name == "tabular":
         return TabularMdp.random_instance(env_seed, horizon=horizon or 10)
     if name == "pointmass":
@@ -220,15 +208,7 @@ def value_iteration(mdp: TabularMdp, gamma: float, horizon: int) -> np.ndarray:
     return V
 
 
-def tabular_optimal_return(mdp: TabularMdp, gamma: float | None = None,
-                           horizon: int | None = None) -> float:
+def tabular_optimal_return(mdp: TabularMdp, gamma: float, horizon: int | None = None) -> float:
     """Optimal expected discounted return from the initial state (state 0)."""
-    g = mdp.spec.gamma if gamma is None else gamma
     h = mdp.spec.horizon if horizon is None else horizon
-    return float(value_iteration(mdp, g, h)[0])
-
-
-def tabular_greedy_policy(mdp: TabularMdp, gamma: float, iters: int = 500) -> np.ndarray:
-    """Stationary greedy policy from converged value iteration."""
-    V = value_iteration(mdp, gamma, iters)
-    return (mdp.R + gamma * (mdp.P @ V)).argmax(axis=1)
+    return float(value_iteration(mdp, gamma, h)[0])

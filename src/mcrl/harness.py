@@ -6,8 +6,8 @@ named RNG streams from the run seed, in this order:
 
     env, exploration, replay-sampling, init, evaluation
 
-so evaluation never perturbs training (the training trajectory is
-identical with evaluation disabled), and the replay stream's draw order
+so evaluation never perturbs training (the training trajectory is the
+same whatever ``eval_episodes`` is), and the replay stream's draw order
 within an iteration is documented in metacritic.train_iteration.
 
 Each seed writes ``seed<k>.csv`` with columns exactly
@@ -136,7 +136,7 @@ class RunConfig:
         if self.mc_hidden < 1:
             raise ValueError("mc_hidden must be >= 1")
         if self.params_multiplier != 1.0:  # the width search raises if out of reach
-            spec = make_env(self.env, self.env_seed, horizon=self.horizon or None).spec
+            spec = make_env(self.env, self.env_seed, horizon=self.horizon).spec
             params_scale(self, spec.state_dim, spec.action_dim)
         return self
 
@@ -219,8 +219,7 @@ def rng_streams(seed: int) -> Streams:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_policy(policy, env, episodes: int = 10,
-                    rng: np.random.Generator | None = None):
+def evaluate_policy(policy, env, episodes: int, rng: np.random.Generator):
     """Mean and std of the undiscounted episode return under greedy actions.
 
     ``policy`` is an Actor or any callable state -> action. No learning,
@@ -228,7 +227,6 @@ def evaluate_policy(policy, env, episodes: int = 10,
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rng = rng or np.random.default_rng(0)
     act = policy
     if isinstance(policy, Actor):
         mode = "mean" if policy.head_kind == "gaussian" else "deterministic"
@@ -366,8 +364,7 @@ def learner_config(cfg: RunConfig, scaled: dict) -> RunConfig:
                                hidden_critic=scaled["hidden_critic"])
 
 
-def run_seed(cfg: RunConfig, seed: int, out_dir: str,
-             evaluation_enabled: bool = True) -> dict:
+def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """Train one seed; writes seedK.csv / seedK.meta.txt into out_dir.
 
     A seed whose losses turn non-finite, or whose backward raises
@@ -376,8 +373,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
     primitive it names.
     """
     streams = rng_streams(seed)
-    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
-    eval_env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon or None)
+    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
+    eval_env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
 
     scaled = params_scale(cfg, spec.state_dim, spec.action_dim)
@@ -416,7 +413,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
             a = exploration_action(base, s, streams.exploration)
         s2, r, done = env.step(s, a, streams.env)
         # horizon timeouts are not terminal: bootstrap through the cutoff
-        buffer.push(s, a, r, s2, False)
+        buffer.push(s, a, r, s2)
         s = env.reset(streams.env) if done else s2
 
         if step > warmup:
@@ -448,11 +445,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str,
                         actor_named_params(base.actor))
 
         if step % cfg.eval_every == 0:
-            if evaluation_enabled:
-                mean, std = evaluate_policy(base.actor, eval_env,
-                                            cfg.eval_episodes, streams.evaluation)
-            else:
-                mean, std = 0.0, 0.0
+            mean, std = evaluate_policy(base.actor, eval_env, cfg.eval_episodes,
+                                        streams.evaluation)
             k = max(acc_n, 1)
             rows.append((step, mean, std, acc["loss_critic"] / k,
                          acc["loss_mcritic"] / k, acc["loss_meta"] / k))

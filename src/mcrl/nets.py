@@ -73,14 +73,6 @@ class DenseNet:
             self.params.append(Variable(w, f"{name}.{i}.W"))
             self.params.append(Variable(b, f"{name}.{i}.b"))
 
-    @property
-    def input_dim(self) -> int:
-        return self.dims[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.dims[-1]
-
     def forward(self, x, params=None, ops=ad):
         """Forward pass on ``ops``; ``params`` overrides the stored Variables."""
         if params is None:
@@ -95,15 +87,6 @@ class DenseNet:
             if act != "linear":
                 h = getattr(ops, act)(h)
         return h
-
-    def param_values(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.params]
-
-    def set_param_values(self, values) -> None:
-        if len(values) != len(self.params):
-            raise ValueError("parameter count mismatch")
-        for p, v in zip(self.params, values):
-            p.set_value(v)
 
     def architecture_matches(self, other: "DenseNet") -> bool:
         return self.dims == other.dims and self.activations == other.activations
@@ -146,13 +129,10 @@ class Actor:
 
     @property
     def feature_dim(self) -> int:
-        return self.feature.output_dim
+        return self.feature.dims[-1]
 
     def parameters(self) -> list[Variable]:
         return self.feature.params + self.head.params
-
-    def param_values(self) -> list[np.ndarray]:
-        return [p.value.copy() for p in self.parameters()]
 
     def set_param_values(self, values) -> None:
         ps = self.parameters()
@@ -225,8 +205,6 @@ class Critic:
                  hidden, twin: bool = False):
         dims = [state_dim + action_dim] + list(hidden) + [1]
         acts = ["relu"] * len(hidden) + ["linear"]
-        self.state_dim = state_dim
-        self.action_dim = action_dim
         self.net = DenseNet(dims, acts, rng, "q1")
         self.twin = DenseNet(dims, acts, rng, "q2") if twin else None
 

@@ -168,7 +168,7 @@ def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> 
         q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
                         critic.q_twin(batch.s_next, a2, ops=NumpyOps))
         q2 = q2 - h.alpha * logp2
-    return batch.r + h.gamma * (1.0 - batch.done) * q2
+    return batch.r + h.gamma * q2
 
 
 def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> float:

@@ -1,7 +1,9 @@
 """Transition storage as a column ring, with uniform with-replacement sampling.
 
-Each transition is stored once, as one row of five preallocated float64
-columns (s, a, r, s_next, done). Sampling draws independent uniform
+Each transition is stored once, as one row of four preallocated float64
+columns (s, a, r, s_next). There is no terminal flag: every environment's
+``done`` is a horizon timeout, which the learner bootstraps through, so a
+stored transition is never terminal. Sampling draws independent uniform
 indices, so the training and validation mini-batches of one iteration
 are independent draws that may overlap by chance. Sampling gathers
 copies of the rows and never mutates stored transitions.
@@ -23,7 +25,6 @@ class Batch:
     a: np.ndarray
     r: np.ndarray       # (N, 1)
     s_next: np.ndarray
-    done: np.ndarray    # (N, 1) float mask, 1.0 where terminal
 
     def __len__(self) -> int:
         return self.s.shape[0]
@@ -52,14 +53,12 @@ class ReplayBuffer:
             "a": np.empty((capacity, action_dim)),
             "r": np.empty((capacity, 1)),
             "s_next": np.empty((capacity, state_dim)),
-            "done": np.empty((capacity, 1)),
         }
 
     def __len__(self) -> int:
         return self._len
 
-    def push(self, s: np.ndarray, a: np.ndarray, r: float,
-             s_next: np.ndarray, done: bool) -> None:
+    def push(self, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray) -> None:
         if s.shape != (self.state_dim,) or s_next.shape != (self.state_dim,):
             raise ValueError(f"state shape {s.shape} does not match ({self.state_dim},)")
         if a.shape != (self.action_dim,):
@@ -81,7 +80,6 @@ class ReplayBuffer:
         c["a"][slot] = a
         c["r"][slot, 0] = r
         c["s_next"][slot] = s_next
-        c["done"][slot, 0] = 1.0 if done else 0.0
 
     def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if not self._len:
@@ -91,5 +89,4 @@ class ReplayBuffer:
     def sample_batch(self, n: int, rng: np.random.Generator) -> Batch:
         idx = self.sample_indices(n, rng)
         c = self._cols
-        return Batch(s=c["s"][idx], a=c["a"][idx], r=c["r"][idx],
-                     s_next=c["s_next"][idx], done=c["done"][idx])
+        return Batch(s=c["s"][idx], a=c["a"][idx], r=c["r"][idx], s_next=c["s_next"][idx])

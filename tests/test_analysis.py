@@ -8,7 +8,7 @@ def test_straight_line_explained_by_first_component():
     rng = np.random.default_rng(0)
     direction = rng.normal(size=30)
     snaps = [k * direction for k in range(8)]
-    coords, ratios = analysis.pca_trajectory(snaps)
+    coords, ratios, _ = analysis.pca_trajectory(snaps)
     assert ratios[0] >= 0.999
     np.testing.assert_allclose(coords[-1], [0.0, 0.0], atol=1e-12)
 
@@ -16,17 +16,9 @@ def test_straight_line_explained_by_first_component():
 def test_final_snapshot_maps_to_origin():
     rng = np.random.default_rng(1)
     snaps = [rng.normal(size=20) for _ in range(6)]
-    coords, _ = analysis.pca_trajectory(snaps)
+    coords, _, _ = analysis.pca_trajectory(snaps)
     np.testing.assert_allclose(coords[-1], [0.0, 0.0], atol=1e-12)
     assert coords.shape == (6, 2)
-
-
-def test_reconstruction_error_matches_discarded_spectrum():
-    rng = np.random.default_rng(2)
-    walk = np.cumsum(rng.normal(size=(12, 40)), axis=0)
-    snaps = [row for row in walk]
-    err, discarded = analysis.pca_reconstruction_error(snaps, k=2)
-    assert abs(err - discarded) <= 1e-9 * max(1.0, discarded)
 
 
 def test_identical_snapshots_rejected():

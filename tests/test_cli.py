@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 from mcrl import cli, harness
@@ -70,6 +69,20 @@ def test_surface_subcommand(run_dir):
                      "--episodes", "1", "--out", str(surf)]) == 0
     rows = [l for l in surf.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 3 and all(len(r.split(",")) == 3 for r in rows)
+
+
+def test_surface_rejects_identical_snapshots(run_dir):
+    # identical snapshots span no direction; surface must not grid along arbitrary axes
+    root, cfg_path, out = run_dir
+    same = root / "same"
+    same.mkdir()
+    snap = sorted((out / "snapshots").glob("seed0_*.txt"))[-1]
+    for k in range(3):
+        (same / f"s{k}.txt").write_bytes(snap.read_bytes())
+    with pytest.raises(ValueError, match="zero variance"):
+        cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(same),
+                  "--steps", "2", "--episodes", "1", "--out", str(root / "same.csv")])
+    assert not (root / "same.csv").exists()
 
 
 def test_compare_subcommand(run_dir, capsys):

@@ -186,20 +186,6 @@ def test_horizon_done_flags():
     assert dones == [False, False, True]
 
 
-def test_reward_bounds_respected():
-    rng = np.random.default_rng(7)
-    for name in envs.ENV_NAMES:
-        env = envs.make_env(name, env_seed=3)
-        s = env.reset(rng)
-        for _ in range(200):
-            a = rng.uniform(-2 * env.spec.action_bound, 2 * env.spec.action_bound,
-                            size=env.spec.action_dim)
-            s, r, done = env.step(s, a, rng)
-            assert env.spec.reward_min - 1e-12 <= r <= env.spec.reward_max + 1e-12
-            if done:
-                s = env.reset(rng)
-
-
 def test_determinism_identical_trajectories():
     for name in envs.ENV_NAMES:
         env = envs.make_env(name, env_seed=11)
@@ -222,7 +208,7 @@ def test_optimal_return_zero_rewards():
     P = np.zeros((2, 2, 2))
     P[..., 0] = 1.0
     mdp = envs.TabularMdp(P, np.zeros((2, 2)))
-    assert envs.tabular_optimal_return(mdp) == 0.0
+    assert envs.tabular_optimal_return(mdp, gamma=0.9) == 0.0
 
 
 def test_optimal_return_rewarding_self_loop():
@@ -231,7 +217,7 @@ def test_optimal_return_rewarding_self_loop():
     P[0, 1, 1] = 1.0
     P[1, :, 1] = 1.0
     R = np.array([[1.0, 0.0], [0.0, 0.0]])
-    mdp = envs.TabularMdp(P, R, gamma=0.9)
+    mdp = envs.TabularMdp(P, R)
     v = envs.tabular_optimal_return(mdp, gamma=0.9, horizon=10_000)
     assert v == pytest.approx(10.0, abs=1e-8)
 
@@ -253,8 +239,8 @@ def test_value_iteration_contracts():
 
 
 def test_random_instance_oracle_is_reproducible():
-    a = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123))
-    b = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123))
+    a = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123), gamma=0.9)
+    b = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123), gamma=0.9)
     assert a == b
 
 

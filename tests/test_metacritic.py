@@ -8,8 +8,7 @@ from mcrl.envs import EnvSpec
 from mcrl.replay import Batch, ReplayBuffer
 
 
-SPEC = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20,
-               gamma=0.99, reward_min=-5, reward_max=5)
+SPEC = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20)
 
 
 def small_cfg(algo="ddpg", **cfg_kw):
@@ -26,16 +25,16 @@ def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, inner_rate=None
 
 
 def batch_from_rows(rows):
-    """Column-stack (s, a, r, s_next, done) rows into a Batch, as sample_batch returns."""
-    s, a, r, s_next, done = zip(*rows)
+    """Column-stack (s, a, r, s_next) rows into a Batch, as sample_batch returns."""
+    s, a, r, s_next = zip(*rows)
     return Batch(s=np.stack(s), a=np.stack(a), r=np.array(r, dtype=np.float64)[:, None],
-                 s_next=np.stack(s_next), done=np.array(done, dtype=np.float64)[:, None])
+                 s_next=np.stack(s_next))
 
 
 def batch_of(n, seed):
     rng = np.random.default_rng(seed)
     return batch_from_rows([(rng.normal(size=2), rng.uniform(-1, 1, 1),
-                             float(rng.normal()), rng.normal(size=2), False)
+                             float(rng.normal()), rng.normal(size=2))
                             for _ in range(n)])
 
 
@@ -267,7 +266,7 @@ def fill_buffer(n=64, seed=40):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         buf.push(rng.normal(size=2), rng.uniform(-1, 1, 1),
-                 float(rng.normal()), rng.normal(size=2), False)
+                 float(rng.normal()), rng.normal(size=2))
     return buf
 
 

@@ -25,7 +25,9 @@ def test_zero_weight_feature_net_gives_zero_features():
 def test_identity_linear_layer_passes_states_through():
     rng = np.random.default_rng(0)
     net = nets.DenseNet([3, 3], ["linear"], rng)
-    net.set_param_values([np.eye(3), np.zeros(3)])
+    w, b = net.params
+    w.set_value(np.eye(3))
+    b.set_value(np.zeros(3))
     x = rng.normal(size=(4, 3))
     np.testing.assert_allclose(net.forward(x, ops=ad.NumpyOps), x)
     np.testing.assert_allclose(ad.evaluate(net.forward(x)), x)
@@ -203,9 +205,11 @@ def test_polyak_identities():
     for tp, ap in zip(t.params, a.params):
         np.testing.assert_array_equal(tp.value, ap.value)
     t = copy.deepcopy(a)
-    t.set_param_values([np.zeros_like(p.value) for p in t.params])
+    for p in t.params:
+        p.set_value(np.zeros_like(p.value))
     ones = copy.deepcopy(b)
-    ones.set_param_values([np.ones_like(p.value) for p in b.params])
+    for p in ones.params:
+        p.set_value(np.ones_like(p.value))
     nets.polyak(t, ones, 0.005)
     for tp in t.params:
         np.testing.assert_allclose(tp.value, 0.005)

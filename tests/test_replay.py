@@ -9,7 +9,7 @@ from mcrl.replay import ReplayBuffer
 
 def row(i, sdim=2, adim=1):
     return (np.full(sdim, float(i)), np.full(adim, 0.1 * i), float(i),
-            np.full(sdim, float(i) + 0.5), False)
+            np.full(sdim, float(i) + 0.5))
 
 
 def filled(n, capacity=16):
@@ -47,36 +47,35 @@ def test_ring_overwrite_keeps_newest_rows_in_slot_order():
 def test_shape_and_reward_validation():
     buf = ReplayBuffer(capacity=4, state_dim=2, action_dim=1)
     with pytest.raises(ValueError):
-        buf.push(np.zeros(3), np.zeros(1), 0.0, np.zeros(2), False)
+        buf.push(np.zeros(3), np.zeros(1), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        buf.push(np.zeros(2), np.zeros(1), 0.0, np.zeros(3), False)
+        buf.push(np.zeros(2), np.zeros(1), 0.0, np.zeros(3))
     with pytest.raises(ValueError):
-        buf.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2), False)
+        buf.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2))
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
-            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2), False)
+            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2))
     for bad in (np.zeros(2), np.ones(1), [1.0]):
         with pytest.raises(ValueError, match="scalar"):
-            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2), False)
+            buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2))
     assert len(buf) == 0
 
 
 def test_roundtrip_fields():
     buf = ReplayBuffer(capacity=4, state_dim=2, action_dim=1)
-    s, a, r, s_next, _ = row(7)
-    buf.push(s, a, r, s_next, True)
+    s, a, r, s_next = row(7)
+    buf.push(s, a, r, s_next)
     got = buf.sample_batch(1, np.random.default_rng(0))
     np.testing.assert_array_equal(got.s, [s])
     np.testing.assert_array_equal(got.a, [a])
     np.testing.assert_array_equal(got.r, [[r]])
     np.testing.assert_array_equal(got.s_next, [s_next])
-    np.testing.assert_array_equal(got.done, [[1.0]])
 
 
 def test_push_copies_caller_arrays():
     buf = ReplayBuffer(capacity=4, state_dim=2, action_dim=1)
-    s, a, r, s_next, done = row(3)
-    buf.push(s, a, r, s_next, done)
+    s, a, r, s_next = row(3)
+    buf.push(s, a, r, s_next)
     s[:] = -1.0
     a[:] = -1.0
     s_next[:] = -1.0
@@ -95,7 +94,7 @@ def test_push_allocates_no_per_transition_objects():
     try:
         held = tracemalloc.get_traced_memory()[0]
         for i in range(10_000):
-            buf.push(s, a, float(i), s_next, False)
+            buf.push(s, a, float(i), s_next)
         held = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
@@ -168,6 +167,6 @@ def test_train_and_validation_draws_are_independent():
 def test_sample_batch_shapes():
     b = filled(5).sample_batch(7, np.random.default_rng(0))
     assert b.s.shape == (7, 2) and b.a.shape == (7, 1)
-    assert b.r.shape == (7, 1) and b.done.shape == (7, 1)
+    assert b.r.shape == (7, 1)
     assert b.s_next.shape == (7, 2)
     assert len(b) == 7
