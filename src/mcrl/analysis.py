@@ -18,15 +18,19 @@ from .nets import Actor, flatten_values, load_params, unflatten_values
 
 def pca_trajectory(snapshots: list[np.ndarray]):
     """2-D coordinates for each snapshot, top-2 explained-variance ratios and
-    the two directions, as rows of a (2, n_params) array."""
+    the two directions, as rows of a (2, n_params) array.
+
+    Raises ValueError when the differences span fewer than two directions."""
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
     flats = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
     final = flats[-1]
     M = np.stack([f - final for f in flats[:-1]])
-    if not np.any(M):
-        raise ValueError("all snapshots identical: zero variance")
     _, svals, vt = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(svals > svals[0] * max(M.shape) * np.finfo(M.dtype).eps))
+    if rank < 2:
+        raise ValueError(f"snapshot differences have rank {rank}, need 2: zero "
+                         "variance along a second direction, which would be arbitrary")
     directions = vt[:2]
     coords = np.stack([f - final for f in flats]) @ directions.T
     total = float(np.sum(svals**2))

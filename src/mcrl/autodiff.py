@@ -21,6 +21,9 @@ derivatives such as the derivative of a gradient step with respect to
 parameters of the loss that produced it. Both modes give the same
 gradient bits.
 
+A fully-connected layer is one primitive, ``dense(x, w, b, act)``, so a
+net's forward records, and its backward walks, one Node per layer.
+
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
 bit-identical, and a gradient's bits do not depend on which other
@@ -39,6 +42,7 @@ import numpy as np
 DTYPE = np.float64
 LOG_2PI = math.log(2.0 * math.pi)
 SQUASH_EPS = 1e-9
+DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
 _graph = sys.modules[__name__]  # the graph ops namespace: this module
 
@@ -180,11 +184,9 @@ class NumpyOps:
     clip = staticmethod(np.clip)
     square = staticmethod(lambda a: a * a)
     power = staticmethod(lambda a, p: a ** p)
-    relu = staticmethod(lambda a: np.maximum(a, 0.0))
     softplus = staticmethod(lambda a: np.logaddexp(0.0, a))
     # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
     sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
-    affine = staticmethod(lambda x, w, b: x @ w + b)
     # sum of all elements, as a 0-d array
     asum = staticmethod(lambda a: np.asarray(a.sum(), dtype=DTYPE))
     sum_axis0 = staticmethod(lambda a: a.sum(axis=0))
@@ -193,6 +195,20 @@ class NumpyOps:
     concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
     slice_cols = staticmethod(lambda a, i0, i1: a[:, i0:i1])
     transpose = staticmethod(lambda a: a.T)
+
+    @staticmethod
+    def dense(x, w, b, act):
+        """One fully-connected layer act(x @ w + b), for act in ``DENSE_ACTS``."""
+        h = x @ w + b
+        if act == "relu":
+            return np.maximum(h, 0.0)
+        if act == "tanh":
+            return np.tanh(h)
+        if act == "softplus":
+            return np.logaddexp(0.0, h)
+        if act == "linear":
+            return h
+        raise ValueError(f"unknown activation {act!r}")
 
     @staticmethod
     def mean(a):
@@ -264,9 +280,9 @@ def _binary(name: str) -> Callable[..., Node]:
 
 
 add, sub, mul = (_binary(name) for name in ("add", "sub", "mul"))
-neg, relu, tanh, sigmoid, softplus, exp, log, square, absval, asum = (
+neg, tanh, sigmoid, softplus, exp, log, square, absval, asum = (
     _unary(name) for name in
-    ("neg", "relu", "tanh", "sigmoid", "softplus", "exp", "log", "square", "absval", "asum"))
+    ("neg", "tanh", "sigmoid", "softplus", "exp", "log", "square", "absval", "asum"))
 
 
 def scale(a, c: float) -> Node:
@@ -283,14 +299,14 @@ def matmul(a, b) -> Node:
     return Node("matmul", NumpyOps.matmul(av, bv), (a, b))
 
 
-def affine(x, w, b) -> Node:
-    """Row-wise affine map x @ w + b for x (N, I), w (I, O), b (O,)."""
+def dense(x, w, b, act: str) -> Node:
+    """One fully-connected layer act(x @ w + b) for x (N, I), w (I, O), b (O,)."""
     x, w, b = as_node(x), as_node(w), as_node(b)
     xv, wv, bv = x.value, w.value, b.value
     if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
             or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
-        raise ShapeError("affine", xv.shape, wv.shape, bv.shape)
-    return Node("affine", NumpyOps.affine(xv, wv, bv), (x, w, b))
+        raise ShapeError("dense", xv.shape, wv.shape, bv.shape)
+    return Node("dense", NumpyOps.dense(xv, wv, bv, act), (x, w, b), (act,))
 
 
 def power(a, p: float) -> Node:
@@ -466,16 +482,24 @@ def _vjp_matmul(ops, g, n, live):
     return (ga, gb)
 
 
-def _vjp_affine(ops, g, n, live):
+def _vjp_dense(ops, g, n, live):
     x, w, b = n.parents
+    act = n.attrs[0]
+    # g becomes the gradient of the pre-activation x @ w + b
+    if act == "relu":
+        # the value is NaN where x @ w + b is, so this mask is (x @ w + b > 0)
+        g = ops.mul(g, ops.constant(n.value > 0.0))
+    elif act == "tanh":
+        (g,) = _vjp_tanh(ops, g, n, live)  # it reads only the node's own value
+    elif act == "softplus":
+        # the pre-activation is rebuilt, not taken as a constant, so that with
+        # create_graph the result stays differentiable in x, w and b
+        pre = ops.dense(ops.as_node(x), ops.as_node(w), ops.as_node(b), "linear")
+        g = ops.mul(g, ops.sigmoid(pre))
     gx = ops.matmul(g, ops.transpose(ops.as_node(w))) if x in live else None
     gw = ops.matmul(ops.transpose(ops.as_node(x)), g) if w in live else None
     gb = ops.sum_axis0(g) if b in live else None
     return (gx, gw, gb)
-
-
-def _vjp_relu(ops, g, n, live):
-    return (ops.mul(g, ops.constant(n.parents[0].value > 0.0)),)
 
 
 def _vjp_tanh(ops, g, n, live):
@@ -557,8 +581,8 @@ def _vjp_transpose(ops, g, n, live):
 
 _VJP: dict[str, Callable] = {
     "add": _vjp_add, "sub": _vjp_sub, "neg": _vjp_neg, "mul": _vjp_mul,
-    "scale": _vjp_scale, "matmul": _vjp_matmul, "affine": _vjp_affine,
-    "relu": _vjp_relu, "tanh": _vjp_tanh, "sigmoid": _vjp_sigmoid,
+    "scale": _vjp_scale, "matmul": _vjp_matmul, "dense": _vjp_dense,
+    "tanh": _vjp_tanh, "sigmoid": _vjp_sigmoid,
     "softplus": _vjp_softplus, "exp": _vjp_exp, "log": _vjp_log,
     "square": _vjp_square, "power": _vjp_power, "absval": _vjp_absval,
     "minimum": _vjp_minimum, "clip": _vjp_clip, "asum": _vjp_reduce,
@@ -609,12 +633,18 @@ def _live_order(root: Node, targets: set) -> tuple[list[Node], set, set]:
     return order, live, ends
 
 
+def _has_nan(ops, g) -> bool:
+    m = ops.evaluate(g).min()  # min propagates NaN
+    return m != m
+
+
 def _walk(out: Node, targets: list[Node], ops, check: bool) -> dict:
     """Accumulate VJPs from ``out`` over the live nodes in reverse post-order.
 
     Returns the gradient of each live node, keyed on the node. With
     ``check`` it raises NanGradientError at the first node in the walk
-    whose gradient holds a NaN, naming that node's primitive.
+    whose gradient holds a NaN, naming that node's primitive, or at the
+    first rule that sends a NaN to a leaf, naming the rule's primitive.
     """
     grads: dict[Node, object] = {}
     if not out.requires_grad:
@@ -626,14 +656,15 @@ def _walk(out: Node, targets: list[Node], ops, check: bool) -> dict:
     vjps = _VJP
     for node in reversed(order):
         g = grads[node]
-        if check:
-            m = ops.evaluate(g).min()  # min propagates NaN
-            if m != m:
-                raise NanGradientError(node.op)
+        if check and _has_nan(ops, g):
+            raise NanGradientError(node.op)
         if node in ends:
             continue
         for p, c in zip(node.parents, vjps[node.op](ops, g, node, live)):
             if c is not None:
+                # a leaf would be named "leaf"; name the rule that sent the NaN
+                if check and not p.parents and _has_nan(ops, c):
+                    raise NanGradientError(node.op)
                 prev = grads.get(p)
                 grads[p] = c if prev is None else ops.add(prev, c)
     return grads
@@ -655,8 +686,9 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
 
     Raises ShapeError for a non-scalar output. Raises NanGradientError
     when a returned gradient holds a NaN, naming the first primitive in
-    the reverse walk whose output gradient held one; a NaN confined to a
-    branch that reaches no entry of ``wrt`` raises nothing.
+    the reverse walk whose output gradient held one or whose rule sent
+    one into a leaf; a NaN confined to a branch that reaches no entry of
+    ``wrt`` raises nothing.
     """
     out = as_node(output)
     if out.value.size != 1:
@@ -671,8 +703,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
         if g is None:
             results.append(ops.constant(np.zeros(t.value.shape, dtype=DTYPE)))
             continue
-        m = ops.evaluate(g).min()
-        if m != m:
+        if _has_nan(ops, g):
             # walk again with the per-node check on; it raises at the source
             _walk(out, targets, ops, check=True)
         results.append(g)

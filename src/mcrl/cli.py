@@ -54,18 +54,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _snapshot_paths(snapshot_dir: str, pattern: str) -> list[str]:
+def _snapshot_pca(snapshot_dir: str, pattern: str):
+    """The snapshot paths matching ``pattern`` and ``pca_trajectory`` of them."""
     paths = sorted(glob.glob(os.path.join(snapshot_dir, pattern)))
     if len(paths) < 3:
         raise SystemExit(f"need at least 3 snapshots matching {pattern!r} "
                          f"in {snapshot_dir}")
-    return paths
+    vecs = analysis.load_snapshot_vectors(paths)
+    try:
+        return paths, analysis.pca_trajectory(vecs)
+    except ValueError as err:
+        raise SystemExit(f"{snapshot_dir}: {err}") from None
 
 
 def cmd_pca(args) -> int:
-    paths = _snapshot_paths(args.snapshots, args.pattern)
-    vecs = analysis.load_snapshot_vectors(paths)
-    coords, ratios, _ = analysis.pca_trajectory(vecs)
+    paths, (coords, ratios, _) = _snapshot_pca(args.snapshots, args.pattern)
     with open(args.out, "w") as fh:
         fh.write("# explained_variance_ratio=" +
                  ",".join(repr(float(r)) for r in ratios) + "\n")
@@ -81,10 +84,8 @@ def cmd_surface(args) -> int:
     cfg = harness.load_config(args.config)
     env, actor = _build_actor_for(cfg)
     if args.snapshots:
-        paths = _snapshot_paths(args.snapshots, args.pattern)
-        vecs = analysis.load_snapshot_vectors(paths)
+        paths, (_, _, (d1, d2)) = _snapshot_pca(args.snapshots, args.pattern)
         _load_actor_params(actor, paths[-1])
-        _, _, (d1, d2) = analysis.pca_trajectory(vecs)
     else:
         if not (args.center and args.d1 and args.d2):
             raise SystemExit("need either --snapshots or --center/--d1/--d2")

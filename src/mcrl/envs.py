@@ -76,6 +76,8 @@ class TabularMdp:
             raise ValueError("rewards must be finite")
         self.P = P
         self.R = R
+        # ``rng.choice(2, p=row)``'s cdf at 0: its one random() draw >= this picks 1
+        self._cdf0 = (P[..., 0] / (P[..., 0] + P[..., 1])).tolist()
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=horizon)
         self._t = 0
 
@@ -101,7 +103,7 @@ class TabularMdp:
         s = int(np.argmax(state))
         k = 1 if a[0] > 0.0 else 0
         r = float(self.R[s, k])
-        s2 = int(rng.choice(2, p=self.P[s, k]))
+        s2 = int(rng.random() >= self._cdf0[s][k])
         self._t += 1
         done = self._t >= self.spec.horizon
         return self._encode(s2), r, done

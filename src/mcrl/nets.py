@@ -1,7 +1,8 @@
 """Network definitions for the actor-critic learners.
 
 An actor is split into a feature extractor (everything up to the
-penultimate activation) and a decision head (the last linear layer).
+penultimate activation) and a decision head (the last layer, tanh when
+deterministic, linear when gaussian).
 The auxiliary-loss network consumes the feature extractor's output, so
 its value depends jointly on the policy parameters and the states fed
 through them. Three auxiliary variants are supported:
@@ -11,11 +12,11 @@ through them. Three auxiliary variants are supported:
 * ``param-reg``: a learned nonnegative per-parameter weight on |phi|.
 
 Every forward is written once, against an ``ops`` namespace (see
-``autodiff``). The default, the autodiff module, builds a graph, with
-parameters optionally overridden, which is how putative parameter sets
-are evaluated. ``autodiff.NumpyOps`` computes the same values on raw
-arrays, building no graph, for rollouts and target computations where no
-gradient is ever needed.
+``autodiff``), one ``ops.dense`` call per layer. The default, the autodiff
+module, builds a graph, with parameters optionally overridden, which is
+how putative parameter sets are evaluated. ``autodiff.NumpyOps``
+computes the same values on raw arrays, building no graph, for rollouts
+and target computations where no gradient is ever needed.
 
 Parameter snapshots are saved as plain text, one tensor per line:
 ``name<TAB>dim0,dim1<TAB>v0 v1 v2 ...`` with full-precision floats
@@ -34,8 +35,6 @@ from .autodiff import Node, NumpyOps, Variable
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
-
-_ACTIVATIONS = ("relu", "tanh", "softplus", "linear")
 
 
 def softplus_inverse(y: float) -> float:
@@ -56,7 +55,7 @@ class DenseNet:
         if len(activations) != len(dims) - 1:
             raise ValueError("need one activation per layer")
         for a in activations:
-            if a not in _ACTIVATIONS:
+            if a not in ad.DENSE_ACTS:
                 raise ValueError(f"unknown activation {a!r}")
         self.dims = list(dims)
         self.activations = list(activations)
@@ -83,9 +82,7 @@ class DenseNet:
         as_node = ops.as_node
         h = as_node(x)
         for i, act in enumerate(self.activations):
-            h = ops.affine(h, as_node(params[2 * i]), as_node(params[2 * i + 1]))
-            if act != "linear":
-                h = getattr(ops, act)(h)
+            h = ops.dense(h, as_node(params[2 * i]), as_node(params[2 * i + 1]), act)
         return h
 
     def architecture_matches(self, other: "DenseNet") -> bool:
@@ -122,10 +119,10 @@ class Actor:
         self.head_kind = head_kind
         feat_dims = [state_dim] + list(hidden)
         self.feature = DenseNet(feat_dims, ["relu"] * len(hidden), rng, "feature")
-        out = action_dim if head_kind == "deterministic" else 2 * action_dim
+        det = head_kind == "deterministic"
         # small final layer keeps early actions near zero
-        self.head = DenseNet([hidden[-1], out], ["linear"], rng, "head",
-                             final_scale=0.01)
+        self.head = DenseNet([hidden[-1], action_dim if det else 2 * action_dim],
+                             ["tanh" if det else "linear"], rng, "head", final_scale=0.01)
 
     @property
     def feature_dim(self) -> int:
@@ -165,7 +162,7 @@ class Actor:
         """
         out = self.head_out(states, params, ops)
         if self.head_kind == "deterministic":
-            return ops.scale(ops.tanh(out), self.action_scale), None
+            return ops.scale(out, self.action_scale), None
         d = self.action_dim
         mean_ = ops.slice_cols(out, 0, d)
         log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)

@@ -7,7 +7,8 @@ from mcrl import analysis, envs, harness, nets
 def test_straight_line_explained_by_first_component():
     rng = np.random.default_rng(0)
     direction = rng.normal(size=30)
-    snaps = [k * direction for k in range(8)]
+    # a little scatter off the line: an exact line has no second direction
+    snaps = [k * direction + 1e-3 * rng.normal(size=30) for k in range(8)]
     coords, ratios, _ = analysis.pca_trajectory(snaps)
     assert ratios[0] >= 0.999
     np.testing.assert_allclose(coords[-1], [0.0, 0.0], atol=1e-12)
@@ -27,6 +28,14 @@ def test_identical_snapshots_rejected():
         analysis.pca_trajectory(snaps)
     with pytest.raises(ValueError):
         analysis.pca_trajectory([np.ones(5)] * 2)
+
+
+def test_collinear_snapshots_rejected():
+    # differences of rank 1 leave the second direction numerically arbitrary
+    rng = np.random.default_rng(2)
+    start, step = rng.normal(size=20), rng.normal(size=20)
+    with pytest.raises(ValueError, match="rank 1"):
+        analysis.pca_trajectory([start + k * step for k in range(5)])
 
 
 def make_actor(seed=0):

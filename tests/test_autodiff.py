@@ -46,7 +46,7 @@ def test_fd_gradient_parabola_and_constant():
 def test_non_scalar_output_rejected():
     x = ad.Variable(np.zeros((2, 2)))
     with pytest.raises(ad.ShapeError):
-        ad.backward(ad.relu(x), [x])
+        ad.backward(ad.tanh(x), [x])
 
 
 def test_shape_mismatch_error_names_primitive():
@@ -79,7 +79,7 @@ def test_nan_gradient_error_names_interior_primitive():
     w2 = ad.Variable(rng.normal(size=(4, 2)))
     x = ad.constant(rng.normal(size=(5, 3)))
     with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
-        h = ad.tanh(ad.log(ad.affine(x, w1, b1)))
+        h = ad.tanh(ad.log(ad.dense(x, w1, b1, "linear")))
     y = ad.mean(ad.square(ad.matmul(h, w2)))
     with pytest.raises(ad.NanGradientError) as ei:
         ad.backward(y, [w1, b1, w2])
@@ -110,21 +110,7 @@ def test_unreachable_variable_gets_zeros():
     np.testing.assert_allclose(gx, np.full((2, 2), 0.5))  # 2x / 4 at x=1
 
 
-def _nodes_built(monkeypatch, fn):
-    made = []
-    real_init = ad.Node.__init__
-
-    def counting_init(node, op, *args, **kwargs):
-        made.append(op)
-        real_init(node, op, *args, **kwargs)
-
-    monkeypatch.setattr(ad.Node, "__init__", counting_init)
-    fn()
-    monkeypatch.setattr(ad.Node, "__init__", real_init)
-    return made
-
-
-def test_create_graph_builds_nothing_off_the_requested_paths(monkeypatch):
+def test_create_graph_builds_nothing_off_the_requested_paths(nodes_built):
     rng = np.random.default_rng(4)
     x = ad.Variable(rng.normal(size=(3, 2)))
     z = ad.Variable(rng.normal(size=(3, 2)))
@@ -132,8 +118,8 @@ def test_create_graph_builds_nothing_off_the_requested_paths(monkeypatch):
     f = ad.mean(ad.tanh(ad.matmul(x, w)))
     g = ad.asum(ad.mul(ad.exp(z), ad.sigmoid(z)))
     y = ad.add(f, g)
-    alone = _nodes_built(monkeypatch, lambda: ad.backward(f, [x], create_graph=True))
-    both = _nodes_built(monkeypatch, lambda: ad.backward(y, [x], create_graph=True))
+    alone = nodes_built(lambda: ad.backward(f, [x], create_graph=True))
+    both = nodes_built(lambda: ad.backward(y, [x], create_graph=True))
     assert alone
     assert both == alone
 
@@ -161,8 +147,7 @@ def _mlp_scalar(params, x, acts):
     """Forward a small MLP given Variables [(W, b), ...]; scalar mean output."""
     h = ad.constant(x)
     for (w, b), act in zip(params, acts):
-        h = ad.affine(h, w, b)
-        h = act(h)
+        h = ad.dense(h, w, b, act)
     return ad.mean(h)
 
 
@@ -177,11 +162,11 @@ def test_perceptron_gradient_matches_fd():
     def loss_with(var, arr):
         old = var.value.copy()
         var.set_value(arr)
-        out = float(ad.evaluate(_mlp_scalar([(w1, b1), (w2, b2)], x, [ad.tanh, lambda h: h])))
+        out = float(ad.evaluate(_mlp_scalar([(w1, b1), (w2, b2)], x, ["tanh", "linear"])))
         var.set_value(old)
         return out
 
-    y = _mlp_scalar([(w1, b1), (w2, b2)], x, [ad.tanh, lambda h: h])
+    y = _mlp_scalar([(w1, b1), (w2, b2)], x, ["tanh", "linear"])
     grads = ad.backward(y, [w1, b1, w2, b2])
     for var, g in zip([w1, b1, w2, b2], grads):
         fd = ad.fd_gradient(lambda a, v=var: loss_with(v, a), var.value, epsilon=1e-4)
@@ -195,7 +180,8 @@ PRIMITIVE_CASES = [
     ("neg", ad.neg),
     ("mul", lambda x: ad.mul(x, ad.constant(np.array([1.5, -2.0, 0.25])))),
     ("scale", lambda x: ad.scale(x, -1.7)),
-    ("relu", ad.relu),
+    # relu of the bias of a dense layer with a zero input row
+    ("relu", lambda x: ad.dense(np.zeros((1, 2)), np.zeros((2, 3)), x, "relu")),
     ("tanh", ad.tanh),
     ("sigmoid", ad.sigmoid),
     ("softplus", ad.softplus),
@@ -287,11 +273,11 @@ _NUMPY_OPS_CASES = {
     "mul": lambda r: (_rand(r, 4, 3), _rand(r, 4, 1)),
     "scale": lambda r: (_rand(r, 4, 3), 0.37),
     "matmul": lambda r: (_rand(r, 4, 3), _rand(r, 3, 5)),
-    "affine": lambda r: (_rand(r, 4, 3), _rand(r, 3, 5), _rand(r, 5)),
+    **{f"dense-{act}": lambda r, act=act: (_rand(r, 4, 3) * 3, _rand(r, 3, 5), _rand(r, 5), act)
+       for act in ad.DENSE_ACTS},
     "exp": lambda r: (_rand(r, 4, 3),),
     "log": lambda r: (np.abs(_rand(r, 4, 3)) + 0.1,),
     "tanh": lambda r: (_rand(r, 4, 3) * 3,),
-    "relu": lambda r: (_rand(r, 4, 3),),
     "softplus": lambda r: (_rand(r, 4, 3) * 5,),
     "sigmoid": lambda r: (_rand(r, 4, 3) * 5,),
     "square": lambda r: (_rand(r, 4, 3),),
@@ -325,7 +311,13 @@ def _as_graph_arg(arg):
     return arg
 
 
-@pytest.mark.parametrize("name", sorted(set(ad._VJP) | {"mean"} | set(_NUMPY_OPS_CASES)))
+def _with_uncovered(cases, ops):
+    """The case names, plus each of ``ops`` that no case names (it fails)."""
+    covered = {name.split("-")[0] for name in cases}
+    return sorted(set(cases) | {op for op in ops if op not in covered})
+
+
+@pytest.mark.parametrize("name", _with_uncovered(_NUMPY_OPS_CASES, set(ad._VJP) | {"mean"}))
 def test_numpy_ops_match_graph_primitives_bit_for_bit(name):
     # every primitive with a backward rule, so a primitive without a case fails
     assert name in _NUMPY_OPS_CASES, f"no case for the primitive {name!r}"
@@ -342,7 +334,8 @@ def test_numpy_ops_match_graph_primitives_bit_for_bit(name):
 
 # op -> (shape of x, shape of z, expression over the Variables x and z that
 # applies the op); the backward rules are shared by both modes, so each must
-# give the same bits in both
+# give the same bits in both. A suffix after "-" only tells apart cases of
+# the same op.
 _VJP_CASES = {
     "add": ((4, 3), (3,), lambda x, z: ad.add(x, z)),
     "sub": ((4, 3), (4, 1), lambda x, z: ad.sub(x, z)),
@@ -350,8 +343,8 @@ _VJP_CASES = {
     "mul": ((4, 3), (4, 1), lambda x, z: ad.mul(x, z)),
     "scale": ((4, 3), (1,), lambda x, z: ad.scale(x, -1.7)),
     "matmul": ((4, 3), (3, 2), lambda x, z: ad.matmul(x, z)),
-    "affine": ((4, 3), (3, 2), lambda x, z: ad.affine(x, z, ad.sum_axis0(z))),
-    "relu": ((4, 3), (1,), lambda x, z: ad.relu(x)),
+    **{f"dense-{act}": ((4, 3), (3, 2), lambda x, z, act=act: ad.dense(x, z, ad.sum_axis0(z), act))
+       for act in ad.DENSE_ACTS},
     "tanh": ((4, 3), (1,), lambda x, z: ad.tanh(x)),
     "sigmoid": ((4, 3), (1,), lambda x, z: ad.sigmoid(x)),
     "softplus": ((4, 3), (1,), lambda x, z: ad.softplus(x)),
@@ -384,15 +377,15 @@ def _ops_reached(node):
     return {n.op for n in seen}
 
 
-@pytest.mark.parametrize("op", sorted(ad._VJP))
+@pytest.mark.parametrize("op", _with_uncovered(_VJP_CASES, ad._VJP))
 def test_first_order_and_create_graph_gradients_agree_bit_for_bit(op):
     assert op in _VJP_CASES, f"no case for the backward rule of {op!r}"
     x_shape, z_shape, fn = _VJP_CASES[op]
-    rng = np.random.default_rng(sorted(ad._VJP).index(op))
+    rng = np.random.default_rng(sorted(_VJP_CASES).index(op))
     x = ad.Variable(rng.normal(size=x_shape))
     z = ad.Variable(np.abs(rng.normal(size=z_shape)) + 0.1)
     out = fn(x, z)
-    assert op in _ops_reached(out)
+    assert op.split("-")[0] in _ops_reached(out)
     # a random cotangent, so every rule sees an upstream gradient that is not all ones
     y = ad.asum(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
     first = ad.backward(y, [x, z])
@@ -415,11 +408,12 @@ def _random_composition(rng, w_arr=None, b_arr=None):
     w = ad.Variable(w_default if w_arr is None else w_arr, "w")
     b = ad.Variable(b_default if b_arr is None else b_arr, "b")
     x = ad.constant(rng.normal(size=(n, d)))
-    z = ad.affine(x, w, b)
-    acts = [ad.tanh, ad.relu, ad.softplus, ad.sigmoid,
+    # a dense activation, or an elementwise op after a linear dense layer
+    acts = ["tanh", "relu", "softplus", ad.sigmoid,
             lambda t: ad.clip(t, -0.8, 0.8), ad.square, ad.absval]
-    z = acts[int(rng.integers(0, len(acts)))](z)
-    z = ad.minimum(z, ad.tanh(ad.affine(x, w, b)))
+    act = acts[int(rng.integers(0, len(acts)))]
+    z = ad.dense(x, w, b, act) if isinstance(act, str) else act(ad.dense(x, w, b, "linear"))
+    z = ad.minimum(z, ad.dense(x, w, b, "tanh"))
     red = [ad.mean, lambda t: ad.scale(ad.asum(t), 1e-2),
            lambda t: ad.mean(ad.sum_axis1(t)),
            lambda t: ad.mean(ad.exp(ad.scale(t, 0.3)))]
@@ -470,6 +464,25 @@ def test_double_backprop_through_inner_step_matches_fd():
         fd = ad.fd_gradient(lambda a: _outer_value(a, phi_val, xs, wf),
                             omega.value, 1e-5)
         assert rel_err(gom, fd, floor=1e-8) < 1e-4
+
+
+@pytest.mark.parametrize("act", ad.DENSE_ACTS)
+def test_dense_gradient_of_a_gradient_matches_fd(act):
+    # d/dw of |df/dx|^2 for f = sum(dense(x, w, b, act)): with create_graph
+    # the dense rule's result must stay differentiable in w
+    rng = np.random.default_rng(ad.DENSE_ACTS.index(act))
+    x0, w0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+
+    def grad_norm(w):
+        x = ad.Variable(x0)
+        (gx,) = ad.backward(ad.asum(ad.dense(x, w, ad.constant(b0), act)), [x],
+                            create_graph=True)
+        return ad.asum(ad.square(gx))
+
+    w = ad.Variable(w0)
+    (gw,) = ad.backward(grad_norm(w), [w])
+    fd = ad.fd_gradient(lambda a: float(ad.evaluate(grad_norm(ad.Variable(a)))), w0, 1e-5)
+    assert rel_err(gw, fd) < 1e-5
 
 
 def _outer_value(omega_arr, phi_val, xs, wf):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from mcrl import cli, harness
+from mcrl import cli, harness, nets
 
 
 CFG = """\
@@ -79,10 +79,24 @@ def test_surface_rejects_identical_snapshots(run_dir):
     snap = sorted((out / "snapshots").glob("seed0_*.txt"))[-1]
     for k in range(3):
         (same / f"s{k}.txt").write_bytes(snap.read_bytes())
-    with pytest.raises(ValueError, match="zero variance"):
+    with pytest.raises(SystemExit, match="zero variance"):
         cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(same),
                   "--steps", "2", "--episodes", "1", "--out", str(root / "same.csv")])
     assert not (root / "same.csv").exists()
+
+
+def test_pca_rejects_collinear_snapshots(run_dir):
+    # snapshots on one line span one direction; pca exits with one line, as
+    # for its other input errors, and writes nothing
+    root, _, out = run_dir
+    line = root / "line"
+    line.mkdir()
+    named = nets.load_params(sorted((out / "snapshots").glob("seed0_*.txt"))[-1])
+    for k in range(5):
+        nets.save_params(line / f"s{k}.txt", [(n, v * (1.0 + k)) for n, v in named])
+    with pytest.raises(SystemExit, match="rank 1"):
+        cli.main(["pca", "--snapshots", str(line), "--out", str(root / "line.csv")])
+    assert not (root / "line.csv").exists()
 
 
 def test_compare_subcommand(run_dir, capsys):

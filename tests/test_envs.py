@@ -141,6 +141,21 @@ def test_step_matches_numpy_reference_bit_for_bit(name):
                           np.array(ref_rewards).view(np.uint64))
 
 
+def test_tabular_draw_matches_rng_choice():
+    # step compares one rng.random() draw with P0 / (P0 + P1); rng.choice(2, p=row)
+    # must give the same next state and leave the generator in the same state
+    tables = np.random.default_rng(5).dirichlet(np.ones(2), size=(50, 2, 2))
+    tables[0] = [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [1.0, 0.0]]]
+    for i, P in enumerate(tables):
+        env = envs.TabularMdp(P, np.zeros((2, 2)), horizon=10**9)
+        rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+        for t in range(200):
+            s, k = t % 2, t // 2 % 2
+            s2, _, _ = env.step(np.eye(2)[s], np.array([k - 0.5]), rng)
+            assert int(np.argmax(s2)) == int(ref_rng.choice(2, p=P[s, k]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_pointmass_reset_within_box():
     env = envs.PointMass()
     rng = np.random.default_rng(0)

@@ -294,7 +294,7 @@ def test_real_divergence_aborts_with_the_primitive(tmp_path):
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "104"
     assert meta["aborted_at_iteration"] == "4"
-    assert meta["aborted_primitive"] == "affine"
+    assert meta["aborted_primitive"] == "dense"
     assert meta["update_blocks"] == "3"
 
 

@@ -33,6 +33,14 @@ def test_identity_linear_layer_passes_states_through():
     np.testing.assert_allclose(ad.evaluate(net.forward(x)), x)
 
 
+def test_graph_forward_records_one_node_per_layer(nodes_built):
+    net = nets.DenseNet([3, 7, 5, 1], ["relu", "tanh", "softplus"], np.random.default_rng(0))
+    x = ad.constant(np.random.default_rng(1).normal(size=(4, 3)))
+    out = []
+    assert nodes_built(lambda: out.append(net.forward(x))) == ["dense"] * 3
+    assert out[0].attrs == ("softplus",)
+
+
 def test_features_are_rowwise():
     actor = make_actor(seed=3)
     states = np.random.default_rng(2).normal(size=(6, 3))

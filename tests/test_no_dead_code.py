@@ -1,15 +1,28 @@
 """Every function, class, method and property in ``src/mcrl`` has a use in ``src/``.
 
 A name counts as used when ``src/`` mentions it outside its own definition:
-as a name, an attribute, or a string (``getattr(ops, "relu")`` dispatch).
+as a name, an attribute, or a string (``getattr(NumpyOps, name)`` dispatch).
 Names are matched by spelling alone, so a method shares its uses with every
 same-named definition. Dunder methods are called by Python itself and are
 not checked.
+
+Primitives are named by the string keys of ``autodiff._VJP``, so the check
+above cannot see a dead one. A second check runs a training iteration of
+every algo, meta-critic variant and meta-loss and requires each backward
+rule's primitive to be built as a Node on the way.
 """
 
 import ast
+import itertools
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from mcrl import autodiff as ad
+from mcrl import harness, metacritic, nets, offpac
+from mcrl.envs import EnvSpec
+from mcrl.replay import ReplayBuffer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcrl"
 
@@ -69,3 +82,41 @@ def test_every_definition_is_used_in_src():
 def test_allowlist_names_only_definitions_without_a_caller():
     # an allowlisted name that gained a caller, or lost its definition, leaves the list
     assert sorted(u.split()[-1] for u in unused_definitions()) == sorted(ALLOWED)
+
+
+# primitives with a backward rule that no src/ path builds, each for one reason
+UNBUILT = {
+    "pad_cols": "built by slice_cols's rule with create_graph; no create_graph pass "
+                "walks a slice_cols node, and its rule keeps that rule complete",
+    "power": "built by log's rule with create_graph; no create_graph pass walks a "
+             "log node, and its rule keeps that rule complete",
+    "sum_to": "built by the broadcasting add, sub and mul rules and by broadcast's rule "
+              "with create_graph; no create_graph pass walks one, and its rule keeps "
+              "those rules complete",
+}
+
+
+def _train_every_config():
+    """One actor update of every algo, meta-critic variant and meta-loss."""
+    spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20)
+    for algo, variant, kind in itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
+                                                 metacritic.META_LOSS_KINDS):
+        cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=kind,
+                                hidden_actor=(3,), hidden_critic=(3,), mc_hidden=3,
+                                batch_n=4, batch_m=4)
+        rng = np.random.default_rng(0)
+        ms = harness.build_meta_state(cfg, spec, rng)
+        buffer = ReplayBuffer(8, spec.state_dim, spec.action_dim)
+        for _ in range(8):
+            buffer.push(rng.normal(size=2), rng.uniform(-1.0, 1.0, 1), float(rng.normal()),
+                        rng.normal(size=2))
+        for _ in range(cfg.policy_delay):  # the last iteration updates the actor
+            metacritic.train_iteration(ms, buffer, rng)
+
+
+def test_every_backward_rule_has_a_primitive_src_builds(nodes_built):
+    made = set(nodes_built(_train_every_config))
+    assert sorted(set(ad._VJP) - made - set(UNBUILT)) == []
+    # an allowlisted primitive that src/ now builds, or that lost its rule, leaves the list
+    assert sorted(set(UNBUILT) & made) == []
+    assert sorted(set(UNBUILT) - set(ad._VJP)) == []
