@@ -54,22 +54,25 @@ def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
     Every grid point is evaluated with an identically seeded generator
     (common random numbers), so the surface is a deterministic function
     of the parameters. Returns an array of shape (len(ys), len(xs)).
+    Raises ValueError, before any evaluation, for directions whose length
+    is not the actor's parameter count or that are linearly dependent.
     """
     d1 = np.asarray(d1, dtype=np.float64).ravel()
     d2 = np.asarray(d2, dtype=np.float64).ravel()
-    if np.linalg.matrix_rank(np.stack([d1, d2])) < 2:
-        raise ValueError("directions must be linearly independent")
     saved = [p.value.copy() for p in actor.parameters()]
     center = flatten_values(saved)
     if center.size != d1.size or center.size != d2.size:
-        raise ValueError("direction length does not match parameter count")
+        raise ValueError(f"direction lengths {d1.size} and {d2.size} do not match "
+                         f"the actor's {center.size} parameters")
+    if np.linalg.matrix_rank(np.stack([d1, d2])) < 2:
+        raise ValueError("directions must be linearly independent")
     grid = np.zeros((len(ys), len(xs)))
     try:
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
                 actor.set_param_values(unflatten_values(center + x * d1 + y * d2, saved))
                 rng = np.random.default_rng(eval_seed)
-                grid[j, i], _ = evaluate_policy(actor, env, episodes, rng)
+                grid[j, i], _ = evaluate_policy(actor.act_np, env, episodes, rng)
     finally:
         actor.set_param_values(saved)
     return grid

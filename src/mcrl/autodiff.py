@@ -99,31 +99,20 @@ class Node:
         return f"Node({self.op}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
-class Variable:
-    """A named leaf Node whose value can be replaced (shape is fixed)."""
+class Variable(Node):
+    """A named leaf Node, a learned parameter: its value can be replaced, its shape cannot."""
 
-    __slots__ = ("node", "name")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str = ""):
-        self.node = Node("leaf", _arr(value), (), (), requires_grad=True)
+        super().__init__("leaf", _arr(value), (), (), requires_grad=True)
         self.name = name
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.node.value
-
-    @property
-    def shape(self):
-        return self.node.value.shape
 
     def set_value(self, value) -> None:
         v = _arr(value)
-        if v.shape != self.node.value.shape:
-            raise ShapeError("set_value", self.node.value.shape, v.shape)
-        self.node.value = v
-
-    def __repr__(self):
-        return f"Variable({self.name!r}, shape={self.shape})"
+        if v.shape != self.value.shape:
+            raise ShapeError("set_value", self.value.shape, v.shape)
+        self.value = v
 
 
 def constant(value) -> Node:
@@ -133,10 +122,8 @@ def constant(value) -> Node:
 
 def as_node(x) -> Node:
     t = type(x)
-    if t is Node:
+    if t is Node or t is Variable:
         return x
-    if t is Variable:
-        return x.node
     return constant(x)
 
 
@@ -158,9 +145,9 @@ class NumpyOps:
     bits by construction. A forward written once against an ops namespace
     (the compositions below, ``nets``, ``offpac.actor_loss``) runs on the
     graph with this module as ``ops`` and on plain arrays with
-    ``ops=NumpyOps``. ``as_node`` and ``evaluate`` unwrap a Variable or a
-    Node to its value. The backward rules run on this class unless
-    ``create_graph=True``.
+    ``ops=NumpyOps``. ``as_node`` and ``evaluate`` unwrap a Node, a
+    Variable included, to its value. The backward rules run on this class
+    unless ``create_graph=True``.
     """
 
     @staticmethod
@@ -673,7 +660,7 @@ def _walk(out: Node, targets: list[Node], ops, check: bool) -> dict:
 def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     """Gradients of a scalar expression with respect to ``wrt``.
 
-    Returns one gradient per entry of ``wrt`` (Variables or Nodes), each
+    Returns one gradient per entry of ``wrt`` (Nodes, Variables among them), each
     shaped like the entry's value. Entries unreachable from ``output``
     get zero gradients. With ``create_graph=True`` the results are Nodes
     and remain differentiable, which is what enables second-order

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness, nets, offpac
+from .autodiff import ShapeError
 from .envs import make_env
 
 
@@ -27,7 +28,10 @@ def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
     n_params = len(actor.parameters())
     if len(named) != n_params:
         raise SystemExit(f"snapshot has {len(named)} tensors, actor needs {n_params}")
-    actor.set_param_values([arr for _, arr in named])
+    try:
+        actor.set_param_values([arr for _, arr in named])
+    except ShapeError as err:
+        raise SystemExit(f"{snapshot_path}: tensor shapes do not fit the actor: {err}") from None
 
 
 def cmd_run(args) -> int:
@@ -48,7 +52,7 @@ def cmd_eval(args) -> int:
     env, actor = _build_actor_for(cfg)
     _load_actor_params(actor, args.params)
     rng = np.random.default_rng(args.eval_seed)
-    mean, std = harness.evaluate_policy(actor, env, args.episodes, rng)
+    mean, std = harness.evaluate_policy(actor.act_np, env, args.episodes, rng)
     print(f"eval_return_mean={mean!r}")
     print(f"eval_return_std={std!r}")
     return 0
@@ -94,8 +98,11 @@ def cmd_surface(args) -> int:
         d2 = analysis.load_snapshot_vectors([args.d2])[0]
     xs = np.linspace(args.lo, args.hi, args.steps)
     ys = np.linspace(args.lo, args.hi, args.steps)
-    grid = analysis.reward_surface(actor, d1, d2, xs, ys, env,
-                                   episodes=args.episodes, eval_seed=args.eval_seed)
+    try:
+        grid = analysis.reward_surface(actor, d1, d2, xs, ys, env,
+                                       episodes=args.episodes, eval_seed=args.eval_seed)
+    except ValueError as err:  # the directions' checks raise before any evaluation
+        raise SystemExit(f"surface: {err}") from None
     with open(args.out, "w") as fh:
         fh.write("# rows: y from low to high; cols: x from low to high\n")
         fh.write("# xs=" + ",".join(repr(float(v)) for v in xs) + "\n")

@@ -23,7 +23,6 @@ plot: ``smooth`` and ``max_average_return`` summarise the curves.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from . import __version__
 from .autodiff import NanGradientError
 from .envs import ENV_NAMES, make_env
 from .metacritic import META_LOSS_KINDS, MetaState, train_iteration
-from .nets import MC_VARIANTS, Actor, actor_named_params, save_params
+from .nets import MC_VARIANTS, actor_named_params, save_params
 from .offpac import ALGOS, OPTIMIZERS, AlgoState, exploration_action
 from .replay import ReplayBuffer
 
@@ -141,12 +140,10 @@ class RunConfig:
         return self
 
 
-_INT_TUPLE_FIELDS = {"seeds", "hidden_actor", "hidden_critic"}
-
-
 def _parse_value(name: str, text: str, ftype):
+    """``text`` as a value of type ``ftype``, the type of the field's default."""
     text = text.strip()
-    if name in _INT_TUPLE_FIELDS:
+    if ftype is tuple:  # every tuple field holds ints
         return tuple(int(v) for v in text.split(",") if v != "")
     if ftype is bool:
         if text.lower() in ("true", "1", "yes"):
@@ -219,18 +216,15 @@ def rng_streams(seed: int) -> Streams:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_policy(policy, env, episodes: int, rng: np.random.Generator):
-    """Mean and std of the undiscounted episode return under greedy actions.
+def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
+    """Mean and std of the undiscounted episode return of the policy ``act``.
 
-    ``policy`` is an Actor or any callable state -> action. No learning,
-    no buffer writes; uses only the generator passed in.
+    ``act`` is a callable state -> action; an actor's ``act_np``, called
+    without noise, gives its greedy action. No learning, no buffer
+    writes; uses only the generator passed in.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    act = policy
-    if isinstance(policy, Actor):
-        mode = "mean" if policy.head_kind == "gaussian" else "deterministic"
-        act = functools.partial(policy.act_np, mode=mode)
     returns = []
     for _ in range(episodes):
         s = env.reset(rng)
@@ -315,7 +309,7 @@ def network_param_count(cfg: RunConfig, state_dim: int, action_dim: int,
     ha = list(hidden_actor or cfg.hidden_actor)
     hc = list(hidden_critic or cfg.hidden_critic)
     head_out = 2 * action_dim if cfg.algo == "sac" else action_dim
-    actor = _dense_count([state_dim] + ha) + _dense_count([ha[-1], head_out])
+    actor = _dense_count([state_dim] + ha + [head_out])
     critic = _dense_count([state_dim + action_dim] + hc + [1])
     if cfg.algo in ("td3", "sac"):
         critic *= 2
@@ -445,7 +439,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                         actor_named_params(base.actor))
 
         if step % cfg.eval_every == 0:
-            mean, std = evaluate_policy(base.actor, eval_env, cfg.eval_episodes,
+            mean, std = evaluate_policy(base.actor.act_np, eval_env, cfg.eval_episodes,
                                         streams.evaluation)
             k = max(acc_n, 1)
             rows.append((step, mean, std, acc["loss_critic"] / k,

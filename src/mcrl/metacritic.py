@@ -60,7 +60,6 @@ class MetaState:
             self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
         # the one derived setting: an inner_lr of -1 shares the actor's rate
         self.inner_rate = cfg.actor_lr if cfg.inner_lr < 0 else cfg.inner_lr
-        self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
 
 class PutativeUpdate(NamedTuple):
@@ -80,7 +79,7 @@ class PutativeUpdate(NamedTuple):
 
 
 def _require_omega_path(ms: MetaState, pu: PutativeUpdate) -> None:
-    omega = [w.node for w in ms.mc.parameters()]
+    omega = ms.mc.parameters()
     if not any(ad.reaches(pn, omega) for pn in pu.phi_new):
         raise MetaGraphError(
             "phi_new carries no gradient path to the meta-critic parameters; "
@@ -157,7 +156,6 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
     # actor takes the summed inner gradient; omega a plain SGD step
     ms.base.actor_opt.step(pu.grad_total)
     ms.mc_opt.step(g_omega)
-    ms.base.last_actor_loss = pu.l_critic_trn
     return {"loss_critic": pu.l_critic_trn,
             "loss_mcritic": pu.l_mcritic_trn,
             "loss_meta": meta_value}
@@ -184,8 +182,6 @@ def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generato
         noise_trn = base.actor_noise(len(d_trn), rng)
         d_val = buffer.sample_batch(base.cfg.batch_m, rng)
         noise_val = base.actor_noise(len(d_val), rng)
-        ms.last_metrics = meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
+        base.last_metrics = meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
         apply_target_updates(base)
-    out = dict(ms.last_metrics)
-    out["loss_td"] = td_loss
-    return out
+    return {**base.last_metrics, "loss_td": td_loss}

@@ -1,11 +1,11 @@
 """Network definitions for the actor-critic learners.
 
-An actor is split into a feature extractor (everything up to the
-penultimate activation) and a decision head (the last layer, tanh when
-deterministic, linear when gaussian).
-The auxiliary-loss network consumes the feature extractor's output, so
-its value depends jointly on the policy parameters and the states fed
-through them. Three auxiliary variants are supported:
+An actor is one ``DenseNet``: relu hidden layers, then a decision head
+(the last layer, tanh when deterministic, linear when gaussian). Its
+features are the same net run up to the penultimate activation. The
+auxiliary-loss network consumes those features, so its value depends
+jointly on the policy parameters and the states fed through them. Three
+auxiliary variants are supported:
 
 * ``feature``: a softplus-capped MLP over the actor features alone,
 * ``feature-state-action``: the same MLP over (features, state, action),
@@ -72,8 +72,12 @@ class DenseNet:
             self.params.append(Variable(w, f"{name}.{i}.W"))
             self.params.append(Variable(b, f"{name}.{i}.b"))
 
-    def forward(self, x, params=None, ops=ad):
-        """Forward pass on ``ops``; ``params`` overrides the stored Variables."""
+    def forward(self, x, params=None, ops=ad, layers=None):
+        """Forward pass on ``ops``; ``params`` overrides the stored Variables.
+
+        ``layers`` runs the layers ``activations[:layers]`` selects, so
+        ``layers=-1`` stops at the penultimate activation.
+        """
         if params is None:
             params = self.params
         elif len(params) != len(self.params):
@@ -81,32 +85,30 @@ class DenseNet:
                              f"got {len(params)}")
         as_node = ops.as_node
         h = as_node(x)
-        for i, act in enumerate(self.activations):
+        for i, act in enumerate(self.activations[:layers]):
             h = ops.dense(h, as_node(params[2 * i]), as_node(params[2 * i + 1]), act)
         return h
 
-    def architecture_matches(self, other: "DenseNet") -> bool:
-        return self.dims == other.dims and self.activations == other.activations
 
-
-def polyak(target: DenseNet, source: DenseNet, tau: float) -> DenseNet:
-    """In-place blend target <- (1 - tau) * target + tau * source."""
-    if not target.architecture_matches(source):
-        raise ValueError("polyak: architecture mismatch")
+def polyak(target: list[Variable], source: list[Variable], tau: float) -> None:
+    """In-place blend target <- (1 - tau) * target + tau * source, parameter by parameter."""
+    # compared up front: numpy would broadcast some mismatched pairs silently
+    if [t.value.shape for t in target] != [s.value.shape for s in source]:
+        raise ValueError("polyak: target and source parameter shapes differ")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("polyak: tau must lie in [0, 1]")
-    for t, s in zip(target.params, source.params):
+    for t, s in zip(target, source):
         t.set_value((1.0 - tau) * t.value + tau * s.value)
-    return target
 
 
 class Actor:
-    """Policy network with explicit feature / head decomposition.
+    """Policy network: one DenseNet whose last layer is the decision head.
 
-    head_kind "deterministic": action = scale * tanh(head(feature(s))).
-    head_kind "gaussian": head outputs (mean, log_std); sampling is
-    reparameterized with caller-supplied noise and tanh-squashed, and
-    log-densities carry the change-of-variables correction.
+    head_kind "deterministic": action = scale * tanh(net(s)); it takes no
+    noise. head_kind "gaussian": the net outputs (mean, log_std). Given
+    noise, the action is a reparameterized, tanh-squashed sample whose
+    log-density carries the change-of-variables correction; without
+    noise it is the greedy scale * tanh(mean).
     """
 
     def __init__(self, state_dim: int, action_dim: int, action_scale: float,
@@ -117,19 +119,18 @@ class Actor:
         self.action_dim = action_dim
         self.action_scale = float(action_scale)
         self.head_kind = head_kind
-        feat_dims = [state_dim] + list(hidden)
-        self.feature = DenseNet(feat_dims, ["relu"] * len(hidden), rng, "feature")
         det = head_kind == "deterministic"
         # small final layer keeps early actions near zero
-        self.head = DenseNet([hidden[-1], action_dim if det else 2 * action_dim],
-                             ["tanh" if det else "linear"], rng, "head", final_scale=0.01)
+        self.net = DenseNet([state_dim, *hidden, action_dim if det else 2 * action_dim],
+                            ["relu"] * len(hidden) + ["tanh" if det else "linear"], rng,
+                            "actor", final_scale=0.01)
 
     @property
     def feature_dim(self) -> int:
-        return self.feature.dims[-1]
+        return self.net.dims[-2]
 
     def parameters(self) -> list[Variable]:
-        return self.feature.params + self.head.params
+        return self.net.params
 
     def set_param_values(self, values) -> None:
         ps = self.parameters()
@@ -138,44 +139,30 @@ class Actor:
         for p, v in zip(ps, values):
             p.set_value(v)
 
-    def _split(self, params):
-        if params is None:
-            return None, None
-        nf = len(self.feature.params)
-        return params[:nf], params[nf:]
-
     def features(self, states, params=None) -> Node:
-        """Feature-extractor output for a (N, state_dim) batch."""
-        fp, _ = self._split(params)
-        return self.feature.forward(states, fp)
+        """Penultimate-layer output for a (N, state_dim) batch."""
+        return self.net.forward(states, params, layers=-1)
 
-    def head_out(self, states, params=None, ops=ad):
-        fp, hp = self._split(params)
-        return self.head.forward(self.feature.forward(states, fp, ops), hp, ops)
-
-    def act(self, states, mode: str = "deterministic", noise=None, params=None, ops=ad,
-            with_logp: bool = True):
-        """Batched policy output on ``ops``.
+    def act(self, states, noise=None, params=None, ops=ad, with_logp: bool = True):
+        """Batched policy output on ``ops``: a sample given ``noise``, else the greedy action.
 
         Returns (action, log_prob); log_prob is None unless the head is
-        gaussian, mode is "sample" and ``with_logp`` holds.
+        gaussian, ``noise`` is given and ``with_logp`` holds. Raises
+        ValueError when a deterministic actor is given noise.
         """
-        out = self.head_out(states, params, ops)
+        if noise is not None and self.head_kind == "deterministic":
+            raise ValueError("a deterministic actor takes no noise")
+        out = self.net.forward(states, params, ops)
         if self.head_kind == "deterministic":
             return ops.scale(out, self.action_scale), None
         d = self.action_dim
         mean_ = ops.slice_cols(out, 0, d)
-        log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
-        if mode == "mean":
-            return ops.scale(ops.tanh(mean_), self.action_scale), None
-        if mode != "sample":
-            raise ValueError(f"unknown act mode {mode!r}")
         if noise is None:
-            raise ValueError("sample mode requires an explicit noise tensor")
+            return ops.scale(ops.tanh(mean_), self.action_scale), None
+        log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
         return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, ops, with_logp)
 
-    def act_np(self, state: np.ndarray, mode: str = "deterministic",
-               noise: np.ndarray | None = None, params=None,
+    def act_np(self, state: np.ndarray, noise: np.ndarray | None = None, params=None,
                return_logp: bool = False):
         """``act`` on ``NumpyOps``, for a single state or a batch.
 
@@ -183,12 +170,12 @@ class Actor:
         (N, action_dim) and a log-prob of shape (N, 1). A 1-D state gives
         an action of shape (action_dim,) and a log-prob of shape (1,).
         Returns the action alone, or (action, log_prob) with
-        ``return_logp``; the log-prob is None outside sample mode.
+        ``return_logp``; the log-prob is None without noise.
         """
         single = state.ndim == 1
         if noise is not None and noise.ndim == 1:
             noise = noise[None, :]
-        a, logp = self.act(state[None, :] if single else state, mode, noise, params,
+        a, logp = self.act(state[None, :] if single else state, noise, params,
                            NumpyOps, return_logp)
         if single:
             a, logp = a[0], (None if logp is None else logp[0])
@@ -271,12 +258,8 @@ class MetaCriticNet:
 # parameter snapshots
 # ---------------------------------------------------------------------------
 
-def named_params(prefix: str, net: DenseNet) -> list[tuple[str, np.ndarray]]:
-    return [(f"{prefix}.{p.name}", p.value) for p in net.params]
-
-
 def actor_named_params(actor: Actor) -> list[tuple[str, np.ndarray]]:
-    return named_params("actor", actor.feature) + named_params("actor", actor.head)
+    return [(p.name, p.value) for p in actor.parameters()]
 
 
 def save_params(path, named: list[tuple[str, np.ndarray]]) -> None:

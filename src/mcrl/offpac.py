@@ -91,7 +91,8 @@ class AlgoState:
         self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
         self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
         self.it = 0
-        self.last_actor_loss = 0.0
+        # the figures of the latest actor step, which delayed iterations repeat
+        self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
     def actor_due(self) -> bool:
         """True when this iteration performs an actor (and target) update."""
@@ -123,11 +124,10 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
     sac = state.cfg.algo == "sac"
     if sac and noise is None:
         raise ValueError("sac actor loss needs reparameterization noise")
-    mode = "sample" if sac else "deterministic"
     if ops is ad:
-        a, logp = state.actor.act(batch.s, mode, noise, actor_params)
+        a, logp = state.actor.act(batch.s, noise, actor_params)
     else:  # every raw-array policy call goes through act_np, where traces count them
-        a, logp = state.actor.act_np(batch.s, mode, noise, actor_params, return_logp=True)
+        a, logp = state.actor.act_np(batch.s, noise, actor_params, return_logp=True)
     q1c, q2c = state.critic_const_params()
     q = state.critic.q(batch.s, a, q1c, ops)
     if not sac:
@@ -163,8 +163,7 @@ def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> 
                         critic.q_twin(batch.s_next, a2, ops=NumpyOps))
     else:  # sac: fresh sample from the live actor, entropy-corrected target
         noise = rng.standard_normal((len(batch), state.spec.action_dim))
-        a2, logp2 = state.actor.act_np(batch.s_next, mode="sample", noise=noise,
-                                       return_logp=True)
+        a2, logp2 = state.actor.act_np(batch.s_next, noise, return_logp=True)
         q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
                         critic.q_twin(batch.s_next, a2, ops=NumpyOps))
         q2 = q2 - h.alpha * logp2
@@ -192,7 +191,7 @@ def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator
     scale = state.spec.action_bound
     if state.cfg.algo == "sac":
         noise = rng.standard_normal(state.spec.action_dim)
-        a = state.actor.act_np(s, mode="sample", noise=noise)
+        a = state.actor.act_np(s, noise)
     else:
         a = state.actor.act_np(s)
         a = a + rng.standard_normal(state.spec.action_dim) * (state.cfg.expl_noise * scale)
@@ -200,13 +199,9 @@ def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator
 
 
 def apply_target_updates(state: AlgoState) -> None:
-    tau = state.cfg.tau
-    polyak(state.target_critic.net, state.critic.net, tau)
-    if state.critic.twin is not None:
-        polyak(state.target_critic.twin, state.critic.twin, tau)
+    polyak(state.target_critic.parameters(), state.critic.parameters(), state.cfg.tau)
     if state.target_actor is not None:
-        polyak(state.target_actor.feature, state.actor.feature, tau)
-        polyak(state.target_actor.head, state.actor.head, tau)
+        polyak(state.target_actor.parameters(), state.actor.parameters(), state.cfg.tau)
 
 
 def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer,
@@ -225,11 +220,6 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer,
         value = float(ad.evaluate(loss))
         grads = ad.backward(loss, state.actor.parameters())
         state.actor_opt.step(grads)
-        state.last_actor_loss = value
+        state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
         apply_target_updates(state)
-    return {
-        "loss_critic": state.last_actor_loss,
-        "loss_td": td_loss,
-        "loss_mcritic": 0.0,
-        "loss_meta": 0.0,
-    }
+    return {**state.last_metrics, "loss_td": td_loss}

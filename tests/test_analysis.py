@@ -50,7 +50,7 @@ def test_surface_single_point_equals_direct_evaluation():
     d1, d2 = rng.normal(size=n), rng.normal(size=n)
     grid = analysis.reward_surface(actor, d1, d2, [0.0], [0.0], env,
                                    episodes=3, eval_seed=11)
-    direct, _ = harness.evaluate_policy(actor, envs.PointMass(horizon=20),
+    direct, _ = harness.evaluate_policy(actor.act_np, envs.PointMass(horizon=20),
                                         episodes=3, rng=np.random.default_rng(11))
     assert grid.shape == (1, 1)
     assert grid[0, 0] == direct

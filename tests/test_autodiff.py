@@ -498,9 +498,9 @@ def _outer_value(omega_arr, phi_val, xs, wf):
 def test_reaches_helper():
     x = ad.Variable(np.array(1.0))
     y = ad.square(ad.tanh(x))
-    assert ad.reaches(y, [x.node])
+    assert ad.reaches(y, [x])
     z = ad.Variable(np.array(2.0))
-    assert not ad.reaches(y, [z.node])
+    assert not ad.reaches(y, [z])
 
 
 def test_interior_diamond_accumulates_before_propagation():

@@ -104,3 +104,73 @@ def test_compare_subcommand(run_dir, capsys):
     assert cli.main(["compare", str(out), str(out), "--window", "3"]) == 0
     printed = capsys.readouterr().out
     assert "difference=0.0" in printed
+
+
+def _last_snapshot(out):
+    return sorted((out / "snapshots").glob("seed0_*.txt"))[-1]
+
+
+def test_eval_loads_snapshots_with_the_old_tensor_names(run_dir, capsys):
+    # snapshots written while the actor was two nets name their tensors
+    # actor.feature.<i> and actor.head.0; values and order are the same
+    root, cfg_path, out = run_dir
+    snap = _last_snapshot(out)
+    named = nets.load_params(snap)
+    assert [n for n, _ in named] == [f"actor.{i}.{k}" for i in range(3) for k in "Wb"]
+    old_names = [f"actor.feature.{i}.{k}" for i in range(2) for k in "Wb"] + \
+        ["actor.head.0.W", "actor.head.0.b"]
+    old = root / "old_names.txt"
+    nets.save_params(old, [(n, v) for n, (_, v) in zip(old_names, named)])
+    printed = []
+    for path in (snap, old):
+        assert cli.main(["eval", "--config", str(cfg_path), "--params", str(path),
+                         "--episodes", "2"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+@pytest.fixture
+def misshapen(run_dir):
+    """A snapshot with the actor's tensor count whose first tensor is flattened."""
+    root, _, out = run_dir
+    named = nets.load_params(_last_snapshot(out))
+    path = root / "misshapen.txt"
+    nets.save_params(path, [(named[0][0], named[0][1].ravel())] + named[1:])
+    return path
+
+
+def test_eval_rejects_misshapen_snapshot(run_dir, misshapen):
+    _, cfg_path, _ = run_dir
+    with pytest.raises(SystemExit, match="shapes do not fit"):
+        cli.main(["eval", "--config", str(cfg_path), "--params", str(misshapen)])
+
+
+def test_surface_rejects_misshapen_center(run_dir, misshapen):
+    root, cfg_path, out = run_dir
+    snap = _last_snapshot(out)
+    with pytest.raises(SystemExit, match="shapes do not fit"):
+        cli.main(["surface", "--config", str(cfg_path), "--center", str(misshapen),
+                  "--d1", str(snap), "--d2", str(snap), "--out", str(root / "bad.csv")])
+    assert not (root / "bad.csv").exists()
+
+
+def test_surface_rejects_directions_of_the_wrong_length(run_dir):
+    root, cfg_path, out = run_dir
+    snap = _last_snapshot(out)
+    short = root / "short.txt"
+    nets.save_params(short, nets.load_params(snap)[:-1])
+    with pytest.raises(SystemExit, match="do not match"):
+        cli.main(["surface", "--config", str(cfg_path), "--center", str(snap),
+                  "--d1", str(short), "--d2", str(snap), "--out", str(root / "bad.csv")])
+    assert not (root / "bad.csv").exists()
+
+
+def test_surface_rejects_dependent_directions(run_dir):
+    root, cfg_path, out = run_dir
+    snap = _last_snapshot(out)
+    double = root / "double.txt"
+    nets.save_params(double, [(n, 2.0 * v) for n, v in nets.load_params(snap)])
+    with pytest.raises(SystemExit, match="independent"):
+        cli.main(["surface", "--config", str(cfg_path), "--center", str(snap),
+                  "--d1", str(snap), "--d2", str(double), "--out", str(root / "bad.csv")])
+    assert not (root / "bad.csv").exists()

@@ -108,7 +108,7 @@ def test_non_default_settings_reach_the_learner():
     assert type(base.critic_opt) is offpac.Adam and base.critic_opt.lr == 0.03
     assert type(ms.mc_opt) is offpac.Sgd and ms.mc_opt.lr == 0.04
     assert ms.inner_rate == 0.05
-    assert base.actor.feature.dims == [sd, 5, 6] and base.actor.head.dims == [6, ad]
+    assert base.actor.net.dims == [sd, 5, 6, ad]
     assert base.critic.net.dims == base.critic.twin.dims == [sd + ad, 7, 1]
     assert ms.mc.variant == "feature-state-action" and ms.mc.f.dims == [6 + sd + ad, 9, 9, 1]
 
@@ -314,6 +314,19 @@ def test_params_scale_identity_and_doubling():
     # actor: 4*10+10 + 10*2+2 = 72; doubled: 4*20+20 + 20*2+2 = 142
     # critic: 6*10+10 + 10*1+1 = 81; doubled: 6*20+20 + 20*1+1 = 161
     assert c1 == 72 + 81 and c2 == 142 + 161
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_param_count_is_the_count_of_the_nets_built(algo):
+    # the default widths, then other widths through the override arguments
+    spec = envs.make_env("pendulum").spec
+    cfg = harness.RunConfig(algo=algo)
+    for ha, hc in ((None, None), ((5, 7, 3), (9,))):
+        built = dataclasses.replace(cfg, hidden_actor=ha or cfg.hidden_actor,
+                                    hidden_critic=hc or cfg.hidden_critic)
+        state = offpac.AlgoState(built, spec, np.random.default_rng(0))
+        n = sum(p.value.size for p in state.actor.parameters() + state.critic.parameters())
+        assert harness.network_param_count(cfg, spec.state_dim, spec.action_dim, ha, hc) == n
 
 
 def test_params_scale_ten_percent_within_five(tmp_path):

@@ -15,7 +15,7 @@ def make_actor(head="deterministic", state_dim=3, action_dim=2, scale=1.5, seed=
 
 def test_zero_weight_feature_net_gives_zero_features():
     actor = make_actor()
-    for p in actor.feature.params:
+    for p in actor.parameters()[:-2]:  # all but the head
         p.set_value(np.zeros_like(p.value))
     states = np.random.default_rng(1).normal(size=(5, 3))
     feats = ad.evaluate(actor.features(states))
@@ -62,19 +62,45 @@ def test_deterministic_zero_weights_zero_action():
 def test_gaussian_zero_noise_equals_mean_mode():
     actor = make_actor(head="gaussian", seed=5)
     states = np.random.default_rng(0).normal(size=(4, 3))
-    a_mean, _ = actor.act(states, mode="mean")
-    a_sample, logp = actor.act(states, mode="sample", noise=np.zeros((4, 2)))
+    a_mean, no_logp = actor.act(states)
+    a_sample, logp = actor.act(states, np.zeros((4, 2)))
     np.testing.assert_allclose(ad.evaluate(a_sample), ad.evaluate(a_mean))
-    assert logp is not None
-    with pytest.raises(ValueError):
-        actor.act(states, mode="sample")
+    assert no_logp is None and logp is not None
+
+
+def test_noise_alone_selects_a_sample():
+    states = np.random.default_rng(0).normal(size=(4, 3))
+    det = make_actor(seed=5)
+    for state, noise in ((states, np.zeros((4, 2))), (states[0], np.zeros(2))):
+        with pytest.raises(ValueError, match="no noise"):
+            det.act_np(state, noise)
+    with pytest.raises(ValueError, match="no noise"):
+        det.act(states, np.zeros((4, 2)))
+    # without noise a gaussian actor gives scale * tanh(mean), the same bits
+    # on the graph and on raw arrays
+    gauss = make_actor(head="gaussian", seed=5)
+    greedy = 1.5 * np.tanh(gauss.net.forward(states, ops=ad.NumpyOps)[:, :2])
+    assert np.array_equal(gauss.act_np(states), greedy)
+    assert np.array_equal(ad.evaluate(gauss.act(states)[0]), greedy)
+
+
+def test_actor_is_one_net_whose_prefix_gives_the_features():
+    actor = make_actor(head="gaussian", seed=7, hidden=(8, 5))
+    assert actor.net.dims == [3, 8, 5, 4] and actor.feature_dim == 5
+    assert [p.name for p in actor.parameters()] == [f"actor.{i}.{k}" for i in range(3)
+                                                    for k in "Wb"]
+    states = np.random.default_rng(1).normal(size=(6, 3))
+    h = states
+    for w, b in zip(actor.parameters()[:-2:2], actor.parameters()[1:-2:2]):
+        h = np.maximum(h @ w.value + b.value, 0.0)
+    assert np.array_equal(ad.evaluate(actor.features(states)), h)
 
 
 def test_actions_respect_bounds():
     actor = make_actor(head="gaussian", seed=7, scale=0.7)
     states = np.random.default_rng(1).normal(size=(64, 3)) * 5
     noise = np.random.default_rng(2).normal(size=(64, 2)) * 3
-    a = actor.act_np(states, mode="sample", noise=noise)
+    a = actor.act_np(states, noise)
     assert np.all(np.abs(a) <= 0.7 + 1e-12)
 
 
@@ -83,7 +109,7 @@ def test_squashed_logp_matches_quadrature():
     # and compare exp(logp) against it pointwise
     actor = make_actor(head="gaussian", state_dim=2, action_dim=1, scale=1.0, seed=9)
     state = np.random.default_rng(3).normal(size=(1, 2))
-    out = actor.head_out(state, ops=ad.NumpyOps)
+    out = actor.net.forward(state, ops=ad.NumpyOps)
     mu, log_std = out[0, 0], np.clip(out[0, 1], nets.LOG_STD_MIN, nets.LOG_STD_MAX)
     sigma = np.exp(log_std)
 
@@ -99,15 +125,14 @@ def test_squashed_logp_matches_quadrature():
     a_grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 200001)
     grid_noise = ((np.arctanh(a_grid) - mu) / sigma)[:, None]
     grid_states = np.repeat(state, a_grid.size, axis=0)
-    _, grid_logp = actor.act_np(grid_states, mode="sample", noise=grid_noise,
-                                return_logp=True)
+    _, grid_logp = actor.act_np(grid_states, grid_noise, return_logp=True)
     assert grid_logp.shape == (a_grid.size, 1)
     squashed_mass = np.trapezoid(np.exp(grid_logp[:, 0]), a_grid)
     assert abs(squashed_mass - 1.0) < 1e-6
 
     for eps in (-0.8, -0.3, 0.0, 0.4, 1.2):
         noise = np.array([[eps]])
-        a, logp = actor.act_np(state, mode="sample", noise=noise, return_logp=True)
+        a, logp = actor.act_np(state, noise, return_logp=True)
         assert logp.shape == (1, 1)
         u = mu + sigma * eps
         p_analytic = (np.exp(-0.5 * eps**2) / (sigma * np.sqrt(2 * np.pi))
@@ -123,11 +148,10 @@ def test_logp_gradient_matches_fd():
 
     def loss_at(values):
         vals = nets.unflatten_values(values, [p.value for p in params])
-        _, logp = actor.act(states, mode="sample", noise=noise,
-                            params=[ad.constant(v) for v in vals])
+        _, logp = actor.act(states, noise, [ad.constant(v) for v in vals])
         return float(ad.evaluate(ad.mean(logp)))
 
-    _, logp = actor.act(states, mode="sample", noise=noise)
+    _, logp = actor.act(states, noise)
     grads = ad.backward(ad.mean(logp), params)
     flat_g = nets.flatten_values(grads)
     flat_p = nets.flatten_values([p.value for p in params])
@@ -189,7 +213,7 @@ def test_meta_loss_gradient_reaches_actor():
         s = np.random.default_rng(1).normal(size=(8, 3))
         a = np.random.default_rng(2).normal(size=(8, 2))
         loss = mc.loss(actor, s, a)
-        grads = ad.backward(loss, actor.feature.params)
+        grads = ad.backward(loss, actor.parameters()[:-2])  # the feature layers
         assert any(np.abs(g).max() > 0 for g in grads), variant
 
 
@@ -202,28 +226,33 @@ def test_meta_loss_empty_batch_rejected():
 
 def test_polyak_identities():
     rng = np.random.default_rng(31)
-    a = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng)
-    b = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng)
+    a = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng).params
+    b = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng).params
     t = copy.deepcopy(a)
     nets.polyak(t, b, 1.0)
-    for tp, bp in zip(t.params, b.params):
+    for tp, bp in zip(t, b):
         np.testing.assert_array_equal(tp.value, bp.value)
     t = copy.deepcopy(a)
     nets.polyak(t, b, 0.0)
-    for tp, ap in zip(t.params, a.params):
+    for tp, ap in zip(t, a):
         np.testing.assert_array_equal(tp.value, ap.value)
     t = copy.deepcopy(a)
-    for p in t.params:
+    for p in t:
         p.set_value(np.zeros_like(p.value))
     ones = copy.deepcopy(b)
-    for p in ones.params:
+    for p in ones:
         p.set_value(np.ones_like(p.value))
     nets.polyak(t, ones, 0.005)
-    for tp in t.params:
+    for tp in t:
         np.testing.assert_allclose(tp.value, 0.005)
-    mismatched = nets.DenseNet([3, 5, 2], ["relu", "linear"], rng)
+    with pytest.raises(ValueError):  # same count, other widths
+        nets.polyak(t, nets.DenseNet([3, 5, 2], ["relu", "linear"], rng).params, 0.5)
+    with pytest.raises(ValueError):  # (4,) would broadcast into a (3, 4) target
+        nets.polyak(t[:1], b[1:2], 0.5)
     with pytest.raises(ValueError):
-        nets.polyak(t, mismatched, 0.5)
+        nets.polyak(t, b[:2], 0.5)
+    with pytest.raises(ValueError):
+        nets.polyak(t, b, 1.5)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -256,6 +285,7 @@ def _forward_pairs(case, override):
         actions = rng.uniform(-1.0, 1.0, size=(5, 2))
         params = params_for(critic.net.params)
         return [(q(states, actions, params), q(states, actions, params, ops=ad.NumpyOps))]
+    # "mean" is the gaussian actor without noise, its greedy action
     actor = make_actor(head="deterministic" if variant == "deterministic" else "gaussian",
                        seed=41)
     noise = rng.normal(size=(5, 2)) if variant == "sample" else None
@@ -264,11 +294,11 @@ def _forward_pairs(case, override):
     for i in (None, 0, 1, 2, 3, 4):  # the batch, then each state alone
         rows = slice(None) if i is None else slice(i, i + 1)
         n = None if noise is None else noise[rows]
-        graph = actor.act(states[rows], variant, n, params)
+        graph = actor.act(states[rows], n, params)
         if i is None:
-            raw = actor.act_np(states, variant, n, params, return_logp=True)
+            raw = actor.act_np(states, n, params, return_logp=True)
         else:  # a 1-D state and noise against a graph batch of one
-            raw = actor.act_np(states[i], variant, None if n is None else n[0], params,
+            raw = actor.act_np(states[i], None if n is None else n[0], params,
                                return_logp=True)
             graph = [None if g is None else g.value[0] for g in graph]
         if variant != "sample":

@@ -6,13 +6,18 @@ Names are matched by spelling alone, so a method shares its uses with every
 same-named definition. Dunder methods are called by Python itself and are
 not checked.
 
-Primitives are named by the string keys of ``autodiff._VJP``, so the check
+Every ``harness.RunConfig`` field must be read, as an attribute, somewhere
+in ``src/`` outside ``RunConfig`` itself: a field that only ``validate``
+checks configures nothing.
+
+Primitives are named by the string keys of ``autodiff._VJP``, so the checks
 above cannot see a dead one. A second check runs a training iteration of
 every algo, meta-critic variant and meta-loss and requires each backward
 rule's primitive to be built as a Node on the way.
 """
 
 import ast
+import dataclasses
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -82,6 +87,20 @@ def test_every_definition_is_used_in_src():
 def test_allowlist_names_only_definitions_without_a_caller():
     # an allowlisted name that gained a caller, or lost its definition, leaves the list
     assert sorted(u.split()[-1] for u in unused_definitions()) == sorted(ALLOWED)
+
+
+def test_every_config_field_is_read_outside_run_config():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    cls = next(n for t in trees for n in t.body
+               if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    fields = [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+    assert fields == [f.name for f in dataclasses.fields(harness.RunConfig)]
+    inside = {id(n) for n in ast.walk(cls)}
+    read = {n.attr for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in inside}
+    unread = [f for f in fields if f not in read]
+    assert unread == [], "RunConfig fields nothing in src/ reads: " + ", ".join(unread)
 
 
 # primitives with a backward rule that no src/ path builds, each for one reason

@@ -52,8 +52,8 @@ def test_sac_alpha_zero_single_critic_equals_ddpg_form():
     batch = random_batch()
     noise = np.zeros((len(batch), 2))
     loss_sac = float(ad.evaluate(offpac.actor_loss(state, batch, noise=noise)))
-    # ddpg-style loss with the same actor mean action and same critic
-    a, _ = state.actor.act(batch.s, mode="mean")
+    # ddpg-style loss with the same actor's greedy action and same critic
+    a, _ = state.actor.act(batch.s)
     q1c, _ = state.critic_const_params()
     loss_ddpg = float(ad.evaluate(ad.mean(ad.neg(state.critic.q(batch.s, a, q1c)))))
     assert loss_sac == pytest.approx(loss_ddpg, rel=1e-12)
@@ -140,10 +140,10 @@ def test_sac_entropy_monotonicity():
     for alpha in (0.1, 0.5, 1.0):
         state = make_state("sac", seed=13, alpha=alpha)
         # narrow policy: log_std = -3 makes the density high, so log pi > 0
-        w, b = state.actor.head.params
+        w, b = state.actor.parameters()[-2:]
         w.set_value(np.zeros_like(w.value))
         b.set_value(np.array([0.2, -0.1, -3.0, -3.0]))
-        a, logp = state.actor.act(batch.s, mode="sample", noise=noise)
+        a, logp = state.actor.act(batch.s, noise)
         logp_mean = float(ad.evaluate(ad.mean(logp)))
         losses[alpha] = float(ad.evaluate(offpac.actor_loss(state, batch, noise=noise)))
     assert logp_mean > 0.0
@@ -185,7 +185,7 @@ def test_sac_exploration_zero_noise_is_mean():
 
     s = np.random.default_rng(3).normal(size=3)
     a = offpac.exploration_action(state, s, ZeroRng())
-    np.testing.assert_allclose(a, state.actor.act_np(s, mode="mean"))
+    np.testing.assert_allclose(a, state.actor.act_np(s))
 
 
 def test_td3_delay_schedule():
