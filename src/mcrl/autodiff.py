@@ -139,15 +139,15 @@ def evaluate(expr) -> np.ndarray:
 class NumpyOps:
     """The raw-array ops namespace, where each primitive's value formula lives.
 
-    Each op computes its value on plain arrays and builds no Node. The
-    graph primitive of the same name checks shapes, calls the op here for
-    its value and records one Node, so the two namespaces give the same
-    bits by construction. A forward written once against an ops namespace
-    (the compositions below, ``nets``, ``offpac.actor_loss``) runs on the
-    graph with this module as ``ops`` and on plain arrays with
-    ``ops=NumpyOps``. ``as_node`` and ``evaluate`` unwrap a Node, a
-    Variable included, to its value. The backward rules run on this class
-    unless ``create_graph=True``.
+    Its ops build no Node; the graph primitive of the same name takes its
+    value from here (see the module docstring). ``as_node`` and
+    ``evaluate`` unwrap a Node, a Variable included, to its value.
+
+    Each formula costs one C-level numpy call per step, since at these
+    sizes numpy's per-call cost, not the flops, sets the price: ufuncs and
+    their ``reduce`` are called directly, never ``np.broadcast_to`` or the
+    ``ndarray.sum``/``.min`` wrappers, and an op that owns its result works
+    in place. Row ops index the last axis, so a forward runs on a 1-D row.
     """
 
     @staticmethod
@@ -162,7 +162,9 @@ class NumpyOps:
     neg = staticmethod(np.negative)
     mul = staticmethod(np.multiply)
     scale = staticmethod(np.multiply)
-    matmul = staticmethod(np.matmul)
+    # numpy sums an inner dimension of 1 from +0.0, which turns a -0.0 product into +0.0
+    matmul = staticmethod(lambda a, b: a @ b if a.shape[-1] != 1
+                          else np.add(r := a * b, 0.0, out=r))
     exp = staticmethod(np.exp)
     log = staticmethod(np.log)
     tanh = staticmethod(np.tanh)
@@ -175,27 +177,33 @@ class NumpyOps:
     # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
     sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
     # sum of all elements, as a 0-d array
-    asum = staticmethod(lambda a: np.asarray(a.sum(), dtype=DTYPE))
-    sum_axis0 = staticmethod(lambda a: a.sum(axis=0))
-    sum_axis1 = staticmethod(lambda a: a.sum(axis=1, keepdims=True))
-    broadcast = staticmethod(np.broadcast_to)
+    asum = staticmethod(lambda a: np.asarray(np.add.reduce(a, None), dtype=DTYPE))
+    sum_axis0 = staticmethod(lambda a: np.add.reduce(a, 0))
+    sum_axis1 = staticmethod(lambda a: np.add.reduce(a, -1, keepdims=True))
     concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
-    slice_cols = staticmethod(lambda a, i0, i1: a[:, i0:i1])
+    slice_cols = staticmethod(lambda a, i0, i1: a[..., i0:i1])
     transpose = staticmethod(lambda a: a.T)
 
     @staticmethod
     def dense(x, w, b, act):
         """One fully-connected layer act(x @ w + b), for act in ``DENSE_ACTS``."""
-        h = x @ w + b
+        h = x @ w
+        h += b
         if act == "relu":
-            return np.maximum(h, 0.0)
+            return np.maximum(h, 0.0, out=h)
         if act == "tanh":
-            return np.tanh(h)
+            return np.tanh(h, out=h)
         if act == "softplus":
-            return np.logaddexp(0.0, h)
+            return np.logaddexp(0.0, h, out=h)
         if act == "linear":
             return h
         raise ValueError(f"unknown activation {act!r}")
+
+    @staticmethod
+    def broadcast(a, shape):
+        out = np.empty(shape, dtype=DTYPE)
+        out[...] = a
+        return out
 
     @staticmethod
     def mean(a):
@@ -207,10 +215,10 @@ class NumpyOps:
         if g.shape == tuple(shape):
             return g
         while g.ndim > len(shape):
-            g = g.sum(axis=0)
+            g = np.add.reduce(g, 0)
         for i, (gs, s) in enumerate(zip(g.shape, shape)):
             if s == 1 and gs != 1:
-                g = g.sum(axis=i, keepdims=True)
+                g = np.add.reduce(g, i, keepdims=True)
         return g.reshape(shape)
 
     @staticmethod
@@ -332,6 +340,8 @@ def sum_axis1(a) -> Node:
 def broadcast(a, shape: tuple) -> Node:
     a = as_node(a)
     try:
+        if a.value.ndim > len(shape):  # numpy would drop leading axes of length 1
+            raise ValueError
         v = NumpyOps.broadcast(a.value, shape)
     except ValueError:
         raise ShapeError("broadcast", a.value.shape, shape) from None
@@ -395,11 +405,11 @@ def gaussian_sample(mean_, log_std, noise, ops=_graph):
 
 
 def gaussian_log_density(x, mean_, log_std, ops=_graph):
-    """Row-wise diagonal-gaussian log density, shape (N, 1)."""
+    """Row-wise diagonal-gaussian log density, shape (N, 1), or (1,) for one 1-D row."""
     x = ops.as_node(x)
     z = ops.mul(ops.sub(x, mean_), ops.exp(ops.neg(log_std)))
     per = ops.sub(ops.scale(ops.square(z), -0.5), log_std)
-    return ops.add(ops.sum_axis1(per), ops.constant(np.array(-0.5 * LOG_2PI) * x.shape[1]))
+    return ops.add(ops.sum_axis1(per), ops.constant(np.array(-0.5 * LOG_2PI) * x.shape[-1]))
 
 
 def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
@@ -621,7 +631,7 @@ def _live_order(root: Node, targets: set) -> tuple[list[Node], set, set]:
 
 
 def _has_nan(ops, g) -> bool:
-    m = ops.evaluate(g).min()  # min propagates NaN
+    m = np.minimum.reduce(ops.evaluate(g), None)  # min propagates NaN
     return m != m
 
 

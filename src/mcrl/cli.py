@@ -15,6 +15,14 @@ from .autodiff import ShapeError
 from .envs import make_env
 
 
+def _or_exit(prefix: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a bad input's OSError or ValueError exits with one line."""
+    try:
+        return fn(*args, **kwargs)
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"{prefix}: {err}") from None
+
+
 def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
@@ -35,9 +43,9 @@ def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = harness.load_config(args.config)
+    cfg = _or_exit(args.config, harness.load_config, args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
+        cfg = _or_exit("--seed", dataclasses.replace(cfg, seeds=(args.seed,)).validate)
     out = args.out or cfg.out_dir
     results = harness.run(cfg, out, workers=args.workers)
     for seed, res in results.items():
@@ -48,7 +56,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = harness.load_config(args.config)
+    cfg = _or_exit(args.config, harness.load_config, args.config)
     env, actor = _build_actor_for(cfg)
     _load_actor_params(actor, args.params)
     rng = np.random.default_rng(args.eval_seed)
@@ -65,10 +73,7 @@ def _snapshot_pca(snapshot_dir: str, pattern: str):
         raise SystemExit(f"need at least 3 snapshots matching {pattern!r} "
                          f"in {snapshot_dir}")
     vecs = analysis.load_snapshot_vectors(paths)
-    try:
-        return paths, analysis.pca_trajectory(vecs)
-    except ValueError as err:
-        raise SystemExit(f"{snapshot_dir}: {err}") from None
+    return paths, _or_exit(snapshot_dir, analysis.pca_trajectory, vecs)
 
 
 def cmd_pca(args) -> int:
@@ -85,7 +90,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    cfg = harness.load_config(args.config)
+    cfg = _or_exit(args.config, harness.load_config, args.config)
     env, actor = _build_actor_for(cfg)
     if args.snapshots:
         paths, (_, _, (d1, d2)) = _snapshot_pca(args.snapshots, args.pattern)
@@ -98,11 +103,8 @@ def cmd_surface(args) -> int:
         d2 = analysis.load_snapshot_vectors([args.d2])[0]
     xs = np.linspace(args.lo, args.hi, args.steps)
     ys = np.linspace(args.lo, args.hi, args.steps)
-    try:
-        grid = analysis.reward_surface(actor, d1, d2, xs, ys, env,
-                                       episodes=args.episodes, eval_seed=args.eval_seed)
-    except ValueError as err:  # the directions' checks raise before any evaluation
-        raise SystemExit(f"surface: {err}") from None
+    grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys, env,
+                    episodes=args.episodes, eval_seed=args.eval_seed)  # checks run first
     with open(args.out, "w") as fh:
         fh.write("# rows: y from low to high; cols: x from low to high\n")
         fh.write("# xs=" + ",".join(repr(float(v)) for v in xs) + "\n")
@@ -115,7 +117,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    res = harness.compare(args.dir_a, args.dir_b, window=args.window)
+    res = _or_exit("compare", harness.compare, args.dir_a, args.dir_b, window=args.window)
     print(f"max_average_return[{args.dir_a}]={res['a']!r}")
     print(f"max_average_return[{args.dir_b}]={res['b']!r}")
     print(f"difference={res['difference']!r}")

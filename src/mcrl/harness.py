@@ -140,7 +140,7 @@ class RunConfig:
         return self
 
 
-def _parse_value(name: str, text: str, ftype):
+def _parse_value(text: str, ftype):
     """``text`` as a value of type ``ftype``, the type of the field's default."""
     text = text.strip()
     if ftype is tuple:  # every tuple field holds ints
@@ -150,7 +150,7 @@ def _parse_value(name: str, text: str, ftype):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"bad boolean for {name}: {text!r}")
+        raise ValueError("not a boolean")
     if ftype is int:
         return int(text)
     if ftype is float:
@@ -173,7 +173,10 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in kw:
             raise ValueError(f"line {lineno}: config key {key!r} given twice")
-        kw[key] = _parse_value(key, val, type(getattr(RunConfig(), key)))
+        try:
+            kw[key] = _parse_value(val, type(getattr(RunConfig(), key)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad value for {key}: {val!r}") from None
     return RunConfig(**kw).validate()
 
 

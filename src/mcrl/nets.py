@@ -167,18 +167,13 @@ class Actor:
         """``act`` on ``NumpyOps``, for a single state or a batch.
 
         A batch of shape (N, state_dim) gives an action of shape
-        (N, action_dim) and a log-prob of shape (N, 1). A 1-D state gives
-        an action of shape (action_dim,) and a log-prob of shape (1,).
+        (N, action_dim) and a log-prob of shape (N, 1). A 1-D state runs
+        rank-1, the same gemv as a batch of one with the same bytes, and
+        gives an action of shape (action_dim,) and a log-prob of shape (1,).
         Returns the action alone, or (action, log_prob) with
         ``return_logp``; the log-prob is None without noise.
         """
-        single = state.ndim == 1
-        if noise is not None and noise.ndim == 1:
-            noise = noise[None, :]
-        a, logp = self.act(state[None, :] if single else state, noise, params,
-                           NumpyOps, return_logp)
-        if single:
-            a, logp = a[0], (None if logp is None else logp[0])
+        a, logp = self.act(state, noise, params, NumpyOps, return_logp)
         return (a, logp) if return_logp else a
 
 

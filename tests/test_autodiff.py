@@ -56,6 +56,9 @@ def test_shape_mismatch_error_names_primitive():
         ad.add(a, b)
     assert ei.value.op == "add"
     assert (2, 3) in ei.value.shapes
+    # numpy's assignment would drop the leading axis of length 1
+    with pytest.raises(ad.ShapeError, match="broadcast"):
+        ad.broadcast(ad.constant(np.zeros((1, 3))), (3,))
 
 
 def test_nan_gradient_error_names_primitive():
@@ -330,6 +333,88 @@ def test_numpy_ops_match_graph_primitives_bit_for_bit(name):
         assert type(raw) is not ad.Node
         assert np.shape(raw) == graph.shape
         assert np.array_equal(raw, graph), name
+
+
+def _specials(rng, shape, nonfinite):
+    """Normal draws with some entries set to 0.0 and -0.0, and with
+    ``nonfinite`` some to inf, -inf and NaN too; products of such entries
+    hold exact zeros of both signs."""
+    a = np.asarray(rng.normal(size=shape))
+    pick = rng.integers(0, 12, size=shape)
+    for k, v in enumerate((0.0, -0.0, np.inf, -np.inf, np.nan)[:5 if nonfinite else 2]):
+        a[pick == k] = v
+    return a
+
+
+_DENSE_BEFORE = {"relu": lambda h: np.maximum(h, 0.0), "tanh": np.tanh,
+                 "softplus": lambda h: np.logaddexp(0.0, h), "linear": lambda h: h}
+
+# NumpyOps op, suffixed to tell cases apart -> (argument factory over a
+# generator and the nonfinite flag, the numpy expression the op's formula
+# replaced); the bytes must agree, signed zeros and NaN payloads included
+_REWRITTEN = {
+    **{f"dense-{act}-{'row' if not lead else 'batch'}": (
+        lambda r, nf, act=act, lead=lead: (_specials(r, (*lead, 3), nf), _specials(r, (3, 5), nf),
+                                           _specials(r, 5, nf), act),
+        lambda x, w, b, act: _DENSE_BEFORE[act](x @ w + b))
+       for act in ad.DENSE_ACTS for lead in ((), (6,))},
+    # a dense VJP's g @ W.T: W (O, 1) transposed, and contiguous
+    "matmul-inner1": (lambda r, nf: (_specials(r, (6, 1), nf), _specials(r, (5, 1), nf).T),
+                      np.matmul),
+    "matmul-inner1-contiguous": (lambda r, nf: (_specials(r, (6, 1), nf),
+                                                _specials(r, (1, 5), nf)), np.matmul),
+    "matmul-inner3": (lambda r, nf: (_specials(r, (6, 3), nf), _specials(r, (5, 3), nf).T),
+                      np.matmul),
+    "broadcast-scalar": (lambda r, nf: (_specials(r, (), nf), (4, 3)), np.broadcast_to),
+    "broadcast-row": (lambda r, nf: (_specials(r, 3, nf), (4, 3)), np.broadcast_to),
+    "broadcast-column": (lambda r, nf: (_specials(r, (4, 1), nf), (4, 3)), np.broadcast_to),
+    "sum_axis0": (lambda r, nf: (_specials(r, (11, 3), nf),), lambda a: a.sum(axis=0)),
+    "sum_axis1": (lambda r, nf: (_specials(r, (4, 11), nf),),
+                  lambda a: a.sum(axis=1, keepdims=True)),
+    "sum_axis1-row": (lambda r, nf: (_specials(r, 11, nf),),
+                      lambda a: a[None, :].sum(axis=1, keepdims=True)[0]),
+    "asum": (lambda r, nf: (_specials(r, (4, 11), nf),),
+             lambda a: np.asarray(a.sum(), dtype=np.float64)),
+    "sum_to": (lambda r, nf: (_specials(r, (2, 11, 3), nf), (1, 3)),
+               lambda g, shape: g.sum(axis=0).sum(axis=0, keepdims=True)),
+    "slice_cols-row": (lambda r, nf: (_specials(r, 5, nf), 1, 4),
+                       lambda a, i0, i1: a[None, :][:, i0:i1][0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REWRITTEN))
+def test_numpy_ops_formulas_keep_the_bytes_of_the_expressions_they_replaced(name):
+    make_args, before = _REWRITTEN[name]
+    op = getattr(ad.NumpyOps, name.split("-")[0])
+    for seed in range(40):
+        args = make_args(np.random.default_rng(seed), seed % 2 == 1)
+        with np.errstate(all="ignore"):
+            want, got = np.asarray(before(*args)), op(*args)
+        assert type(got) is np.ndarray and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), (name, seed)
+
+
+def test_inner_dimension_one_inputs_tell_signed_zeros_apart():
+    # a plain a * b keeps -0.0 products that np.matmul's loop turns into +0.0,
+    # so the cases above would catch that formula where array_equal does not
+    make_args = _REWRITTEN["matmul-inner1"][0]
+    told_apart = 0
+    for seed in range(40):
+        a, b = make_args(np.random.default_rng(seed), False)
+        plain, mm = a * b, np.matmul(a, b)
+        assert np.array_equal(plain, mm)
+        told_apart += plain.tobytes() != mm.tobytes()
+    assert told_apart > 0
+
+
+def test_has_nan_is_the_min_self_inequality():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for shape in ((), (7,), (4, 5)):
+            g = _specials(rng, shape, seed % 2 == 1)
+            m = g.min()
+            assert ad._has_nan(ad.NumpyOps, g) == (m != m) == bool(np.isnan(g).any())
+            assert ad._has_nan(ad, ad.constant(g)) == (m != m)
 
 
 # op -> (shape of x, shape of z, expression over the Variables x and z that

@@ -174,3 +174,38 @@ def test_surface_rejects_dependent_directions(run_dir):
         cli.main(["surface", "--config", str(cfg_path), "--center", str(snap),
                   "--d1", str(snap), "--d2", str(double), "--out", str(root / "bad.csv")])
     assert not (root / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["run"],
+    ["eval", "--params", "unused.txt"],
+    ["surface", "--center", "unused.txt", "--d1", "unused.txt", "--d2", "unused.txt"],
+])
+def test_bad_config_exits_with_one_line(tmp_path, cmd):
+    # a malformed number names its key and line; no traceback, no work done
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("algo=ddpg\nenv=pointmass\nhidden_actor=8,a\n")
+    with pytest.raises(SystemExit, match=r"line 3: bad value for hidden_actor: '8,a'"):
+        cli.main([cmd[0], "--config", str(bad), *cmd[1:]])
+    # a value parse_config reads but validate rejects
+    bad.write_text("algo=ppo\n")
+    with pytest.raises(SystemExit, match=r"bad\.cfg: .*algo"):
+        cli.main([cmd[0], "--config", str(bad), *cmd[1:]])
+    with pytest.raises(SystemExit, match="missing.cfg"):
+        cli.main([cmd[0], "--config", str(tmp_path / "missing.cfg"), *cmd[1:]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def test_run_rejects_a_negative_seed_with_one_line(run_dir, tmp_path):
+    _, cfg_path, _ = run_dir
+    with pytest.raises(SystemExit, match="--seed: .*seeds must be >= 0"):
+        cli.main(["run", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_bad_input_exits_with_one_line(run_dir, tmp_path):
+    _, _, out = run_dir
+    with pytest.raises(SystemExit, match="compare: no seed CSVs in"):
+        cli.main(["compare", str(out), str(tmp_path)])
+    with pytest.raises(SystemExit, match="compare: window must be >= 1"):
+        cli.main(["compare", str(out), str(out), "--window", "0"])

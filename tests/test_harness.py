@@ -52,6 +52,11 @@ def test_invalid_values_rejected_before_work():
         parse_config(cfg_text("updates_multiplier=0.5\n"))
     with pytest.raises(ValueError):
         parse_config("seeds=\n")
+    # a value of the wrong type names its line and key
+    for bad in ("sequential_inner=maybe", "batch_n=6.5", "tau=fast", "seeds=0,x"):
+        key, val = bad.split("=")
+        with pytest.raises(ValueError, match=rf"line 2: bad value for {key}: '{val}'"):
+            parse_config("algo=ddpg\n" + bad + "\n")
     # each of these used to fail only after warmup work, or not at all
     for bad in ("batch_n=0", "batch_m=0", "tau=-0.1", "tau=2", "policy_delay=0",
                 "gamma=1.5", "gamma=1.0", "gamma=-0.1", "hidden_actor=",

@@ -84,6 +84,36 @@ def test_noise_alone_selects_a_sample():
     assert np.array_equal(ad.evaluate(gauss.act(states)[0]), greedy)
 
 
+@pytest.mark.parametrize("head, sampled", [("deterministic", False), ("gaussian", False),
+                                           ("gaussian", True)],
+                         ids=["deterministic", "gaussian-greedy", "gaussian-sampled"])
+@pytest.mark.parametrize("state_dim, action_dim", [(3, 1), (4, 2)])
+def test_single_state_runs_rank1_with_the_bytes_of_a_batch_of_one(
+        head, sampled, state_dim, action_dim, monkeypatch):
+    actor = make_actor(head, state_dim, action_dim, seed=13, hidden=(64, 64))
+    rng = np.random.default_rng(13)
+    dense, ranks = ad.NumpyOps.dense, set()
+
+    def spy(x, w, b, act):
+        ranks.add(x.ndim)
+        return dense(x, w, b, act)
+
+    monkeypatch.setattr(ad.NumpyOps, "dense", staticmethod(spy))
+    for _ in range(300):
+        s = rng.normal(size=state_dim) * 3
+        n = rng.normal(size=action_dim) if sampled else None
+        ranks.clear()
+        a, logp = actor.act_np(s, n, return_logp=True)
+        assert ranks == {1}
+        batch_a, batch_logp = actor.act_np(s[None, :], None if n is None else n[None, :],
+                                           return_logp=True)
+        assert a.shape == (action_dim,) and a.tobytes() == batch_a[0].tobytes()
+        if sampled:
+            assert logp.shape == (1,) and logp.tobytes() == batch_logp[0].tobytes()
+        else:
+            assert logp is None and batch_logp is None
+
+
 def test_actor_is_one_net_whose_prefix_gives_the_features():
     actor = make_actor(head="gaussian", seed=7, hidden=(8, 5))
     assert actor.net.dims == [3, 8, 5, 4] and actor.feature_dim == 5

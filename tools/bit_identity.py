@@ -1,0 +1,69 @@
+"""Print digests that pin a source tree's numerical output.
+
+    python3 tools/bit_identity.py > digests.txt
+
+Run it from the root of a source checkout; it imports ``mcrl`` from
+``src/`` and the workload configs from ``bench/``. For each of the 24
+algo x meta-critic variant x meta-loss configs, and for the benchmark's
+three workloads at seed 11, it trains one seed through
+``harness.run_seed`` in a temporary directory and prints one line: the
+config's name, the sha256 of its seed CSV, and the sha256 of the final
+actor, critic and omega parameters (``-`` without a meta-critic). Two
+trees are bit-identical on these runs exactly when their outputs are
+equal, so run it in both and ``diff`` the two files.
+"""
+
+import hashlib
+import itertools
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD_SEED = 11  # the seed the benchmark records use
+
+# the configs' own settings: short, but past warmup, through the meta step
+# and through evaluation, at the default 64-wide nets and batch 64
+SHORT = dict(env="pointmass", total_steps=300, warmup_steps=100, eval_every=150,
+             eval_episodes=2, seeds=(0,))
+
+
+def params_sha256(variables) -> str:
+    h = hashlib.sha256()
+    for v in variables:
+        h.update(str(v.value.shape).encode())
+        h.update(v.value.tobytes())
+    return h.hexdigest()
+
+
+def digest_line(name: str, cfg, harness) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        res = harness.run_seed(cfg, cfg.seeds[0], out)
+        with open(res["csv"], "rb") as fh:
+            csv = hashlib.sha256(fh.read()).hexdigest()
+    ms = res["meta_state"]
+    omega = "-" if ms.mc is None else params_sha256(ms.mc.parameters())
+    return (f"{name} csv={csv} actor={params_sha256(ms.base.actor.parameters())} "
+            f"critic={params_sha256(ms.base.critic.parameters())} omega={omega}")
+
+
+def main() -> int:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from mcrl import harness, metacritic, nets, offpac
+    import workloads
+
+    for algo, variant, loss in itertools.product(
+            offpac.ALGOS, ("none", *nets.MC_VARIANTS), metacritic.META_LOSS_KINDS):
+        cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss, **SHORT)
+        print(digest_line(f"{algo}/{variant}/{loss}", cfg.validate(), harness), flush=True)
+    for name in workloads.WORKLOADS:
+        cfg = workloads.make_config(name, WORKLOAD_SEED)
+        print(digest_line(f"workload/{name}", cfg, harness), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
