@@ -54,9 +54,12 @@ def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
     Every grid point is evaluated with an identically seeded generator
     (common random numbers), so the surface is a deterministic function
     of the parameters. Returns an array of shape (len(ys), len(xs)).
-    Raises ValueError, before any evaluation, for directions whose length
-    is not the actor's parameter count or that are linearly dependent.
+    Raises ValueError, before any evaluation, for an empty grid and for
+    directions whose length is not the actor's parameter count or that
+    are linearly dependent.
     """
+    if len(xs) == 0 or len(ys) == 0:
+        raise ValueError("the grid needs at least one point along each axis")
     d1 = np.asarray(d1, dtype=np.float64).ravel()
     d2 = np.asarray(d2, dtype=np.float64).ravel()
     saved = [p.value.copy() for p in actor.parameters()]

@@ -4,9 +4,11 @@ The engine is a define-by-run tape: every primitive produces a `Node`
 holding its value, the primitive kind, and references to its parents.
 ``backward`` walks, once and in reverse topological order, only the
 nodes on a path from the output to a requested gradient, and
-accumulates vector-Jacobian products there; it checks the returned
-gradients for NaN once and walks again with a per-node check only to
-name the primitive a NaN came from.
+accumulates vector-Jacobian products there. It does not check for NaN:
+run under ``np.errstate(over="raise", invalid="raise", divide="raise")``,
+the op that first overflows or makes a NaN raises FloatingPointError,
+forward or backward, and ``raised_at`` names its primitive from the
+traceback.
 
 There are two ops namespaces. ``NumpyOps`` is the one place each
 primitive's value formula is written: its ops compute on plain arrays and
@@ -58,14 +60,6 @@ class ShapeError(AutodiffError):
         self.op = op
         self.shapes = shapes
         super().__init__(f"{op}: incompatible shapes {' vs '.join(map(str, shapes))}")
-
-
-class NanGradientError(AutodiffError):
-    """A NaN appeared in the gradient flowing out of a primitive."""
-
-    def __init__(self, op: str):
-        self.op = op
-        super().__init__(f"NaN gradient produced at primitive '{op}'")
 
 
 def _arr(x) -> np.ndarray:
@@ -630,43 +624,6 @@ def _live_order(root: Node, targets: set) -> tuple[list[Node], set, set]:
     return order, live, ends
 
 
-def _has_nan(ops, g) -> bool:
-    m = np.minimum.reduce(ops.evaluate(g), None)  # min propagates NaN
-    return m != m
-
-
-def _walk(out: Node, targets: list[Node], ops, check: bool) -> dict:
-    """Accumulate VJPs from ``out`` over the live nodes in reverse post-order.
-
-    Returns the gradient of each live node, keyed on the node. With
-    ``check`` it raises NanGradientError at the first node in the walk
-    whose gradient holds a NaN, naming that node's primitive, or at the
-    first rule that sends a NaN to a leaf, naming the rule's primitive.
-    """
-    grads: dict[Node, object] = {}
-    if not out.requires_grad:
-        return grads
-    order, live, ends = _live_order(out, set(targets))
-    if not order:
-        return grads
-    grads[out] = ops.constant(np.ones(out.value.shape, dtype=DTYPE))
-    vjps = _VJP
-    for node in reversed(order):
-        g = grads[node]
-        if check and _has_nan(ops, g):
-            raise NanGradientError(node.op)
-        if node in ends:
-            continue
-        for p, c in zip(node.parents, vjps[node.op](ops, g, node, live)):
-            if c is not None:
-                # a leaf would be named "leaf"; name the rule that sent the NaN
-                if check and not p.parents and _has_nan(ops, c):
-                    raise NanGradientError(node.op)
-                prev = grads.get(p)
-                grads[p] = c if prev is None else ops.add(prev, c)
-    return grads
-
-
 def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     """Gradients of a scalar expression with respect to ``wrt``.
 
@@ -677,15 +634,13 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     gradients through an inner update step.
 
     Only the nodes on a path from ``output`` to an entry of ``wrt`` are
-    walked, so a branch that reaches no entry gets no VJP and, with
-    ``create_graph=True``, builds no Node. Each returned gradient has the
-    same bits whatever the other entries of ``wrt`` are.
+    walked, in reverse post-order, so a branch that reaches no entry gets
+    no VJP and, with ``create_graph=True``, builds no Node. Each returned
+    gradient has the same bits whatever the other entries of ``wrt`` are.
 
-    Raises ShapeError for a non-scalar output. Raises NanGradientError
-    when a returned gradient holds a NaN, naming the first primitive in
-    the reverse walk whose output gradient held one or whose rule sent
-    one into a leaf; a NaN confined to a branch that reaches no entry of
-    ``wrt`` raises nothing.
+    Raises ShapeError for a non-scalar output. It does not check for NaN:
+    under a raising ``np.errstate`` the op that overflows or makes a NaN
+    raises FloatingPointError, and ``raised_at`` names it.
     """
     out = as_node(output)
     if out.value.size != 1:
@@ -693,18 +648,47 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     targets = [as_node(w) for w in wrt]
     ops = _graph if create_graph else NumpyOps
 
-    grads = _walk(out, targets, ops, check=False)
-    results = []
-    for t in targets:
-        g = grads.get(t)
-        if g is None:
-            results.append(ops.constant(np.zeros(t.value.shape, dtype=DTYPE)))
+    grads: dict[Node, object] = {}
+    if out.requires_grad:
+        order, live, ends = _live_order(out, set(targets))
+        if order:
+            grads[out] = ops.constant(np.ones(out.value.shape, dtype=DTYPE))
+        vjps = _VJP
+        for node in reversed(order):
+            if node in ends:
+                continue
+            for p, c in zip(node.parents, vjps[node.op](ops, grads[node], node, live)):
+                if c is not None:
+                    prev = grads.get(p)
+                    grads[p] = c if prev is None else ops.add(prev, c)
+    return [grads[t] if t in grads else ops.constant(np.zeros(t.value.shape, dtype=DTYPE))
+            for t in targets]
+
+
+def raised_at(tb) -> tuple[str, str]:
+    """``(primitive, kind)``, kind "forward" or "backward", of the op a traceback ends in.
+
+    Reads this module's frames from the outermost in. The outermost
+    ``_vjp_<op>`` rule names the backward of its node, so the primitives a
+    create-graph rule calls do not hide it; ``backward``'s own arithmetic
+    is the ``add`` that sums gradients. Otherwise the innermost primitive
+    names the forward: a factory closure, whose local ``name`` holds the
+    primitive's, or a function named after one; formula lambdas are
+    skipped. Returns ("", "") when no such frame is on ``tb``.
+    """
+    op = kind = ""
+    while tb is not None:
+        frame, tb = tb.tb_frame, tb.tb_next
+        if frame.f_globals is not _graph.__dict__:
             continue
-        if _has_nan(ops, g):
-            # walk again with the per-node check on; it raises at the source
-            _walk(out, targets, ops, check=True)
-        results.append(g)
-    return results
+        fn = frame.f_code.co_name
+        if fn.startswith("_vjp_"):
+            return frame.f_locals["n"].op, "backward"
+        if fn == "backward":
+            op, kind = "add", "backward"
+        elif kind != "backward" and (fn == "primitive" or fn in _VJP):
+            op, kind = frame.f_locals["name"] if fn == "primitive" else fn, "forward"
+    return op, kind
 
 
 # ---------------------------------------------------------------------------

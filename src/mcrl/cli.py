@@ -60,7 +60,7 @@ def cmd_eval(args) -> int:
     env, actor = _build_actor_for(cfg)
     _load_actor_params(actor, args.params)
     rng = np.random.default_rng(args.eval_seed)
-    mean, std = harness.evaluate_policy(actor.act_np, env, args.episodes, rng)
+    mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, env, args.episodes, rng)
     print(f"eval_return_mean={mean!r}")
     print(f"eval_return_std={std!r}")
     return 0
@@ -101,8 +101,7 @@ def cmd_surface(args) -> int:
         _load_actor_params(actor, args.center)
         d1 = analysis.load_snapshot_vectors([args.d1])[0]
         d2 = analysis.load_snapshot_vectors([args.d2])[0]
-    xs = np.linspace(args.lo, args.hi, args.steps)
-    ys = np.linspace(args.lo, args.hi, args.steps)
+    xs = ys = _or_exit("--steps", np.linspace, args.lo, args.hi, args.steps)
     grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys, env,
                     episodes=args.episodes, eval_seed=args.eval_seed)  # checks run first
     with open(args.out, "w") as fh:

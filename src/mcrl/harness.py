@@ -18,6 +18,11 @@ Each seed writes ``seed<k>.csv`` with columns exactly
 evaluation row; loss_critic is the actor's critic-provided loss) and a
 ``seed<k>.meta.txt`` key=value metadata record. No output file is a
 plot: ``smooth`` and ``max_average_return`` summarise the curves.
+
+Divergence ends one seed, not the run. An aborted seed's metadata holds
+``aborted_at_step``, ``aborted_at_iteration``, ``update_blocks`` (the
+completed iterations) and the ``aborted_primitive`` and ``aborted_kind``
+(forward or backward) of the op that raised, both empty for a non-finite loss.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .autodiff import NanGradientError
+from .autodiff import raised_at
 from .envs import ENV_NAMES, make_env
 from .metacritic import META_LOSS_KINDS, MetaState, train_iteration
 from .nets import MC_VARIANTS, actor_named_params, save_params
@@ -364,10 +369,11 @@ def learner_config(cfg: RunConfig, scaled: dict) -> RunConfig:
 def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """Train one seed; writes seedK.csv / seedK.meta.txt into out_dir.
 
-    A seed whose losses turn non-finite, or whose backward raises
-    NanGradientError, stops there: its CSV ends in an all-NaN row and its
-    metadata records the step, the iteration and, for the error, the
-    primitive it names.
+    Each iteration runs under an ``np.errstate`` that raises on overflow,
+    invalid values and division by zero. The first op to raise ends the
+    seed, as does a non-finite loss without one (a value from outside
+    numpy, such as an env state); its CSV then ends in an all-NaN row and
+    its metadata holds the abort record (see the module docstring).
     """
     streams = rng_streams(seed)
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
@@ -388,7 +394,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     update_blocks = 0
     credit = 0.0
     aborted_at = None
-    aborted_op = ""
+    aborted_op = aborted_kind = ""
     snap_dir = os.path.join(out_dir, "snapshots")
     if cfg.snapshot_every > 0:
         os.makedirs(snap_dir, exist_ok=True)
@@ -417,18 +423,18 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             credit += cfg.updates_multiplier
             while credit >= 1.0:
                 try:
-                    m = train_iteration(ms, buffer, streams.replay)
-                except NanGradientError as err:
-                    # divergence that reaches a gradient before any loss is
-                    # non-finite ends the seed the same way as such a loss
-                    aborted_at, aborted_op = step, err.op
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        m = train_iteration(ms, buffer, streams.replay)
+                except FloatingPointError as err:
+                    aborted_at = step
+                    aborted_op, aborted_kind = raised_at(err.__traceback__)
                     break
-                update_blocks += 1
                 credit -= 1.0
                 if not all(math.isfinite(m[k]) for k in ("loss_critic", "loss_mcritic",
                                                          "loss_meta", "loss_td")):
                     aborted_at = step
                     break
+                update_blocks += 1
                 for k in acc:
                     acc[k] += m[k]
                 acc_n += 1
@@ -462,7 +468,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             "params_formula": "hidden widths scaled by common integer-rounded factor",
             "aborted_at_step": aborted_at if aborted_at is not None else "",
             "aborted_at_iteration": ms.base.it if aborted_at is not None else "",
-            "aborted_primitive": aborted_op}
+            "aborted_primitive": aborted_op, "aborted_kind": aborted_kind}
     for line in config_to_text(cfg).splitlines():
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v

@@ -209,3 +209,22 @@ def test_compare_bad_input_exits_with_one_line(run_dir, tmp_path):
         cli.main(["compare", str(out), str(tmp_path)])
     with pytest.raises(SystemExit, match="compare: window must be >= 1"):
         cli.main(["compare", str(out), str(out), "--window", "0"])
+
+
+def test_eval_rejects_zero_episodes_with_one_line(run_dir):
+    _, cfg_path, out = run_dir
+    with pytest.raises(SystemExit, match="eval: episodes must be >= 1"):
+        cli.main(["eval", "--config", str(cfg_path), "--params", str(_last_snapshot(out)),
+                  "--episodes", "0"])
+
+
+@pytest.mark.parametrize("steps, message", [
+    ("0", "surface: the grid needs at least one point"),
+    ("-1", "--steps: .*must be non-negative"),
+])
+def test_surface_rejects_an_empty_grid_with_one_line(run_dir, steps, message):
+    root, cfg_path, out = run_dir
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(out / "snapshots"),
+                  "--pattern", "seed0_*.txt", "--steps", steps, "--out", str(root / "bad.csv")])
+    assert not (root / "bad.csv").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,7 @@ def test_nan_abort_writes_diagnostic_row(tmp_path, monkeypatch):
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "150"
     assert meta["aborted_at_iteration"] == "50" and meta["aborted_primitive"] == ""
+    assert meta["aborted_kind"] == "" and meta["update_blocks"] == "49"
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
@@ -281,26 +283,46 @@ def test_infinite_loss_aborts_like_nan(tmp_path, monkeypatch, bad):
     assert math_isnan_row(res["rows"][-1])
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
     assert meta["aborted_at_step"] == "130"
+    assert res["update_blocks"] == 29 and meta["update_blocks"] == "29"
 
 
-def test_real_divergence_aborts_with_the_primitive(tmp_path):
-    # learning rates of 1e6 overflow the SAC nets within a few iterations,
-    # and backward raises NanGradientError before any loss is non-finite
-    cfg = parse_config("algo=sac\nenv=pointmass\nactor_lr=1e6\ncritic_lr=1e6\n"
-                       "total_steps=105\nwarmup_steps=100\neval_every=105\n"
-                       "eval_episodes=1\nhidden_actor=8,8\nhidden_critic=8,8\n"
-                       "batch_n=8\nbatch_m=8\n")
-    with pytest.warns(RuntimeWarning):  # overflow, then invalid values
+# ROADMAP item 12's divergence config: learning rates of 1e6 overflow the
+# nets within a few dozen iterations of the end of warmup
+DIVERGE = ("env=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=1500\n"
+           "warmup_steps=1000\neval_every=1500\neval_episodes=1\nhidden_actor=8,8\n"
+           "hidden_critic=8,8\nbatch_n=8\nbatch_m=8\n")
+
+
+@pytest.mark.parametrize("text, step, iteration, primitive", [
+    ("algo=sac\nenv=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=105\n"
+     "warmup_steps=100\neval_every=105\neval_episodes=1\nhidden_actor=8,8\n"
+     "hidden_critic=8,8\nbatch_n=8\nbatch_m=8\n", 104, 4, "square"),
+    ("algo=ddpg\n" + DIVERGE, 1024, 24, "square"),
+    ("algo=ddpg\nmc_variant=feature\n" + DIVERGE, 1024, 24, "square"),
+    ("algo=td3\n" + DIVERGE, 1005, 5, "dense"),
+    ("algo=td3\nmc_variant=feature\n" + DIVERGE, 1006, 6, "dense"),
+    ("algo=sac\n" + DIVERGE, 1004, 4, "dense"),
+    ("algo=sac\nmc_variant=feature\n" + DIVERGE, 1004, 4, "dense"),
+], ids=["sac-105", "ddpg", "ddpg-feature", "td3", "td3-feature", "sac", "sac-feature"])
+def test_real_divergence_aborts_with_the_primitive(tmp_path, text, step, iteration, primitive):
+    # the first op to overflow raises in the forward pass, before any
+    # loss or gradient is non-finite, and warns about nothing
+    cfg = parse_config(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = harness.run_seed(cfg, 0, str(tmp_path))
-    assert res["aborted_at"] == 104  # warmup 100 + 4th iteration
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert res["aborted_at"] == step
+    assert res["update_blocks"] == iteration - 1  # the aborted one is not counted
     assert len(res["rows"]) == 1 and math_isnan_row(res["rows"][-1])
     curve = harness.read_curve(str(tmp_path / "seed0.csv"))
-    assert list(curve["step"]) == [104.0] and np.isnan(curve["loss_critic"][-1])
+    assert list(curve["step"]) == [step] and np.isnan(curve["loss_critic"][-1])
     meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
-    assert meta["aborted_at_step"] == "104"
-    assert meta["aborted_at_iteration"] == "4"
-    assert meta["aborted_primitive"] == "dense"
-    assert meta["update_blocks"] == "3"
+    assert meta["aborted_at_step"] == str(step)
+    assert meta["aborted_at_iteration"] == str(iteration)
+    assert meta["update_blocks"] == str(iteration - 1)
+    assert meta["aborted_primitive"] == primitive
+    assert meta["aborted_kind"] == "forward"
 
 
 def math_isnan_row(row):

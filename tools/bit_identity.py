@@ -11,6 +11,11 @@ config's name, the sha256 of its seed CSV, and the sha256 of the final
 actor, critic and omega parameters (``-`` without a meta-critic). Two
 trees are bit-identical on these runs exactly when their outputs are
 equal, so run it in both and ``diff`` the two files.
+
+Then, for each algo x {none, feature} on a config that diverges (PointMass
+at learning rates of 1e6, 8-wide nets, batch 8), it prints the seed's abort
+record: the step, the iteration, the completed update blocks, and the
+primitive and kind (forward or backward) of the op that raised.
 """
 
 import hashlib
@@ -27,6 +32,10 @@ WORKLOAD_SEED = 11  # the seed the benchmark records use
 # and through evaluation, at the default 64-wide nets and batch 64
 SHORT = dict(env="pointmass", total_steps=300, warmup_steps=100, eval_every=150,
              eval_episodes=2, seeds=(0,))
+# learning rates of 1e6 overflow the nets within a few dozen iterations
+DIVERGE = dict(env="pointmass", actor_lr=1e6, critic_lr=1e6, total_steps=1500,
+               warmup_steps=1000, eval_every=1500, eval_episodes=1, hidden_actor=(8, 8),
+               hidden_critic=(8, 8), batch_n=8, batch_m=8, seeds=(0,))
 
 
 def params_sha256(variables) -> str:
@@ -48,6 +57,15 @@ def digest_line(name: str, cfg, harness) -> str:
             f"critic={params_sha256(ms.base.critic.parameters())} omega={omega}")
 
 
+def abort_line(name: str, cfg, harness) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        harness.run_seed(cfg, cfg.seeds[0], out)
+        meta = harness.read_metadata(os.path.join(out, f"seed{cfg.seeds[0]}.meta.txt"))
+    return (f"{name} step={meta['aborted_at_step']} iteration={meta['aborted_at_iteration']} "
+            f"blocks={meta['update_blocks']} primitive={meta['aborted_primitive']} "
+            f"kind={meta['aborted_kind']}")
+
+
 def main() -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["OMP_NUM_THREADS"] = "1"
@@ -62,6 +80,9 @@ def main() -> int:
     for name in workloads.WORKLOADS:
         cfg = workloads.make_config(name, WORKLOAD_SEED)
         print(digest_line(f"workload/{name}", cfg, harness), flush=True)
+    for algo, variant in itertools.product(offpac.ALGOS, ("none", "feature")):
+        cfg = harness.RunConfig(algo=algo, mc_variant=variant, **DIVERGE)
+        print(abort_line(f"diverge/{algo}/{variant}", cfg.validate(), harness), flush=True)
     return 0
 
 
