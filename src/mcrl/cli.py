@@ -32,7 +32,7 @@ def _build_actor_for(cfg: harness.RunConfig):
 
 
 def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
-    named = nets.load_params(snapshot_path)
+    named = _or_exit("snapshot", nets.load_params, snapshot_path)
     n_params = len(actor.parameters())
     if len(named) != n_params:
         raise SystemExit(f"snapshot has {len(named)} tensors, actor needs {n_params}")
@@ -72,7 +72,7 @@ def _snapshot_pca(snapshot_dir: str, pattern: str):
     if len(paths) < 3:
         raise SystemExit(f"need at least 3 snapshots matching {pattern!r} "
                          f"in {snapshot_dir}")
-    vecs = analysis.load_snapshot_vectors(paths)
+    vecs = _or_exit("snapshot", analysis.load_snapshot_vectors, paths)
     return paths, _or_exit(snapshot_dir, analysis.pca_trajectory, vecs)
 
 
@@ -99,8 +99,7 @@ def cmd_surface(args) -> int:
         if not (args.center and args.d1 and args.d2):
             raise SystemExit("need either --snapshots or --center/--d1/--d2")
         _load_actor_params(actor, args.center)
-        d1 = analysis.load_snapshot_vectors([args.d1])[0]
-        d2 = analysis.load_snapshot_vectors([args.d2])[0]
+        d1, d2 = _or_exit("snapshot", analysis.load_snapshot_vectors, [args.d1, args.d2])
     xs = ys = _or_exit("--steps", np.linspace, args.lo, args.hi, args.steps)
     grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys, env,
                     episodes=args.episodes, eval_seed=args.eval_seed)  # checks run first

@@ -79,7 +79,6 @@ class RunConfig:
     noise_clip: float = 0.5             # td3 smoothing noise clamp, fraction of scale
     alpha: float = 0.2                  # sac entropy coefficient (fixed)
     optimizer: str = "sgd"              # "sgd" or "adam" for actor and critic
-    sequential_inner: bool = False      # auxiliary gradient taken at phi_old
     hidden_actor: tuple = (64, 64)
     hidden_critic: tuple = (64, 64)
     mc_hidden: int = 100
@@ -150,12 +149,6 @@ def _parse_value(text: str, ftype):
     text = text.strip()
     if ftype is tuple:  # every tuple field holds ints
         return tuple(int(v) for v in text.split(",") if v != "")
-    if ftype is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError("not a boolean")
     if ftype is int:
         return int(text)
     if ftype is float:
@@ -280,10 +273,15 @@ def read_curve(path: str) -> dict[str, np.ndarray]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV schema in {path}: {header}")
         cols = {c: [] for c in CSV_COLUMNS}
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             vals = line.strip().split(",")
-            for c, v in zip(CSV_COLUMNS, vals):
-                cols[c].append(float(v))
+            try:
+                if len(vals) != len(CSV_COLUMNS):  # e.g. the last row of a killed run
+                    raise ValueError(f"{len(vals)} fields, expected {len(CSV_COLUMNS)}")
+                for c, v in zip(CSV_COLUMNS, vals):
+                    cols[c].append(float(v))
+            except ValueError as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from None
     return {c: np.asarray(v) for c, v in cols.items()}
 
 

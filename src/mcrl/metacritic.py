@@ -17,10 +17,7 @@ Each gradient iteration, after the usual critic TD step:
    adopts phi_new's values exactly), and omega takes a plain SGD step on
    the meta-loss.
 
-Both inner gradients are evaluated at the current parameters by default.
-The ``sequential_inner`` setting switches to evaluating the auxiliary
-gradient at phi_old instead, the step-by-step reading of the update
-recipe; the two coincide as the inner rate goes to zero.
+Both inner gradients are evaluated at the current parameters.
 
 ``MetaState`` builds omega's network from the base learner's
 ``harness.RunConfig``, and every setting here is read from that config.
@@ -37,8 +34,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import MetaCriticNet
-from .offpac import (AlgoState, Sgd, actor_loss, actor_loss_np, apply_target_updates,
-                     critic_update, vanilla_iteration)
+from .offpac import AlgoState, Sgd, actor_loss, actor_loss_np, vanilla_iteration
+# unused here, but bench/tracer.py patches both names on this module and needs them present
+from .offpac import apply_target_updates, critic_update  # noqa: F401
 from .replay import Batch, ReplayBuffer
 
 META_LOSS_KINDS = ("plain", "clip")
@@ -100,13 +98,8 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
     g_c = ad.backward(l_c, params)
     phi_old = [p.value - eta * g for p, g in zip(params, g_c)]
 
-    if base.cfg.sequential_inner:
-        at = [ad.Variable(v, f"phi_old.{i}") for i, v in enumerate(phi_old)]
-        h = ms.mc.loss(base.actor, d_trn.s, d_trn.a, actor_params=at)
-        g_m = ad.backward(h, at, create_graph=True)
-    else:
-        h = ms.mc.loss(base.actor, d_trn.s, d_trn.a)
-        g_m = ad.backward(h, params, create_graph=True)
+    h = ms.mc.loss(base.actor, d_trn.s, d_trn.a)
+    g_m = ad.backward(h, params, create_graph=True)
 
     phi_new = [ad.sub(ad.constant(old), ad.scale(gm, eta))
                for old, gm in zip(phi_old, g_m)]
@@ -164,24 +157,14 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
 def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
     """One full gradient iteration on ``batch_n`` training and ``batch_m`` validation rows.
 
+    The vanilla iteration with ``meta_optimise`` as its actor step, or
+    exactly the vanilla iteration with the auxiliary critic disabled.
     RNG draw order: d_trn indices, critic target noise, [actor-path:
     training reparameterization noise, d_val indices, validation noise].
-    With the auxiliary critic disabled this delegates to the vanilla
-    iteration, which consumes the stream identically up to the actor
-    path and produces identical metrics.
     """
-    if ms.mc is None:
-        return vanilla_iteration(ms.base, buffer, rng)
-    base = ms.base
-    if len(buffer) == 0:
-        raise ValueError("empty buffer")
-    base.it += 1
-    d_trn = buffer.sample_batch(base.cfg.batch_n, rng)
-    td_loss = critic_update(base, d_trn, rng)
-    if base.actor_due():
-        noise_trn = base.actor_noise(len(d_trn), rng)
-        d_val = buffer.sample_batch(base.cfg.batch_m, rng)
-        noise_val = base.actor_noise(len(d_val), rng)
-        base.last_metrics = meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
-        apply_target_updates(base)
-    return {**base.last_metrics, "loss_td": td_loss}
+    def meta_step(d_trn: Batch, noise_trn: np.ndarray | None) -> dict:
+        d_val = buffer.sample_batch(ms.base.cfg.batch_m, rng)
+        noise_val = ms.base.actor_noise(len(d_val), rng)
+        return meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
+
+    return vanilla_iteration(ms.base, buffer, rng, None if ms.mc is None else meta_step)

@@ -268,17 +268,21 @@ def save_params(path, named: list[tuple[str, np.ndarray]]) -> None:
 
 
 def load_params(path) -> list[tuple[str, np.ndarray]]:
+    """Read a ``save_params`` snapshot; a malformed line raises a ValueError naming it."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            name, shape_s, vals_s = line.split("\t")
-            shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
-            vals = np.array([float(v) for v in vals_s.split(" ")] if vals_s else [],
-                            dtype=np.float64)
-            out.append((name, vals.reshape(shape)))
+            try:
+                name, shape_s, vals_s = line.split("\t")
+                shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
+                vals = np.array([float(v) for v in vals_s.split(" ")] if vals_s else [],
+                                dtype=np.float64)
+                out.append((name, vals.reshape(shape)))
+            except ValueError as err:
+                raise ValueError(f"{path}, line {lineno}: not a snapshot line ({err})") from None
     return out
 
 

@@ -204,11 +204,12 @@ def apply_target_updates(state: AlgoState) -> None:
         polyak(state.target_actor.parameters(), state.actor.parameters(), state.cfg.tau)
 
 
-def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer,
-                      rng: np.random.Generator) -> dict:
+def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Generator,
+                      actor_step=None) -> dict:
     """One gradient iteration: critic step, (possibly delayed) actor step,
-    polyak target updates. Draw order from ``rng``: batch indices, critic
-    target noise, actor loss noise."""
+    polyak target updates. ``actor_step(batch, noise)`` replaces the plain
+    actor step and returns its metrics. Draw order from ``rng``: batch
+    indices, critic target noise, actor loss noise, then ``actor_step``'s."""
     if len(buffer) == 0:
         raise ValueError("empty buffer")
     state.it += 1
@@ -216,10 +217,12 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer,
     td_loss = critic_update(state, batch, rng)
     if state.actor_due():
         noise = state.actor_noise(len(batch), rng)
-        loss = actor_loss(state, batch, noise=noise)
-        value = float(ad.evaluate(loss))
-        grads = ad.backward(loss, state.actor.parameters())
-        state.actor_opt.step(grads)
-        state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
+        if actor_step is None:
+            loss = actor_loss(state, batch, noise=noise)
+            value = float(ad.evaluate(loss))
+            state.actor_opt.step(ad.backward(loss, state.actor.parameters()))
+            state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
+        else:
+            state.last_metrics = actor_step(batch, noise)
         apply_target_updates(state)
     return {**state.last_metrics, "loss_td": td_loss}

@@ -228,3 +228,38 @@ def test_surface_rejects_an_empty_grid_with_one_line(run_dir, steps, message):
         cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(out / "snapshots"),
                   "--pattern", "seed0_*.txt", "--steps", steps, "--out", str(root / "bad.csv")])
     assert not (root / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, r"snapshot: .*No such file or directory: .*bad\.txt"),
+    ("actor.0.b\t-\t1.0\ngarbage line\n", r"snapshot: .*bad\.txt, line 2: not a snapshot line"),
+])
+def test_bad_snapshot_file_exits_with_one_line(run_dir, tmp_path, content, message):
+    _, cfg_path, out = run_dir
+    snap, bad = str(_last_snapshot(out)), tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_text(content)
+    surface = ["surface", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]
+    for argv in (["eval", "--config", str(cfg_path), "--params", str(bad)],
+                 surface + ["--center", str(bad), "--d1", snap, "--d2", snap],
+                 surface + ["--center", snap, "--d1", str(bad), "--d2", snap],
+                 surface + ["--center", snap, "--d1", snap, "--d2", str(bad)]):
+        with pytest.raises(SystemExit, match=message):
+            cli.main(argv)
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_pca_and_surface_exit_with_one_line_on_a_malformed_snapshot(run_dir, tmp_path):
+    _, cfg_path, out = run_dir
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for k, path in enumerate(sorted((out / "snapshots").glob("seed0_*.txt"))[-2:]):
+        (snaps / f"a{k}.txt").write_bytes(path.read_bytes())
+    (snaps / "b.txt").write_text("garbage line\n")
+    message = r"snapshot: .*b\.txt, line 1: not a snapshot line"
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["pca", "--snapshots", str(snaps), "--out", str(tmp_path / "p.csv")])
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(snaps),
+                  "--out", str(tmp_path / "s.csv")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snaps"]

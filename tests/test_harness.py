@@ -29,8 +29,8 @@ def cfg_text(extra=""):
 
 
 def test_parse_and_roundtrip():
-    cfg = parse_config(cfg_text("batch_n=16\nsequential_inner=true\n"))
-    assert cfg.algo == "ddpg" and cfg.batch_n == 16 and cfg.sequential_inner
+    cfg = parse_config(cfg_text("batch_n=16\nhidden_actor=5,6\n"))
+    assert cfg.algo == "ddpg" and cfg.batch_n == 16 and cfg.hidden_actor == (5, 6)
     text = harness.config_to_text(cfg)
     again = parse_config(text)
     assert again == cfg
@@ -54,7 +54,7 @@ def test_invalid_values_rejected_before_work():
     with pytest.raises(ValueError):
         parse_config("seeds=\n")
     # a value of the wrong type names its line and key
-    for bad in ("sequential_inner=maybe", "batch_n=6.5", "tau=fast", "seeds=0,x"):
+    for bad in ("mc_hidden=wide", "batch_n=6.5", "tau=fast", "seeds=0,x"):
         key, val = bad.split("=")
         with pytest.raises(ValueError, match=rf"line 2: bad value for {key}: '{val}'"):
             parse_config("algo=ddpg\n" + bad + "\n")
@@ -97,13 +97,13 @@ def test_non_default_settings_reach_the_learner():
         algo="td3", mc_variant="feature-state-action", meta_loss="plain", env="pendulum",
         batch_n=5, batch_m=7, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04, inner_lr=0.05,
         gamma=0.9, tau=0.1, expl_noise=0.3, policy_delay=3, target_noise=0.4,
-        noise_clip=0.6, alpha=0.7, optimizer="adam", sequential_inner=True,
-        hidden_actor=(5, 6), hidden_critic=(7,), mc_hidden=9)
+        noise_clip=0.6, alpha=0.7, optimizer="adam", hidden_actor=(5, 6), hidden_critic=(7,),
+        mc_hidden=9)
     defaults = harness.RunConfig()
     learner = ("algo", "mc_variant", "meta_loss", "batch_n", "batch_m", "actor_lr",
                "critic_lr", "mc_lr", "inner_lr", "gamma", "tau", "expl_noise",
                "policy_delay", "target_noise", "noise_clip", "alpha", "optimizer",
-               "sequential_inner", "hidden_actor", "hidden_critic", "mc_hidden")
+               "hidden_actor", "hidden_critic", "mc_hidden")
     assert all(getattr(cfg, k) != getattr(defaults, k) for k in learner)
     spec = envs.make_env(cfg.env).spec
     sd, ad = spec.state_dim, spec.action_dim
@@ -199,6 +199,19 @@ def test_csv_roundtrip_exact(tmp_path):
     back = harness.read_curve(str(path))
     for i, col in enumerate(harness.CSV_COLUMNS):
         np.testing.assert_array_equal(back[col], [r[i] for r in rows])
+
+
+def test_read_curve_rejects_a_truncated_row(tmp_path):
+    # a killed run can leave its last row cut short
+    path = tmp_path / "seed0.csv"
+    harness.write_curve(str(path), [(100, -5.0, 0.5, 1.0, 0.0, 0.0)])
+    with open(path, "a") as fh:
+        fh.write("200,-4.0\n")
+    with pytest.raises(ValueError, match=r"seed0\.csv, line 3: 2 fields, expected 6"):
+        harness.read_curve(str(path))
+    path.write_text(",".join(harness.CSV_COLUMNS) + "\n100,-5.0,0.5,1.0,0.0,1e\n")
+    with pytest.raises(ValueError, match=r"seed0\.csv, line 2: could not convert"):
+        harness.read_curve(str(path))
 
 
 def _quick_cfg(extra=""):

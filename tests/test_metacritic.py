@@ -16,11 +16,10 @@ def small_cfg(algo="ddpg", **cfg_kw):
 
 
 def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, inner_rate=None,
-            mc_hidden=6, sequential=False, **cfg_kw):
+            mc_hidden=6, **cfg_kw):
     rng = np.random.default_rng(seed)
     cfg = small_cfg(algo, mc_variant=variant, meta_loss=kind, mc_hidden=mc_hidden,
-                    inner_lr=-1.0 if inner_rate is None else inner_rate,
-                    sequential_inner=sequential, **cfg_kw)
+                    inner_lr=-1.0 if inner_rate is None else inner_rate, **cfg_kw)
     return mcmod.MetaState(offpac.AlgoState(cfg, SPEC, rng), rng)
 
 
@@ -317,29 +316,37 @@ def test_clip_metrics_stay_in_open_interval():
         assert -1.0 < m["loss_meta"] < 1.0
 
 
-def test_td3_meta_respects_delay_and_stream_order():
-    ms = make_ms(algo="td3", seed=49, mc_hidden=16, batch_n=8, batch_m=8)
+@pytest.mark.parametrize("algo", ["ddpg", "td3", "sac"])
+@pytest.mark.parametrize("variant", ["none", "feature"])
+def test_iteration_respects_delay_and_stream_order(algo, variant):
+    n, m, a_dim = 5, 7, SPEC.action_dim
+    ms = make_ms(algo=algo, variant=variant, seed=49, mc_hidden=16, batch_n=n, batch_m=m)
     buf = fill_buffer(seed=50)
-    rng = np.random.default_rng(51)
-    omega_before = [w.value.copy() for w in ms.mc.parameters()]
-    mcmod.train_iteration(ms, buf, rng)  # it=1: no actor step
-    for w, old in zip(ms.mc.parameters(), omega_before):
-        np.testing.assert_array_equal(w.value, old)
-    mcmod.train_iteration(ms, buf, rng)  # it=2: actor + omega
-    assert any(not np.array_equal(w.value, old)
-               for w, old in zip(ms.mc.parameters(), omega_before))
+    rng, ref = np.random.default_rng(51), np.random.default_rng(51)
+    # each index draw is logged with the stream's state before it, which pins its place
+    draw_indices, seen, expected = buf.sample_indices, [], []
+    buf.sample_indices = lambda k, r: seen.append((k, r.bit_generator.state)) or draw_indices(k, r)
 
+    def ref_indices(k):
+        expected.append((k, ref.bit_generator.state))
+        draw_indices(k, ref)
 
-def test_sequential_inner_variant_runs_and_differs():
-    d_trn = batch_of(8, 52)
-    ms_par = make_ms(seed=53, inner_rate=0.05, mc_hidden=16)
-    ms_seq = make_ms(seed=53, inner_rate=0.05, mc_hidden=16, sequential=True)
-    pu_par = mcmod.meta_train(ms_par, d_trn)
-    pu_seq = mcmod.meta_train(ms_seq, d_trn)
-    for old_p, old_s in zip(pu_par.phi_old, pu_seq.phi_old):
-        np.testing.assert_array_equal(old_p, old_s)
-    # with a nonzero inner rate the two evaluation points differ
-    diffs = [np.max(np.abs(np.asarray(ad.evaluate(a)) - np.asarray(ad.evaluate(b))))
-             for a, b in zip(pu_par.phi_new, pu_seq.phi_new)]
-    assert max(diffs) > 0.0
-
+    omega = ms.mc.parameters() if ms.mc else []
+    for it in (1, 2, 3):
+        omega_before = [w.value.copy() for w in omega]
+        mcmod.train_iteration(ms, buf, rng)
+        due = algo != "td3" or it % 2 == 0  # td3's default policy_delay is 2
+        # the documented draws, made by hand on the reference generator
+        ref_indices(n)  # d_trn indices
+        if algo != "ddpg":
+            ref.standard_normal((n, a_dim))  # critic target noise
+        if due and algo == "sac":
+            ref.standard_normal((n, a_dim))  # training noise
+        if due and ms.mc is not None:
+            ref_indices(m)  # d_val indices
+            if algo == "sac":
+                ref.standard_normal((m, a_dim))  # validation noise
+        assert seen == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+        omega_moved = any(not np.array_equal(w.value, old) for w, old in zip(omega, omega_before))
+        assert omega_moved == (due and ms.mc is not None)
