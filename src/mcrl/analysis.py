@@ -39,10 +39,14 @@ def pca_trajectory(snapshots: list[np.ndarray]):
 
 
 def load_snapshot_vectors(paths: list[str]) -> list[np.ndarray]:
-    """Flatten saved parameter snapshots (in file order) to vectors."""
+    """Flatten saved parameter snapshots (in file order) to vectors.
+
+    A snapshot with no tensors raises a ValueError naming its file."""
     out = []
     for p in paths:
         named = load_params(p)
+        if not named:
+            raise ValueError(f"{p}: the snapshot holds no tensors")
         out.append(flatten_values([arr for _, arr in named]))
     return out
 

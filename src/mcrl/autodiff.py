@@ -14,14 +14,17 @@ There are two ops namespaces. ``NumpyOps`` is the one place each
 primitive's value formula is written: its ops compute on plain arrays and
 build no Node. Each primitive of this module checks shapes, takes its
 value from the ``NumpyOps`` op of the same name and records one Node, so
-the two namespaces give the same bits. A forward written once against an
-``ops`` argument runs on either. Each backward rule is written the same
-way: ``backward`` runs it on ``NumpyOps`` by default and on this module
-with ``create_graph=True``, where the returned gradients are themselves
-differentiable Nodes, so a second backward pass yields mixed second
-derivatives such as the derivative of a gradient step with respect to
-parameters of the loss that produced it. Both modes give the same
-gradient bits.
+the two namespaces give the same bits. All but three primitives are
+declared in one line each, through the factory ``_unary`` (one input, then
+named attrs) or ``_binary`` (two inputs), either with an optional shape
+rule; ``dense``, ``broadcast`` and ``concat`` are written by hand. A
+forward written once against an ``ops`` argument runs on either. Each
+backward rule is written the same way: ``backward`` runs it on
+``NumpyOps`` by default and on this module with ``create_graph=True``,
+where the returned gradients are themselves differentiable Nodes, so a
+second backward pass yields mixed second derivatives such as the
+derivative of a gradient step with respect to parameters of the loss
+that produced it. Both modes give the same gradient bits.
 
 A fully-connected layer is one primitive, ``dense(x, w, b, act)``, so a
 net's forward records, and its backward walks, one Node per layer.
@@ -223,44 +226,52 @@ class NumpyOps:
 
 
 # ---------------------------------------------------------------------------
-# graph primitives: shape checks around the NumpyOps value, one Node each
+# graph primitives: one factory call each, three written by hand
 # ---------------------------------------------------------------------------
+# ``_unary`` and ``_binary`` write once the step every primitive shares:
+# unwrap the inputs, check them against the primitive's shape rule, take the
+# value from the ``NumpyOps`` op of the same name and record one Node, which
+# keeps a unary primitive's attrs for its backward rule. By hand: ``dense``
+# (three inputs, the hottest primitive), ``broadcast`` (numpy's ValueError
+# becomes a ShapeError) and ``concat`` (any number of inputs, column offsets).
 
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
-    # supported: equal shapes, either side scalar, and row-broadcast
-    # (N, D) op (D,). Anything else is rejected rather than silently
-    # numpy-broadcast.
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return True
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return True
-    if b.ndim == 2 and a.ndim == 1 and b.shape[1] == a.shape[0]:
-        return True
-    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == b.shape[0] and (a.shape[1] == 1 or b.shape[1] == 1):
-        return True
-    return False
+    """Equal shapes, or one side of size 1: nothing else is silently numpy-broadcast."""
+    return a.shape == b.shape or a.size == 1 or b.size == 1
 
 
-def _unary(name: str) -> Callable[..., Node]:
-    """The graph primitive ``name``: one input, any shape, no attrs."""
+def _unary(name: str, *attr_names: str,
+           shape_ok: Callable[..., bool] | None = None) -> Callable[..., Node]:
+    """The graph primitive ``name``: one input, then the attrs ``attr_names``.
+
+    The attrs go to the value formula and onto the Node, and must pass
+    ``shape_ok(value, *attrs)`` when it is given. A wrong attr count raises
+    TypeError first, so an extra array never reaches a ufunc's ``out=`` slot.
+    """
     value = getattr(NumpyOps, name)
+    n_attrs = len(attr_names)
 
-    def primitive(a) -> Node:
+    def primitive(a, *attrs) -> Node:
+        if len(attrs) != n_attrs:
+            raise TypeError(f"{name} takes one input and the attrs {attr_names}")
         a = as_node(a)
-        return Node(name, value(a.value), (a,))
+        av = a.value
+        if shape_ok is not None and not shape_ok(av, *attrs):
+            raise ShapeError(name, av.shape, *(attrs and (attrs,)))
+        return Node(name, value(av, *attrs), (a,), attrs)
 
     primitive.__name__ = primitive.__qualname__ = name
     return primitive
 
 
-def _binary(name: str) -> Callable[..., Node]:
-    """The graph primitive ``name``: two inputs whose shapes pass ``_binary_shapes_ok``."""
+def _binary(name: str, shape_ok: Callable[..., bool] = _binary_shapes_ok) -> Callable[..., Node]:
+    """The graph primitive ``name``: two inputs whose values pass ``shape_ok``, no attrs."""
     value = getattr(NumpyOps, name)
 
     def primitive(a, b) -> Node:
         a, b = as_node(a), as_node(b)
         av, bv = a.value, b.value
-        if av.shape != bv.shape and not _binary_shapes_ok(av, bv):
+        if not shape_ok(av, bv):
             raise ShapeError(name, av.shape, bv.shape)
         return Node(name, value(av, bv), (a, b))
 
@@ -269,23 +280,21 @@ def _binary(name: str) -> Callable[..., Node]:
 
 
 add, sub, mul = (_binary(name) for name in ("add", "sub", "mul"))
+matmul = _binary("matmul", lambda a, b: a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0])
+minimum = _binary("minimum", lambda a, b: a.shape == b.shape)
 neg, tanh, sigmoid, softplus, exp, log, square, absval, asum = (
     _unary(name) for name in
     ("neg", "tanh", "sigmoid", "softplus", "exp", "log", "square", "absval", "asum"))
-
-
-def scale(a, c: float) -> Node:
-    """Multiply by a python scalar constant (kept out of the graph)."""
-    a = as_node(a)
-    return Node("scale", NumpyOps.scale(a.value, c), (a,), (float(c),))
-
-
-def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeError("matmul", av.shape, bv.shape)
-    return Node("matmul", NumpyOps.matmul(av, bv), (a, b))
+# sum_axis1 keeps the column axis: the row sums of an (N, D) array are (N, 1)
+sum_axis0, sum_axis1, transpose = (_unary(name, shape_ok=lambda a: a.ndim == 2)
+                                   for name in ("sum_axis0", "sum_axis1", "transpose"))
+scale = _unary("scale", "c")  # times a python scalar, which stays out of the graph
+power = _unary("power", "p")
+clip = _unary("clip", "lo", "hi")  # the gradient passes only where lo < x < hi
+sum_to = _unary("sum_to", "shape")  # reduce-sum down to a broadcast-compatible shape
+slice_cols = _unary("slice_cols", "i0", "i1",
+                    shape_ok=lambda a, i0, i1: a.ndim == 2 and 0 <= i0 <= i1 <= a.shape[1])
+pad_cols = _unary("pad_cols", "i0", "total")  # an (N, D) block into (N, total) zeros at i0
 
 
 def dense(x, w, b, act: str) -> Node:
@@ -296,39 +305,6 @@ def dense(x, w, b, act: str) -> Node:
             or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise ShapeError("dense", xv.shape, wv.shape, bv.shape)
     return Node("dense", NumpyOps.dense(xv, wv, bv, act), (x, w, b), (act,))
-
-
-def power(a, p: float) -> Node:
-    a = as_node(a)
-    return Node("power", NumpyOps.power(a.value, p), (a,), (float(p),))
-
-
-def minimum(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError("minimum", a.value.shape, b.value.shape)
-    return Node("minimum", NumpyOps.minimum(a.value, b.value), (a, b))
-
-
-def clip(a, lo: float, hi: float) -> Node:
-    """Clamp to [lo, hi]; gradient passes only where lo < x < hi holds."""
-    a = as_node(a)
-    return Node("clip", NumpyOps.clip(a.value, lo, hi), (a,), (float(lo), float(hi)))
-
-
-def sum_axis0(a) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("sum_axis0", a.value.shape)
-    return Node("sum_axis0", NumpyOps.sum_axis0(a.value), (a,))
-
-
-def sum_axis1(a) -> Node:
-    """Row sums of an (N, D) array, keeping the column axis: result (N, 1)."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("sum_axis1", a.value.shape)
-    return Node("sum_axis1", NumpyOps.sum_axis1(a.value), (a,))
 
 
 def broadcast(a, shape: tuple) -> Node:
@@ -342,13 +318,7 @@ def broadcast(a, shape: tuple) -> Node:
     return Node("broadcast", v, (a,), (tuple(shape),))
 
 
-def sum_to(a, shape: tuple) -> Node:
-    """Reduce-sum down to a broadcast-compatible smaller shape."""
-    a = as_node(a)
-    return Node("sum_to", NumpyOps.sum_to(a.value, tuple(shape)), (a,), (tuple(shape),))
-
-
-def concat(parts: Sequence, ) -> Node:
+def concat(parts: Sequence) -> Node:
     """Concatenate (N, D_i) blocks along axis 1."""
     nodes = [as_node(p) for p in parts]
     n0 = nodes[0].value.shape[0]
@@ -362,26 +332,6 @@ def concat(parts: Sequence, ) -> Node:
         o += nd.value.shape[1]
     return Node("concat", NumpyOps.concat([nd.value for nd in nodes]),
                 tuple(nodes), (tuple(offs), o))
-
-
-def slice_cols(a, i0: int, i1: int) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2 or not (0 <= i0 <= i1 <= a.value.shape[1]):
-        raise ShapeError("slice_cols", a.value.shape, (i0, i1))
-    return Node("slice_cols", NumpyOps.slice_cols(a.value, i0, i1), (a,), (int(i0), int(i1)))
-
-
-def pad_cols(a, i0: int, total: int) -> Node:
-    """Embed an (N, D) block into (N, total) zeros starting at column i0."""
-    a = as_node(a)
-    return Node("pad_cols", NumpyOps.pad_cols(a.value, i0, total), (a,), (int(i0), int(total)))
-
-
-def transpose(a) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("transpose", a.value.shape)
-    return Node("transpose", NumpyOps.transpose(a.value), (a,))
 
 
 # ---------------------------------------------------------------------------

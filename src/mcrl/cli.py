@@ -23,6 +23,14 @@ def _or_exit(prefix: str, fn, *args, **kwargs):
         raise SystemExit(f"{prefix}: {err}") from None
 
 
+def _check_out(path: str) -> None:
+    """Exit with one line, before any work, if no file can be written at ``path``."""
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise SystemExit(f"--out: cannot write a file at {path}")
+
+
 def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
@@ -35,7 +43,8 @@ def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
     named = _or_exit("snapshot", nets.load_params, snapshot_path)
     n_params = len(actor.parameters())
     if len(named) != n_params:
-        raise SystemExit(f"snapshot has {len(named)} tensors, actor needs {n_params}")
+        raise SystemExit(f"{snapshot_path}: snapshot has {len(named)} tensors, "
+                         f"actor needs {n_params}")
     try:
         actor.set_param_values([arr for _, arr in named])
     except ShapeError as err:
@@ -77,6 +86,7 @@ def _snapshot_pca(snapshot_dir: str, pattern: str):
 
 
 def cmd_pca(args) -> int:
+    _check_out(args.out)
     paths, (coords, ratios, _) = _snapshot_pca(args.snapshots, args.pattern)
     with open(args.out, "w") as fh:
         fh.write("# explained_variance_ratio=" +
@@ -90,6 +100,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    _check_out(args.out)
     cfg = _or_exit(args.config, harness.load_config, args.config)
     env, actor = _build_actor_for(cfg)
     if args.snapshots:

@@ -70,7 +70,6 @@ class RunConfig:
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     mc_lr: float = 1e-3                 # plain SGD rate for omega
-    inner_lr: float = -1.0              # -1 -> share actor_lr
     gamma: float = 0.99
     tau: float = 0.005
     expl_noise: float = 0.1             # std of exploration noise as a fraction of scale
@@ -134,8 +133,6 @@ class RunConfig:
                      "noise_clip", "alpha", "horizon", "snapshot_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.inner_lr < 0 and self.inner_lr != -1.0:
-            raise ValueError("inner_lr must be >= 0, or -1 to share actor_lr")
         if self.mc_hidden < 1:
             raise ValueError("mc_hidden must be >= 1")
         if self.params_multiplier != 1.0:  # the width search raises if out of reach

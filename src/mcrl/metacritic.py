@@ -6,7 +6,7 @@ Each gradient iteration, after the usual critic TD step:
    without the auxiliary loss (phi_old) and one with it (phi_new). The
    phi_new parameters are kept as differentiable expressions of the
    auxiliary network's parameters omega, through exactly one inner
-   gradient step.
+   gradient step at the actor's own rate ``actor_lr``.
 2. meta-test: on an independent validation mini-batch, score phi_new
    with the ordinary critic-provided loss, either directly ("plain") or
    as tanh of its improvement over the phi_old baseline ("clip"). The
@@ -56,8 +56,6 @@ class MetaState:
         if cfg.mc_variant != "none":
             self.mc = MetaCriticNet(cfg.mc_variant, base.actor, rng, hidden=cfg.mc_hidden)
             self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
-        # the one derived setting: an inner_lr of -1 shares the actor's rate
-        self.inner_rate = cfg.actor_lr if cfg.inner_lr < 0 else cfg.inner_lr
 
 
 class PutativeUpdate(NamedTuple):
@@ -92,7 +90,7 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
         raise ValueError("empty batch")
     base = ms.base
     params = base.actor.parameters()
-    eta = ms.inner_rate
+    eta = base.cfg.actor_lr  # the inner step takes the actor's own rate
 
     l_c = actor_loss(base, d_trn, noise=noise)
     g_c = ad.backward(l_c, params)
@@ -121,14 +119,12 @@ def meta_loss_clip(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
                    noise: np.ndarray | None = None) -> ad.Node:
     """tanh of the validation improvement over the no-auxiliary baseline.
 
-    The baseline branch is evaluated at constant phi_old values, so it
+    The phi_new branch is ``meta_loss_plain``, checks included. The
+    baseline branch is evaluated at constant phi_old values, so it
     contributes nothing to the omega gradient; the result always lies in
     (-1, 1). Both branches share the validation batch and noise.
     """
-    if len(d_val) == 0:
-        raise ValueError("empty batch")
-    _require_omega_path(ms, pu)
-    l_new = actor_loss(ms.base, d_val, noise=noise, actor_params=pu.phi_new)
+    l_new = meta_loss_plain(ms, d_val, pu, noise)
     # the baseline is all constants, so its value is computed on raw arrays
     # (the same actor_loss forward, so the same bits) and enters as a leaf
     l_old = actor_loss_np(ms.base, d_val, noise=noise, params_values=pu.phi_old)

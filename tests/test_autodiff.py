@@ -61,6 +61,52 @@ def test_shape_mismatch_error_names_primitive():
         ad.broadcast(ad.constant(np.zeros((1, 3))), (3,))
 
 
+# primitive, suffixed to tell cases apart -> a call that its shape rule
+# rejects, as the hand-written wrapper before it did
+_REJECTED = {
+    "matmul-1d": lambda: ad.matmul(np.ones(3), np.ones((3, 2))),
+    "matmul-both-1d": lambda: ad.matmul(np.ones(3), np.ones(3)),
+    "matmul-inner": lambda: ad.matmul(np.ones((2, 3)), np.ones((2, 3))),
+    "minimum": lambda: ad.minimum(np.ones((4, 3)), np.ones((4, 1))),
+    "sum_axis0": lambda: ad.sum_axis0(np.ones(3)),
+    "sum_axis1": lambda: ad.sum_axis1(np.ones((2, 3, 4))),
+    "transpose": lambda: ad.transpose(np.ones(3)),
+    "slice_cols-past-end": lambda: ad.slice_cols(np.ones((2, 3)), 1, 4),
+    "slice_cols-reversed": lambda: ad.slice_cols(np.ones((2, 3)), 2, 1),
+    "slice_cols-negative": lambda: ad.slice_cols(np.ones((2, 3)), -1, 2),
+    "slice_cols-1d": lambda: ad.slice_cols(np.ones(3), 0, 1),
+    "dense": lambda: ad.dense(np.ones((2, 3)), np.ones((4, 5)), np.ones(5), "relu"),
+    "dense-bias": lambda: ad.dense(np.ones((2, 3)), np.ones((3, 5)), np.ones(4), "relu"),
+    "concat": lambda: ad.concat([np.ones((2, 3)), np.ones((3, 3))]),
+    "broadcast": lambda: ad.broadcast(np.ones((2, 3)), (4, 3)),
+    # row- and column-broadcasts are not size-1 broadcasts
+    "add": lambda: ad.add(np.ones((4, 3)), np.ones(3)),
+    "sub": lambda: ad.sub(np.ones(3), np.ones((4, 3))),
+    "mul": lambda: ad.mul(np.ones((4, 3)), np.ones((4, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_shape_rules_reject_what_the_old_wrappers_rejected(name):
+    with pytest.raises(ad.ShapeError) as ei:
+        _REJECTED[name]()
+    assert ei.value.op == name.split("-")[0]
+
+
+@pytest.mark.parametrize("op,attrs", [("exp", ()), ("neg", ()), ("absval", ()),
+                                      ("scale", (2.0,)), ("clip", (-1.0, 1.0))])
+def test_an_extra_array_argument_raises_and_is_not_written(op, attrs):
+    # the ufunc behind each op would take the extra array as its out= slot
+    x = ad.constant(np.full((2, 3), 0.5))
+    extra = np.zeros((2, 3))
+    with pytest.raises(TypeError, match=f"{op} takes one input"):
+        getattr(ad, op)(x, *attrs, extra)
+    assert np.all(extra == 0.0)
+    if attrs:
+        with pytest.raises(TypeError, match=f"{op} takes one input"):
+            getattr(ad, op)(x)
+
+
 def test_nan_off_the_requested_paths_raises_nothing():
     x = ad.Variable(np.array([0.5, -2.0]))
     z = ad.Variable(np.array(-1.0))
@@ -102,6 +148,8 @@ def test_raised_at_names_the_forward_primitive():
     x = ad.Variable(np.array([1e200]))
     # a factory closure, through a formula lambda
     assert _raised_at(lambda: ad.square(x)) == ("square", "forward")
+    # a factory closure that takes attrs
+    assert _raised_at(lambda: ad.scale(x, 1e200)) == ("scale", "forward")
     # a hand-written primitive, through its NumpyOps value
     w, b = ad.Variable(np.full((1, 1), 1e200)), ad.Variable(np.zeros(1))
     assert _raised_at(lambda: ad.dense(ad.constant([[1e200]]), w, b, "relu")) == (
@@ -185,7 +233,8 @@ def test_perceptron_gradient_matches_fd():
 
 PRIMITIVE_CASES = [
     ("add", lambda x: ad.add(x, ad.constant(np.array([0.3, -0.7, 1.1])))),
-    ("add_bias", lambda x: ad.add(ad.constant(np.ones((2, 3))), x)),
+    # a size-1 side with more axes: the gradient of x sums the (1, 3) result to (3,)
+    ("add_size1", lambda x: ad.add(ad.constant(np.array([[0.5]])), x)),
     ("sub", lambda x: ad.sub(ad.constant(np.array(0.5)), x)),
     ("neg", ad.neg),
     ("mul", lambda x: ad.mul(x, ad.constant(np.array([1.5, -2.0, 0.25])))),
@@ -210,7 +259,7 @@ def test_each_primitive_matches_fd(name, fn):
     x0 = rng.uniform(-0.45, 0.45, size=3) + 0.6  # keep away from kinks/clip edges
     if name in ("relu", "tanh", "sigmoid", "softplus", "neg", "square",
                 "absval", "minimum", "clip", "scale", "exp", "mul",
-                "add", "sub", "add_bias"):
+                "add", "sub", "add_size1"):
         x0 = rng.uniform(-0.45, 0.45, size=3) + np.array([0.8, -0.9, 0.2])
     v = ad.Variable(x0)
     y = ad.mean(fn(v))
@@ -277,10 +326,10 @@ def _rand(rng, *shape):
 # the graph primitive of the same name gets them wrapped as constants. A
 # suffix after "-" only tells apart cases of the same op.
 _NUMPY_OPS_CASES = {
-    "add": lambda r: (_rand(r, 4, 3), _rand(r, 3)),
+    "add": lambda r: (_rand(r, 4, 3), _rand(r, 1)),
     "sub": lambda r: (_rand(r, 4, 3), _rand(r, 4, 3)),
     "neg": lambda r: (_rand(r, 4, 3),),
-    "mul": lambda r: (_rand(r, 4, 3), _rand(r, 4, 1)),
+    "mul": lambda r: (_rand(r, 4, 3), _rand(r, 1, 1)),
     "scale": lambda r: (_rand(r, 4, 3), 0.37),
     "matmul": lambda r: (_rand(r, 4, 3), _rand(r, 3, 5)),
     **{f"dense-{act}": lambda r, act=act: (_rand(r, 4, 3) * 3, _rand(r, 3, 5), _rand(r, 5), act)
@@ -419,10 +468,10 @@ def test_inner_dimension_one_inputs_tell_signed_zeros_apart():
 # give the same bits in both. A suffix after "-" only tells apart cases of
 # the same op.
 _VJP_CASES = {
-    "add": ((4, 3), (3,), lambda x, z: ad.add(x, z)),
-    "sub": ((4, 3), (4, 1), lambda x, z: ad.sub(x, z)),
+    "add": ((4, 3), (1,), lambda x, z: ad.add(x, z)),
+    "sub": ((4, 3), (1, 1), lambda x, z: ad.sub(x, z)),
     "neg": ((4, 3), (1,), lambda x, z: ad.neg(x)),
-    "mul": ((4, 3), (4, 1), lambda x, z: ad.mul(x, z)),
+    "mul": ((4, 3), (1,), lambda x, z: ad.mul(x, z)),
     "scale": ((4, 3), (1,), lambda x, z: ad.scale(x, -1.7)),
     "matmul": ((4, 3), (3, 2), lambda x, z: ad.matmul(x, z)),
     **{f"dense-{act}": ((4, 3), (3, 2), lambda x, z, act=act: ad.dense(x, z, ad.sum_axis0(z), act))

@@ -1,8 +1,9 @@
 import os
+import re
 
 import pytest
 
-from mcrl import cli, harness, nets
+from mcrl import analysis, cli, harness, nets
 
 
 CFG = """\
@@ -263,3 +264,48 @@ def test_pca_and_surface_exit_with_one_line_on_a_malformed_snapshot(run_dir, tmp
         cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(snaps),
                   "--out", str(tmp_path / "s.csv")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snaps"]
+
+
+def test_a_snapshot_with_the_wrong_tensor_count_is_named(run_dir, tmp_path):
+    _, cfg_path, out = run_dir
+    snap = str(_last_snapshot(out))
+    short = tmp_path / "short.txt"
+    nets.save_params(short, nets.load_params(snap)[:-1])
+    message = r"short\.txt: snapshot has 5 tensors, actor needs 6"
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["eval", "--config", str(cfg_path), "--params", str(short)])
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["surface", "--config", str(cfg_path), "--center", str(short),
+                  "--d1", snap, "--d2", snap, "--out", str(tmp_path / "s.csv")])
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_an_empty_snapshot_is_named(run_dir, tmp_path):
+    _, cfg_path, out = run_dir
+    snap, empty = str(_last_snapshot(out)), tmp_path / "empty.txt"
+    empty.write_text("")
+    surface = ["surface", "--config", str(cfg_path), "--center", snap,
+               "--out", str(tmp_path / "s.csv")]
+    message = r"snapshot: .*empty\.txt: the snapshot holds no tensors"
+    for dirs in (["--d1", str(empty), "--d2", snap], ["--d1", snap, "--d2", str(empty)]):
+        with pytest.raises(SystemExit, match=message):
+            cli.main(surface + dirs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
+
+
+@pytest.mark.parametrize("cmd", ["pca", "surface"])
+def test_an_unwritable_out_exits_with_one_line_before_any_work(run_dir, tmp_path,
+                                                                monkeypatch, cmd):
+    _, cfg_path, out = run_dir
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("snapshots were read before --out was checked")
+
+    monkeypatch.setattr(analysis, "load_snapshot_vectors", no_work)
+    argv = [cmd] + (["--config", str(cfg_path)] if cmd == "surface" else []) + [
+        "--snapshots", str(out / "snapshots"), "--pattern", "seed0_*.txt"]
+    for bad in (tmp_path / "missing" / "s.csv", tmp_path):
+        message = re.escape(f"--out: cannot write a file at {bad}") + "$"
+        with pytest.raises(SystemExit, match=message):
+            cli.main(argv + ["--out", str(bad)])
+    assert list(tmp_path.iterdir()) == []

@@ -39,6 +39,9 @@ def test_parse_and_roundtrip():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config(BASE_CFG + "learning_rte=0.1\n")
+    # the inner step takes actor_lr; there is no separate inner rate
+    with pytest.raises(ValueError, match="unknown config key 'inner_lr'"):
+        parse_config(BASE_CFG + "inner_lr=0.05\n")
     # a repeated key is an error, not an override; BASE_CFG has 9 lines
     with pytest.raises(ValueError, match="line 11: config key 'actor_lr' given twice"):
         parse_config(BASE_CFG + "actor_lr=0.5\nactor_lr=0.25\n")
@@ -64,7 +67,7 @@ def test_invalid_values_rejected_before_work():
                 "hidden_critic=", "hidden_actor=8,0", "warmup_steps=-1",
                 "eval_every=401", "buffer_capacity=0", "actor_lr=-0.1",
                 "critic_lr=-0.1", "mc_lr=-0.1", "expl_noise=-0.1", "target_noise=-0.1",
-                "noise_clip=-0.1", "inner_lr=-0.5", "alpha=-0.1", "optimizer=rmsprop",
+                "noise_clip=-0.1", "alpha=-0.1", "optimizer=rmsprop",
                 "env=cartpole", "mc_hidden=0", "horizon=-1", "snapshot_every=-1",
                 "seeds=0,-1", "env_seed=-1", "seeds=3,3", "seeds=0,1,0",
                 # from 2**53 on, credit - 1.0 == credit and the credit loop never ends
@@ -75,7 +78,7 @@ def test_invalid_values_rejected_before_work():
     # updates_multiplier would never leave the training-credit loop
     for bad in ("updates_multiplier=inf", "updates_multiplier=nan", "params_multiplier=nan",
                 "params_multiplier=inf", "actor_lr=nan", "critic_lr=inf", "mc_lr=inf",
-                "inner_lr=nan", "expl_noise=nan", "noise_clip=nan", "alpha=inf",
+                "expl_noise=nan", "noise_clip=nan", "alpha=inf",
                 "target_noise=-inf", "tau=nan", "gamma=nan"):
         with pytest.raises(ValueError, match="must be finite"):
             parse_config(cfg_text(bad + "\n"))
@@ -95,13 +98,13 @@ def test_non_default_settings_reach_the_learner():
 
     cfg = harness.RunConfig(
         algo="td3", mc_variant="feature-state-action", meta_loss="plain", env="pendulum",
-        batch_n=5, batch_m=7, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04, inner_lr=0.05,
+        batch_n=5, batch_m=7, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04,
         gamma=0.9, tau=0.1, expl_noise=0.3, policy_delay=3, target_noise=0.4,
         noise_clip=0.6, alpha=0.7, optimizer="adam", hidden_actor=(5, 6), hidden_critic=(7,),
         mc_hidden=9)
     defaults = harness.RunConfig()
     learner = ("algo", "mc_variant", "meta_loss", "batch_n", "batch_m", "actor_lr",
-               "critic_lr", "mc_lr", "inner_lr", "gamma", "tau", "expl_noise",
+               "critic_lr", "mc_lr", "gamma", "tau", "expl_noise",
                "policy_delay", "target_noise", "noise_clip", "alpha", "optimizer",
                "hidden_actor", "hidden_critic", "mc_hidden")
     assert all(getattr(cfg, k) != getattr(defaults, k) for k in learner)
@@ -113,7 +116,6 @@ def test_non_default_settings_reach_the_learner():
     assert type(base.actor_opt) is offpac.Adam and base.actor_opt.lr == 0.02
     assert type(base.critic_opt) is offpac.Adam and base.critic_opt.lr == 0.03
     assert type(ms.mc_opt) is offpac.Sgd and ms.mc_opt.lr == 0.04
-    assert ms.inner_rate == 0.05
     assert base.actor.net.dims == [sd, 5, 6, ad]
     assert base.critic.net.dims == base.critic.twin.dims == [sd + ad, 7, 1]
     assert ms.mc.variant == "feature-state-action" and ms.mc.f.dims == [6 + sd + ad, 9, 9, 1]

@@ -15,11 +15,9 @@ def small_cfg(algo="ddpg", **cfg_kw):
     return harness.RunConfig(algo=algo, hidden_actor=(4, 4), hidden_critic=(6, 6), **cfg_kw)
 
 
-def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, inner_rate=None,
-            mc_hidden=6, **cfg_kw):
+def make_ms(algo="ddpg", variant="feature", kind="clip", seed=0, mc_hidden=6, **cfg_kw):
     rng = np.random.default_rng(seed)
-    cfg = small_cfg(algo, mc_variant=variant, meta_loss=kind, mc_hidden=mc_hidden,
-                    inner_lr=-1.0 if inner_rate is None else inner_rate, **cfg_kw)
+    cfg = small_cfg(algo, mc_variant=variant, meta_loss=kind, mc_hidden=mc_hidden, **cfg_kw)
     return mcmod.MetaState(offpac.AlgoState(cfg, SPEC, rng), rng)
 
 
@@ -51,7 +49,7 @@ def actor_values(ms):
 
 
 def test_zero_inner_rate_keeps_parameters():
-    ms = make_ms(inner_rate=0.0)
+    ms = make_ms(actor_lr=0.0)
     pu = mcmod.meta_train(ms, batch_of(8, 1))
     for p, old, new in zip(ms.base.actor.parameters(), pu.phi_old, pu.phi_new):
         np.testing.assert_array_equal(old, p.value)
@@ -59,7 +57,7 @@ def test_zero_inner_rate_keeps_parameters():
 
 
 def test_zero_inner_rate_meta_loss_reduces_and_zero_omega_grad():
-    ms = make_ms(inner_rate=0.0, kind="plain")
+    ms = make_ms(actor_lr=0.0, kind="plain")
     d_trn, d_val = batch_of(8, 1), batch_of(8, 2)
     pu = mcmod.meta_train(ms, d_trn)
     meta = mcmod.meta_loss_plain(ms, d_val, pu)
@@ -80,7 +78,7 @@ def test_zero_auxiliary_gradient_collapses_updates():
 
 
 def test_putative_difference_is_inner_auxiliary_step():
-    ms = make_ms(seed=5, inner_rate=0.07)
+    ms = make_ms(seed=5, actor_lr=0.07)
     d_trn = batch_of(8, 6)
     pu = mcmod.meta_train(ms, d_trn)
     params = ms.base.actor.parameters()
@@ -112,7 +110,7 @@ def test_clip_is_zero_when_updates_coincide():
 
 def test_clip_matches_tanh_of_difference_and_range():
     assert np.tanh(-0.5) == pytest.approx(-0.46211715726, abs=1e-9)
-    ms = make_ms(seed=9, inner_rate=0.05)
+    ms = make_ms(seed=9, actor_lr=0.05)
     d_trn, d_val = batch_of(8, 10), batch_of(8, 11)
     pu = mcmod.meta_train(ms, d_trn)
     l_new = float(ad.evaluate(offpac.actor_loss(ms.base, d_val, actor_params=pu.phi_new)))
@@ -125,7 +123,7 @@ def test_clip_matches_tanh_of_difference_and_range():
 
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac"])
 def test_clip_gradient_is_scaled_plain_gradient(algo):
-    ms = make_ms(algo=algo, seed=13, inner_rate=0.05)
+    ms = make_ms(algo=algo, seed=13, actor_lr=0.05)
     d_trn, d_val = batch_of(8, 14), batch_of(8, 15)
     rng = np.random.default_rng(16)
     noise_trn = ms.base.actor_noise(8, rng)
@@ -142,7 +140,7 @@ def test_clip_gradient_is_scaled_plain_gradient(algo):
 
 
 def test_baseline_branch_is_detached_graph_surgery():
-    ms = make_ms(seed=17, inner_rate=0.05)
+    ms = make_ms(seed=17, actor_lr=0.05)
     d_trn, d_val = batch_of(8, 18), batch_of(8, 19)
     pu = mcmod.meta_train(ms, d_trn)
     l_new = offpac.actor_loss(ms.base, d_val, actor_params=pu.phi_new)
@@ -163,7 +161,7 @@ def test_baseline_branch_is_detached_graph_surgery():
     ("ddpg", "param-reg"),
 ])
 def test_meta_gradient_matches_full_pipeline_fd(algo, variant):
-    ms = make_ms(algo=algo, variant=variant, seed=21, inner_rate=0.05, mc_hidden=4)
+    ms = make_ms(algo=algo, variant=variant, seed=21, actor_lr=0.05, mc_hidden=4)
     randomize_weights(ms, seed=99)
     d_trn, d_val = batch_of(6, 22), batch_of(6, 23)
     rng = np.random.default_rng(24)
@@ -197,7 +195,7 @@ def test_meta_gradient_matches_full_pipeline_fd(algo, variant):
 
 
 def test_omega_gradient_nonzero_for_generic_weights():
-    ms = make_ms(seed=25, inner_rate=0.05)
+    ms = make_ms(seed=25, actor_lr=0.05)
     pu = mcmod.meta_train(ms, batch_of(8, 26))
     meta = mcmod.meta_loss_clip(ms, batch_of(8, 27), pu)
     g = nets.flatten_values(ad.backward(meta, ms.mc.parameters()))
@@ -209,7 +207,7 @@ def test_omega_gradient_nonzero_for_generic_weights():
 def test_gradient_bits_do_not_depend_on_other_targets(algo, variant):
     # backward walks only the paths to its targets; adding omega (or the
     # actor) to wrt must not change one bit of the other gradients
-    ms = make_ms(algo=algo, variant=variant, seed=41, inner_rate=0.05)
+    ms = make_ms(algo=algo, variant=variant, seed=41, actor_lr=0.05)
     randomize_weights(ms, seed=42)
     d_trn, d_val = batch_of(7, 43), batch_of(7, 44)
     rng = np.random.default_rng(45)
@@ -253,7 +251,7 @@ def test_meta_optimise_sgd_adopts_phi_new():
 
 
 def test_meta_optimise_zero_inner_rate_leaves_omega():
-    ms = make_ms(seed=37, inner_rate=0.0)
+    ms = make_ms(seed=37, actor_lr=0.0)
     before = [w.value.copy() for w in ms.mc.parameters()]
     mcmod.meta_optimise(ms, batch_of(8, 38), batch_of(8, 39))
     for w, old in zip(ms.mc.parameters(), before):
