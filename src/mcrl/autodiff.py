@@ -321,6 +321,8 @@ def broadcast(a, shape: tuple) -> Node:
 def concat(parts: Sequence) -> Node:
     """Concatenate (N, D_i) blocks along axis 1."""
     nodes = [as_node(p) for p in parts]
+    if not nodes:
+        raise ShapeError("concat", "no inputs")
     n0 = nodes[0].value.shape[0]
     for nd in nodes:
         if nd.value.ndim != 2 or nd.value.shape[0] != n0:

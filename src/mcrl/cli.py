@@ -34,8 +34,8 @@ def _check_out(path: str) -> None:
 def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
-    scaled = harness.params_scale(cfg, spec.state_dim, spec.action_dim)
-    state = offpac.AlgoState(harness.learner_config(cfg, scaled), spec, np.random.default_rng(0))
+    learner = harness.learner_config(cfg, spec.state_dim, spec.action_dim)
+    state = offpac.AlgoState(learner, spec, np.random.default_rng(0))
     return env, state.actor
 
 
@@ -56,6 +56,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg = _or_exit("--seed", dataclasses.replace(cfg, seeds=(args.seed,)).validate)
     out = args.out or cfg.out_dir
+    _or_exit("--out", os.makedirs, out, exist_ok=True)
     results = harness.run(cfg, out, workers=args.workers)
     for seed, res in results.items():
         tail = f" (aborted at step {res['aborted_at']})" if res["aborted_at"] else ""

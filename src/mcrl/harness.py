@@ -63,8 +63,7 @@ class RunConfig:
     eval_every: int = 1000
     eval_episodes: int = 10
     seeds: tuple = (0,)
-    batch_n: int = 64                   # meta-train (and vanilla) batch rows
-    batch_m: int = 64                   # meta-test validation batch rows
+    batch_n: int = 64                   # rows of every batch: vanilla, meta-train, meta-test
     warmup_steps: int = 1000
     buffer_capacity: int = 100_000
     actor_lr: float = 1e-3
@@ -107,8 +106,8 @@ class RunConfig:
             raise ValueError("eval_every exceeds total_steps: the curve would have no rows")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.batch_n < 1 or self.batch_m < 1:
-            raise ValueError("batch_n and batch_m must be >= 1")
+        if self.batch_n < 1:
+            raise ValueError("batch_n must be >= 1")
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
@@ -137,7 +136,7 @@ class RunConfig:
             raise ValueError("mc_hidden must be >= 1")
         if self.params_multiplier != 1.0:  # the width search raises if out of reach
             spec = make_env(self.env, self.env_seed, horizon=self.horizon).spec
-            params_scale(self, spec.state_dim, spec.action_dim)
+            learner_config(self, spec.state_dim, spec.action_dim)
         return self
 
 
@@ -319,32 +318,28 @@ def network_param_count(cfg: RunConfig, state_dim: int, action_dim: int,
     return actor + critic
 
 
-def params_scale(cfg: RunConfig, state_dim: int, action_dim: int) -> dict:
-    """Integer hidden widths whose total actor+critic parameter count is
-    within 5% of params_multiplier times the baseline count."""
-    base = network_param_count(cfg, state_dim, action_dim)
-    target = cfg.params_multiplier * base
+def learner_config(cfg: RunConfig, state_dim: int, action_dim: int) -> RunConfig:
+    """The config the learner is built from: ``cfg`` itself at params_multiplier 1, else
+    ``cfg`` at multiplier 1 with its hidden widths scaled by the common factor in [1, 4]
+    whose rounded widths bring the actor+critic parameter count closest to
+    params_multiplier times ``cfg``'s count. Raises ValueError if that is not within 5%."""
     if cfg.params_multiplier == 1.0:
-        return {"hidden_actor": tuple(cfg.hidden_actor),
-                "hidden_critic": tuple(cfg.hidden_critic),
-                "base_count": base, "achieved_count": base, "target_count": base}
-    best = None
+        return cfg
+    target = cfg.params_multiplier * network_param_count(cfg, state_dim, action_dim)
+    candidates = []
     for r1000 in range(1000, 4001):
         r = r1000 / 1000.0
         ha = tuple(max(1, round(h * r)) for h in cfg.hidden_actor)
         hc = tuple(max(1, round(h * r)) for h in cfg.hidden_critic)
         count = network_param_count(cfg, state_dim, action_dim, ha, hc)
-        err = abs(count - target)
-        if best is None or err < best[0]:
-            best = (err, ha, hc, count)
+        candidates.append((abs(count - target), ha, hc, count))
         if count > target * 1.25:
             break
-    _, ha, hc, count = best
-    if abs(count - target) > 0.05 * target:
+    err, ha, hc, count = min(candidates, key=lambda c: c[0])  # the first of equals
+    if err > 0.05 * target:
         raise ValueError(f"cannot hit parameter target within 5%: "
                          f"best {count} vs target {target:.0f}")
-    return {"hidden_actor": ha, "hidden_critic": hc, "base_count": base,
-            "achieved_count": count, "target_count": target}
+    return dataclasses.replace(cfg, params_multiplier=1.0, hidden_actor=ha, hidden_critic=hc)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +348,6 @@ def params_scale(cfg: RunConfig, state_dim: int, action_dim: int) -> dict:
 
 def build_meta_state(cfg: RunConfig, env_spec, init_rng) -> MetaState:
     return MetaState(AlgoState(cfg, env_spec, init_rng), init_rng)
-
-
-def learner_config(cfg: RunConfig, scaled: dict) -> RunConfig:
-    """``cfg`` at the ``params_scale`` widths, which already carry the multiplier."""
-    return dataclasses.replace(cfg, params_multiplier=1.0, hidden_actor=scaled["hidden_actor"],
-                               hidden_critic=scaled["hidden_critic"])
 
 
 def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
@@ -375,8 +364,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     eval_env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
 
-    scaled = params_scale(cfg, spec.state_dim, spec.action_dim)
-    ms = build_meta_state(learner_config(cfg, scaled), spec, streams.init)
+    learner = learner_config(cfg, spec.state_dim, spec.action_dim)
+    ms = build_meta_state(learner, spec, streams.init)
     base = ms.base
     # the ring never holds more rows than the run has env steps, so a short
     # run does not allocate columns of buffer_capacity rows it never fills
@@ -456,10 +445,10 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     write_curve(csv_path, rows)
     meta = {"code_version": __version__, "seed": seed, "env_instance_seed": cfg.env_seed,
             "update_blocks": update_blocks,
-            "params_actor_critic": scaled["achieved_count"],
-            "params_base_count": scaled["base_count"],
-            "params_hidden_actor": ",".join(map(str, scaled["hidden_actor"])),
-            "params_hidden_critic": ",".join(map(str, scaled["hidden_critic"])),
+            "params_actor_critic": network_param_count(learner, spec.state_dim, spec.action_dim),
+            "params_base_count": network_param_count(cfg, spec.state_dim, spec.action_dim),
+            "params_hidden_actor": ",".join(map(str, learner.hidden_actor)),
+            "params_hidden_critic": ",".join(map(str, learner.hidden_critic)),
             "params_formula": "hidden widths scaled by common integer-rounded factor",
             "aborted_at_step": aborted_at if aborted_at is not None else "",
             "aborted_at_iteration": ms.base.it if aborted_at is not None else "",

@@ -151,7 +151,7 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
 
 
 def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
-    """One full gradient iteration on ``batch_n`` training and ``batch_m`` validation rows.
+    """One full gradient iteration on ``batch_n`` training and ``batch_n`` validation rows.
 
     The vanilla iteration with ``meta_optimise`` as its actor step, or
     exactly the vanilla iteration with the auxiliary critic disabled.
@@ -159,7 +159,7 @@ def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generato
     training reparameterization noise, d_val indices, validation noise].
     """
     def meta_step(d_trn: Batch, noise_trn: np.ndarray | None) -> dict:
-        d_val = buffer.sample_batch(ms.base.cfg.batch_m, rng)
+        d_val = buffer.sample_batch(ms.base.cfg.batch_n, rng)
         noise_val = ms.base.actor_noise(len(d_val), rng)
         return meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
 

@@ -26,6 +26,7 @@ surface tools consume.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -139,9 +140,9 @@ class Actor:
         for p, v in zip(ps, values):
             p.set_value(v)
 
-    def features(self, states, params=None) -> Node:
+    def features(self, states) -> Node:
         """Penultimate-layer output for a (N, state_dim) batch."""
-        return self.net.forward(states, params, layers=-1)
+        return self.net.forward(states, layers=-1)
 
     def act(self, states, noise=None, params=None, ops=ad, with_logp: bool = True):
         """Batched policy output on ``ops``: a sample given ``noise``, else the greedy action.
@@ -178,28 +179,27 @@ class Actor:
 
 
 class Critic:
-    """Action-value network Q(s, a), optionally twinned."""
+    """Action-value nets Q_i(s, a), one for ddpg and two for td3 and sac; ``q_min``,
+    their elementwise minimum, is the clipped double-Q value (Q itself for one net)."""
 
     def __init__(self, state_dim: int, action_dim: int, rng: np.random.Generator,
-                 hidden, twin: bool = False):
+                 hidden, n_nets: int = 1):
         dims = [state_dim + action_dim] + list(hidden) + [1]
         acts = ["relu"] * len(hidden) + ["linear"]
-        self.net = DenseNet(dims, acts, rng, "q1")
-        self.twin = DenseNet(dims, acts, rng, "q2") if twin else None
+        self.nets = [DenseNet(dims, acts, rng, f"q{i + 1}") for i in range(n_nets)]
 
-    def q(self, states, actions, params=None, ops=ad):
-        return self.net.forward(ops.concat([states, actions]), params, ops)
+    def qs(self, states, actions, params=None, ops=ad, count=None):
+        """Q of the first ``count`` nets (default all), sharing one ``ops.concat``;
+        ``params``, if given, holds one value list per net."""
+        x = ops.concat([states, actions])
+        return [net.forward(x, None if params is None else params[i], ops)
+                for i, net in enumerate(self.nets[:count])]
 
-    def q_twin(self, states, actions, params=None, ops=ad):
-        if self.twin is None:
-            raise ValueError("critic has no twin network")
-        return self.twin.forward(ops.concat([states, actions]), params, ops)
+    def q_min(self, states, actions, params=None, ops=ad):
+        return functools.reduce(ops.minimum, self.qs(states, actions, params, ops))
 
     def parameters(self) -> list[Variable]:
-        ps = list(self.net.params)
-        if self.twin is not None:
-            ps += self.twin.params
-        return ps
+        return [p for net in self.nets for p in net.params]
 
 
 MC_VARIANTS = ("feature", "feature-state-action", "param-reg")
@@ -228,18 +228,17 @@ class MetaCriticNet:
     def parameters(self) -> list[Variable]:
         return self.f.params if self.f is not None else list(self.reg_weights)
 
-    def loss(self, actor: Actor, states, actions=None, actor_params=None) -> Node:
+    def loss(self, actor: Actor, states, actions=None) -> Node:
         """Scalar auxiliary loss, differentiable in actor and own parameters."""
         if self.variant == "param-reg":
-            phi = actor.parameters() if actor_params is None else actor_params
             total = None
-            for w, p in zip(self.reg_weights, phi):
+            for w, p in zip(self.reg_weights, actor.parameters()):
                 term = ad.asum(ad.mul(ad.softplus(w), ad.absval(ad.as_node(p))))
                 total = term if total is None else ad.add(total, term)
             return total
         if ad.as_node(states).value.shape[0] == 0:
             raise ValueError("meta-critic loss needs a nonempty batch")
-        feats = actor.features(states, actor_params)
+        feats = actor.features(states)
         if self.variant == "feature-state-action":
             if actions is None:
                 raise ValueError("feature-state-action variant needs actions")

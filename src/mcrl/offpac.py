@@ -24,6 +24,7 @@ reproduce this module's behaviour exactly when disabled.
 from __future__ import annotations
 
 import copy
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,7 +85,7 @@ class AlgoState:
                            env_spec.action_bound, rng, hidden=cfg.hidden_actor,
                            head_kind=head)
         self.critic = Critic(env_spec.state_dim, env_spec.action_dim, rng,
-                             hidden=cfg.hidden_critic, twin=cfg.algo in ("td3", "sac"))
+                             hidden=cfg.hidden_critic, n_nets=1 if cfg.algo == "ddpg" else 2)
         self.target_actor = copy.deepcopy(self.actor) if cfg.algo in ("ddpg", "td3") else None
         self.target_critic = copy.deepcopy(self.critic)
         optimizer = OPTIMIZERS[cfg.optimizer]
@@ -100,10 +101,9 @@ class AlgoState:
             return self.it % self.cfg.policy_delay == 0
         return True
 
-    def critic_const_params(self):
-        q1 = [p.value for p in self.critic.net.params]
-        q2 = [p.value for p in self.critic.twin.params] if self.critic.twin else None
-        return q1, q2
+    def critic_const_params(self) -> list[list[np.ndarray]]:
+        """The critic's current values, one list per Q net."""
+        return [[p.value for p in net.params] for net in self.critic.nets]
 
     def actor_noise(self, n: int, rng: np.random.Generator):
         """Learning-time reparameterization noise; only SAC consumes any."""
@@ -128,11 +128,11 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
         a, logp = state.actor.act(batch.s, noise, actor_params)
     else:  # every raw-array policy call goes through act_np, where traces count them
         a, logp = state.actor.act_np(batch.s, noise, actor_params, return_logp=True)
-    q1c, q2c = state.critic_const_params()
-    q = state.critic.q(batch.s, a, q1c, ops)
-    if not sac:
+    qc = state.critic_const_params()
+    if not sac:  # td3 trains on Q1 alone
+        q, = state.critic.qs(batch.s, a, qc, ops, count=1)
         return ops.mean(ops.neg(q))
-    q = ops.minimum(q, state.critic.q_twin(batch.s, a, q2c, ops))
+    q = state.critic.q_min(batch.s, a, qc, ops)
     return ops.mean(ops.sub(ops.scale(logp, state.cfg.alpha), q))
 
 
@@ -150,22 +150,17 @@ def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> 
     """One-step TD regression targets; numpy only, never part of a graph."""
     h = state.cfg
     scale = state.spec.action_bound
-    critic = state.target_critic
-    if h.algo == "ddpg":
+    if h.algo == "sac":  # fresh sample from the live actor, entropy-corrected target
+        noise = state.actor_noise(len(batch), rng)
+        a2, logp2 = state.actor.act_np(batch.s_next, noise, return_logp=True)
+    else:
         a2 = state.target_actor.act_np(batch.s_next)
-        q2 = critic.q(batch.s_next, a2, ops=NumpyOps)
-    elif h.algo == "td3":
-        a2 = state.target_actor.act_np(batch.s_next)
+    if h.algo == "td3":
         eps = rng.standard_normal(a2.shape) * (h.target_noise * scale)
         eps = np.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
         a2 = np.clip(a2 + eps, -scale, scale)
-        q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
-                        critic.q_twin(batch.s_next, a2, ops=NumpyOps))
-    else:  # sac: fresh sample from the live actor, entropy-corrected target
-        noise = rng.standard_normal((len(batch), state.spec.action_dim))
-        a2, logp2 = state.actor.act_np(batch.s_next, noise, return_logp=True)
-        q2 = np.minimum(critic.q(batch.s_next, a2, ops=NumpyOps),
-                        critic.q_twin(batch.s_next, a2, ops=NumpyOps))
+    q2 = state.target_critic.q_min(batch.s_next, a2, ops=NumpyOps)
+    if h.algo == "sac":
         q2 = q2 - h.alpha * logp2
     return batch.r + h.gamma * q2
 
@@ -174,12 +169,9 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
     """One optimizer step on the mean-squared TD error; returns the loss value."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    y = critic_targets(state, batch, rng)
-    q1 = state.critic.q(batch.s, batch.a)
-    loss = ad.mean(ad.square(ad.sub(q1, ad.constant(y))))
-    if state.critic.twin is not None:
-        q2 = state.critic.q_twin(batch.s, batch.a)
-        loss = ad.add(loss, ad.mean(ad.square(ad.sub(q2, ad.constant(y)))))
+    y = ad.constant(critic_targets(state, batch, rng))
+    loss = functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
+                                     for q in state.critic.qs(batch.s, batch.a)])
     value = float(ad.evaluate(loss))
     grads = ad.backward(loss, state.critic.parameters())
     state.critic_opt.step(grads)

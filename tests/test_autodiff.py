@@ -78,6 +78,7 @@ _REJECTED = {
     "dense": lambda: ad.dense(np.ones((2, 3)), np.ones((4, 5)), np.ones(5), "relu"),
     "dense-bias": lambda: ad.dense(np.ones((2, 3)), np.ones((3, 5)), np.ones(4), "relu"),
     "concat": lambda: ad.concat([np.ones((2, 3)), np.ones((3, 3))]),
+    "concat-empty": lambda: ad.concat([]),
     "broadcast": lambda: ad.broadcast(np.ones((2, 3)), (4, 3)),
     # row- and column-broadcasts are not size-1 broadcasts
     "add": lambda: ad.add(np.ones((4, 3)), np.ones(3)),

@@ -204,6 +204,15 @@ def test_run_rejects_a_negative_seed_with_one_line(run_dir, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_unwritable_out_exits_with_one_line(run_dir, tmp_path):
+    # a path under a regular file can never be a directory
+    _, cfg_path, _ = run_dir
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit, match="--out: .*Not a directory"):
+        cli.main(["run", "--config", str(cfg_path), "--out", str(blocker / "x")])
+
+
 def test_compare_bad_input_exits_with_one_line(run_dir, tmp_path):
     _, _, out = run_dir
     with pytest.raises(SystemExit, match="compare: no seed CSVs in"):

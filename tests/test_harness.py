@@ -42,6 +42,9 @@ def test_unknown_key_rejected():
     # the inner step takes actor_lr; there is no separate inner rate
     with pytest.raises(ValueError, match="unknown config key 'inner_lr'"):
         parse_config(BASE_CFG + "inner_lr=0.05\n")
+    # the meta-test draws batch_n rows; there is no separate validation size
+    with pytest.raises(ValueError, match="unknown config key 'batch_m'"):
+        parse_config(BASE_CFG + "batch_m=8\n")
     # a repeated key is an error, not an override; BASE_CFG has 9 lines
     with pytest.raises(ValueError, match="line 11: config key 'actor_lr' given twice"):
         parse_config(BASE_CFG + "actor_lr=0.5\nactor_lr=0.25\n")
@@ -62,7 +65,7 @@ def test_invalid_values_rejected_before_work():
         with pytest.raises(ValueError, match=rf"line 2: bad value for {key}: '{val}'"):
             parse_config("algo=ddpg\n" + bad + "\n")
     # each of these used to fail only after warmup work, or not at all
-    for bad in ("batch_n=0", "batch_m=0", "tau=-0.1", "tau=2", "policy_delay=0",
+    for bad in ("batch_n=0", "tau=-0.1", "tau=2", "policy_delay=0",
                 "gamma=1.5", "gamma=1.0", "gamma=-0.1", "hidden_actor=",
                 "hidden_critic=", "hidden_actor=8,0", "warmup_steps=-1",
                 "eval_every=401", "buffer_capacity=0", "actor_lr=-0.1",
@@ -98,12 +101,12 @@ def test_non_default_settings_reach_the_learner():
 
     cfg = harness.RunConfig(
         algo="td3", mc_variant="feature-state-action", meta_loss="plain", env="pendulum",
-        batch_n=5, batch_m=7, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04,
+        batch_n=5, actor_lr=0.02, critic_lr=0.03, mc_lr=0.04,
         gamma=0.9, tau=0.1, expl_noise=0.3, policy_delay=3, target_noise=0.4,
         noise_clip=0.6, alpha=0.7, optimizer="adam", hidden_actor=(5, 6), hidden_critic=(7,),
         mc_hidden=9)
     defaults = harness.RunConfig()
-    learner = ("algo", "mc_variant", "meta_loss", "batch_n", "batch_m", "actor_lr",
+    learner = ("algo", "mc_variant", "meta_loss", "batch_n", "actor_lr",
                "critic_lr", "mc_lr", "gamma", "tau", "expl_noise",
                "policy_delay", "target_noise", "noise_clip", "alpha", "optimizer",
                "hidden_actor", "hidden_critic", "mc_hidden")
@@ -117,7 +120,7 @@ def test_non_default_settings_reach_the_learner():
     assert type(base.critic_opt) is offpac.Adam and base.critic_opt.lr == 0.03
     assert type(ms.mc_opt) is offpac.Sgd and ms.mc_opt.lr == 0.04
     assert base.actor.net.dims == [sd, 5, 6, ad]
-    assert base.critic.net.dims == base.critic.twin.dims == [sd + ad, 7, 1]
+    assert [net.dims for net in base.critic.nets] == [[sd + ad, 7, 1]] * 2
     assert ms.mc.variant == "feature-state-action" and ms.mc.f.dims == [6 + sd + ad, 9, 9, 1]
 
     buf = ReplayBuffer(16, sd, ad)
@@ -131,7 +134,7 @@ def test_non_default_settings_reach_the_learner():
     for _ in range(3):
         harness.train_iteration(ms, buf, rng)
     # policy_delay 3: iterations 1 and 2 draw d_trn only, iteration 3 also d_val
-    assert sizes == [5, 5, 5, 7]
+    assert sizes == [5, 5, 5, 5]
 
 
 def test_comments_and_blank_lines():
@@ -305,13 +308,13 @@ def test_infinite_loss_aborts_like_nan(tmp_path, monkeypatch, bad):
 # nets within a few dozen iterations of the end of warmup
 DIVERGE = ("env=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=1500\n"
            "warmup_steps=1000\neval_every=1500\neval_episodes=1\nhidden_actor=8,8\n"
-           "hidden_critic=8,8\nbatch_n=8\nbatch_m=8\n")
+           "hidden_critic=8,8\nbatch_n=8\n")
 
 
 @pytest.mark.parametrize("text, step, iteration, primitive", [
     ("algo=sac\nenv=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=105\n"
      "warmup_steps=100\neval_every=105\neval_episodes=1\nhidden_actor=8,8\n"
-     "hidden_critic=8,8\nbatch_n=8\nbatch_m=8\n", 104, 4, "square"),
+     "hidden_critic=8,8\nbatch_n=8\n", 104, 4, "square"),
     ("algo=ddpg\n" + DIVERGE, 1024, 24, "square"),
     ("algo=ddpg\nmc_variant=feature\n" + DIVERGE, 1024, 24, "square"),
     ("algo=td3\n" + DIVERGE, 1005, 5, "dense"),
@@ -344,10 +347,9 @@ def math_isnan_row(row):
     return all(np.isnan(v) for v in row[1:])
 
 
-def test_params_scale_identity_and_doubling():
+def test_learner_config_identity_and_doubling():
     cfg = _quick_cfg()
-    out = harness.params_scale(cfg, 4, 2)
-    assert out["hidden_actor"] == (8, 8) and out["achieved_count"] == out["base_count"]
+    assert harness.learner_config(cfg, 4, 2) is cfg
 
     # doubling every hidden width of a 1-hidden-layer net: closed-form count
     one = parse_config("algo=ddpg\nenv=pointmass\nhidden_actor=10\nhidden_critic=10\n")
@@ -371,13 +373,18 @@ def test_param_count_is_the_count_of_the_nets_built(algo):
         assert harness.network_param_count(cfg, spec.state_dim, spec.action_dim, ha, hc) == n
 
 
-def test_params_scale_ten_percent_within_five(tmp_path):
+def test_learner_config_ten_percent_within_five(tmp_path):
     cfg = parse_config(cfg_text("params_multiplier=1.10\nhidden_actor=64,64\n"
                                 "hidden_critic=64,64\n"))
-    out = harness.params_scale(cfg, 4, 2)
-    achieved = out["achieved_count"] / out["base_count"]
-    assert abs(out["achieved_count"] - out["target_count"]) <= 0.05 * out["target_count"]
-    assert achieved > 1.0
+    learner = harness.learner_config(cfg, 4, 2)
+    assert learner.params_multiplier == 1.0 and learner.hidden_actor == learner.hidden_critic
+    base = harness.network_param_count(cfg, 4, 2)
+    achieved = harness.network_param_count(learner, 4, 2)
+    assert abs(achieved - 1.10 * base) <= 0.05 * 1.10 * base
+    assert achieved > base
+    # every other setting is the config's own
+    assert dataclasses.replace(learner, params_multiplier=1.10, hidden_actor=(64, 64),
+                               hidden_critic=(64, 64)) == cfg
     run_cfg = parse_config(cfg_text(
         "params_multiplier=1.10\ntotal_steps=150\nwarmup_steps=100\n"
         "hidden_actor=64,64\nhidden_critic=64,64\n"))
@@ -456,9 +463,9 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
 
         streams = harness.rng_streams(3)
         env = make_env(cfg.env, cfg.env_seed)
-        scaled = harness.params_scale(cfg, env.spec.state_dim, env.spec.action_dim)
-        ms = harness.build_meta_state(harness.learner_config(cfg, scaled), env.spec,
-                                      streams.init)
+        ms = harness.build_meta_state(
+            harness.learner_config(cfg, env.spec.state_dim, env.spec.action_dim), env.spec,
+            streams.init)
         buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
         s = env.reset(streams.env)
         for step in range(1, cfg.total_steps + 1):

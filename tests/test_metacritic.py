@@ -81,16 +81,15 @@ def test_putative_difference_is_inner_auxiliary_step():
     ms = make_ms(seed=5, actor_lr=0.07)
     d_trn = batch_of(8, 6)
     pu = mcmod.meta_train(ms, d_trn)
-    params = ms.base.actor.parameters()
-    like = [p.value for p in params]
+    actor = ms.base.actor
+    like = [p.value for p in actor.parameters()]
 
-    def h_at(flat):
-        vals = nets.unflatten_values(flat, like)
-        consts = [ad.constant(v) for v in vals]
-        return float(ad.evaluate(ms.mc.loss(ms.base.actor, d_trn.s, d_trn.a,
-                                            actor_params=consts)))
+    def h_at(flat):  # the auxiliary loss with the actor set to ``flat``
+        actor.set_param_values(nets.unflatten_values(flat, like))
+        return float(ad.evaluate(ms.mc.loss(actor, d_trn.s, d_trn.a)))
 
     fd = ad.fd_gradient(h_at, nets.flatten_values(like), epsilon=1e-5)
+    actor.set_param_values(like)
     got = nets.flatten_values([np.asarray(ad.evaluate(new)) - old
                                for old, new in zip(pu.phi_old, pu.phi_new)])
     want = -0.07 * fd
@@ -290,7 +289,7 @@ def test_full_iteration_bit_identical_across_runs():
     buf = fill_buffer()
 
     def run():
-        ms = make_ms(algo="sac", seed=43, batch_n=8, batch_m=8)
+        ms = make_ms(algo="sac", seed=43, batch_n=8)
         rng = np.random.default_rng(44)
         metrics = [mcmod.train_iteration(ms, buf, rng) for _ in range(5)]
         phis = [p.value.copy() for p in ms.base.actor.parameters()]
@@ -306,7 +305,7 @@ def test_full_iteration_bit_identical_across_runs():
 
 
 def test_clip_metrics_stay_in_open_interval():
-    ms = make_ms(algo="ddpg", seed=45, batch_n=8, batch_m=8)
+    ms = make_ms(algo="ddpg", seed=45, batch_n=8)
     buf = fill_buffer(seed=46)
     rng = np.random.default_rng(47)
     for _ in range(30):
@@ -317,11 +316,12 @@ def test_clip_metrics_stay_in_open_interval():
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac"])
 @pytest.mark.parametrize("variant", ["none", "feature"])
 def test_iteration_respects_delay_and_stream_order(algo, variant):
-    n, m, a_dim = 5, 7, SPEC.action_dim
-    ms = make_ms(algo=algo, variant=variant, seed=49, mc_hidden=16, batch_n=n, batch_m=m)
+    n, a_dim = 5, SPEC.action_dim
+    ms = make_ms(algo=algo, variant=variant, seed=49, mc_hidden=16, batch_n=n)
     buf = fill_buffer(seed=50)
     rng, ref = np.random.default_rng(51), np.random.default_rng(51)
-    # each index draw is logged with the stream's state before it, which pins its place
+    # each index draw is logged with the stream's state before it, which pins its
+    # place: d_trn and d_val draw n rows each, and their states tell them apart
     draw_indices, seen, expected = buf.sample_indices, [], []
     buf.sample_indices = lambda k, r: seen.append((k, r.bit_generator.state)) or draw_indices(k, r)
 
@@ -341,9 +341,9 @@ def test_iteration_respects_delay_and_stream_order(algo, variant):
         if due and algo == "sac":
             ref.standard_normal((n, a_dim))  # training noise
         if due and ms.mc is not None:
-            ref_indices(m)  # d_val indices
+            ref_indices(n)  # d_val indices
             if algo == "sac":
-                ref.standard_normal((m, a_dim))  # validation noise
+                ref.standard_normal((n, a_dim))  # validation noise
         assert seen == expected
         assert rng.bit_generator.state == ref.bit_generator.state
         omega_moved = any(not np.array_equal(w.value, old) for w, old in zip(omega, omega_before))

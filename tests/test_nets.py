@@ -309,12 +309,14 @@ def _forward_pairs(case, override):
         net = nets.DenseNet([3, 7, 4], [variant, variant], rng)
         params = params_for(net.params)
         return [(net.forward(states, params), net.forward(states, params, ops=ad.NumpyOps))]
-    if kind == "critic":
-        critic = nets.Critic(3, 2, rng, hidden=(6, 6), twin=True)
-        q = getattr(critic, variant)
+    if kind == "critic":  # variant is "<method>-<number of Q nets>"
+        method, n_nets = variant.split("-")
+        critic = nets.Critic(3, 2, rng, hidden=(6, 6), n_nets=int(n_nets))
+        q = getattr(critic, method)
         actions = rng.uniform(-1.0, 1.0, size=(5, 2))
-        params = params_for(critic.net.params)
-        return [(q(states, actions, params), q(states, actions, params, ops=ad.NumpyOps))]
+        params = [params_for(net.params) for net in critic.nets] if override else None
+        graph, raw = q(states, actions, params), q(states, actions, params, ops=ad.NumpyOps)
+        return list(zip(graph, raw)) if method == "qs" else [(graph, raw)]
     # "mean" is the gaussian actor without noise, its greedy action
     actor = make_actor(head="deterministic" if variant == "deterministic" else "gaussian",
                        seed=41)
@@ -341,8 +343,20 @@ def _forward_pairs(case, override):
 @pytest.mark.parametrize("override", [False, True], ids=["stored", "override"])
 @pytest.mark.parametrize("case", [f"dense-{act}" for act in ("relu", "tanh", "softplus", "linear")]
                          + ["actor-deterministic", "actor-mean", "actor-sample",
-                            "critic-q", "critic-q_twin"])
+                            "critic-qs-1", "critic-qs-2", "critic-q_min-1",
+                            "critic-q_min-2"])
 def test_graph_and_numpy_forwards_agree(case, override):
     for graph, raw in _forward_pairs(case, override):
         assert isinstance(raw, np.ndarray)
         assert np.array_equal(ad.evaluate(graph), raw)
+
+
+@pytest.mark.parametrize("n_nets", [1, 2])
+def test_critic_q_min_is_the_elementwise_minimum_of_qs(n_nets):
+    rng = np.random.default_rng(43)
+    states, actions = rng.normal(size=(6, 3)), rng.uniform(-1.0, 1.0, size=(6, 2))
+    critic = nets.Critic(3, 2, rng, hidden=(5,), n_nets=n_nets)
+    qs = critic.qs(states, actions, ops=ad.NumpyOps)
+    assert len(qs) == n_nets and len(critic.qs(states, actions, count=1)) == 1
+    np.testing.assert_array_equal(critic.q_min(states, actions, ops=ad.NumpyOps),
+                                  np.minimum.reduce(qs))

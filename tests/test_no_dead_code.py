@@ -122,7 +122,7 @@ def _train_every_config():
                                                  metacritic.META_LOSS_KINDS):
         cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=kind,
                                 hidden_actor=(3,), hidden_critic=(3,), mc_hidden=3,
-                                batch_n=4, batch_m=4)
+                                batch_n=4)
         rng = np.random.default_rng(0)
         ms = harness.build_meta_state(cfg, spec, rng)
         buffer = ReplayBuffer(8, spec.state_dim, spec.action_dim)

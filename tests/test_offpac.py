@@ -30,8 +30,7 @@ def random_batch(n=16, seed=1):
 
 def set_constant_critic(state, c):
     """Make Q(s,a) = c for all inputs (zero weights, bias c on output)."""
-    nets_ = [state.critic.net] + ([state.critic.twin] if state.critic.twin else [])
-    for net in nets_:
+    for net in state.critic.nets:
         for p in net.params:
             p.set_value(np.zeros_like(p.value))
         net.params[-1].set_value(np.array([c]))
@@ -46,16 +45,17 @@ def test_ddpg_actor_loss_with_constant_critic():
 
 def test_sac_alpha_zero_single_critic_equals_ddpg_form():
     state = make_state("sac", seed=2, alpha=0.0)
-    # force twin == main so min(Q1, Q2) == Q1
-    for t, p in zip(state.critic.twin.params, state.critic.net.params):
+    # force Q2 == Q1 so min(Q1, Q2) == Q1
+    q1_net, q2_net = state.critic.nets
+    for t, p in zip(q2_net.params, q1_net.params):
         t.set_value(p.value)
     batch = random_batch()
     noise = np.zeros((len(batch), 2))
     loss_sac = float(ad.evaluate(offpac.actor_loss(state, batch, noise=noise)))
     # ddpg-style loss with the same actor's greedy action and same critic
     a, _ = state.actor.act(batch.s)
-    q1c, _ = state.critic_const_params()
-    loss_ddpg = float(ad.evaluate(ad.mean(ad.neg(state.critic.q(batch.s, a, q1c)))))
+    q1, = state.critic.qs(batch.s, a, state.critic_const_params(), count=1)
+    loss_ddpg = float(ad.evaluate(ad.mean(ad.neg(q1))))
     assert loss_sac == pytest.approx(loss_ddpg, rel=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_td3_actor_loss_ignores_twin():
     batch = random_batch()
     l1 = float(ad.evaluate(offpac.actor_loss(state, batch)))
     rng = np.random.default_rng(7)
-    for p in state.critic.twin.params:
+    for p in state.critic.nets[1].params:
         p.set_value(p.value + rng.normal(size=p.value.shape))
     l2 = float(ad.evaluate(offpac.actor_loss(state, batch)))
     assert l1 == l2
@@ -113,7 +113,7 @@ def test_critic_targets_are_gradient_isolated():
     assert isinstance(y, np.ndarray)
     target_params = (state.target_critic.parameters()
                      + state.target_actor.parameters())
-    q1 = state.critic.q(batch.s, batch.a)
+    q1 = state.critic.qs(batch.s, batch.a)[0]
     loss = ad.mean(ad.square(ad.sub(q1, ad.constant(y))))
     grads = ad.backward(loss, target_params)
     assert all(np.all(g == 0.0) for g in grads)
@@ -123,8 +123,8 @@ def test_td3_twin_swap_leaves_min_target_unchanged():
     state = make_state("td3", seed=7)
     batch = random_batch()
     y1 = offpac.critic_targets(state, batch, np.random.default_rng(3))
-    q1, q2 = state.target_critic.net.params, state.target_critic.twin.params
-    for p1, p2 in zip(q1, q2):
+    q1, q2 = state.target_critic.nets
+    for p1, p2 in zip(q1.params, q2.params):
         v1 = p1.value
         p1.set_value(p2.value)
         p2.set_value(v1)
@@ -158,8 +158,8 @@ def test_single_transition_regression_converges():
     for _ in range(2000):
         batch = buf.sample_batch(1, rng)
         offpac.critic_update(state, batch, rng)
-    q = state.critic.q(np.array([[0.1, -0.2, 0.3]]), np.array([[0.5, -0.5]]),
-                       ops=ad.NumpyOps)
+    q = state.critic.q_min(np.array([[0.1, -0.2, 0.3]]), np.array([[0.5, -0.5]]),
+                           ops=ad.NumpyOps)
     assert abs(float(q[0, 0]) - 0.7) < 1e-3
 
 

@@ -16,6 +16,12 @@ Then, for each algo x {none, feature} on a config that diverges (PointMass
 at learning rates of 1e6, 8-wide nets, batch 8), it prints the seed's abort
 record: the step, the iteration, the completed update blocks, and the
 primitive and kind (forward or backward) of the op that raised.
+
+Last come the control configs, each a digest line that also gives the
+sha256 of the ``params_*`` lines of its ``seed0.meta.txt``: TD3 with Adam
+at ``params_multiplier=2`` on PointMass, SAC at ``updates_multiplier=1.5``
+on the tabular MDP, and DDPG with the param-reg meta-critic at
+``params_multiplier=1.3`` on Pendulum.
 """
 
 import hashlib
@@ -35,7 +41,22 @@ SHORT = dict(env="pointmass", total_steps=300, warmup_steps=100, eval_every=150,
 # learning rates of 1e6 overflow the nets within a few dozen iterations
 DIVERGE = dict(env="pointmass", actor_lr=1e6, critic_lr=1e6, total_steps=1500,
                warmup_steps=1000, eval_every=1500, eval_episodes=1, hidden_actor=(8, 8),
-               hidden_critic=(8, 8), batch_n=8, batch_m=8, seeds=(0,))
+               hidden_critic=(8, 8), batch_n=8, seeds=(0,))
+CONTROLS = {
+    "control/td3/adam/params2/pointmass": dict(algo="td3", optimizer="adam",
+                                               params_multiplier=2.0),
+    "control/sac/updates1.5/tabular": dict(algo="sac", updates_multiplier=1.5, env="tabular"),
+    "control/ddpg/param-reg/params1.3/pendulum": dict(algo="ddpg", mc_variant="param-reg",
+                                                      params_multiplier=1.3, env="pendulum"),
+}
+
+
+def make_config(harness, **fields):
+    """A validated ``RunConfig``; a tree with a ``batch_m`` field gets it equal to
+    ``batch_n``, the meta-test size of trees without the field, so both compare."""
+    if "batch_m" in harness.RunConfig.__dataclass_fields__:
+        fields["batch_m"] = fields.get("batch_n", harness.RunConfig.batch_n)
+    return harness.RunConfig(**fields).validate()
 
 
 def params_sha256(variables) -> str:
@@ -46,15 +67,20 @@ def params_sha256(variables) -> str:
     return h.hexdigest()
 
 
-def digest_line(name: str, cfg, harness) -> str:
+def digest_line(name: str, cfg, harness, with_params_meta: bool = False) -> str:
     with tempfile.TemporaryDirectory() as out:
         res = harness.run_seed(cfg, cfg.seeds[0], out)
         with open(res["csv"], "rb") as fh:
             csv = hashlib.sha256(fh.read()).hexdigest()
+        with open(os.path.join(out, f"seed{cfg.seeds[0]}.meta.txt"), "rb") as fh:
+            params_meta = b"".join(line for line in fh if line.startswith(b"params_"))
     ms = res["meta_state"]
     omega = "-" if ms.mc is None else params_sha256(ms.mc.parameters())
-    return (f"{name} csv={csv} actor={params_sha256(ms.base.actor.parameters())} "
+    line = (f"{name} csv={csv} actor={params_sha256(ms.base.actor.parameters())} "
             f"critic={params_sha256(ms.base.critic.parameters())} omega={omega}")
+    if with_params_meta:
+        line += f" params_meta={hashlib.sha256(params_meta).hexdigest()}"
+    return line
 
 
 def abort_line(name: str, cfg, harness) -> str:
@@ -75,14 +101,17 @@ def main() -> int:
 
     for algo, variant, loss in itertools.product(
             offpac.ALGOS, ("none", *nets.MC_VARIANTS), metacritic.META_LOSS_KINDS):
-        cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss, **SHORT)
-        print(digest_line(f"{algo}/{variant}/{loss}", cfg.validate(), harness), flush=True)
+        cfg = make_config(harness, algo=algo, mc_variant=variant, meta_loss=loss, **SHORT)
+        print(digest_line(f"{algo}/{variant}/{loss}", cfg, harness), flush=True)
     for name in workloads.WORKLOADS:
         cfg = workloads.make_config(name, WORKLOAD_SEED)
         print(digest_line(f"workload/{name}", cfg, harness), flush=True)
     for algo, variant in itertools.product(offpac.ALGOS, ("none", "feature")):
-        cfg = harness.RunConfig(algo=algo, mc_variant=variant, **DIVERGE)
-        print(abort_line(f"diverge/{algo}/{variant}", cfg.validate(), harness), flush=True)
+        cfg = make_config(harness, algo=algo, mc_variant=variant, **DIVERGE)
+        print(abort_line(f"diverge/{algo}/{variant}", cfg, harness), flush=True)
+    for name, fields in CONTROLS.items():
+        cfg = make_config(harness, **{**SHORT, **fields})
+        print(digest_line(name, cfg, harness, with_params_meta=True), flush=True)
     return 0
 
 
