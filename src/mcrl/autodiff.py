@@ -29,6 +29,25 @@ that produced it. Both modes give the same gradient bits.
 A fully-connected layer is one primitive, ``dense(x, w, b, act)``, so a
 net's forward records, and its backward walks, one Node per layer.
 
+Record and replay. A gradient region, such as a loss and its gradients,
+builds a graph of the same shape every iteration, so ``plan.replay`` runs
+it eagerly once, records each ``NumpyOps`` formula it calls as (formula,
+input slots, attrs, output slot), and later replays only that list on new
+input arrays of the same shapes: no Node, no walk, no grads dict. New
+shapes record again. The recorder lives in module ``plan``; ``constant``
+and ``full`` here report to it while it records.
+- Every array a region reads must be a declared input, a formula's value
+  or a literal made by ``full`` from shapes alone. The recorder raises on
+  any other, so a value computed with direct numpy, such as a mask, is a
+  formula too (``relu_mask``, ``minimum_mask``, ``clip_mask``, ``sign``,
+  ``invert``). A ``constant`` of a recorded value records its float64
+  conversion. Shape and graph checks run at record time only.
+- A replay keeps no intermediate: each value's slot is reused after its
+  last read, and only the literals and the outputs outlive the call.
+- A FloatingPointError in a replay discards it and runs the region
+  eagerly on the same inputs, which raises at the same op with the frames
+  ``raised_at`` reads; nothing is committed before a region returns.
+
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
 bit-identical, and a gradient's bits do not depend on which other
@@ -50,6 +69,7 @@ SQUASH_EPS = 1e-9
 DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
 _graph = sys.modules[__name__]  # the graph ops namespace: this module
+_tape = None  # the plan._Tape recording a region, if one is: constant and full report to it
 
 
 class AutodiffError(Exception):
@@ -114,7 +134,19 @@ class Variable(Node):
 
 def constant(value) -> Node:
     """Wrap an array as a non-differentiable leaf."""
-    return Node("const", _arr(value), (), (), requires_grad=False)
+    v = _arr(value)
+    if _tape is not None and v is not value:  # a conversion, which a replay repeats
+        _tape.step(_arr, (value,), v)
+    return Node("const", v, (), (), requires_grad=False)
+
+
+def full(shape, fill: float) -> np.ndarray:
+    """A float64 array of ``shape`` holding ``fill``: the literals of a recorded region."""
+    out = np.empty(shape, dtype=DTYPE)
+    out.fill(fill)
+    if _tape is not None:
+        _tape.literal(out)
+    return out
 
 
 def as_node(x) -> Node:
@@ -159,27 +191,83 @@ class NumpyOps:
     neg = staticmethod(np.negative)
     mul = staticmethod(np.multiply)
     scale = staticmethod(np.multiply)
-    # numpy sums an inner dimension of 1 from +0.0, which turns a -0.0 product into +0.0
-    matmul = staticmethod(lambda a, b: a @ b if a.shape[-1] != 1
-                          else np.add(r := a * b, 0.0, out=r))
     exp = staticmethod(np.exp)
     log = staticmethod(np.log)
     tanh = staticmethod(np.tanh)
     absval = staticmethod(np.abs)
     minimum = staticmethod(np.minimum)
-    clip = staticmethod(np.clip)
-    square = staticmethod(lambda a: a * a)
-    power = staticmethod(lambda a, p: a ** p)
-    softplus = staticmethod(lambda a: np.logaddexp(0.0, a))
-    # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
-    sigmoid = staticmethod(lambda a: 0.5 * (1.0 + np.tanh(0.5 * a)))
-    # sum of all elements, as a 0-d array
-    asum = staticmethod(lambda a: np.asarray(np.add.reduce(a, None), dtype=DTYPE))
-    sum_axis0 = staticmethod(lambda a: np.add.reduce(a, 0))
-    sum_axis1 = staticmethod(lambda a: np.add.reduce(a, -1, keepdims=True))
-    concat = staticmethod(lambda parts: np.concatenate(parts, axis=1))
-    slice_cols = staticmethod(lambda a, i0, i1: a[..., i0:i1])
-    transpose = staticmethod(lambda a: a.T)
+    # the ufunc that np.clip wraps, with the same bits at a third of the call cost
+    clip = staticmethod(np._core.umath.clip)
+    sign = staticmethod(np.sign)
+    invert = staticmethod(np.invert)
+
+    @staticmethod
+    def matmul(a, b):
+        if a.shape[-1] != 1:
+            return a @ b
+        # numpy sums an inner dimension of 1 from +0.0, which turns a -0.0 product into +0.0
+        r = a * b
+        return np.add(r, 0.0, out=r)
+
+    @staticmethod
+    def square(a):
+        return a * a
+
+    @staticmethod
+    def power(a, p):
+        return a ** p
+
+    @staticmethod
+    def softplus(a):
+        return np.logaddexp(0.0, a)
+
+    @staticmethod
+    def sigmoid(a):
+        # 0.5*(1+tanh(x/2)) is overflow-free for large |x|
+        return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+    @staticmethod
+    def asum(a):
+        """The sum of all elements, as a 0-d array."""
+        return np.asarray(np.add.reduce(a, None), dtype=DTYPE)
+
+    @staticmethod
+    def sum_axis0(a):
+        return np.add.reduce(a, 0)
+
+    @staticmethod
+    def sum_axis1(a):
+        return np.add.reduce(a, -1, keepdims=True)
+
+    @staticmethod
+    def concat(parts):
+        return np.concatenate(parts, axis=1)
+
+    @staticmethod
+    def slice_cols(a, i0, i1):
+        return a[..., i0:i1]
+
+    @staticmethod
+    def transpose(a):
+        return a.T
+
+    # the masks of the backward rules, formulas over values so that a
+    # recorded region replays them
+
+    @staticmethod
+    def relu_mask(v):
+        """Where a relu passed its input; its value is NaN where the input is."""
+        return np.greater(v, 0.0)
+
+    @staticmethod
+    def minimum_mask(a, b):
+        """Where ``minimum`` took its first input."""
+        return np.less_equal(a, b)
+
+    @staticmethod
+    def clip_mask(x, lo, hi):
+        """Where ``clip`` passed its input: lo < x < hi."""
+        return np.bitwise_and(np.greater(x, lo), np.less(x, hi))
 
     @staticmethod
     def dense(x, w, b, act):
@@ -248,7 +336,6 @@ def _unary(name: str, *attr_names: str,
     ``shape_ok(value, *attrs)`` when it is given. A wrong attr count raises
     TypeError first, so an extra array never reaches a ufunc's ``out=`` slot.
     """
-    value = getattr(NumpyOps, name)
     n_attrs = len(attr_names)
 
     def primitive(a, *attrs) -> Node:
@@ -258,7 +345,7 @@ def _unary(name: str, *attr_names: str,
         av = a.value
         if shape_ok is not None and not shape_ok(av, *attrs):
             raise ShapeError(name, av.shape, *(attrs and (attrs,)))
-        return Node(name, value(av, *attrs), (a,), attrs)
+        return Node(name, getattr(NumpyOps, name)(av, *attrs), (a,), attrs)
 
     primitive.__name__ = primitive.__qualname__ = name
     return primitive
@@ -266,14 +353,13 @@ def _unary(name: str, *attr_names: str,
 
 def _binary(name: str, shape_ok: Callable[..., bool] = _binary_shapes_ok) -> Callable[..., Node]:
     """The graph primitive ``name``: two inputs whose values pass ``shape_ok``, no attrs."""
-    value = getattr(NumpyOps, name)
 
     def primitive(a, b) -> Node:
         a, b = as_node(a), as_node(b)
         av, bv = a.value, b.value
         if not shape_ok(av, bv):
             raise ShapeError(name, av.shape, bv.shape)
-        return Node(name, value(av, bv), (a, b))
+        return Node(name, getattr(NumpyOps, name)(av, bv), (a, b))
 
     primitive.__name__ = primitive.__qualname__ = name
     return primitive
@@ -355,7 +441,7 @@ def gaussian_log_density(x, mean_, log_std, ops=_graph):
     x = ops.as_node(x)
     z = ops.mul(ops.sub(x, mean_), ops.exp(ops.neg(log_std)))
     per = ops.sub(ops.scale(ops.square(z), -0.5), log_std)
-    return ops.add(ops.sum_axis1(per), ops.constant(np.array(-0.5 * LOG_2PI) * x.shape[-1]))
+    return ops.add(ops.sum_axis1(per), ops.constant(full((), -0.5 * LOG_2PI * x.shape[-1])))
 
 
 def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
@@ -372,9 +458,9 @@ def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
     action = ops.scale(t, action_scale)
     if not with_logp:
         return action, None
-    corr = ops.log(ops.add(ops.scale(ops.sub(ops.constant(np.array(1.0)), ops.square(t)),
+    corr = ops.log(ops.add(ops.scale(ops.sub(ops.constant(full((), 1.0)), ops.square(t)),
                                      action_scale),
-                           ops.constant(np.array(SQUASH_EPS))))
+                           ops.constant(full((), SQUASH_EPS))))
     logp = ops.sub(gaussian_log_density(u, mean_, log_std, ops), ops.sum_axis1(corr))
     return action, logp
 
@@ -431,7 +517,7 @@ def _vjp_dense(ops, g, n, live):
     # g becomes the gradient of the pre-activation x @ w + b
     if act == "relu":
         # the value is NaN where x @ w + b is, so this mask is (x @ w + b > 0)
-        g = ops.mul(g, ops.constant(n.value > 0.0))
+        g = ops.mul(g, ops.constant(NumpyOps.relu_mask(n.value)))
     elif act == "tanh":
         (g,) = _vjp_tanh(ops, g, n, live)  # it reads only the node's own value
     elif act == "softplus":
@@ -446,12 +532,12 @@ def _vjp_dense(ops, g, n, live):
 
 
 def _vjp_tanh(ops, g, n, live):
-    return (ops.mul(g, ops.sub(ops.constant(np.array(1.0)), ops.square(ops.as_node(n)))),)
+    return (ops.mul(g, ops.sub(ops.constant(full((), 1.0)), ops.square(ops.as_node(n)))),)
 
 
 def _vjp_sigmoid(ops, g, n, live):
     y = ops.as_node(n)
-    return (ops.mul(g, ops.mul(y, ops.sub(ops.constant(np.array(1.0)), y))),)
+    return (ops.mul(g, ops.mul(y, ops.sub(ops.constant(full((), 1.0)), y))),)
 
 
 def _vjp_softplus(ops, g, n, live):
@@ -476,21 +562,19 @@ def _vjp_power(ops, g, n, live):
 
 
 def _vjp_absval(ops, g, n, live):
-    return (ops.mul(g, ops.constant(np.sign(n.parents[0].value))),)
+    return (ops.mul(g, ops.constant(NumpyOps.sign(n.parents[0].value))),)
 
 
 def _vjp_minimum(ops, g, n, live):
     a, b = n.parents
-    mask = a.value <= b.value
+    mask = NumpyOps.minimum_mask(a.value, b.value)
     ga = ops.mul(g, ops.constant(mask)) if a in live else None
-    gb = ops.mul(g, ops.constant(~mask)) if b in live else None
+    gb = ops.mul(g, ops.constant(NumpyOps.invert(mask))) if b in live else None
     return (ga, gb)
 
 
 def _vjp_clip(ops, g, n, live):
-    lo, hi = n.attrs
-    x = n.parents[0].value
-    return (ops.mul(g, ops.constant((x > lo) & (x < hi))),)
+    return (ops.mul(g, ops.constant(NumpyOps.clip_mask(n.parents[0].value, *n.attrs))),)
 
 
 def _vjp_reduce(ops, g, n, live):
@@ -604,7 +688,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     if out.requires_grad:
         order, live, ends = _live_order(out, set(targets))
         if order:
-            grads[out] = ops.constant(np.ones(out.value.shape, dtype=DTYPE))
+            grads[out] = ops.constant(full(out.value.shape, 1.0))
         vjps = _VJP
         for node in reversed(order):
             if node in ends:
@@ -613,7 +697,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
                 if c is not None:
                     prev = grads.get(p)
                     grads[p] = c if prev is None else ops.add(prev, c)
-    return [grads[t] if t in grads else ops.constant(np.zeros(t.value.shape, dtype=DTYPE))
+    return [grads[t] if t in grads else ops.constant(full(t.value.shape, 0.0))
             for t in targets]
 
 
@@ -625,8 +709,9 @@ def raised_at(tb) -> tuple[str, str]:
     create-graph rule calls do not hide it; ``backward``'s own arithmetic
     is the ``add`` that sums gradients. Otherwise the innermost primitive
     names the forward: a factory closure, whose local ``name`` holds the
-    primitive's, or a function named after one; formula lambdas are
-    skipped. Returns ("", "") when no such frame is on ``tb``.
+    primitive's, or a function named after one, such as a ``NumpyOps``
+    formula; a bare ufunc alias (``NumpyOps.mul``) leaves no frame. Returns
+    ("", "") when no such frame is on ``tb``.
     """
     op = kind = ""
     while tb is not None:

@@ -49,10 +49,14 @@ def _clamp(x: float, bound: float) -> float:
     return min(max(x, -bound), bound)
 
 
-def _check_action(action: np.ndarray, bound: float) -> list[float]:
-    """The action's elements as floats clamped into [-bound, bound]."""
+def _check_action(action: np.ndarray, spec: EnvSpec) -> list[float]:
+    """The action's ``spec.action_dim`` elements as floats clamped into the action bound."""
+    xs = np.asarray(action, dtype=np.float64).ravel().tolist()
+    if len(xs) != spec.action_dim:
+        raise ValueError(f"action has {len(xs)} elements, expected {spec.action_dim}")
+    bound = spec.action_bound
     out = []
-    for x in np.asarray(action, dtype=np.float64).ravel().tolist():
+    for x in xs:
         if x != x:
             raise ValueError("NaN action")
         out.append(_clamp(x, bound))
@@ -99,7 +103,7 @@ class TabularMdp:
         return self._encode(0)  # delta initial distribution at state 0
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
-        a = _check_action(action, self.spec.action_bound)
+        a = _check_action(action, self.spec)
         s = int(np.argmax(state))
         k = 1 if a[0] > 0.0 else 0
         r = float(self.R[s, k])
@@ -132,7 +136,7 @@ class PointMass:
         return np.concatenate([pos, np.zeros(2)])
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
-        f = _check_action(action, self.spec.action_bound)
+        f = _check_action(action, self.spec)
         x, y, vx, vy = state.tolist()
         vx = _clamp(vx + f[0] * self.DT, self.VEL_BOX)
         vy = _clamp(vy + f[1] * self.DT, self.VEL_BOX)
@@ -171,7 +175,7 @@ class Pendulum:
         return np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0)])
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
-        tau = _check_action(action, self.spec.action_bound)[0]
+        tau = _check_action(action, self.spec)[0]
         th, thdot = state.tolist()
         r = -(th * th + 0.1 * thdot * thdot + 0.001 * tau * tau)
         thdot = thdot + (3.0 * self.G / (2.0 * self.L) * math.sin(th)

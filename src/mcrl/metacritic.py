@@ -33,6 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from . import plan
+from .autodiff import NumpyOps
 from .nets import MetaCriticNet
 from .offpac import AlgoState, Sgd, actor_loss, actor_loss_np, vanilla_iteration
 # unused here, but bench/tracer.py patches both names on this module and needs them present
@@ -64,14 +66,15 @@ class PutativeUpdate(NamedTuple):
     phi_old holds plain arrays (no graph at all); phi_new holds Nodes
     whose graphs reach omega through the single inner gradient step.
     grad_total is the summed inner gradient used for the committed actor
-    update.
+    update. The two losses are 0-d values, which a recorded region can
+    return.
     """
 
     phi_old: list
     phi_new: list
     grad_total: list
-    l_critic_trn: float
-    l_mcritic_trn: float
+    l_critic_trn: np.float64
+    l_mcritic_trn: np.float64
 
 
 def _require_omega_path(ms: MetaState, pu: PutativeUpdate) -> None:
@@ -94,16 +97,15 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
 
     l_c = actor_loss(base, d_trn, noise=noise)
     g_c = ad.backward(l_c, params)
-    phi_old = [p.value - eta * g for p, g in zip(params, g_c)]
+    phi_old = [NumpyOps.sub(p.value, NumpyOps.scale(g, eta)) for p, g in zip(params, g_c)]
 
     h = ms.mc.loss(base.actor, d_trn.s, d_trn.a)
     g_m = ad.backward(h, params, create_graph=True)
 
     phi_new = [ad.sub(ad.constant(old), ad.scale(gm, eta))
                for old, gm in zip(phi_old, g_m)]
-    grad_total = [gc + gm.value for gc, gm in zip(g_c, g_m)]
-    return PutativeUpdate(phi_old, phi_new, grad_total,
-                          float(ad.evaluate(l_c)), float(ad.evaluate(h)))
+    grad_total = [NumpyOps.add(gc, gm.value) for gc, gm in zip(g_c, g_m)]
+    return PutativeUpdate(phi_old, phi_new, grad_total, ad.evaluate(l_c), ad.evaluate(h))
 
 
 def meta_loss_plain(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
@@ -128,26 +130,35 @@ def meta_loss_clip(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
     # the baseline is all constants, so its value is computed on raw arrays
     # (the same actor_loss forward, so the same bits) and enters as a leaf
     l_old = actor_loss_np(ms.base, d_val, noise=noise, params_values=pu.phi_old)
-    return ad.tanh(ad.sub(l_new, ad.constant(np.asarray(l_old))))
+    return ad.tanh(ad.sub(l_new, l_old))
 
 
 def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
                   noise_trn: np.ndarray | None = None,
                   noise_val: np.ndarray | None = None) -> dict:
-    """Meta-train, meta-test, then commit both the actor and omega updates."""
-    pu = meta_train(ms, d_trn, noise_trn)
-    meta_loss = meta_loss_clip if ms.base.cfg.meta_loss == "clip" else meta_loss_plain
-    meta = meta_loss(ms, d_val, pu, noise_val)
-    meta_value = float(ad.evaluate(meta))
-    omega = ms.mc.parameters()
-    g_omega = ad.backward(meta, omega)
+    """Meta-train, meta-test, then commit both the actor and omega updates.
 
+    Everything before the commit is the recorded region "meta" (see
+    ``plan.replay``).
+    """
+    base = ms.base
+    actor, omega = base.actor.parameters(), ms.mc.parameters()
+    meta_loss = meta_loss_clip if base.cfg.meta_loss == "clip" else meta_loss_plain
+
+    def region():
+        pu = meta_train(ms, d_trn, noise_trn)
+        meta = meta_loss(ms, d_val, pu, noise_val)
+        return [*pu.grad_total, *ad.backward(meta, omega),
+                pu.l_critic_trn, pu.l_mcritic_trn, ad.evaluate(meta)]
+
+    reads = [p.value for p in actor + omega + base.critic.parameters()]
+    reads += [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
+    *grads, l_critic, l_mcritic, l_meta = plan.replay(base.plans, "meta", region, reads)
     # actor takes the summed inner gradient; omega a plain SGD step
-    ms.base.actor_opt.step(pu.grad_total)
-    ms.mc_opt.step(g_omega)
-    return {"loss_critic": pu.l_critic_trn,
-            "loss_mcritic": pu.l_mcritic_trn,
-            "loss_meta": meta_value}
+    base.actor_opt.step(grads[:len(actor)])
+    ms.mc_opt.step(grads[len(actor):])
+    return {"loss_critic": float(l_critic), "loss_mcritic": float(l_mcritic),
+            "loss_meta": float(l_meta)}
 
 
 def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
+from . import plan
 from .autodiff import NumpyOps
 from .envs import EnvSpec
 from .nets import Actor, Critic, polyak
@@ -92,6 +93,7 @@ class AlgoState:
         self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
         self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
         self.it = 0
+        self.plans: dict[str, plan.Plan] = {}  # the recorded gradient regions, by name
         # the figures of the latest actor step, which delayed iterations repeat
         self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
@@ -137,13 +139,13 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
 
 
 def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
-                  params_values=None) -> float:
+                  params_values=None) -> np.float64:
     """Value of ``actor_loss`` at constant parameters, on raw arrays.
 
     Used where no gradient will ever be taken, e.g. the detached
     baseline branch of the meta-test.
     """
-    return float(actor_loss(state, batch, noise, params_values, NumpyOps))
+    return actor_loss(state, batch, noise, params_values, NumpyOps)
 
 
 def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> np.ndarray:
@@ -157,25 +159,40 @@ def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> 
         a2 = state.target_actor.act_np(batch.s_next)
     if h.algo == "td3":
         eps = rng.standard_normal(a2.shape) * (h.target_noise * scale)
-        eps = np.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
-        a2 = np.clip(a2 + eps, -scale, scale)
+        eps = NumpyOps.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
+        a2 = NumpyOps.clip(a2 + eps, -scale, scale)
     q2 = state.target_critic.q_min(batch.s_next, a2, ops=NumpyOps)
     if h.algo == "sac":
         q2 = q2 - h.alpha * logp2
     return batch.r + h.gamma * q2
 
 
+def descend(state: AlgoState, key: str, opt, loss, reads: list) -> float:
+    """One step of ``opt`` down the gradient of ``loss()``, a graph scalar; returns its value.
+
+    The loss and its gradient are the recorded region ``key`` (see
+    ``plan.replay``), which reads the values of ``opt``'s variables and ``reads``.
+    """
+    def region():
+        out = loss()
+        return [ad.evaluate(out), *ad.backward(out, opt.vars)]
+
+    value, *grads = plan.replay(state.plans, key, region, [v.value for v in opt.vars] + reads)
+    opt.step(grads)
+    return float(value)
+
+
 def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> float:
     """One optimizer step on the mean-squared TD error; returns the loss value."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    y = ad.constant(critic_targets(state, batch, rng))
-    loss = functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
-                                     for q in state.critic.qs(batch.s, batch.a)])
-    value = float(ad.evaluate(loss))
-    grads = ad.backward(loss, state.critic.parameters())
-    state.critic_opt.step(grads)
-    return value
+    y = critic_targets(state, batch, rng)
+
+    def td_loss():
+        return functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
+                                         for q in state.critic.qs(batch.s, batch.a)])
+
+    return descend(state, "critic", state.critic_opt, td_loss, [batch.s, batch.a, y])
 
 
 def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -187,7 +204,7 @@ def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator
     else:
         a = state.actor.act_np(s)
         a = a + rng.standard_normal(state.spec.action_dim) * (state.cfg.expl_noise * scale)
-    return np.clip(a, -scale, scale)
+    return NumpyOps.clip(a, -scale, scale)
 
 
 def apply_target_updates(state: AlgoState) -> None:
@@ -210,9 +227,9 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Gen
     if state.actor_due():
         noise = state.actor_noise(len(batch), rng)
         if actor_step is None:
-            loss = actor_loss(state, batch, noise=noise)
-            value = float(ad.evaluate(loss))
-            state.actor_opt.step(ad.backward(loss, state.actor.parameters()))
+            value = descend(state, "actor", state.actor_opt,
+                            lambda: actor_loss(state, batch, noise=noise),
+                            [*(p.value for p in state.critic.parameters()), batch.s, noise])
             state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
         else:
             state.last_metrics = actor_step(batch, noise)

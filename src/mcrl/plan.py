@@ -1,0 +1,197 @@
+"""Record a gradient region once per learner, then replay its numpy formulas.
+
+A region is a function of no arguments that reads a known list of input
+arrays and returns a list of arrays, such as a loss and its gradients.
+``replay`` runs it eagerly the first time, with every ``NumpyOps`` formula
+it calls recorded into a ``Plan``, and afterwards runs only the plan's
+formulas on the current inputs: no Node, no walk, no dict. The rules a
+region keeps, and what a replay keeps and does on a raise, are in the
+``autodiff`` module docstring.
+"""
+
+from __future__ import annotations
+
+import weakref
+from typing import Callable
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import AutodiffError, NumpyOps
+
+
+_ARRAYS = (np.ndarray, np.generic)
+# the NumpyOps members that are not formulas: unwrapping, the identity and a composition
+_NOT_FORMULAS = ("as_node", "evaluate", "constant", "mean")
+
+
+class _Tape:
+    """The formulas one run of a region calls, over numbered slots.
+
+    The region's inputs take the first slots; each formula's value and each
+    ``full`` literal takes the next. An array is known by ``id``. A dead
+    array's id may be reused, so an ndarray leaves ``slots`` when it dies
+    (a weakref callback); a numpy scalar, which takes no weakref, is kept
+    until the tape is done.
+    """
+
+    def __init__(self, inputs: list):
+        self.n_inputs = len(inputs)
+        self.n_slots = 0
+        self.slots: dict[int, int] = {}
+        self.refs: list = []
+        self.literals: dict[int, np.ndarray] = {}
+        self.steps: list[tuple] = []
+        for a in inputs:
+            self._new_slot(a)
+
+    def _new_slot(self, a) -> int:
+        slot, key = self.n_slots, id(a)
+        self.n_slots += 1
+        self.slots[key] = slot
+        if isinstance(a, np.ndarray):
+            self.refs.append(weakref.ref(a, lambda _, key=key, slot=slot: self._forget(key, slot)))
+        else:
+            self.refs.append(a)
+        return slot
+
+    def _forget(self, key: int, slot: int) -> None:
+        if self.slots.get(key) == slot:
+            del self.slots[key]
+
+    def _slot(self, a, name: str) -> int:
+        slot = self.slots.get(id(a))
+        if slot is None:
+            raise AutodiffError(f"{name}: a recorded region read an array that is not an input, "
+                                "a formula's value or a literal made by full()")
+        return slot
+
+    def literal(self, a: np.ndarray) -> None:
+        self.literals[self._new_slot(a)] = a
+
+    def step(self, fn: Callable, args: tuple, out) -> None:
+        """Record ``out = fn(*args)``: its leading array arguments are slots, the rest attrs."""
+        name = fn.__name__
+        if args and isinstance(args[0], list):  # concat takes its inputs as one list
+            args, fn = tuple(args[0]), _packing(fn)
+        n = 0
+        while n < len(args) and isinstance(args[n], _ARRAYS):
+            n += 1
+        attrs = args[n:]
+        if n == 0:
+            raise AutodiffError(f"{name}: a recorded region made an array from no array; "
+                                "its literals come from full()")
+        if any(isinstance(a, _ARRAYS) for a in attrs):
+            raise AutodiffError(f"{name}: a recorded formula takes its arrays first")
+        ins = tuple(self._slot(a, name) for a in args[:n])
+        self.steps.append((fn, ins, attrs, self._new_slot(out)))
+
+    def _recording(self, fn: Callable) -> staticmethod:
+        def recorded(*args):
+            out = fn(*args)
+            self.step(fn, args, out)
+            return out
+        return staticmethod(recorded)
+
+    def __enter__(self) -> _Tape:
+        if ad._tape is not None:
+            raise AutodiffError("a recorded region cannot hold another")
+        self.formulas = {name: member for name, member in vars(NumpyOps).items()
+                         if isinstance(member, staticmethod) and name not in _NOT_FORMULAS}
+        for name, member in self.formulas.items():
+            setattr(NumpyOps, name, self._recording(member.__func__))
+        ad._tape = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        ad._tape = None
+        for name, member in self.formulas.items():
+            setattr(NumpyOps, name, member)
+
+
+def _packing(fn: Callable) -> Callable:
+    """``fn``, which takes one list, called with the list's elements."""
+    return lambda *parts: fn(parts)
+
+
+# steps per compiled function: the compiler's memory grows with a function's length
+_CHUNK = 32
+
+
+class Plan:
+    """A recorded region: its input shapes, literals, formulas and output slots.
+
+    The inputs and the literals keep their slots. A formula's value takes a
+    slot that no live value holds, so a replay holds no more values at once
+    than are live, and none after it returns. The steps are compiled into
+    Python functions of the slot list, one line
+    ``v[<out>] = f<k>(v[<in>]..., a<k>_<j>...)`` per step, which replay
+    them at a fraction of a loop's per-step cost.
+    """
+
+    __slots__ = ("shapes", "blank", "chunks", "outputs")
+
+    def __init__(self, shapes: list, tape: _Tape, outputs: list):
+        self.shapes = shapes
+        out_slots = [tape._slot(o, "output") for o in outputs]
+        last = {i: k for k, (_, ins, _, _) in enumerate(tape.steps) for i in ins}
+        fixed = [*range(tape.n_inputs), *tape.literals]
+        where = {slot: i for i, slot in enumerate(fixed)}
+        self.blank = [tape.literals.get(slot) for slot in fixed]
+        free: list[int] = []
+        names: dict = {}
+        lines = []
+        for k, (fn, ins, attrs, out) in enumerate(tape.steps):
+            args = [f"v[{where[i]}]" for i in ins] + [f"a{k}_{j}" for j in range(len(attrs))]
+            names[f"f{k}"] = fn
+            names.update((f"a{k}_{j}", a) for j, a in enumerate(attrs))
+            # a value read for the last time here frees its slot, for this step's value too
+            free += [where[i] for i in set(ins) if last[i] == k and i not in out_slots
+                     and where[i] >= len(fixed)]
+            if not free:
+                free.append(len(self.blank))
+                self.blank.append(None)
+            where[out] = free.pop()
+            lines.append(f"    v[{where[out]}] = f{k}({', '.join(args)})")
+            if out not in last and out not in out_slots:  # a value nothing reads
+                free.append(where[out])
+        self.outputs = [where[slot] for slot in out_slots]
+        self.chunks = []
+        for start in range(0, len(lines), _CHUNK):
+            exec(compile("\n".join(["def chunk(v):", *lines[start:start + _CHUNK]]),
+                         "<plan>", "exec"), names)
+            self.chunks.append(names.pop("chunk"))
+
+    def run(self, inputs: list) -> list:
+        """The outputs on ``inputs``; every other value is dropped on return."""
+        vals = self.blank.copy()
+        vals[:len(inputs)] = inputs
+        for chunk in self.chunks:
+            chunk(vals)
+        return [vals[i] for i in self.outputs]
+
+
+def replay(plans: dict, key: str, region: Callable[[], list], inputs: list) -> list:
+    """``region()``, a list of arrays, replayed from ``plans[key]`` when the inputs fit.
+
+    ``inputs`` lists every array the region reads, each a distinct object
+    (see the ``autodiff`` module docstring); a None in it is left out. The
+    first call, and any call whose input shapes differ from the plan's,
+    runs the region eagerly and records it into ``plans[key]``. A call
+    with a repeated input runs eagerly and records nothing.
+    """
+    inputs = [a for a in inputs if a is not None]
+    shapes = [a.shape for a in inputs]
+    if len({id(a) for a in inputs}) != len(inputs):
+        return region()
+    plan = plans.get(key)
+    if plan is not None and plan.shapes == shapes:
+        try:
+            return plan.run(inputs)
+        except FloatingPointError:
+            pass  # nothing is committed: the eager run raises at the same op, with its frames
+        return region()
+    with _Tape(inputs) as tape:
+        outputs = region()
+    plans[key] = Plan(shapes, tape, outputs)
+    return outputs

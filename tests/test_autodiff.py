@@ -160,6 +160,27 @@ def test_raised_at_names_the_forward_primitive():
     assert _raised_at(lambda: np.array([1e200]) * 1e200) == ("", "")
 
 
+def test_raised_at_names_a_raw_array_formula():
+    # a formula written as a function has a frame named after its primitive
+    assert _raised_at(lambda: ad.NumpyOps.square(np.array([1e200]))) == ("square", "forward")
+    assert _raised_at(lambda: ad.NumpyOps.asum(np.array([1e308, 1e308]))) == ("asum", "forward")
+    # a bare ufunc alias leaves none
+    assert _raised_at(lambda: ad.NumpyOps.mul(np.array([1e200]), 1e200)) == ("", "")
+
+
+def test_clip_formula_gives_np_clip_bytes():
+    # NumpyOps.clip is the ufunc that np.clip wraps; a numpy that moves or
+    # changes it fails here
+    rng = np.random.default_rng(0)
+    cases = [np.array([-0.0, 0.0, np.nan, -1.0, 1.0, -np.inf, np.inf, 1e-300]),
+             rng.normal(size=128) * 2.0, np.array(-0.0), np.array([[0.5, -3.0]])]
+    for x in cases:
+        for lo, hi in ((-1.0, 1.0), (-0.0, 0.0), (0.0, 2.0)):
+            got, want = ad.NumpyOps.clip(x, lo, hi), np.clip(x, lo, hi)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_unreachable_variable_gets_zeros():
     x = ad.Variable(np.ones((2, 2)))
     z = ad.Variable(np.ones(3))

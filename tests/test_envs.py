@@ -49,6 +49,17 @@ def test_nan_action_rejected():
                 env.step(s, a, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("name", envs.ENV_NAMES)
+def test_action_of_the_wrong_length_rejected(name):
+    # an extra element used to be clamped and, on PointMass, charged to the reward
+    env = envs.make_env(name)
+    s = env.reset(np.random.default_rng(0))
+    dim = env.spec.action_dim
+    for n in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=f"action has {n} elements, expected {dim}"):
+            env.step(s, np.full(n, 0.5), np.random.default_rng(0))
+
+
 # The numpy form of each step, kept as the reference the float forms in
 # envs must reproduce bit for bit.
 

@@ -1,0 +1,204 @@
+"""Record and replay of gradient regions (``plan.replay``).
+
+A learner records each region on its first call and replays the recorded
+formulas afterwards; these tests pin that a replay gives the eager bits,
+keeps no intermediate, and falls back to the eager run on a raise.
+"""
+
+import itertools
+import weakref
+
+import numpy as np
+import pytest
+
+from mcrl import autodiff as ad
+from mcrl import harness, metacritic, nets, offpac, plan
+from mcrl.autodiff import NumpyOps
+from mcrl.envs import EnvSpec
+from mcrl.replay import ReplayBuffer
+
+SPEC = EnvSpec(state_dim=3, action_dim=2, action_bound=1.0, horizon=20)
+CONFIGS = list(itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
+                                 metacritic.META_LOSS_KINDS))
+K = 6  # iterations: td3's default delay of 2 makes three delayed and three actor steps
+
+
+def make_ms(algo, variant, loss, seed=0):
+    cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss,
+                            hidden_actor=(4, 4), hidden_critic=(5, 5), mc_hidden=3,
+                            batch_n=6).validate()
+    rng = np.random.default_rng(seed)
+    return harness.build_meta_state(cfg, SPEC, rng)
+
+
+def fill_buffer(seed=1, n=32):
+    buf = ReplayBuffer(n, SPEC.state_dim, SPEC.action_dim)
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        buf.push(rng.normal(size=3), rng.uniform(-1.0, 1.0, 2), float(rng.normal()),
+                 rng.normal(size=3))
+    return buf
+
+
+def learner_bytes(ms):
+    base = ms.base
+    variables = base.actor.parameters() + base.critic.parameters()
+    variables += base.target_critic.parameters()
+    if base.target_actor is not None:
+        variables += base.target_actor.parameters()
+    if ms.mc is not None:
+        variables += ms.mc.parameters()
+    return [v.value.tobytes() for v in variables]
+
+
+def run(ms, buf, rng, fresh: bool, iterations: int) -> list:
+    """The metrics of ``iterations`` iterations; ``fresh`` records every region anew."""
+    metrics = []
+    for _ in range(iterations):
+        if fresh:
+            ms.base.plans.clear()
+        metrics.append(metacritic.train_iteration(ms, buf, rng))
+    return metrics
+
+
+@pytest.mark.parametrize("algo,variant,loss", CONFIGS)
+def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_built):
+    buf = fill_buffer()
+    eager, eager_rng = make_ms(algo, variant, loss), np.random.default_rng(2)
+    eager_metrics = run(eager, buf, eager_rng, fresh=True, iterations=K)
+
+    ms, rng = make_ms(algo, variant, loss), np.random.default_rng(2)
+    # every region is recorded by the second iteration, td3's first actor step
+    metrics = run(ms, buf, rng, fresh=False, iterations=2)
+    built = nodes_built(lambda: metrics.extend(run(ms, buf, rng, fresh=False,
+                                                   iterations=K - 2)))
+    assert built == []  # the later iterations replay: no Node, so no walk
+    assert set(ms.base.plans) == {"critic", "actor" if variant == "none" else "meta"}
+    assert metrics == eager_metrics
+    assert learner_bytes(ms) == learner_bytes(eager)
+
+
+@pytest.mark.parametrize("algo,variant,scaled,op", [
+    ("ddpg", "none", "critic", "dense"), ("ddpg", "none", "actor", "dense"),
+    ("td3", "feature", "critic", "dense"), ("sac", "none", "q1", "square"),
+    ("ddpg", "feature", "omega", "dense"), ("sac", "param-reg", "omega", "dense")])
+def test_an_overflow_in_a_replay_is_reported_at_the_eager_op(algo, variant, scaled, op,
+                                                             monkeypatch):
+    buf = fill_buffer()
+    replay_raised = []
+    real_run = plan.Plan.run
+
+    def spied_run(recorded, inputs):
+        try:
+            return real_run(recorded, inputs)
+        except FloatingPointError:
+            replay_raised.append(recorded)
+            raise
+
+    monkeypatch.setattr(plan.Plan, "run", spied_run)
+    records = []
+    for fresh in (False, True):
+        ms, rng = make_ms(algo, variant, "clip"), np.random.default_rng(2)
+        run(ms, buf, rng, fresh=False, iterations=3)  # the fourth is an actor step for td3 too
+        if scaled == "q1":  # the last weights of Q1 alone: finite Q, an overflowing TD error
+            owned = [ms.base.critic.nets[0].params[-2]]
+        else:
+            owned = {"critic": ms.base.critic, "actor": ms.base.actor,
+                     "omega": ms.mc}[scaled].parameters()
+        for v in owned:
+            v.set_value(v.value * 1e200 + 1e200 * (scaled != "q1"))
+        if fresh:
+            ms.base.plans.clear()
+        before = [v.value.tobytes() for v in owned]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError) as err:
+                metacritic.train_iteration(ms, buf, rng)
+        records.append(ad.raised_at(err.value.__traceback__))
+        # the raising region committed nothing
+        assert [v.value.tobytes() for v in owned] == before
+        assert bool(replay_raised) != fresh
+        replay_raised.clear()
+    assert records == [(op, "forward")] * 2
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_an_overflow_in_a_replayed_backward_names_its_rule(create_graph):
+    a, b = ad.Variable(np.array(1.0)), ad.Variable(np.array(1.0))
+
+    def region():
+        # with a = 1e200 and b = 1e-200 the value is finite, but mul's VJP
+        # sends 1e200 * 1e200 to b
+        z = ad.asum(ad.scale(ad.mul(a, b), 1e200))
+        return [ad.evaluate(g) for g in ad.backward(z, [a, b], create_graph)]
+
+    plans = {}
+    plan.replay(plans, "r", region, [a.value, b.value])
+    a.set_value(1e200)
+    b.set_value(1e-200)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError) as err:
+            plan.replay(plans, "r", region, [a.value, b.value])
+    assert ad.raised_at(err.value.__traceback__) == ("mul", "backward")
+
+
+def test_a_replay_keeps_no_intermediate(monkeypatch):
+    refs = []
+    dense = NumpyOps.dense
+
+    def spied_dense(*args):
+        out = dense(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(NumpyOps, "dense", staticmethod(spied_dense))
+    buf = fill_buffer()
+    ms, rng = make_ms("ddpg", "feature", "clip"), np.random.default_rng(2)
+    run(ms, buf, rng, fresh=False, iterations=1)  # records the regions with the spy in them
+    refs.clear()
+    run(ms, buf, rng, fresh=False, iterations=1)
+    # the replayed critic and meta regions call the spy once per dense layer
+    assert len(refs) >= 8
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_the_recorder_refuses_an_array_from_outside_its_inputs():
+    x = ad.Variable(np.array([1.0, 2.0]))
+    outside = np.array([3.0, 4.0])
+    for region in (lambda: [ad.evaluate(ad.mul(x, outside))],
+                   # computed with direct numpy, not through a formula
+                   lambda: [NumpyOps.add(x.value, x.value * 2.0)],
+                   # a Python number is no literal either: full() makes one
+                   lambda: [ad.evaluate(ad.mul(x, ad.constant(2.0)))]):
+        plans = {}
+        with pytest.raises(ad.AutodiffError, match="recorded"):
+            plan.replay(plans, "r", region, [x.value])
+        assert plans == {}
+    assert NumpyOps.mul is np.multiply and NumpyOps.add is np.add  # the formulas are back
+
+
+def test_a_plan_replays_on_new_values_and_records_again_on_new_shapes():
+    x = ad.Variable(np.array([1.0, 2.0]))
+
+    def region():
+        y = ad.mul(ad.square(x), ad.full(x.value.shape, 3.0))
+        return [ad.evaluate(y), *ad.backward(ad.asum(y), [x])]
+
+    plans = {}
+    assert [a.tolist() for a in plan.replay(plans, "r", region, [x.value])] == [
+        [3.0, 12.0], [6.0, 12.0]]
+    first = plans["r"]
+    x.set_value([-1.0, 0.5])
+    assert [a.tolist() for a in plan.replay(plans, "r", region, [x.value])] == [
+        [3.0, 0.75], [-6.0, 3.0]]
+    assert plans["r"] is first
+    x = ad.Variable(np.array([1.0, 2.0, -2.0]))
+    assert [a.tolist() for a in plan.replay(plans, "r", region, [x.value])] == [
+        [3.0, 12.0, 12.0], [6.0, 12.0, -12.0]]
+    assert plans["r"] is not first and plans["r"].shapes == [(3,)]
+
+
+def test_a_repeated_input_runs_eagerly_and_records_nothing():
+    a = np.array([1.0, 2.0])
+    plans = {}
+    out = plan.replay(plans, "r", lambda: [NumpyOps.mul(a, a)], [a, a])
+    assert out[0].tolist() == [1.0, 4.0] and plans == {}

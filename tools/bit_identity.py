@@ -51,14 +51,6 @@ CONTROLS = {
 }
 
 
-def make_config(harness, **fields):
-    """A validated ``RunConfig``; a tree with a ``batch_m`` field gets it equal to
-    ``batch_n``, the meta-test size of trees without the field, so both compare."""
-    if "batch_m" in harness.RunConfig.__dataclass_fields__:
-        fields["batch_m"] = fields.get("batch_n", harness.RunConfig.batch_n)
-    return harness.RunConfig(**fields).validate()
-
-
 def params_sha256(variables) -> str:
     h = hashlib.sha256()
     for v in variables:
@@ -101,16 +93,17 @@ def main() -> int:
 
     for algo, variant, loss in itertools.product(
             offpac.ALGOS, ("none", *nets.MC_VARIANTS), metacritic.META_LOSS_KINDS):
-        cfg = make_config(harness, algo=algo, mc_variant=variant, meta_loss=loss, **SHORT)
+        cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss,
+                                **SHORT).validate()
         print(digest_line(f"{algo}/{variant}/{loss}", cfg, harness), flush=True)
     for name in workloads.WORKLOADS:
         cfg = workloads.make_config(name, WORKLOAD_SEED)
         print(digest_line(f"workload/{name}", cfg, harness), flush=True)
     for algo, variant in itertools.product(offpac.ALGOS, ("none", "feature")):
-        cfg = make_config(harness, algo=algo, mc_variant=variant, **DIVERGE)
+        cfg = harness.RunConfig(algo=algo, mc_variant=variant, **DIVERGE).validate()
         print(abort_line(f"diverge/{algo}/{variant}", cfg, harness), flush=True)
     for name, fields in CONTROLS.items():
-        cfg = make_config(harness, **{**SHORT, **fields})
+        cfg = harness.RunConfig(**{**SHORT, **fields}).validate()
         print(digest_line(name, cfg, harness, with_params_meta=True), flush=True)
     return 0
 
