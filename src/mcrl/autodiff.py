@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -240,7 +240,7 @@ class NumpyOps:
         return np.add.reduce(a, -1, keepdims=True)
 
     @staticmethod
-    def concat(parts):
+    def concat(*parts):
         return np.concatenate(parts, axis=1)
 
     @staticmethod
@@ -404,7 +404,7 @@ def broadcast(a, shape: tuple) -> Node:
     return Node("broadcast", v, (a,), (tuple(shape),))
 
 
-def concat(parts: Sequence) -> Node:
+def concat(*parts) -> Node:
     """Concatenate (N, D_i) blocks along axis 1."""
     nodes = [as_node(p) for p in parts]
     if not nodes:
@@ -418,7 +418,7 @@ def concat(parts: Sequence) -> Node:
     for nd in nodes:
         offs.append(o)
         o += nd.value.shape[1]
-    return Node("concat", NumpyOps.concat([nd.value for nd in nodes]),
+    return Node("concat", NumpyOps.concat(*(nd.value for nd in nodes)),
                 tuple(nodes), (tuple(offs), o))
 
 

@@ -35,8 +35,8 @@ def _build_actor_for(cfg: harness.RunConfig):
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
     spec = env.spec
     learner = harness.learner_config(cfg, spec.state_dim, spec.action_dim)
-    state = offpac.AlgoState(learner, spec, np.random.default_rng(0))
-    return env, state.actor
+    learner = dataclasses.replace(learner, mc_variant="none")  # only the actor is read: no omega
+    return env, offpac.AlgoState(learner, spec, np.random.default_rng(0)).actor
 
 
 def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
@@ -67,9 +67,9 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _or_exit(args.config, harness.load_config, args.config)
+    rng = _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)
     env, actor = _build_actor_for(cfg)
     _load_actor_params(actor, args.params)
-    rng = np.random.default_rng(args.eval_seed)
     mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, env, args.episodes, rng)
     print(f"eval_return_mean={mean!r}")
     print(f"eval_return_std={std!r}")
@@ -103,6 +103,7 @@ def cmd_pca(args) -> int:
 def cmd_surface(args) -> int:
     _check_out(args.out)
     cfg = _or_exit(args.config, harness.load_config, args.config)
+    _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)  # each grid point makes one
     env, actor = _build_actor_for(cfg)
     if args.snapshots:
         paths, (_, _, (d1, d2)) = _snapshot_pca(args.snapshots, args.pattern)

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .autodiff import raised_at
 from .envs import ENV_NAMES, make_env
-from .metacritic import META_LOSS_KINDS, MetaState, train_iteration
+from .metacritic import META_LOSS_KINDS, train_iteration
 from .nets import MC_VARIANTS, actor_named_params, save_params
 from .offpac import ALGOS, OPTIMIZERS, AlgoState, exploration_action
 from .replay import ReplayBuffer
@@ -346,8 +346,8 @@ def learner_config(cfg: RunConfig, state_dim: int, action_dim: int) -> RunConfig
 # the runner
 # ---------------------------------------------------------------------------
 
-def build_meta_state(cfg: RunConfig, env_spec, init_rng) -> MetaState:
-    return MetaState(AlgoState(cfg, env_spec, init_rng), init_rng)
+def build_meta_state(cfg: RunConfig, env_spec, init_rng) -> AlgoState:
+    return AlgoState(cfg, env_spec, init_rng)
 
 
 def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
@@ -365,8 +365,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     spec = env.spec
 
     learner = learner_config(cfg, spec.state_dim, spec.action_dim)
-    ms = build_meta_state(learner, spec, streams.init)
-    base = ms.base
+    state = build_meta_state(learner, spec, streams.init)
     # the ring never holds more rows than the run has env steps, so a short
     # run does not allocate columns of buffer_capacity rows it never fills
     buffer = ReplayBuffer(max(1, min(cfg.buffer_capacity, cfg.total_steps)),
@@ -397,7 +396,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                     size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim))
             a = block[row]
         else:
-            a = exploration_action(base, s, streams.exploration)
+            a = exploration_action(state, s, streams.exploration)
         s2, r, done = env.step(s, a, streams.env)
         # horizon timeouts are not terminal: bootstrap through the cutoff
         buffer.push(s, a, r, s2)
@@ -408,7 +407,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             while credit >= 1.0:
                 try:
                     with np.errstate(over="raise", invalid="raise", divide="raise"):
-                        m = train_iteration(ms, buffer, streams.replay)
+                        m = train_iteration(state, buffer, streams.replay)
                 except FloatingPointError as err:
                     aborted_at = step
                     aborted_op, aborted_kind = raised_at(err.__traceback__)
@@ -429,10 +428,10 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
 
         if cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
             save_params(os.path.join(snap_dir, f"seed{seed}_step{step:08d}.txt"),
-                        actor_named_params(base.actor))
+                        actor_named_params(state.actor))
 
         if step % cfg.eval_every == 0:
-            mean, std = evaluate_policy(base.actor.act_np, eval_env, cfg.eval_episodes,
+            mean, std = evaluate_policy(state.actor.act_np, eval_env, cfg.eval_episodes,
                                         streams.evaluation)
             k = max(acc_n, 1)
             rows.append((step, mean, std, acc["loss_critic"] / k,
@@ -451,20 +450,20 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             "params_hidden_critic": ",".join(map(str, learner.hidden_critic)),
             "params_formula": "hidden widths scaled by common integer-rounded factor",
             "aborted_at_step": aborted_at if aborted_at is not None else "",
-            "aborted_at_iteration": ms.base.it if aborted_at is not None else "",
+            "aborted_at_iteration": state.it if aborted_at is not None else "",
             "aborted_primitive": aborted_op, "aborted_kind": aborted_kind}
     for line in config_to_text(cfg).splitlines():
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v
     write_metadata(os.path.join(out_dir, f"seed{seed}.meta.txt"), meta)
     return {"csv": csv_path, "rows": rows, "update_blocks": update_blocks,
-            "meta_state": ms, "aborted_at": aborted_at}
+            "state": state, "aborted_at": aborted_at}
 
 
 def _run_seed_slim(args) -> tuple:
     cfg, seed, out = args
     res = run_seed(cfg, seed, out)
-    return seed, {k: v for k, v in res.items() if k != "meta_state"}
+    return seed, {k: v for k, v in res.items() if k != "state"}
 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> dict:

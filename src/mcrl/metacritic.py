@@ -19,8 +19,9 @@ Each gradient iteration, after the usual critic TD step:
 
 Both inner gradients are evaluated at the current parameters.
 
-``MetaState`` builds omega's network from the base learner's
-``harness.RunConfig``, and every setting here is read from that config.
+Omega's network and its optimizer are the ``mc`` and ``mc_opt`` of the
+learner's ``offpac.AlgoState``, and every setting here is read from that
+state's ``harness.RunConfig``.
 
 Disabling the auxiliary critic reduces the iteration to the vanilla
 algorithm exactly, consuming the identical RNG stream.
@@ -35,8 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import plan
 from .autodiff import NumpyOps
-from .nets import MetaCriticNet
-from .offpac import AlgoState, Sgd, actor_loss, actor_loss_np, vanilla_iteration
+from .offpac import AlgoState, actor_loss, actor_loss_np, vanilla_iteration
 # unused here, but bench/tracer.py patches both names on this module and needs them present
 from .offpac import apply_target_updates, critic_update  # noqa: F401
 from .replay import Batch, ReplayBuffer
@@ -46,18 +46,6 @@ META_LOSS_KINDS = ("plain", "clip")
 
 class MetaGraphError(RuntimeError):
     """The putative update has no differentiable path to omega."""
-
-
-class MetaState:
-    """A base learner plus omega's network and optimizer, built from ``base.cfg`` and ``rng``."""
-
-    def __init__(self, base: AlgoState, rng: np.random.Generator):
-        cfg = base.cfg
-        self.base = base
-        self.mc = self.mc_opt = None
-        if cfg.mc_variant != "none":
-            self.mc = MetaCriticNet(cfg.mc_variant, base.actor, rng, hidden=cfg.mc_hidden)
-            self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
 
 
 class PutativeUpdate(NamedTuple):
@@ -77,29 +65,28 @@ class PutativeUpdate(NamedTuple):
     l_mcritic_trn: np.float64
 
 
-def _require_omega_path(ms: MetaState, pu: PutativeUpdate) -> None:
-    omega = ms.mc.parameters()
+def _require_omega_path(state: AlgoState, pu: PutativeUpdate) -> None:
+    omega = state.mc.parameters()
     if not any(ad.reaches(pn, omega) for pn in pu.phi_new):
         raise MetaGraphError(
             "phi_new carries no gradient path to the meta-critic parameters; "
             "the inner gradient must be taken with create_graph")
 
 
-def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> PutativeUpdate:
+def meta_train(state: AlgoState, d_trn: Batch, noise: np.ndarray | None = None) -> PutativeUpdate:
     """Putative updates on the training batch; does not touch the live actor."""
-    if ms.mc is None:
+    if state.mc is None:
         raise ValueError("meta_train needs an auxiliary critic")
     if len(d_trn) == 0:
         raise ValueError("empty batch")
-    base = ms.base
-    params = base.actor.parameters()
-    eta = base.cfg.actor_lr  # the inner step takes the actor's own rate
+    params = state.actor.parameters()
+    eta = state.cfg.actor_lr  # the inner step takes the actor's own rate
 
-    l_c = actor_loss(base, d_trn, noise=noise)
+    l_c = actor_loss(state, d_trn, noise=noise)
     g_c = ad.backward(l_c, params)
     phi_old = [NumpyOps.sub(p.value, NumpyOps.scale(g, eta)) for p, g in zip(params, g_c)]
 
-    h = ms.mc.loss(base.actor, d_trn.s, d_trn.a)
+    h = state.mc.loss(state.actor, d_trn.s, d_trn.a)
     g_m = ad.backward(h, params, create_graph=True)
 
     phi_new = [ad.sub(ad.constant(old), ad.scale(gm, eta))
@@ -108,16 +95,16 @@ def meta_train(ms: MetaState, d_trn: Batch, noise: np.ndarray | None = None) -> 
     return PutativeUpdate(phi_old, phi_new, grad_total, ad.evaluate(l_c), ad.evaluate(h))
 
 
-def meta_loss_plain(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
+def meta_loss_plain(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
                     noise: np.ndarray | None = None) -> ad.Node:
     """Validation loss of the updated actor; differentiable in omega."""
     if len(d_val) == 0:
         raise ValueError("empty batch")
-    _require_omega_path(ms, pu)
-    return actor_loss(ms.base, d_val, noise=noise, actor_params=pu.phi_new)
+    _require_omega_path(state, pu)
+    return actor_loss(state, d_val, noise=noise, actor_params=pu.phi_new)
 
 
-def meta_loss_clip(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
+def meta_loss_clip(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
                    noise: np.ndarray | None = None) -> ad.Node:
     """tanh of the validation improvement over the no-auxiliary baseline.
 
@@ -126,14 +113,14 @@ def meta_loss_clip(ms: MetaState, d_val: Batch, pu: PutativeUpdate,
     contributes nothing to the omega gradient; the result always lies in
     (-1, 1). Both branches share the validation batch and noise.
     """
-    l_new = meta_loss_plain(ms, d_val, pu, noise)
+    l_new = meta_loss_plain(state, d_val, pu, noise)
     # the baseline is all constants, so its value is computed on raw arrays
     # (the same actor_loss forward, so the same bits) and enters as a leaf
-    l_old = actor_loss_np(ms.base, d_val, noise=noise, params_values=pu.phi_old)
+    l_old = actor_loss_np(state, d_val, noise=noise, params_values=pu.phi_old)
     return ad.tanh(ad.sub(l_new, l_old))
 
 
-def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
+def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
                   noise_trn: np.ndarray | None = None,
                   noise_val: np.ndarray | None = None) -> dict:
     """Meta-train, meta-test, then commit both the actor and omega updates.
@@ -141,27 +128,26 @@ def meta_optimise(ms: MetaState, d_trn: Batch, d_val: Batch,
     Everything before the commit is the recorded region "meta" (see
     ``plan.replay``).
     """
-    base = ms.base
-    actor, omega = base.actor.parameters(), ms.mc.parameters()
-    meta_loss = meta_loss_clip if base.cfg.meta_loss == "clip" else meta_loss_plain
+    actor, omega = state.actor.parameters(), state.mc.parameters()
+    meta_loss = meta_loss_clip if state.cfg.meta_loss == "clip" else meta_loss_plain
 
     def region():
-        pu = meta_train(ms, d_trn, noise_trn)
-        meta = meta_loss(ms, d_val, pu, noise_val)
+        pu = meta_train(state, d_trn, noise_trn)
+        meta = meta_loss(state, d_val, pu, noise_val)
         return [*pu.grad_total, *ad.backward(meta, omega),
                 pu.l_critic_trn, pu.l_mcritic_trn, ad.evaluate(meta)]
 
-    reads = [p.value for p in actor + omega + base.critic.parameters()]
+    reads = [p.value for p in actor + omega + state.critic.parameters()]
     reads += [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
-    *grads, l_critic, l_mcritic, l_meta = plan.replay(base.plans, "meta", region, reads)
+    *grads, l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, reads)
     # actor takes the summed inner gradient; omega a plain SGD step
-    base.actor_opt.step(grads[:len(actor)])
-    ms.mc_opt.step(grads[len(actor):])
+    state.actor_opt.step(grads[:len(actor)])
+    state.mc_opt.step(grads[len(actor):])
     return {"loss_critic": float(l_critic), "loss_mcritic": float(l_mcritic),
             "loss_meta": float(l_meta)}
 
 
-def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
+def train_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
     """One full gradient iteration on ``batch_n`` training and ``batch_n`` validation rows.
 
     The vanilla iteration with ``meta_optimise`` as its actor step, or
@@ -170,8 +156,8 @@ def train_iteration(ms: MetaState, buffer: ReplayBuffer, rng: np.random.Generato
     training reparameterization noise, d_val indices, validation noise].
     """
     def meta_step(d_trn: Batch, noise_trn: np.ndarray | None) -> dict:
-        d_val = buffer.sample_batch(ms.base.cfg.batch_n, rng)
-        noise_val = ms.base.actor_noise(len(d_val), rng)
-        return meta_optimise(ms, d_trn, d_val, noise_trn, noise_val)
+        d_val = buffer.sample_batch(state.cfg.batch_n, rng)
+        noise_val = state.actor_noise(len(d_val), rng)
+        return meta_optimise(state, d_trn, d_val, noise_trn, noise_val)
 
-    return vanilla_iteration(ms.base, buffer, rng, None if ms.mc is None else meta_step)
+    return vanilla_iteration(state, buffer, rng, None if state.mc is None else meta_step)

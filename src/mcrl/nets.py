@@ -191,7 +191,7 @@ class Critic:
     def qs(self, states, actions, params=None, ops=ad, count=None):
         """Q of the first ``count`` nets (default all), sharing one ``ops.concat``;
         ``params``, if given, holds one value list per net."""
-        x = ops.concat([states, actions])
+        x = ops.concat(states, actions)
         return [net.forward(x, None if params is None else params[i], ops)
                 for i, net in enumerate(self.nets[:count])]
 
@@ -242,7 +242,7 @@ class MetaCriticNet:
         if self.variant == "feature-state-action":
             if actions is None:
                 raise ValueError("feature-state-action variant needs actions")
-            x = ad.concat([feats, ad.as_node(states), ad.as_node(actions)])
+            x = ad.concat(feats, ad.as_node(states), ad.as_node(actions))
         else:
             x = feats
         return ad.mean(self.f.forward(x))

@@ -33,7 +33,7 @@ from . import autodiff as ad
 from . import plan
 from .autodiff import NumpyOps
 from .envs import EnvSpec
-from .nets import Actor, Critic, polyak
+from .nets import Actor, Critic, MetaCriticNet, polyak
 from .replay import Batch, ReplayBuffer
 
 if TYPE_CHECKING:  # harness imports this module, so RunConfig is named for annotations only
@@ -76,7 +76,11 @@ OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
 
 
 class AlgoState:
-    """Everything one learner owns: validated config, nets, targets, optimizers, counters."""
+    """Everything one learner owns: validated config, nets, targets, optimizers, counters.
+
+    The auxiliary loss network omega (``mc``) and its SGD step (``mc_opt``)
+    are drawn last from ``rng``; both are None when ``mc_variant`` is "none".
+    """
 
     def __init__(self, cfg: RunConfig, env_spec: EnvSpec, rng: np.random.Generator):
         self.cfg = cfg.validate()
@@ -92,6 +96,10 @@ class AlgoState:
         optimizer = OPTIMIZERS[cfg.optimizer]
         self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
         self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
+        self.mc = self.mc_opt = None
+        if cfg.mc_variant != "none":
+            self.mc = MetaCriticNet(cfg.mc_variant, self.actor, rng, hidden=cfg.mc_hidden)
+            self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
         self.it = 0
         self.plans: dict[str, plan.Plan] = {}  # the recorded gradient regions, by name
         # the figures of the latest actor step, which delayed iterations repeat

@@ -11,7 +11,6 @@ region keeps, and what a replay keeps and does on a raise, are in the
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable
 
 import numpy as np
@@ -29,35 +28,25 @@ class _Tape:
     """The formulas one run of a region calls, over numbered slots.
 
     The region's inputs take the first slots; each formula's value and each
-    ``full`` literal takes the next. An array is known by ``id``. A dead
-    array's id may be reused, so an ndarray leaves ``slots`` when it dies
-    (a weakref callback); a numpy scalar, which takes no weakref, is kept
-    until the tape is done.
+    ``full`` literal takes the next. An array is known by ``id``, and the
+    tape holds every array it numbers until it is done, so no id it knows
+    can be reused by another array while it records.
     """
 
     def __init__(self, inputs: list):
         self.n_inputs = len(inputs)
-        self.n_slots = 0
+        self.held: list = []
         self.slots: dict[int, int] = {}
-        self.refs: list = []
         self.literals: dict[int, np.ndarray] = {}
         self.steps: list[tuple] = []
         for a in inputs:
             self._new_slot(a)
 
     def _new_slot(self, a) -> int:
-        slot, key = self.n_slots, id(a)
-        self.n_slots += 1
-        self.slots[key] = slot
-        if isinstance(a, np.ndarray):
-            self.refs.append(weakref.ref(a, lambda _, key=key, slot=slot: self._forget(key, slot)))
-        else:
-            self.refs.append(a)
+        slot = len(self.held)
+        self.held.append(a)
+        self.slots[id(a)] = slot
         return slot
-
-    def _forget(self, key: int, slot: int) -> None:
-        if self.slots.get(key) == slot:
-            del self.slots[key]
 
     def _slot(self, a, name: str) -> int:
         slot = self.slots.get(id(a))
@@ -72,8 +61,6 @@ class _Tape:
     def step(self, fn: Callable, args: tuple, out) -> None:
         """Record ``out = fn(*args)``: its leading array arguments are slots, the rest attrs."""
         name = fn.__name__
-        if args and isinstance(args[0], list):  # concat takes its inputs as one list
-            args, fn = tuple(args[0]), _packing(fn)
         n = 0
         while n < len(args) and isinstance(args[n], _ARRAYS):
             n += 1
@@ -107,11 +94,6 @@ class _Tape:
         ad._tape = None
         for name, member in self.formulas.items():
             setattr(NumpyOps, name, member)
-
-
-def _packing(fn: Callable) -> Callable:
-    """``fn``, which takes one list, called with the list's elements."""
-    return lambda *parts: fn(parts)
 
 
 # steps per compiled function: the compiler's memory grows with a function's length

@@ -228,6 +228,17 @@ def test_eval_rejects_zero_episodes_with_one_line(run_dir):
                   "--episodes", "0"])
 
 
+@pytest.mark.parametrize("cmd", ["eval", "surface"])
+def test_a_negative_eval_seed_exits_with_one_line_naming_it(run_dir, cmd):
+    root, cfg_path, out = run_dir
+    args = {"eval": ["--params", str(_last_snapshot(out))],
+            "surface": ["--snapshots", str(out / "snapshots"), "--pattern", "seed0_*.txt",
+                        "--out", str(root / "bad.csv")]}[cmd]
+    with pytest.raises(SystemExit, match="^--eval-seed: expected non-negative integer$"):
+        cli.main([cmd, "--config", str(cfg_path), *args, "--eval-seed", "-1"])
+    assert not (root / "bad.csv").exists()
+
+
 @pytest.mark.parametrize("steps, message", [
     ("0", "surface: the grid needs at least one point"),
     ("-1", "--steps: .*must be non-negative"),

@@ -113,15 +113,14 @@ def test_non_default_settings_reach_the_learner():
     assert all(getattr(cfg, k) != getattr(defaults, k) for k in learner)
     spec = envs.make_env(cfg.env).spec
     sd, ad = spec.state_dim, spec.action_dim
-    ms = harness.build_meta_state(cfg, spec, np.random.default_rng(0))
-    base = ms.base
-    assert base.cfg is cfg  # the settings below are read from it at use
-    assert type(base.actor_opt) is offpac.Adam and base.actor_opt.lr == 0.02
-    assert type(base.critic_opt) is offpac.Adam and base.critic_opt.lr == 0.03
-    assert type(ms.mc_opt) is offpac.Sgd and ms.mc_opt.lr == 0.04
-    assert base.actor.net.dims == [sd, 5, 6, ad]
-    assert [net.dims for net in base.critic.nets] == [[sd + ad, 7, 1]] * 2
-    assert ms.mc.variant == "feature-state-action" and ms.mc.f.dims == [6 + sd + ad, 9, 9, 1]
+    state = harness.build_meta_state(cfg, spec, np.random.default_rng(0))
+    assert state.cfg is cfg  # the settings below are read from it at use
+    assert type(state.actor_opt) is offpac.Adam and state.actor_opt.lr == 0.02
+    assert type(state.critic_opt) is offpac.Adam and state.critic_opt.lr == 0.03
+    assert type(state.mc_opt) is offpac.Sgd and state.mc_opt.lr == 0.04
+    assert state.actor.net.dims == [sd, 5, 6, ad]
+    assert [net.dims for net in state.critic.nets] == [[sd + ad, 7, 1]] * 2
+    assert state.mc.variant == "feature-state-action" and state.mc.f.dims == [6 + sd + ad, 9, 9, 1]
 
     buf = ReplayBuffer(16, sd, ad)
     rng = np.random.default_rng(1)
@@ -132,7 +131,7 @@ def test_non_default_settings_reach_the_learner():
     sample = buf.sample_batch
     buf.sample_batch = lambda n, r: sizes.append(n) or sample(n, r)
     for _ in range(3):
-        harness.train_iteration(ms, buf, rng)
+        harness.train_iteration(state, buf, rng)
     # policy_delay 3: iterations 1 and 2 draw d_trn only, iteration 3 also d_val
     assert sizes == [5, 5, 5, 5]
 
@@ -246,8 +245,8 @@ def test_evaluation_isolation(tmp_path):
     # runs changes neither the training trajectory nor the loss columns
     one, three = (harness.run_seed(_quick_cfg(f"eval_episodes={n}\n"), 0, str(tmp_path / str(n)))
                   for n in (1, 3))
-    p_one = [p.value for p in one["meta_state"].base.actor.parameters()]
-    p_three = [p.value for p in three["meta_state"].base.actor.parameters()]
+    p_one = [p.value for p in one["state"].actor.parameters()]
+    p_three = [p.value for p in three["state"].actor.parameters()]
     for a, b in zip(p_one, p_three):
         np.testing.assert_array_equal(a, b)
     assert len(one["rows"]) == len(three["rows"]) and one["rows"] != three["rows"]
@@ -273,9 +272,9 @@ def _poisoned_run(tmp_path, monkeypatch, key, value, from_call):
     calls = {"n": 0}
     real = harness.train_iteration
 
-    def poisoned(ms, buffer, rng):
+    def poisoned(state, buffer, rng):
         calls["n"] += 1
-        m = real(ms, buffer, rng)
+        m = real(state, buffer, rng)
         if calls["n"] >= from_call:
             m[key] = value
         return m
@@ -463,7 +462,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
 
         streams = harness.rng_streams(3)
         env = make_env(cfg.env, cfg.env_seed)
-        ms = harness.build_meta_state(
+        state = harness.build_meta_state(
             harness.learner_config(cfg, env.spec.state_dim, env.spec.action_dim), env.spec,
             streams.init)
         buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
@@ -472,13 +471,13 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
             if step <= cfg.warmup_steps:
                 a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
             else:
-                a = exploration_action(ms.base, s, streams.exploration)
+                a = exploration_action(state, s, streams.exploration)
             s2, r, done = env.step(s, a, streams.env)
             buf.push(s, a, r, s2)
             s = env.reset(streams.env) if done else s2
             if step > cfg.warmup_steps:
-                vanilla_iteration(ms.base, buf, streams.replay)
-        final = [p.value for p in ms.base.actor.parameters()]
-        harness_final = [p.value for p in res["meta_state"].base.actor.parameters()]
+                vanilla_iteration(state, buf, streams.replay)
+        final = [p.value for p in state.actor.parameters()]
+        harness_final = [p.value for p in res["state"].actor.parameters()]
         for a_, b_ in zip(final, harness_final):
             np.testing.assert_array_equal(a_, b_)

@@ -124,13 +124,13 @@ def _train_every_config():
                                 hidden_actor=(3,), hidden_critic=(3,), mc_hidden=3,
                                 batch_n=4)
         rng = np.random.default_rng(0)
-        ms = harness.build_meta_state(cfg, spec, rng)
+        state = harness.build_meta_state(cfg, spec, rng)
         buffer = ReplayBuffer(8, spec.state_dim, spec.action_dim)
         for _ in range(8):
             buffer.push(rng.normal(size=2), rng.uniform(-1.0, 1.0, 1), float(rng.normal()),
                         rng.normal(size=2))
         for _ in range(cfg.policy_delay):  # the last iteration updates the actor
-            metacritic.train_iteration(ms, buffer, rng)
+            metacritic.train_iteration(state, buffer, rng)
 
 
 def test_every_backward_rule_has_a_primitive_src_builds(nodes_built):

@@ -23,7 +23,7 @@ CONFIGS = list(itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
 K = 6  # iterations: td3's default delay of 2 makes three delayed and three actor steps
 
 
-def make_ms(algo, variant, loss, seed=0):
+def make_state(algo, variant, loss, seed=0):
     cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss,
                             hidden_actor=(4, 4), hidden_critic=(5, 5), mc_hidden=3,
                             batch_n=6).validate()
@@ -40,42 +40,41 @@ def fill_buffer(seed=1, n=32):
     return buf
 
 
-def learner_bytes(ms):
-    base = ms.base
-    variables = base.actor.parameters() + base.critic.parameters()
-    variables += base.target_critic.parameters()
-    if base.target_actor is not None:
-        variables += base.target_actor.parameters()
-    if ms.mc is not None:
-        variables += ms.mc.parameters()
+def learner_bytes(state):
+    variables = state.actor.parameters() + state.critic.parameters()
+    variables += state.target_critic.parameters()
+    if state.target_actor is not None:
+        variables += state.target_actor.parameters()
+    if state.mc is not None:
+        variables += state.mc.parameters()
     return [v.value.tobytes() for v in variables]
 
 
-def run(ms, buf, rng, fresh: bool, iterations: int) -> list:
+def run(state, buf, rng, fresh: bool, iterations: int) -> list:
     """The metrics of ``iterations`` iterations; ``fresh`` records every region anew."""
     metrics = []
     for _ in range(iterations):
         if fresh:
-            ms.base.plans.clear()
-        metrics.append(metacritic.train_iteration(ms, buf, rng))
+            state.plans.clear()
+        metrics.append(metacritic.train_iteration(state, buf, rng))
     return metrics
 
 
 @pytest.mark.parametrize("algo,variant,loss", CONFIGS)
 def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_built):
     buf = fill_buffer()
-    eager, eager_rng = make_ms(algo, variant, loss), np.random.default_rng(2)
+    eager, eager_rng = make_state(algo, variant, loss), np.random.default_rng(2)
     eager_metrics = run(eager, buf, eager_rng, fresh=True, iterations=K)
 
-    ms, rng = make_ms(algo, variant, loss), np.random.default_rng(2)
+    state, rng = make_state(algo, variant, loss), np.random.default_rng(2)
     # every region is recorded by the second iteration, td3's first actor step
-    metrics = run(ms, buf, rng, fresh=False, iterations=2)
-    built = nodes_built(lambda: metrics.extend(run(ms, buf, rng, fresh=False,
+    metrics = run(state, buf, rng, fresh=False, iterations=2)
+    built = nodes_built(lambda: metrics.extend(run(state, buf, rng, fresh=False,
                                                    iterations=K - 2)))
     assert built == []  # the later iterations replay: no Node, so no walk
-    assert set(ms.base.plans) == {"critic", "actor" if variant == "none" else "meta"}
+    assert set(state.plans) == {"critic", "actor" if variant == "none" else "meta"}
     assert metrics == eager_metrics
-    assert learner_bytes(ms) == learner_bytes(eager)
+    assert learner_bytes(state) == learner_bytes(eager)
 
 
 @pytest.mark.parametrize("algo,variant,scaled,op", [
@@ -98,21 +97,21 @@ def test_an_overflow_in_a_replay_is_reported_at_the_eager_op(algo, variant, scal
     monkeypatch.setattr(plan.Plan, "run", spied_run)
     records = []
     for fresh in (False, True):
-        ms, rng = make_ms(algo, variant, "clip"), np.random.default_rng(2)
-        run(ms, buf, rng, fresh=False, iterations=3)  # the fourth is an actor step for td3 too
+        state, rng = make_state(algo, variant, "clip"), np.random.default_rng(2)
+        run(state, buf, rng, fresh=False, iterations=3)  # the fourth is an actor step for td3 too
         if scaled == "q1":  # the last weights of Q1 alone: finite Q, an overflowing TD error
-            owned = [ms.base.critic.nets[0].params[-2]]
+            owned = [state.critic.nets[0].params[-2]]
         else:
-            owned = {"critic": ms.base.critic, "actor": ms.base.actor,
-                     "omega": ms.mc}[scaled].parameters()
+            owned = {"critic": state.critic, "actor": state.actor,
+                     "omega": state.mc}[scaled].parameters()
         for v in owned:
             v.set_value(v.value * 1e200 + 1e200 * (scaled != "q1"))
         if fresh:
-            ms.base.plans.clear()
+            state.plans.clear()
         before = [v.value.tobytes() for v in owned]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             with pytest.raises(FloatingPointError) as err:
-                metacritic.train_iteration(ms, buf, rng)
+                metacritic.train_iteration(state, buf, rng)
         records.append(ad.raised_at(err.value.__traceback__))
         # the raising region committed nothing
         assert [v.value.tobytes() for v in owned] == before
@@ -152,10 +151,10 @@ def test_a_replay_keeps_no_intermediate(monkeypatch):
 
     monkeypatch.setattr(NumpyOps, "dense", staticmethod(spied_dense))
     buf = fill_buffer()
-    ms, rng = make_ms("ddpg", "feature", "clip"), np.random.default_rng(2)
-    run(ms, buf, rng, fresh=False, iterations=1)  # records the regions with the spy in them
+    state, rng = make_state("ddpg", "feature", "clip"), np.random.default_rng(2)
+    run(state, buf, rng, fresh=False, iterations=1)  # records the regions with the spy in them
     refs.clear()
-    run(ms, buf, rng, fresh=False, iterations=1)
+    run(state, buf, rng, fresh=False, iterations=1)
     # the replayed critic and meta regions call the spy once per dense layer
     assert len(refs) >= 8
     assert [r() for r in refs] == [None] * len(refs)
@@ -164,11 +163,18 @@ def test_a_replay_keeps_no_intermediate(monkeypatch):
 def test_the_recorder_refuses_an_array_from_outside_its_inputs():
     x = ad.Variable(np.array([1.0, 2.0]))
     outside = np.array([3.0, 4.0])
+
+    def fresh_after_a_dropped_value():
+        NumpyOps.mul(x.value, x.value)  # a formula's value, dropped at once
+        # made after it, so it may take the dropped value's id
+        return [NumpyOps.add(x.value, np.array([3.0, 4.0]))]
+
     for region in (lambda: [ad.evaluate(ad.mul(x, outside))],
                    # computed with direct numpy, not through a formula
                    lambda: [NumpyOps.add(x.value, x.value * 2.0)],
                    # a Python number is no literal either: full() makes one
-                   lambda: [ad.evaluate(ad.mul(x, ad.constant(2.0)))]):
+                   lambda: [ad.evaluate(ad.mul(x, ad.constant(2.0)))],
+                   fresh_after_a_dropped_value):
         plans = {}
         with pytest.raises(ad.AutodiffError, match="recorded"):
             plan.replay(plans, "r", region, [x.value])

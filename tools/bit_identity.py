@@ -66,10 +66,10 @@ def digest_line(name: str, cfg, harness, with_params_meta: bool = False) -> str:
             csv = hashlib.sha256(fh.read()).hexdigest()
         with open(os.path.join(out, f"seed{cfg.seeds[0]}.meta.txt"), "rb") as fh:
             params_meta = b"".join(line for line in fh if line.startswith(b"params_"))
-    ms = res["meta_state"]
-    omega = "-" if ms.mc is None else params_sha256(ms.mc.parameters())
-    line = (f"{name} csv={csv} actor={params_sha256(ms.base.actor.parameters())} "
-            f"critic={params_sha256(ms.base.critic.parameters())} omega={omega}")
+    state = res["state"]
+    omega = "-" if state.mc is None else params_sha256(state.mc.parameters())
+    line = (f"{name} csv={csv} actor={params_sha256(state.actor.parameters())} "
+            f"critic={params_sha256(state.critic.parameters())} omega={omega}")
     if with_params_meta:
         line += f" params_meta={hashlib.sha256(params_meta).hexdigest()}"
     return line
