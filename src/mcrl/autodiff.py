@@ -19,12 +19,12 @@ declared in one line each, through the factory ``_unary`` (one input, then
 named attrs) or ``_binary`` (two inputs), either with an optional shape
 rule; ``dense``, ``broadcast`` and ``concat`` are written by hand. A
 forward written once against an ``ops`` argument runs on either. Each
-backward rule is written the same way: ``backward`` runs it on
-``NumpyOps`` by default and on this module with ``create_graph=True``,
-where the returned gradients are themselves differentiable Nodes, so a
-second backward pass yields mixed second derivatives such as the
-derivative of a gradient step with respect to parameters of the loss
-that produced it. Both modes give the same gradient bits.
+backward rule is written once, on this module's primitives, so
+``backward`` always builds the gradients as Nodes; ``create_graph`` only
+decides whether it returns those Nodes or their arrays. Returned as
+Nodes they remain differentiable, so a second backward pass yields mixed
+second derivatives such as the derivative of a gradient step with respect
+to parameters of the loss that produced it.
 
 A fully-connected layer is one primitive, ``dense(x, w, b, act)``, so a
 net's forward records, and its backward walks, one Node per layer.
@@ -41,7 +41,7 @@ and ``full`` here report to it while it records.
   any other, so a value computed with direct numpy, such as a mask, is a
   formula too (``relu_mask``, ``minimum_mask``, ``clip_mask``, ``sign``,
   ``invert``). A ``constant`` of a recorded value records its float64
-  conversion. Shape and graph checks run at record time only.
+  conversion, if it needs one. Shape and graph checks run at record time.
 - A replay keeps no intermediate: each value's slot is reused after its
   last read, and only the literals and the outputs outlive the call.
 - A FloatingPointError in a replay discards it and runs the region
@@ -94,19 +94,12 @@ class Node:
 
     __slots__ = ("op", "value", "parents", "requires_grad", "attrs")
 
-    def __init__(self, op: str, value: np.ndarray, parents: tuple = (),
-                 attrs: tuple = (), requires_grad: bool | None = None):
+    def __init__(self, op: str, value: np.ndarray, parents: tuple = (), attrs: tuple = ()):
         self.op = op
         self.value = value
         self.parents = parents
         self.attrs = attrs
-        if requires_grad is None:
-            requires_grad = False
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
-        self.requires_grad = requires_grad
+        self.requires_grad = any(p.requires_grad for p in parents)
 
     @property
     def shape(self):
@@ -122,7 +115,8 @@ class Variable(Node):
     __slots__ = ("name",)
 
     def __init__(self, value, name: str = ""):
-        super().__init__("leaf", _arr(value), (), (), requires_grad=True)
+        super().__init__("leaf", _arr(value))
+        self.requires_grad = True
         self.name = name
 
     def set_value(self, value) -> None:
@@ -133,11 +127,16 @@ class Variable(Node):
 
 
 def constant(value) -> Node:
-    """Wrap an array as a non-differentiable leaf."""
-    v = _arr(value)
+    """Wrap an array as a non-differentiable leaf, converted to float64 unless a bool mask.
+
+    A backward rule's mask (``relu_mask``, ``minimum_mask``, ``invert``,
+    ``clip_mask``) is the one non-float64 value a Node holds: a gradient
+    times it has the same bits, and a recorded region converts nothing.
+    """
+    v = value if type(value) is np.ndarray and value.dtype == np.bool_ else _arr(value)
     if _tape is not None and v is not value:  # a conversion, which a replay repeats
         _tape.step(_arr, (value,), v)
-    return Node("const", v, (), (), requires_grad=False)
+    return Node("const", v)
 
 
 def full(shape, fill: float) -> np.ndarray:
@@ -468,142 +467,139 @@ def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
-# A rule maps the output gradient g of node n to one gradient per parent, or
-# None for a parent off the live set, using only ops that both namespaces
-# define: ``NumpyOps`` for plain gradients, this module for create_graph.
+# A rule maps the output gradient g of node n, a Node, to one gradient Node per
+# parent, or None for a parent off the live set, using this module's primitives.
 
-def _fit(ops, g, shape):
+def _fit(g, shape):
     # skip the reduction node entirely when shapes already agree
-    return g if ops.evaluate(g).shape == shape else ops.sum_to(g, shape)
+    return g if g.value.shape == shape else sum_to(g, shape)
 
 
-def _vjp_add(ops, g, n, live):
+def _vjp_add(g, n, live):
     a, b = n.parents
-    return (_fit(ops, g, a.value.shape) if a in live else None,
-            _fit(ops, g, b.value.shape) if b in live else None)
+    return (_fit(g, a.value.shape) if a in live else None,
+            _fit(g, b.value.shape) if b in live else None)
 
 
-def _vjp_sub(ops, g, n, live):
+def _vjp_sub(g, n, live):
     a, b = n.parents
-    return (_fit(ops, g, a.value.shape) if a in live else None,
-            _fit(ops, ops.neg(g), b.value.shape) if b in live else None)
+    return (_fit(g, a.value.shape) if a in live else None,
+            _fit(neg(g), b.value.shape) if b in live else None)
 
 
-def _vjp_neg(ops, g, n, live):
-    return (ops.neg(g),)
+def _vjp_neg(g, n, live):
+    return (neg(g),)
 
 
-def _vjp_mul(ops, g, n, live):
+def _vjp_mul(g, n, live):
     a, b = n.parents
-    ga = _fit(ops, ops.mul(g, ops.as_node(b)), a.value.shape) if a in live else None
-    gb = _fit(ops, ops.mul(g, ops.as_node(a)), b.value.shape) if b in live else None
+    ga = _fit(mul(g, b), a.value.shape) if a in live else None
+    gb = _fit(mul(g, a), b.value.shape) if b in live else None
     return (ga, gb)
 
 
-def _vjp_scale(ops, g, n, live):
-    return (ops.scale(g, n.attrs[0]),)
+def _vjp_scale(g, n, live):
+    return (scale(g, n.attrs[0]),)
 
 
-def _vjp_matmul(ops, g, n, live):
+def _vjp_matmul(g, n, live):
     a, b = n.parents
-    ga = ops.matmul(g, ops.transpose(ops.as_node(b))) if a in live else None
-    gb = ops.matmul(ops.transpose(ops.as_node(a)), g) if b in live else None
+    ga = matmul(g, transpose(b)) if a in live else None
+    gb = matmul(transpose(a), g) if b in live else None
     return (ga, gb)
 
 
-def _vjp_dense(ops, g, n, live):
+def _vjp_dense(g, n, live):
     x, w, b = n.parents
     act = n.attrs[0]
     # g becomes the gradient of the pre-activation x @ w + b
     if act == "relu":
         # the value is NaN where x @ w + b is, so this mask is (x @ w + b > 0)
-        g = ops.mul(g, ops.constant(NumpyOps.relu_mask(n.value)))
+        g = mul(g, constant(NumpyOps.relu_mask(n.value)))
     elif act == "tanh":
-        (g,) = _vjp_tanh(ops, g, n, live)  # it reads only the node's own value
+        (g,) = _vjp_tanh(g, n, live)  # it reads only the node's own value
     elif act == "softplus":
-        # the pre-activation is rebuilt, not taken as a constant, so that with
-        # create_graph the result stays differentiable in x, w and b
-        pre = ops.dense(ops.as_node(x), ops.as_node(w), ops.as_node(b), "linear")
-        g = ops.mul(g, ops.sigmoid(pre))
-    gx = ops.matmul(g, ops.transpose(ops.as_node(w))) if x in live else None
-    gw = ops.matmul(ops.transpose(ops.as_node(x)), g) if w in live else None
-    gb = ops.sum_axis0(g) if b in live else None
+        # the pre-activation is rebuilt, not taken as a constant, so that the
+        # gradient stays differentiable in x, w and b
+        g = mul(g, sigmoid(dense(x, w, b, "linear")))
+    gx = matmul(g, transpose(w)) if x in live else None
+    gw = matmul(transpose(x), g) if w in live else None
+    gb = sum_axis0(g) if b in live else None
     return (gx, gw, gb)
 
 
-def _vjp_tanh(ops, g, n, live):
-    return (ops.mul(g, ops.sub(ops.constant(full((), 1.0)), ops.square(ops.as_node(n)))),)
+def _vjp_tanh(g, n, live):
+    return (mul(g, sub(constant(full((), 1.0)), square(n))),)
 
 
-def _vjp_sigmoid(ops, g, n, live):
-    y = ops.as_node(n)
-    return (ops.mul(g, ops.mul(y, ops.sub(ops.constant(full((), 1.0)), y))),)
+def _vjp_sigmoid(g, n, live):
+    return (mul(g, mul(n, sub(constant(full((), 1.0)), n))),)
 
 
-def _vjp_softplus(ops, g, n, live):
-    return (ops.mul(g, ops.sigmoid(ops.as_node(n.parents[0]))),)
+def _vjp_softplus(g, n, live):
+    return (mul(g, sigmoid(n.parents[0])),)
 
 
-def _vjp_exp(ops, g, n, live):
-    return (ops.mul(g, ops.as_node(n)),)
+def _vjp_exp(g, n, live):
+    return (mul(g, n),)
 
 
-def _vjp_log(ops, g, n, live):
-    return (ops.mul(g, ops.power(ops.as_node(n.parents[0]), -1.0)),)
+def _vjp_log(g, n, live):
+    return (mul(g, power(n.parents[0], -1.0)),)
 
 
-def _vjp_square(ops, g, n, live):
-    return (ops.scale(ops.mul(g, ops.as_node(n.parents[0])), 2.0),)
+def _vjp_square(g, n, live):
+    return (scale(mul(g, n.parents[0]), 2.0),)
 
 
-def _vjp_power(ops, g, n, live):
+def _vjp_power(g, n, live):
     p = n.attrs[0]
-    return (ops.scale(ops.mul(g, ops.power(ops.as_node(n.parents[0]), p - 1.0)), p),)
+    return (scale(mul(g, power(n.parents[0], p - 1.0)), p),)
 
 
-def _vjp_absval(ops, g, n, live):
-    return (ops.mul(g, ops.constant(NumpyOps.sign(n.parents[0].value))),)
+def _vjp_absval(g, n, live):
+    return (mul(g, constant(NumpyOps.sign(n.parents[0].value))),)
 
 
-def _vjp_minimum(ops, g, n, live):
+def _vjp_minimum(g, n, live):
     a, b = n.parents
     mask = NumpyOps.minimum_mask(a.value, b.value)
-    ga = ops.mul(g, ops.constant(mask)) if a in live else None
-    gb = ops.mul(g, ops.constant(NumpyOps.invert(mask))) if b in live else None
+    ga = mul(g, constant(mask)) if a in live else None
+    gb = mul(g, constant(NumpyOps.invert(mask))) if b in live else None
     return (ga, gb)
 
 
-def _vjp_clip(ops, g, n, live):
-    return (ops.mul(g, ops.constant(NumpyOps.clip_mask(n.parents[0].value, *n.attrs))),)
+def _vjp_clip(g, n, live):
+    return (mul(g, constant(NumpyOps.clip_mask(n.parents[0].value, *n.attrs))),)
 
 
-def _vjp_reduce(ops, g, n, live):
+def _vjp_reduce(g, n, live):
     # asum, sum_axis0, sum_axis1 and sum_to: spread g back over the input
-    return (ops.broadcast(g, n.parents[0].value.shape),)
+    return (broadcast(g, n.parents[0].value.shape),)
 
 
-def _vjp_broadcast(ops, g, n, live):
-    return (ops.sum_to(g, n.parents[0].value.shape),)
+def _vjp_broadcast(g, n, live):
+    return (sum_to(g, n.parents[0].value.shape),)
 
 
-def _vjp_concat(ops, g, n, live):
+def _vjp_concat(g, n, live):
     offs, _total = n.attrs
-    return tuple(ops.slice_cols(g, o, o + p.value.shape[1]) if p in live else None
+    return tuple(slice_cols(g, o, o + p.value.shape[1]) if p in live else None
                  for p, o in zip(n.parents, offs))
 
 
-def _vjp_slice_cols(ops, g, n, live):
+def _vjp_slice_cols(g, n, live):
     i0, _i1 = n.attrs
-    return (ops.pad_cols(g, i0, n.parents[0].value.shape[1]),)
+    return (pad_cols(g, i0, n.parents[0].value.shape[1]),)
 
 
-def _vjp_pad_cols(ops, g, n, live):
+def _vjp_pad_cols(g, n, live):
     i0, _total = n.attrs
-    return (ops.slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
+    return (slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
 
 
-def _vjp_transpose(ops, g, n, live):
-    return (ops.transpose(g),)
+def _vjp_transpose(g, n, live):
+    return (transpose(g),)
 
 
 _VJP: dict[str, Callable] = {
@@ -665,14 +661,15 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
 
     Returns one gradient per entry of ``wrt`` (Nodes, Variables among them), each
     shaped like the entry's value. Entries unreachable from ``output``
-    get zero gradients. With ``create_graph=True`` the results are Nodes
-    and remain differentiable, which is what enables second-order
-    gradients through an inner update step.
+    get zero gradients. The walk always builds the gradients as Nodes. With
+    ``create_graph=True`` it returns them, and they remain differentiable,
+    which is what enables second-order gradients through an inner update
+    step; otherwise it returns their arrays.
 
     Only the nodes on a path from ``output`` to an entry of ``wrt`` are
     walked, in reverse post-order, so a branch that reaches no entry gets
-    no VJP and, with ``create_graph=True``, builds no Node. Each returned
-    gradient has the same bits whatever the other entries of ``wrt`` are.
+    no VJP and builds no Node. Each returned gradient has the same bits
+    whatever the other entries of ``wrt`` are.
 
     Raises ShapeError for a non-scalar output. It does not check for NaN:
     under a raising ``np.errstate`` the op that overflows or makes a NaN
@@ -682,31 +679,29 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     if out.value.size != 1:
         raise ShapeError("backward(non-scalar output)", out.value.shape)
     targets = [as_node(w) for w in wrt]
-    ops = _graph if create_graph else NumpyOps
 
-    grads: dict[Node, object] = {}
+    grads: dict[Node, Node] = {}
     if out.requires_grad:
         order, live, ends = _live_order(out, set(targets))
         if order:
-            grads[out] = ops.constant(full(out.value.shape, 1.0))
-        vjps = _VJP
+            grads[out] = constant(full(out.value.shape, 1.0))
         for node in reversed(order):
             if node in ends:
                 continue
-            for p, c in zip(node.parents, vjps[node.op](ops, grads[node], node, live)):
+            for p, c in zip(node.parents, _VJP[node.op](grads[node], node, live)):
                 if c is not None:
                     prev = grads.get(p)
-                    grads[p] = c if prev is None else ops.add(prev, c)
-    return [grads[t] if t in grads else ops.constant(full(t.value.shape, 0.0))
-            for t in targets]
+                    grads[p] = c if prev is None else add(prev, c)
+    result = [grads[t] if t in grads else constant(full(t.value.shape, 0.0)) for t in targets]
+    return result if create_graph else [g.value for g in result]
 
 
 def raised_at(tb) -> tuple[str, str]:
     """``(primitive, kind)``, kind "forward" or "backward", of the op a traceback ends in.
 
     Reads this module's frames from the outermost in. The outermost
-    ``_vjp_<op>`` rule names the backward of its node, so the primitives a
-    create-graph rule calls do not hide it; ``backward``'s own arithmetic
+    ``_vjp_<op>`` rule names the backward of its node, so the primitives
+    the rule calls do not hide it; ``backward``'s own arithmetic
     is the ``add`` that sums gradients. Otherwise the innermost primitive
     names the forward: a factory closure, whose local ``name`` holds the
     primitive's, or a function named after one, such as a ``NumpyOps``

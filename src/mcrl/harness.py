@@ -90,6 +90,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ValueError(f"{f.name}={value!r} cannot be written to a config file, "
+                                 "which strips each value and cuts it at '#' and line breaks")
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.mc_variant != "none" and self.mc_variant not in MC_VARIANTS:

@@ -190,7 +190,9 @@ def test_unreachable_variable_gets_zeros():
     np.testing.assert_allclose(gx, np.full((2, 2), 0.5))  # 2x / 4 at x=1
 
 
-def test_create_graph_builds_nothing_off_the_requested_paths(nodes_built):
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_backward_builds_nothing_off_the_requested_paths(nodes_built, create_graph):
+    # either form walks with Nodes; create_graph only decides what is returned
     rng = np.random.default_rng(4)
     x = ad.Variable(rng.normal(size=(3, 2)))
     z = ad.Variable(rng.normal(size=(3, 2)))
@@ -198,8 +200,8 @@ def test_create_graph_builds_nothing_off_the_requested_paths(nodes_built):
     f = ad.mean(ad.tanh(ad.matmul(x, w)))
     g = ad.asum(ad.mul(ad.exp(z), ad.sigmoid(z)))
     y = ad.add(f, g)
-    alone = nodes_built(lambda: ad.backward(f, [x], create_graph=True))
-    both = nodes_built(lambda: ad.backward(y, [x], create_graph=True))
+    alone = nodes_built(lambda: ad.backward(f, [x], create_graph))
+    both = nodes_built(lambda: ad.backward(y, [x], create_graph))
     assert alone
     assert both == alone
 
@@ -484,9 +486,8 @@ def test_inner_dimension_one_inputs_tell_signed_zeros_apart():
 
 
 # op -> (shape of x, shape of z, expression over the Variables x and z that
-# applies the op); the backward rules are shared by both modes, so each must
-# give the same bits in both. A suffix after "-" only tells apart cases of
-# the same op.
+# applies the op); each backward rule's gradients must match finite
+# differences. A suffix after "-" only tells apart cases of the same op.
 _VJP_CASES = {
     "add": ((4, 3), (1,), lambda x, z: ad.add(x, z)),
     "sub": ((4, 3), (1, 1), lambda x, z: ad.sub(x, z)),
@@ -529,7 +530,7 @@ def _ops_reached(node):
 
 
 @pytest.mark.parametrize("op", _with_uncovered(_VJP_CASES, ad._VJP))
-def test_first_order_and_create_graph_gradients_agree_bit_for_bit(op):
+def test_each_backward_rule_matches_fd(op):
     assert op in _VJP_CASES, f"no case for the backward rule of {op!r}"
     x_shape, z_shape, fn = _VJP_CASES[op]
     rng = np.random.default_rng(sorted(_VJP_CASES).index(op))
@@ -538,12 +539,24 @@ def test_first_order_and_create_graph_gradients_agree_bit_for_bit(op):
     out = fn(x, z)
     assert op.split("-")[0] in _ops_reached(out)
     # a random cotangent, so every rule sees an upstream gradient that is not all ones
-    y = ad.asum(ad.mul(out, ad.constant(rng.normal(size=out.shape))))
-    first = ad.backward(y, [x, z])
-    graph = ad.backward(y, [x, z], create_graph=True)
-    for g1, g2 in zip(first, graph):
-        assert type(g1) is np.ndarray and type(g2) is ad.Node
-        assert np.array_equal(g1, g2.value), op
+    cotangent = ad.constant(rng.normal(size=out.shape))
+
+    def loss():
+        return ad.asum(ad.mul(fn(x, z), cotangent))
+
+    def loss_at(var, arr):
+        old = var.value
+        var.set_value(arr)
+        try:
+            return float(ad.evaluate(loss()))
+        finally:
+            var.set_value(old)
+
+    grads = ad.backward(loss(), [x, z])
+    for var, g in zip((x, z), grads):
+        assert type(g) is np.ndarray and g.shape == var.shape
+        fd = ad.fd_gradient(lambda a, v=var: loss_at(v, a), var.value, 1e-6)
+        assert rel_err(g, fd) < 1e-5, op
 
 
 def _random_composition(rng, w_arr=None, b_arr=None):

@@ -34,6 +34,15 @@ def test_parse_and_roundtrip():
     text = harness.config_to_text(cfg)
     again = parse_config(text)
     assert again == cfg
+    # a string that a config file cannot hold is refused, not read back changed
+    for out_dir in ("runs#1", " runs", "runs ", "a\nseeds=5", "a\rb", "a\x0bb"):
+        bad = dataclasses.replace(cfg, out_dir=out_dir)
+        with pytest.raises(ValueError, match="cannot be written to a config file"):
+            bad.validate()
+        with pytest.raises(ValueError, match="cannot be written to a config file"):
+            harness.run(bad)
+    odd = dataclasses.replace(cfg, out_dir="runs/a b=c,d").validate()
+    assert parse_config(harness.config_to_text(odd)) == odd
 
 
 def test_unknown_key_rejected():

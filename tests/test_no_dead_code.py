@@ -105,13 +105,9 @@ def test_every_config_field_is_read_outside_run_config():
 
 # primitives with a backward rule that no src/ path builds, each for one reason
 UNBUILT = {
-    "pad_cols": "built by slice_cols's rule with create_graph; no create_graph pass "
-                "walks a slice_cols node, and its rule keeps that rule complete",
-    "power": "built by log's rule with create_graph; no create_graph pass walks a "
-             "log node, and its rule keeps that rule complete",
-    "sum_to": "built by the broadcasting add, sub and mul rules and by broadcast's rule "
-              "with create_graph; no create_graph pass walks one, and its rule keeps "
-              "those rules complete",
+    "sum_to": "built by the add, sub and mul rules on a broadcast input and by broadcast's "
+              "rule; no backward pass in src/ meets either, and its rule keeps those rules "
+              "complete",
 }
 
 

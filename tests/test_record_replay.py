@@ -77,6 +77,32 @@ def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_buil
     assert learner_bytes(state) == learner_bytes(eager)
 
 
+# algo -> recorded steps of its critic and actor regions, and of its meta region
+# with the feature meta-critic and the clip meta-loss: they follow the algorithm
+# and the depth of the nets, not their widths
+STEPS = {"ddpg": (29, 46, 232), "td3": (58, 46, 232), "sac": (58, 120, 408)}
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_each_region_records_a_pinned_number_of_steps(algo, monkeypatch):
+    steps = {}
+    real_init = plan.Plan.__init__
+
+    def counting_init(recorded, shapes, tape, outputs):
+        real_init(recorded, shapes, tape, outputs)
+        steps[id(recorded)] = len(tape.steps)
+
+    monkeypatch.setattr(plan.Plan, "__init__", counting_init)
+    buf = fill_buffer()
+    counts = {}
+    for variant in ("none", "feature"):
+        state, rng = make_state(algo, variant, "clip"), np.random.default_rng(2)
+        run(state, buf, rng, fresh=False, iterations=2)
+        counts.update((key, steps[id(p)]) for key, p in state.plans.items())
+    critic, actor, meta = STEPS[algo]
+    assert counts == {"critic": critic, "actor": actor, "meta": meta}
+
+
 @pytest.mark.parametrize("algo,variant,scaled,op", [
     ("ddpg", "none", "critic", "dense"), ("ddpg", "none", "actor", "dense"),
     ("td3", "feature", "critic", "dense"), ("sac", "none", "q1", "square"),

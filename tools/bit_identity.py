@@ -10,7 +10,9 @@ three workloads at seed 11, it trains one seed through
 config's name, the sha256 of its seed CSV, and the sha256 of the final
 actor, critic and omega parameters (``-`` without a meta-critic). Two
 trees are bit-identical on these runs exactly when their outputs are
-equal, so run it in both and ``diff`` the two files.
+equal, so run it in both and ``diff`` the two files. The digests assume
+one BLAS thread: ``main`` sets ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1, which numpy obeys only if it is not loaded yet.
 
 Then, for each algo x {none, feature} on a config that diverges (PointMass
 at learning rates of 1e6, 8-wide nets, batch 8), it prints the seed's abort
@@ -22,8 +24,12 @@ sha256 of the ``params_*`` lines of its ``seed0.meta.txt``: TD3 with Adam
 at ``params_multiplier=2`` on PointMass, SAC at ``updates_multiplier=1.5``
 on the tabular MDP, and DDPG with the param-reg meta-critic at
 ``params_multiplier=1.3`` on Pendulum.
+
+``main(names)`` prints only the lines of ``names``, in the same order;
+``tests/test_bit_identity.py`` runs it that way against the pinned lines.
 """
 
+import functools
 import hashlib
 import itertools
 import os
@@ -84,27 +90,37 @@ def abort_line(name: str, cfg, harness) -> str:
             f"kind={meta['aborted_kind']}")
 
 
-def main() -> int:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    os.environ["OMP_NUM_THREADS"] = "1"
+def runs():
+    """``(name, line)`` for every line, in print order; ``line()`` trains its seed."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from mcrl import harness, metacritic, nets, offpac
     import workloads
 
     for algo, variant, loss in itertools.product(
             offpac.ALGOS, ("none", *nets.MC_VARIANTS), metacritic.META_LOSS_KINDS):
+        name = f"{algo}/{variant}/{loss}"
         cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss,
                                 **SHORT).validate()
-        print(digest_line(f"{algo}/{variant}/{loss}", cfg, harness), flush=True)
-    for name in workloads.WORKLOADS:
-        cfg = workloads.make_config(name, WORKLOAD_SEED)
-        print(digest_line(f"workload/{name}", cfg, harness), flush=True)
+        yield name, functools.partial(digest_line, name, cfg, harness)
+    for workload in workloads.WORKLOADS:
+        name = f"workload/{workload}"
+        cfg = workloads.make_config(workload, WORKLOAD_SEED)
+        yield name, functools.partial(digest_line, name, cfg, harness)
     for algo, variant in itertools.product(offpac.ALGOS, ("none", "feature")):
+        name = f"diverge/{algo}/{variant}"
         cfg = harness.RunConfig(algo=algo, mc_variant=variant, **DIVERGE).validate()
-        print(abort_line(f"diverge/{algo}/{variant}", cfg, harness), flush=True)
+        yield name, functools.partial(abort_line, name, cfg, harness)
     for name, fields in CONTROLS.items():
         cfg = harness.RunConfig(**{**SHORT, **fields}).validate()
-        print(digest_line(name, cfg, harness, with_params_meta=True), flush=True)
+        yield name, functools.partial(digest_line, name, cfg, harness, with_params_meta=True)
+
+
+def main(names=None) -> int:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+    for name, line in runs():
+        if names is None or name in names:
+            print(line(), flush=True)
     return 0
 
 
