@@ -17,8 +17,10 @@ value from the ``NumpyOps`` op of the same name and records one Node, so
 the two namespaces give the same bits. All but three primitives are
 declared in one line each, through the factory ``_unary`` (one input, then
 named attrs) or ``_binary`` (two inputs), either with an optional shape
-rule; ``dense``, ``broadcast`` and ``concat`` are written by hand. A
-forward written once against an ``ops`` argument runs on either. Each
+rule; ``dense``, ``broadcast`` and ``concat`` are written by hand. Batch
+computations are written on the graph alone; only the policy forward
+(``nets.Actor.act`` and its compositions here) takes an ``ops`` argument,
+so that a single-state action runs on ``NumpyOps`` and builds no Node. Each
 backward rule is written once, on this module's primitives, so
 ``backward`` always builds the gradients as Nodes; ``create_graph`` only
 decides whether it returns those Nodes or their arrays. Returned as
@@ -168,8 +170,8 @@ class NumpyOps:
     """The raw-array ops namespace, where each primitive's value formula lives.
 
     Its ops build no Node; the graph primitive of the same name takes its
-    value from here (see the module docstring). ``as_node`` and
-    ``evaluate`` unwrap a Node, a Variable included, to its value.
+    value from here (see the module docstring). ``as_node`` unwraps a
+    Node, a Variable included, to its value.
 
     Each formula costs one C-level numpy call per step, since at these
     sizes numpy's per-call cost, not the flops, sets the price: ufuncs and
@@ -183,7 +185,6 @@ class NumpyOps:
         t = type(x)
         return x.value if t is Variable or t is Node else x
 
-    evaluate = as_node
     constant = staticmethod(lambda x: x)
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
@@ -288,11 +289,6 @@ class NumpyOps:
         out = np.empty(shape, dtype=DTYPE)
         out[...] = a
         return out
-
-    @staticmethod
-    def mean(a):
-        # the module-level composition, which both namespaces share
-        return mean(a, NumpyOps)
 
     @staticmethod
     def sum_to(g, shape):
@@ -421,14 +417,14 @@ def concat(*parts) -> Node:
                 tuple(nodes), (tuple(offs), o))
 
 
-# ---------------------------------------------------------------------------
-# compositions on either namespace (noise is always an explicit input)
-# ---------------------------------------------------------------------------
-
-def mean(a, ops=_graph):
+def mean(a) -> Node:
     """Mean of all elements (batch reduction): the sum scaled by 1/size."""
-    return ops.scale(ops.asum(a), 1.0 / ops.evaluate(a).size)
+    return scale(asum(a), 1.0 / evaluate(a).size)
 
+
+# ---------------------------------------------------------------------------
+# the policy's compositions, on either namespace (noise is always an explicit input)
+# ---------------------------------------------------------------------------
 
 def gaussian_sample(mean_, log_std, noise, ops=_graph):
     """Reparameterized draw mean + exp(log_std) * noise; deterministic in its inputs."""

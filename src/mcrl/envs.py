@@ -68,8 +68,9 @@ class TabularMdp:
 
     n_states = 2
     n_actions = 2
+    HORIZON = 10  # the default episode length
 
-    def __init__(self, transitions: np.ndarray, rewards: np.ndarray, horizon: int = 10):
+    def __init__(self, transitions: np.ndarray, rewards: np.ndarray, horizon: int = HORIZON):
         P = np.asarray(transitions, dtype=np.float64)
         R = np.asarray(rewards, dtype=np.float64)
         if P.shape != (2, 2, 2) or R.shape != (2, 2):
@@ -86,7 +87,7 @@ class TabularMdp:
         self._t = 0
 
     @classmethod
-    def random_instance(cls, seed: int, horizon: int = 10) -> "TabularMdp":
+    def random_instance(cls, seed: int, horizon: int = HORIZON) -> "TabularMdp":
         """Seeded instance: uniform [0,1] rewards, Dirichlet transition rows."""
         rng = np.random.default_rng(seed)
         R = rng.uniform(0.0, 1.0, size=(2, 2))
@@ -124,8 +125,9 @@ class PointMass:
     POS_BOX = 2.0
     VEL_BOX = 2.0
     INIT_BOX = 1.0
+    HORIZON = 100
 
-    def __init__(self, horizon: int = 100):
+    def __init__(self, horizon: int = HORIZON):
         self.goal = np.zeros(2)
         self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0, horizon=horizon)
         self._t = 0
@@ -161,8 +163,9 @@ class Pendulum:
     M = 1.0
     L = 1.0
     MAX_SPEED = 8.0
+    HORIZON = 200
 
-    def __init__(self, horizon: int = 200):
+    def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)
         self._t = 0
 
@@ -193,11 +196,11 @@ ENV_NAMES = ("tabular", "pointmass", "pendulum")
 def make_env(name: str, env_seed: int = 0, horizon: int = 0):
     """Environment registry used by config files and the CLI; horizon 0 is the env's default."""
     if name == "tabular":
-        return TabularMdp.random_instance(env_seed, horizon=horizon or 10)
+        return TabularMdp.random_instance(env_seed, horizon or TabularMdp.HORIZON)
     if name == "pointmass":
-        return PointMass(horizon=horizon or 100)
+        return PointMass(horizon or PointMass.HORIZON)
     if name == "pendulum":
-        return Pendulum(horizon=horizon or 200)
+        return Pendulum(horizon or Pendulum.HORIZON)
     raise ValueError(f"unknown environment {name!r}; known: {ENV_NAMES}")
 
 

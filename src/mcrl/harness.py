@@ -102,7 +102,7 @@ class RunConfig:
             raise ValueError(f"unknown meta_loss {self.meta_loss!r}")
         if self.updates_multiplier < 1.0 or self.params_multiplier < 1.0:
             raise ValueError("control multipliers must be >= 1")
-        if self.updates_multiplier >= 2.0 ** 53:  # from here on credit - 1.0 == credit
+        if self.updates_multiplier >= 2.0 ** 53:  # each env step would run 2**53 iterations
             raise ValueError("updates_multiplier must be < 2**53, or training never ends")
         if self.total_steps < 0 or self.eval_every < 1 or self.eval_episodes < 1:
             raise ValueError("bad step/eval settings")
@@ -379,7 +379,6 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     acc = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
     acc_n = 0
     update_blocks = 0
-    credit = 0.0
     aborted_at = None
     aborted_op = aborted_kind = ""
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -407,8 +406,9 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
         s = env.reset(streams.env) if done else s2
 
         if step > warmup:
-            credit += cfg.updates_multiplier
-            while credit >= 1.0:
+            # floor((step - warmup) * m) iterations in all by the end of this step
+            due = math.floor((step - warmup) * cfg.updates_multiplier)
+            while update_blocks < due:
                 try:
                     with np.errstate(over="raise", invalid="raise", divide="raise"):
                         m = train_iteration(state, buffer, streams.replay)
@@ -416,7 +416,6 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                     aborted_at = step
                     aborted_op, aborted_kind = raised_at(err.__traceback__)
                     break
-                credit -= 1.0
                 if not all(math.isfinite(m[k]) for k in ("loss_critic", "loss_mcritic",
                                                          "loss_meta", "loss_td")):
                     aborted_at = step

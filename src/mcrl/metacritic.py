@@ -114,8 +114,8 @@ def meta_loss_clip(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
     (-1, 1). Both branches share the validation batch and noise.
     """
     l_new = meta_loss_plain(state, d_val, pu, noise)
-    # the baseline is all constants, so its value is computed on raw arrays
-    # (the same actor_loss forward, so the same bits) and enters as a leaf
+    # the baseline is all constants: only its value (the same actor_loss
+    # forward at phi_old) enters, as a leaf, so no gradient walks it
     l_old = actor_loss_np(state, d_val, noise=noise, params_values=pu.phi_old)
     return ad.tanh(ad.sub(l_new, l_old))
 

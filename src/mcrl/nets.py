@@ -11,12 +11,11 @@ auxiliary variants are supported:
 * ``feature-state-action``: the same MLP over (features, state, action),
 * ``param-reg``: a learned nonnegative per-parameter weight on |phi|.
 
-Every forward is written once, against an ``ops`` namespace (see
-``autodiff``), one ``ops.dense`` call per layer. The default, the autodiff
-module, builds a graph, with parameters optionally overridden, which is
-how putative parameter sets are evaluated. ``autodiff.NumpyOps``
-computes the same values on raw arrays, building no graph, for rollouts
-and target computations where no gradient is ever needed.
+Every forward is written once, one ``ops.dense`` call per layer, and
+builds a graph, with parameters optionally overridden, which is how
+putative parameter sets and target nets are evaluated. The policy forward
+also runs on ``autodiff.NumpyOps`` (see ``autodiff``), building no graph,
+for the single-state actions of rollouts, where no gradient is ever needed.
 
 Parameter snapshots are saved as plain text, one tensor per line:
 ``name<TAB>dim0,dim1<TAB>v0 v1 v2 ...`` with full-precision floats
@@ -163,19 +162,14 @@ class Actor:
         log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
         return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, ops, with_logp)
 
-    def act_np(self, state: np.ndarray, noise: np.ndarray | None = None, params=None,
-               return_logp: bool = False):
-        """``act`` on ``NumpyOps``, for a single state or a batch.
+    def act_np(self, state: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+        """The action of ``act`` on ``NumpyOps``, from the stored parameters.
 
-        A batch of shape (N, state_dim) gives an action of shape
-        (N, action_dim) and a log-prob of shape (N, 1). A 1-D state runs
-        rank-1, the same gemv as a batch of one with the same bytes, and
-        gives an action of shape (action_dim,) and a log-prob of shape (1,).
-        Returns the action alone, or (action, log_prob) with
-        ``return_logp``; the log-prob is None without noise.
+        A 1-D state, as rollouts and evaluation pass, runs rank-1, the same
+        gemv as a batch of one with the same bytes, and gives an action of
+        shape (action_dim,); a batch of shape (N, state_dim) gives (N, action_dim).
         """
-        a, logp = self.act(state, noise, params, NumpyOps, return_logp)
-        return (a, logp) if return_logp else a
+        return self.act(state, noise, None, NumpyOps, with_logp=False)[0]
 
 
 class Critic:
@@ -188,15 +182,15 @@ class Critic:
         acts = ["relu"] * len(hidden) + ["linear"]
         self.nets = [DenseNet(dims, acts, rng, f"q{i + 1}") for i in range(n_nets)]
 
-    def qs(self, states, actions, params=None, ops=ad, count=None):
-        """Q of the first ``count`` nets (default all), sharing one ``ops.concat``;
+    def qs(self, states, actions, params=None, count=None) -> list[Node]:
+        """Q of the first ``count`` nets (default all), sharing one ``ad.concat``;
         ``params``, if given, holds one value list per net."""
-        x = ops.concat(states, actions)
-        return [net.forward(x, None if params is None else params[i], ops)
+        x = ad.concat(states, actions)
+        return [net.forward(x, None if params is None else params[i])
                 for i, net in enumerate(self.nets[:count])]
 
-    def q_min(self, states, actions, params=None, ops=ad):
-        return functools.reduce(ops.minimum, self.qs(states, actions, params, ops))
+    def q_min(self, states, actions, params=None) -> Node:
+        return functools.reduce(ad.minimum, self.qs(states, actions, params))
 
     def parameters(self) -> list[Variable]:
         return [p for net in self.nets for p in net.params]

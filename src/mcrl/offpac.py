@@ -7,10 +7,11 @@ The actor is trained on the critic-provided loss:
     sac:   mean( alpha * log pi(a|s) - min(Q1, Q2)(s, a) ),  a reparameterized
 
 and the critic regresses on one-step TD targets built from target
-networks. Targets are computed with ``autodiff.NumpyOps``, on raw arrays,
-so they are gradient-isolated by construction; the critic enters the
-actor loss through constant parameter snapshots, so the actor update
-cannot move the critic either.
+networks. Both run on the graph, inside recorded regions (see
+``plan.replay``). The targets are a value computed from constant
+parameters, so they are gradient-isolated by construction; the critic
+enters the actor loss through constant parameter snapshots, so the
+actor update cannot move the critic either.
 
 Every learner setting is read from the validated ``harness.RunConfig``
 the state was built with, the one place each is named and checked.
@@ -123,56 +124,55 @@ class AlgoState:
 
 
 def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
-               actor_params=None, ops=ad):
-    """Critic-provided actor loss on ``ops``; critic held constant.
-
-    A graph node by default; with ``ops=NumpyOps``, the same value as a
-    numpy scalar, with no graph built.
-    """
+               actor_params=None) -> ad.Node:
+    """Critic-provided actor loss, a graph scalar; critic held constant."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     sac = state.cfg.algo == "sac"
     if sac and noise is None:
         raise ValueError("sac actor loss needs reparameterization noise")
-    if ops is ad:
-        a, logp = state.actor.act(batch.s, noise, actor_params)
-    else:  # every raw-array policy call goes through act_np, where traces count them
-        a, logp = state.actor.act_np(batch.s, noise, actor_params, return_logp=True)
+    a, logp = state.actor.act(batch.s, noise, actor_params)
     qc = state.critic_const_params()
     if not sac:  # td3 trains on Q1 alone
-        q, = state.critic.qs(batch.s, a, qc, ops, count=1)
-        return ops.mean(ops.neg(q))
-    q = state.critic.q_min(batch.s, a, qc, ops)
-    return ops.mean(ops.sub(ops.scale(logp, state.cfg.alpha), q))
+        q, = state.critic.qs(batch.s, a, qc, count=1)
+        return ad.mean(ad.neg(q))
+    q = state.critic.q_min(batch.s, a, qc)
+    return ad.mean(ad.sub(ad.scale(logp, state.cfg.alpha), q))
 
 
 def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
                   params_values=None) -> np.float64:
-    """Value of ``actor_loss`` at constant parameters, on raw arrays.
+    """Value of ``actor_loss`` at constant parameters.
 
     Used where no gradient will ever be taken, e.g. the detached
     baseline branch of the meta-test.
     """
-    return actor_loss(state, batch, noise, params_values, NumpyOps)
+    return ad.evaluate(actor_loss(state, batch, noise, params_values))
 
 
-def critic_targets(state: AlgoState, batch: Batch, rng: np.random.Generator) -> np.ndarray:
-    """One-step TD regression targets; numpy only, never part of a graph."""
+def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> np.ndarray:
+    """One-step TD regression targets, on the graph from constant parameter values.
+
+    ``noise`` is the target-policy noise that ``critic_update`` draws,
+    None for ddpg. Returns the targets' value, which no gradient reaches.
+    """
     h = state.cfg
     scale = state.spec.action_bound
-    if h.algo == "sac":  # fresh sample from the live actor, entropy-corrected target
-        noise = state.actor_noise(len(batch), rng)
-        a2, logp2 = state.actor.act_np(batch.s_next, noise, return_logp=True)
-    else:
-        a2 = state.target_actor.act_np(batch.s_next)
+    sac = h.algo == "sac"
+
+    def values(net):
+        return [p.value for p in net.params]
+
+    policy = state.target_actor or state.actor  # sac has none: it samples the live actor
+    a2, logp2 = policy.act(batch.s_next, noise if sac else None, values(policy.net))
     if h.algo == "td3":
-        eps = rng.standard_normal(a2.shape) * (h.target_noise * scale)
-        eps = NumpyOps.clip(eps, -h.noise_clip * scale, h.noise_clip * scale)
-        a2 = NumpyOps.clip(a2 + eps, -scale, scale)
-    q2 = state.target_critic.q_min(batch.s_next, a2, ops=NumpyOps)
-    if h.algo == "sac":
-        q2 = q2 - h.alpha * logp2
-    return batch.r + h.gamma * q2
+        eps = ad.clip(ad.scale(noise, h.target_noise * scale),
+                      -h.noise_clip * scale, h.noise_clip * scale)
+        a2 = ad.clip(ad.add(a2, eps), -scale, scale)
+    q2 = state.target_critic.q_min(batch.s_next, a2, [values(q) for q in state.target_critic.nets])
+    if sac:  # entropy-corrected target
+        q2 = ad.sub(q2, ad.scale(logp2, h.alpha))
+    return ad.evaluate(ad.add(batch.r, ad.scale(q2, h.gamma)))
 
 
 def descend(state: AlgoState, key: str, opt, loss, reads: list) -> float:
@@ -194,13 +194,19 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
     """One optimizer step on the mean-squared TD error; returns the loss value."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    y = critic_targets(state, batch, rng)
+    noise = None  # the target-policy noise: sac samples with it, td3 smooths with it
+    if state.cfg.algo != "ddpg":
+        noise = rng.standard_normal((len(batch), state.spec.action_dim))
 
     def td_loss():
+        y = critic_targets(state, batch, noise)
         return functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
                                          for q in state.critic.qs(batch.s, batch.a)])
 
-    return descend(state, "critic", state.critic_opt, td_loss, [batch.s, batch.a, y])
+    policy = state.target_actor or state.actor  # as in critic_targets
+    reads = [p.value for p in state.target_critic.parameters() + policy.parameters()]
+    reads += [batch.s, batch.a, batch.r, batch.s_next, noise]
+    return descend(state, "critic", state.critic_opt, td_loss, reads)
 
 
 def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:

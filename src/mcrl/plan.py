@@ -20,8 +20,8 @@ from .autodiff import AutodiffError, NumpyOps
 
 
 _ARRAYS = (np.ndarray, np.generic)
-# the NumpyOps members that are not formulas: unwrapping, the identity and a composition
-_NOT_FORMULAS = ("as_node", "evaluate", "constant", "mean")
+# the NumpyOps members that are not formulas: unwrapping and the identity
+_NOT_FORMULAS = ("as_node", "constant")
 
 
 class _Tape:

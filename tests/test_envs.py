@@ -273,3 +273,12 @@ def test_random_instance_oracle_is_reproducible():
 def test_make_env_unknown_name():
     with pytest.raises(ValueError):
         envs.make_env("mujoco")
+
+
+@pytest.mark.parametrize("name, horizon", [("tabular", 10), ("pointmass", 100),
+                                           ("pendulum", 200)])
+def test_horizon_zero_is_the_class_default(name, horizon):
+    env = envs.make_env(name)
+    default = (envs.TabularMdp.random_instance(0) if name == "tabular" else type(env)())
+    assert env.spec.horizon == default.spec.horizon == horizon
+    assert envs.make_env(name, horizon=7).spec.horizon == 7

@@ -82,12 +82,12 @@ def test_invalid_values_rejected_before_work():
                 "noise_clip=-0.1", "alpha=-0.1", "optimizer=rmsprop",
                 "env=cartpole", "mc_hidden=0", "horizon=-1", "snapshot_every=-1",
                 "seeds=0,-1", "env_seed=-1", "seeds=3,3", "seeds=0,1,0",
-                # from 2**53 on, credit - 1.0 == credit and the credit loop never ends
+                # from 2**53 on, each env step would run 2**53 or more iterations
                 "updates_multiplier=1e16", "updates_multiplier=9007199254740992"):
         with pytest.raises(ValueError):
             parse_config(cfg_text(bad + "\n"))
     # non-finite floats compare false against every bound; an inf
-    # updates_multiplier would never leave the training-credit loop
+    # updates_multiplier would schedule iterations without end
     for bad in ("updates_multiplier=inf", "updates_multiplier=nan", "params_multiplier=nan",
                 "params_multiplier=inf", "actor_lr=nan", "critic_lr=inf", "mc_lr=inf",
                 "expl_noise=nan", "noise_clip=nan", "alpha=inf",
@@ -273,6 +273,16 @@ def test_updates_multiplier_counts(tmp_path):
     assert r2["update_blocks"] == 375  # exactly 25% more
     meta = harness.read_metadata(str(tmp_path / "u2" / "seed0.meta.txt"))
     assert meta["update_blocks"] == "375"
+
+
+@pytest.mark.parametrize("m, blocks", [(1.2, 12), (1.5, 15), (1.7, 17), (2.3, 23)])
+def test_updates_multiplier_runs_floor_of_steps_times_m(tmp_path, m, blocks):
+    # floor(10 * m) iterations over 10 post-warmup steps, the count that
+    # bench/workloads.scheduled_iterations expects; 1.2, 1.7 and 2.3 are not
+    # dyadic, so a running float sum of m falls short of the integers
+    cfg = _quick_cfg(f"total_steps=20\nwarmup_steps=10\neval_every=20\neval_episodes=1\n"
+                     f"batch_n=4\nupdates_multiplier={m}\n")
+    assert harness.run_seed(cfg, 0, str(tmp_path))["update_blocks"] == blocks
 
 
 def _poisoned_run(tmp_path, monkeypatch, key, value, from_call):

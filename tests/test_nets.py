@@ -103,10 +103,10 @@ def test_single_state_runs_rank1_with_the_bytes_of_a_batch_of_one(
         s = rng.normal(size=state_dim) * 3
         n = rng.normal(size=action_dim) if sampled else None
         ranks.clear()
-        a, logp = actor.act_np(s, n, return_logp=True)
+        a, logp = actor.act(s, n, ops=ad.NumpyOps)
         assert ranks == {1}
-        batch_a, batch_logp = actor.act_np(s[None, :], None if n is None else n[None, :],
-                                           return_logp=True)
+        batch_a, batch_logp = actor.act(s[None, :], None if n is None else n[None, :],
+                                        ops=ad.NumpyOps)
         assert a.shape == (action_dim,) and a.tobytes() == batch_a[0].tobytes()
         if sampled:
             assert logp.shape == (1,) and logp.tobytes() == batch_logp[0].tobytes()
@@ -155,14 +155,14 @@ def test_squashed_logp_matches_quadrature():
     a_grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 200001)
     grid_noise = ((np.arctanh(a_grid) - mu) / sigma)[:, None]
     grid_states = np.repeat(state, a_grid.size, axis=0)
-    _, grid_logp = actor.act_np(grid_states, grid_noise, return_logp=True)
+    _, grid_logp = actor.act(grid_states, grid_noise, ops=ad.NumpyOps)
     assert grid_logp.shape == (a_grid.size, 1)
     squashed_mass = np.trapezoid(np.exp(grid_logp[:, 0]), a_grid)
     assert abs(squashed_mass - 1.0) < 1e-6
 
     for eps in (-0.8, -0.3, 0.0, 0.4, 1.2):
         noise = np.array([[eps]])
-        a, logp = actor.act_np(state, noise, return_logp=True)
+        a, logp = actor.act(state, noise, ops=ad.NumpyOps)
         assert logp.shape == (1, 1)
         u = mu + sigma * eps
         p_analytic = (np.exp(-0.5 * eps**2) / (sigma * np.sqrt(2 * np.pi))
@@ -309,14 +309,6 @@ def _forward_pairs(case, override):
         net = nets.DenseNet([3, 7, 4], [variant, variant], rng)
         params = params_for(net.params)
         return [(net.forward(states, params), net.forward(states, params, ops=ad.NumpyOps))]
-    if kind == "critic":  # variant is "<method>-<number of Q nets>"
-        method, n_nets = variant.split("-")
-        critic = nets.Critic(3, 2, rng, hidden=(6, 6), n_nets=int(n_nets))
-        q = getattr(critic, method)
-        actions = rng.uniform(-1.0, 1.0, size=(5, 2))
-        params = [params_for(net.params) for net in critic.nets] if override else None
-        graph, raw = q(states, actions, params), q(states, actions, params, ops=ad.NumpyOps)
-        return list(zip(graph, raw)) if method == "qs" else [(graph, raw)]
     # "mean" is the gaussian actor without noise, its greedy action
     actor = make_actor(head="deterministic" if variant == "deterministic" else "gaussian",
                        seed=41)
@@ -328,10 +320,9 @@ def _forward_pairs(case, override):
         n = None if noise is None else noise[rows]
         graph = actor.act(states[rows], n, params)
         if i is None:
-            raw = actor.act_np(states, n, params, return_logp=True)
+            raw = actor.act(states, n, params, ops=ad.NumpyOps)
         else:  # a 1-D state and noise against a graph batch of one
-            raw = actor.act_np(states[i], None if n is None else n[0], params,
-                               return_logp=True)
+            raw = actor.act(states[i], None if n is None else n[0], params, ops=ad.NumpyOps)
             graph = [None if g is None else g.value[0] for g in graph]
         if variant != "sample":
             assert graph[1] is None and raw[1] is None
@@ -342,9 +333,7 @@ def _forward_pairs(case, override):
 
 @pytest.mark.parametrize("override", [False, True], ids=["stored", "override"])
 @pytest.mark.parametrize("case", [f"dense-{act}" for act in ("relu", "tanh", "softplus", "linear")]
-                         + ["actor-deterministic", "actor-mean", "actor-sample",
-                            "critic-qs-1", "critic-qs-2", "critic-q_min-1",
-                            "critic-q_min-2"])
+                         + ["actor-deterministic", "actor-mean", "actor-sample"])
 def test_graph_and_numpy_forwards_agree(case, override):
     for graph, raw in _forward_pairs(case, override):
         assert isinstance(raw, np.ndarray)
@@ -356,7 +345,6 @@ def test_critic_q_min_is_the_elementwise_minimum_of_qs(n_nets):
     rng = np.random.default_rng(43)
     states, actions = rng.normal(size=(6, 3)), rng.uniform(-1.0, 1.0, size=(6, 2))
     critic = nets.Critic(3, 2, rng, hidden=(5,), n_nets=n_nets)
-    qs = critic.qs(states, actions, ops=ad.NumpyOps)
+    qs = [q.value for q in critic.qs(states, actions)]
     assert len(qs) == n_nets and len(critic.qs(states, actions, count=1)) == 1
-    np.testing.assert_array_equal(critic.q_min(states, actions, ops=ad.NumpyOps),
-                                  np.minimum.reduce(qs))
+    np.testing.assert_array_equal(critic.q_min(states, actions).value, np.minimum.reduce(qs))

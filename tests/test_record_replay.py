@@ -77,10 +77,10 @@ def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_buil
     assert learner_bytes(state) == learner_bytes(eager)
 
 
-# algo -> recorded steps of its critic and actor regions, and of its meta region
-# with the feature meta-critic and the clip meta-loss: they follow the algorithm
-# and the depth of the nets, not their widths
-STEPS = {"ddpg": (29, 46, 232), "td3": (58, 46, 232), "sac": (58, 120, 408)}
+# algo -> recorded steps of its critic region (its TD targets included) and actor
+# region, and of its meta region with the feature meta-critic and the clip
+# meta-loss: they follow the algorithm and the depth of the nets, not their widths
+STEPS = {"ddpg": (39, 46, 232), "td3": (76, 46, 232), "sac": (97, 120, 408)}
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
@@ -144,6 +144,47 @@ def test_an_overflow_in_a_replay_is_reported_at_the_eager_op(algo, variant, scal
         assert bool(replay_raised) != fresh
         replay_raised.clear()
     assert records == [(op, "forward")] * 2
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_a_replayed_iteration_computes_no_td_target(algo, monkeypatch):
+    calls = []
+    real = offpac.critic_targets
+    monkeypatch.setattr(offpac, "critic_targets",
+                        lambda *args: calls.append(args) or real(*args))
+    state, rng = make_state(algo, "none", "clip"), np.random.default_rng(2)
+    run(state, fill_buffer(), rng, fresh=False, iterations=K)
+    assert len(calls) == 1  # the critic region's recording
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_a_td_target_overflow_names_its_op(algo, monkeypatch):
+    # a target Q of 1e308 is finite, and so is a reward of 1e308: r + gamma * q2 is not
+    replay_raised = []
+    real_run = plan.Plan.run
+
+    def spied_run(recorded, inputs):
+        try:
+            return real_run(recorded, inputs)
+        except FloatingPointError:
+            replay_raised.append(recorded)
+            raise
+
+    monkeypatch.setattr(plan.Plan, "run", spied_run)
+    buf = fill_buffer()
+    for replayed in (False, True):
+        state, rng = make_state(algo, "none", "clip"), np.random.default_rng(2)
+        if replayed:
+            offpac.critic_update(state, buf.sample_batch(6, rng), rng)
+        for net in state.target_critic.nets:
+            net.params[-1].set_value(np.full(1, 1e308))
+        batch = buf.sample_batch(6, rng)
+        batch.r[...] = 1e308
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError) as err:
+                offpac.critic_update(state, batch, rng)
+        assert ad.raised_at(err.value.__traceback__) == ("add", "forward")
+        assert bool(replay_raised) == replayed  # the second iteration's plan raised first
 
 
 @pytest.mark.parametrize("create_graph", [False, True])
