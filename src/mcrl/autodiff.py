@@ -33,14 +33,15 @@ net's forward records, and its backward walks, one Node per layer.
 
 Record and replay. A gradient region, such as a loss and its gradients,
 builds a graph of the same shape every iteration, so ``plan.replay`` runs
-it eagerly once, records each ``NumpyOps`` formula it calls as (formula,
+it eagerly once, records each formula its primitives compute as (formula,
 input slots, attrs, output slot), and later replays only that list on new
 input arrays of the same shapes: no Node, no walk, no grads dict. New
-shapes record again. The recorder lives in module ``plan``; ``constant``
-and ``full`` here report to it while it records.
+shapes record again. The recorder, in module ``plan``, learns only what
+``_formula`` (each value formula and float64 conversion) and ``full`` report.
 - Every array a region reads must be a declared input, a formula's value
   or a literal made by ``full`` from shapes alone. The recorder raises on
-  any other, so a value computed with direct numpy, such as a mask, is a
+  any other, such as the value of a direct ``NumpyOps`` call, so a region
+  computes through this module alone and a backward rule's mask is a
   formula too (``relu_mask``, ``minimum_mask``, ``clip_mask``, ``sign``,
   ``invert``). A ``constant`` of a recorded value records its float64
   conversion, if it needs one. Shape and graph checks run at record time.
@@ -71,7 +72,7 @@ SQUASH_EPS = 1e-9
 DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
 _graph = sys.modules[__name__]  # the graph ops namespace: this module
-_tape = None  # the plan._Tape recording a region, if one is: constant and full report to it
+_tape = None  # plan's _Tape while a region records: _formula and full report to it
 
 
 class AutodiffError(Exception):
@@ -135,10 +136,8 @@ def constant(value) -> Node:
     ``clip_mask``) is the one non-float64 value a Node holds: a gradient
     times it has the same bits, and a recorded region converts nothing.
     """
-    v = value if type(value) is np.ndarray and value.dtype == np.bool_ else _arr(value)
-    if _tape is not None and v is not value:  # a conversion, which a replay repeats
-        _tape.step(_arr, (value,), v)
-    return Node("const", v)
+    kept = type(value) is np.ndarray and value.dtype in (np.bool_, DTYPE)
+    return Node("const", value if kept else _formula(_arr, value))  # a replay converts too
 
 
 def full(shape, fill: float) -> np.ndarray:
@@ -147,6 +146,14 @@ def full(shape, fill: float) -> np.ndarray:
     out.fill(fill)
     if _tape is not None:
         _tape.literal(out)
+    return out
+
+
+def _formula(fn: Callable, *args):
+    """``fn(*args)``, a value formula, reported to the tape while a region records."""
+    out = fn(*args)
+    if _tape is not None:
+        _tape.step(fn, args, out)
     return out
 
 
@@ -312,11 +319,11 @@ class NumpyOps:
 # graph primitives: one factory call each, three written by hand
 # ---------------------------------------------------------------------------
 # ``_unary`` and ``_binary`` write once the step every primitive shares:
-# unwrap the inputs, check them against the primitive's shape rule, take the
-# value from the ``NumpyOps`` op of the same name and record one Node, which
-# keeps a unary primitive's attrs for its backward rule. By hand: ``dense``
-# (three inputs, the hottest primitive), ``broadcast`` (numpy's ValueError
-# becomes a ShapeError) and ``concat`` (any number of inputs, column offsets).
+# unwrap and check the inputs, take the value from the ``NumpyOps`` op of the
+# same name through ``_formula`` and record one Node, which keeps a unary
+# primitive's attrs for its backward rule. By hand: ``dense`` (three inputs,
+# the hottest primitive), ``broadcast`` (numpy's ValueError becomes a
+# ShapeError) and ``concat`` (any number of inputs, column offsets).
 
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes, or one side of size 1: nothing else is silently numpy-broadcast."""
@@ -340,7 +347,7 @@ def _unary(name: str, *attr_names: str,
         av = a.value
         if shape_ok is not None and not shape_ok(av, *attrs):
             raise ShapeError(name, av.shape, *(attrs and (attrs,)))
-        return Node(name, getattr(NumpyOps, name)(av, *attrs), (a,), attrs)
+        return Node(name, _formula(getattr(NumpyOps, name), av, *attrs), (a,), attrs)
 
     primitive.__name__ = primitive.__qualname__ = name
     return primitive
@@ -354,7 +361,7 @@ def _binary(name: str, shape_ok: Callable[..., bool] = _binary_shapes_ok) -> Cal
         av, bv = a.value, b.value
         if not shape_ok(av, bv):
             raise ShapeError(name, av.shape, bv.shape)
-        return Node(name, getattr(NumpyOps, name)(av, bv), (a, b))
+        return Node(name, _formula(getattr(NumpyOps, name), av, bv), (a, b))
 
     primitive.__name__ = primitive.__qualname__ = name
     return primitive
@@ -385,7 +392,7 @@ def dense(x, w, b, act: str) -> Node:
     if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
             or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise ShapeError("dense", xv.shape, wv.shape, bv.shape)
-    return Node("dense", NumpyOps.dense(xv, wv, bv, act), (x, w, b), (act,))
+    return Node("dense", _formula(NumpyOps.dense, xv, wv, bv, act), (x, w, b), (act,))
 
 
 def broadcast(a, shape: tuple) -> Node:
@@ -393,7 +400,7 @@ def broadcast(a, shape: tuple) -> Node:
     try:
         if a.value.ndim > len(shape):  # numpy would drop leading axes of length 1
             raise ValueError
-        v = NumpyOps.broadcast(a.value, shape)
+        v = _formula(NumpyOps.broadcast, a.value, shape)
     except ValueError:
         raise ShapeError("broadcast", a.value.shape, shape) from None
     return Node("broadcast", v, (a,), (tuple(shape),))
@@ -413,7 +420,7 @@ def concat(*parts) -> Node:
     for nd in nodes:
         offs.append(o)
         o += nd.value.shape[1]
-    return Node("concat", NumpyOps.concat(*(nd.value for nd in nodes)),
+    return Node("concat", _formula(NumpyOps.concat, *(nd.value for nd in nodes)),
                 tuple(nodes), (tuple(offs), o))
 
 
@@ -511,7 +518,7 @@ def _vjp_dense(g, n, live):
     # g becomes the gradient of the pre-activation x @ w + b
     if act == "relu":
         # the value is NaN where x @ w + b is, so this mask is (x @ w + b > 0)
-        g = mul(g, constant(NumpyOps.relu_mask(n.value)))
+        g = mul(g, constant(_formula(NumpyOps.relu_mask, n.value)))
     elif act == "tanh":
         (g,) = _vjp_tanh(g, n, live)  # it reads only the node's own value
     elif act == "softplus":
@@ -554,19 +561,19 @@ def _vjp_power(g, n, live):
 
 
 def _vjp_absval(g, n, live):
-    return (mul(g, constant(NumpyOps.sign(n.parents[0].value))),)
+    return (mul(g, constant(_formula(NumpyOps.sign, n.parents[0].value))),)
 
 
 def _vjp_minimum(g, n, live):
     a, b = n.parents
-    mask = NumpyOps.minimum_mask(a.value, b.value)
+    mask = _formula(NumpyOps.minimum_mask, a.value, b.value)
     ga = mul(g, constant(mask)) if a in live else None
-    gb = mul(g, constant(NumpyOps.invert(mask))) if b in live else None
+    gb = mul(g, constant(_formula(NumpyOps.invert, mask))) if b in live else None
     return (ga, gb)
 
 
 def _vjp_clip(g, n, live):
-    return (mul(g, constant(NumpyOps.clip_mask(n.parents[0].value, *n.attrs))),)
+    return (mul(g, constant(_formula(NumpyOps.clip_mask, n.parents[0].value, *n.attrs))),)
 
 
 def _vjp_reduce(g, n, live):

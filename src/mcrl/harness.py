@@ -22,7 +22,8 @@ plot: ``smooth`` and ``max_average_return`` summarise the curves.
 Divergence ends one seed, not the run. An aborted seed's metadata holds
 ``aborted_at_step``, ``aborted_at_iteration``, ``update_blocks`` (the
 completed iterations) and the ``aborted_primitive`` and ``aborted_kind``
-(forward or backward) of the op that raised, both empty for a non-finite loss.
+(forward or backward) of the op that raised. Both are empty for a non-finite
+loss and for an overflow in an optimizer step or polyak, which run on arrays.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import plan
-from .autodiff import NumpyOps
 from .offpac import AlgoState, actor_loss, actor_loss_np, vanilla_iteration
 # unused here, but bench/tracer.py patches both names on this module and needs them present
 from .offpac import apply_target_updates, critic_update  # noqa: F401
@@ -84,14 +83,14 @@ def meta_train(state: AlgoState, d_trn: Batch, noise: np.ndarray | None = None) 
 
     l_c = actor_loss(state, d_trn, noise=noise)
     g_c = ad.backward(l_c, params)
-    phi_old = [NumpyOps.sub(p.value, NumpyOps.scale(g, eta)) for p, g in zip(params, g_c)]
+    phi_old = [ad.evaluate(ad.sub(p.value, ad.scale(g, eta))) for p, g in zip(params, g_c)]
 
     h = state.mc.loss(state.actor, d_trn.s, d_trn.a)
     g_m = ad.backward(h, params, create_graph=True)
 
     phi_new = [ad.sub(ad.constant(old), ad.scale(gm, eta))
                for old, gm in zip(phi_old, g_m)]
-    grad_total = [NumpyOps.add(gc, gm.value) for gc, gm in zip(g_c, g_m)]
+    grad_total = [ad.evaluate(ad.add(gc, gm)) for gc, gm in zip(g_c, g_m)]
     return PutativeUpdate(phi_old, phi_new, grad_total, ad.evaluate(l_c), ad.evaluate(h))
 
 

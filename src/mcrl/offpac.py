@@ -54,22 +54,23 @@ class Sgd:
 
 
 class Adam:
-    def __init__(self, variables, lr: float, b1: float = 0.9, b2: float = 0.999,
-                 eps: float = 1e-8):
+    B1, B2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, variables, lr: float):
         self.vars = list(variables)
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.lr = lr
         self.m = [np.zeros_like(v.value) for v in self.vars]
         self.v = [np.zeros_like(v.value) for v in self.vars]
         self.t = 0
 
     def step(self, grads) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - self.B1 ** self.t
+        c2 = 1.0 - self.B2 ** self.t
         for i, (var, g) in enumerate(zip(self.vars, grads)):
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * (g * g)
-            step = self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+            self.m[i] = self.B1 * self.m[i] + (1.0 - self.B1) * g
+            self.v[i] = self.B2 * self.v[i] + (1.0 - self.B2) * (g * g)
+            step = self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.EPS)
             var.set_value(var.value - step)
 
 
@@ -111,6 +112,10 @@ class AlgoState:
         if self.cfg.algo == "td3":
             return self.it % self.cfg.policy_delay == 0
         return True
+
+    def td_policy(self) -> Actor:
+        """The TD target's policy: the target actor, or the live one for sac, which has none."""
+        return self.target_actor or self.actor
 
     def critic_const_params(self) -> list[list[np.ndarray]]:
         """The critic's current values, one list per Q net."""
@@ -163,7 +168,7 @@ def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> 
     def values(net):
         return [p.value for p in net.params]
 
-    policy = state.target_actor or state.actor  # sac has none: it samples the live actor
+    policy = state.td_policy()
     a2, logp2 = policy.act(batch.s_next, noise if sac else None, values(policy.net))
     if h.algo == "td3":
         eps = ad.clip(ad.scale(noise, h.target_noise * scale),
@@ -203,8 +208,7 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
         return functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
                                          for q in state.critic.qs(batch.s, batch.a)])
 
-    policy = state.target_actor or state.actor  # as in critic_targets
-    reads = [p.value for p in state.target_critic.parameters() + policy.parameters()]
+    reads = [p.value for p in state.target_critic.parameters() + state.td_policy().parameters()]
     reads += [batch.s, batch.a, batch.r, batch.s_next, noise]
     return descend(state, "critic", state.critic_opt, td_loss, reads)
 

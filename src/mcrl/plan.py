@@ -2,11 +2,11 @@
 
 A region is a function of no arguments that reads a known list of input
 arrays and returns a list of arrays, such as a loss and its gradients.
-``replay`` runs it eagerly the first time, with every ``NumpyOps`` formula
-it calls recorded into a ``Plan``, and afterwards runs only the plan's
-formulas on the current inputs: no Node, no walk, no dict. The rules a
-region keeps, and what a replay keeps and does on a raise, are in the
-``autodiff`` module docstring.
+``replay`` runs it eagerly the first time, while ``autodiff`` reports each
+formula its primitives compute to a ``_Tape``, and records them into a
+``Plan``; afterwards it runs only the plan's formulas on the current
+inputs: no Node, no walk, no dict. The rules a region keeps, and what a
+replay keeps and does on a raise, are in the ``autodiff`` module docstring.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AutodiffError, NumpyOps
+from .autodiff import AutodiffError
 
 
 _ARRAYS = (np.ndarray, np.generic)
-# the NumpyOps members that are not formulas: unwrapping and the identity
-_NOT_FORMULAS = ("as_node", "constant")
 
 
 class _Tape:
@@ -73,27 +71,14 @@ class _Tape:
         ins = tuple(self._slot(a, name) for a in args[:n])
         self.steps.append((fn, ins, attrs, self._new_slot(out)))
 
-    def _recording(self, fn: Callable) -> staticmethod:
-        def recorded(*args):
-            out = fn(*args)
-            self.step(fn, args, out)
-            return out
-        return staticmethod(recorded)
-
     def __enter__(self) -> _Tape:
         if ad._tape is not None:
             raise AutodiffError("a recorded region cannot hold another")
-        self.formulas = {name: member for name, member in vars(NumpyOps).items()
-                         if isinstance(member, staticmethod) and name not in _NOT_FORMULAS}
-        for name, member in self.formulas.items():
-            setattr(NumpyOps, name, self._recording(member.__func__))
         ad._tape = self
         return self
 
     def __exit__(self, *exc) -> None:
         ad._tape = None
-        for name, member in self.formulas.items():
-            setattr(NumpyOps, name, member)
 
 
 # steps per compiled function: the compiler's memory grows with a function's length

@@ -23,10 +23,10 @@ CONFIGS = list(itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
 K = 6  # iterations: td3's default delay of 2 makes three delayed and three actor steps
 
 
-def make_state(algo, variant, loss, seed=0):
+def make_state(algo, variant, loss, seed=0, **settings):
     cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=loss,
                             hidden_actor=(4, 4), hidden_critic=(5, 5), mc_hidden=3,
-                            batch_n=6).validate()
+                            batch_n=6, **settings).validate()
     rng = np.random.default_rng(seed)
     return harness.build_meta_state(cfg, SPEC, rng)
 
@@ -48,6 +48,23 @@ def learner_bytes(state):
     if state.mc is not None:
         variables += state.mc.parameters()
     return [v.value.tobytes() for v in variables]
+
+
+@pytest.fixture
+def replay_raised(monkeypatch):
+    """The plans whose replay raised FloatingPointError, in the order they raised."""
+    raised = []
+    real_run = plan.Plan.run
+
+    def spied_run(recorded, inputs):
+        try:
+            return real_run(recorded, inputs)
+        except FloatingPointError:
+            raised.append(recorded)
+            raise
+
+    monkeypatch.setattr(plan.Plan, "run", spied_run)
+    return raised
 
 
 def run(state, buf, rng, fresh: bool, iterations: int) -> list:
@@ -108,19 +125,8 @@ def test_each_region_records_a_pinned_number_of_steps(algo, monkeypatch):
     ("td3", "feature", "critic", "dense"), ("sac", "none", "q1", "square"),
     ("ddpg", "feature", "omega", "dense"), ("sac", "param-reg", "omega", "dense")])
 def test_an_overflow_in_a_replay_is_reported_at_the_eager_op(algo, variant, scaled, op,
-                                                             monkeypatch):
+                                                             replay_raised):
     buf = fill_buffer()
-    replay_raised = []
-    real_run = plan.Plan.run
-
-    def spied_run(recorded, inputs):
-        try:
-            return real_run(recorded, inputs)
-        except FloatingPointError:
-            replay_raised.append(recorded)
-            raise
-
-    monkeypatch.setattr(plan.Plan, "run", spied_run)
     records = []
     for fresh in (False, True):
         state, rng = make_state(algo, variant, "clip"), np.random.default_rng(2)
@@ -158,19 +164,8 @@ def test_a_replayed_iteration_computes_no_td_target(algo, monkeypatch):
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
-def test_a_td_target_overflow_names_its_op(algo, monkeypatch):
+def test_a_td_target_overflow_names_its_op(algo, replay_raised):
     # a target Q of 1e308 is finite, and so is a reward of 1e308: r + gamma * q2 is not
-    replay_raised = []
-    real_run = plan.Plan.run
-
-    def spied_run(recorded, inputs):
-        try:
-            return real_run(recorded, inputs)
-        except FloatingPointError:
-            replay_raised.append(recorded)
-            raise
-
-    monkeypatch.setattr(plan.Plan, "run", spied_run)
     buf = fill_buffer()
     for replayed in (False, True):
         state, rng = make_state(algo, "none", "clip"), np.random.default_rng(2)
@@ -185,6 +180,28 @@ def test_a_td_target_overflow_names_its_op(algo, monkeypatch):
                 offpac.critic_update(state, batch, rng)
         assert ad.raised_at(err.value.__traceback__) == ("add", "forward")
         assert bool(replay_raised) == replayed  # the second iteration's plan raised first
+
+
+def test_a_putative_update_overflow_names_its_op(replay_raised):
+    # phi_old = phi - actor_lr * g_c: a finite gradient times 1e300 is not
+    buf = fill_buffer()
+    for replayed in (False, True):
+        state = make_state("ddpg", "feature", "clip", actor_lr=1e300, critic_lr=0.0)
+        rng = np.random.default_rng(2)
+        last_weights = [net.params[-2] for net in state.critic.nets]
+        for w in last_weights + [state.mc.parameters()[-2]]:  # so g_c = g_m = 0
+            w.set_value(np.zeros_like(w.value))
+        run(state, buf, rng, fresh=False, iterations=1)
+        if not replayed:
+            state.plans.clear()
+        for w in last_weights:
+            w.set_value(np.full_like(w.value, 1e10))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError) as err:
+                metacritic.train_iteration(state, buf, rng)
+        assert ad.raised_at(err.value.__traceback__) == ("scale", "forward")
+        assert bool(replay_raised) == replayed  # the recorded plan raised first
+        replay_raised.clear()
 
 
 @pytest.mark.parametrize("create_graph", [False, True])
@@ -232,13 +249,15 @@ def test_the_recorder_refuses_an_array_from_outside_its_inputs():
     outside = np.array([3.0, 4.0])
 
     def fresh_after_a_dropped_value():
-        NumpyOps.mul(x.value, x.value)  # a formula's value, dropped at once
+        ad.mul(x, x)  # a formula's value, dropped at once
         # made after it, so it may take the dropped value's id
-        return [NumpyOps.add(x.value, np.array([3.0, 4.0]))]
+        return [ad.evaluate(ad.add(x, np.array([3.0, 4.0])))]
 
     for region in (lambda: [ad.evaluate(ad.mul(x, outside))],
                    # computed with direct numpy, not through a formula
-                   lambda: [NumpyOps.add(x.value, x.value * 2.0)],
+                   lambda: [ad.evaluate(ad.add(x, x.value * 2.0))],
+                   # a direct NumpyOps call reports nothing to the recorder
+                   lambda: [ad.evaluate(ad.mul(x, NumpyOps.add(x.value, x.value)))],
                    # a Python number is no literal either: full() makes one
                    lambda: [ad.evaluate(ad.mul(x, ad.constant(2.0)))],
                    fresh_after_a_dropped_value):
@@ -246,7 +265,19 @@ def test_the_recorder_refuses_an_array_from_outside_its_inputs():
         with pytest.raises(ad.AutodiffError, match="recorded"):
             plan.replay(plans, "r", region, [x.value])
         assert plans == {}
-    assert NumpyOps.mul is np.multiply and NumpyOps.add is np.add  # the formulas are back
+
+
+def test_recording_leaves_numpy_ops_as_it_is():
+    before = dict(vars(NumpyOps))
+    x = ad.Variable(np.array([1.0, 2.0]))
+    seen = []
+
+    def region():
+        seen.append((NumpyOps.mul is np.multiply, dict(vars(NumpyOps)) == before))
+        return [ad.evaluate(ad.mul(x, x))]
+
+    plan.replay({}, "r", region, [x.value])
+    assert seen == [(True, True)]
 
 
 def test_a_plan_replays_on_new_values_and_records_again_on_new_shapes():
