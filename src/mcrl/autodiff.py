@@ -47,9 +47,9 @@ shapes record again. The recorder, in module ``plan``, learns only what
   conversion, if it needs one. Shape and graph checks run at record time.
 - A replay keeps no intermediate: each value's slot is reused after its
   last read, and only the literals and the outputs outlive the call.
-- A FloatingPointError in a replay discards it and runs the region
-  eagerly on the same inputs, which raises at the same op with the frames
-  ``raised_at`` reads; nothing is committed before a region returns.
+- A region returns new values and commits nothing before it returns. A
+  FloatingPointError in a replay discards it and runs the region eagerly
+  on the same inputs, so it raises at the same op with ``raised_at``'s frames.
 
 Everything is float64. Accumulation order is fixed by the deterministic
 topological sort, so repeated backward passes over the same graph are
@@ -197,9 +197,11 @@ class NumpyOps:
     sub = staticmethod(np.subtract)
     neg = staticmethod(np.negative)
     mul = staticmethod(np.multiply)
+    div = staticmethod(np.divide)
     scale = staticmethod(np.multiply)
     exp = staticmethod(np.exp)
     log = staticmethod(np.log)
+    sqrt = staticmethod(np.sqrt)
     tanh = staticmethod(np.tanh)
     absval = staticmethod(np.abs)
     minimum = staticmethod(np.minimum)
@@ -367,12 +369,12 @@ def _binary(name: str, shape_ok: Callable[..., bool] = _binary_shapes_ok) -> Cal
     return primitive
 
 
-add, sub, mul = (_binary(name) for name in ("add", "sub", "mul"))
+add, sub, mul, div = (_binary(name) for name in ("add", "sub", "mul", "div"))
 matmul = _binary("matmul", lambda a, b: a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0])
 minimum = _binary("minimum", lambda a, b: a.shape == b.shape)
-neg, tanh, sigmoid, softplus, exp, log, square, absval, asum = (
+neg, tanh, sigmoid, softplus, exp, log, sqrt, square, absval, asum = (
     _unary(name) for name in
-    ("neg", "tanh", "sigmoid", "softplus", "exp", "log", "square", "absval", "asum"))
+    ("neg", "tanh", "sigmoid", "softplus", "exp", "log", "sqrt", "square", "absval", "asum"))
 # sum_axis1 keeps the column axis: the row sums of an (N, D) array are (N, 1)
 sum_axis0, sum_axis1, transpose = (_unary(name, shape_ok=lambda a: a.ndim == 2)
                                    for name in ("sum_axis0", "sum_axis1", "transpose"))
@@ -605,6 +607,7 @@ def _vjp_transpose(g, n, live):
     return (transpose(g),)
 
 
+# div and sqrt have none: only the optimizer steps build them, and nothing differentiates an update
 _VJP: dict[str, Callable] = {
     "add": _vjp_add, "sub": _vjp_sub, "neg": _vjp_neg, "mul": _vjp_mul,
     "scale": _vjp_scale, "matmul": _vjp_matmul, "dense": _vjp_dense,

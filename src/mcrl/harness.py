@@ -23,7 +23,7 @@ Divergence ends one seed, not the run. An aborted seed's metadata holds
 ``aborted_at_step``, ``aborted_at_iteration``, ``update_blocks`` (the
 completed iterations) and the ``aborted_primitive`` and ``aborted_kind``
 (forward or backward) of the op that raised. Both are empty for a non-finite
-loss and for an overflow in an optimizer step or polyak, which run on arrays.
+loss.
 """
 
 from __future__ import annotations
@@ -358,11 +358,11 @@ def build_meta_state(cfg: RunConfig, env_spec, init_rng) -> AlgoState:
 def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """Train one seed; writes seedK.csv / seedK.meta.txt into out_dir.
 
-    Each iteration runs under an ``np.errstate`` that raises on overflow,
-    invalid values and division by zero. The first op to raise ends the
-    seed, as does a non-finite loss without one (a value from outside
-    numpy, such as an env state); its CSV then ends in an all-NaN row and
-    its metadata holds the abort record (see the module docstring).
+    The whole seed loop, exploration and evaluation included, runs under an
+    ``np.errstate`` that raises on overflow, invalid values and division by
+    zero. The first op to raise ends the seed, as does a non-finite loss
+    without one (from outside numpy, such as an env state): its CSV ends in
+    an all-NaN row and its metadata holds the abort record.
     """
     streams = rng_streams(seed)
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
@@ -388,60 +388,55 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
 
     warmup = min(cfg.warmup_steps, cfg.total_steps)
     s = env.reset(streams.env)
-    for step in range(1, cfg.total_steps + 1):
-        if step <= warmup:
-            # one draw per block: PCG64 gives an (n, action_dim) draw the doubles
-            # of n per-step draws, and the last block ends at the last warmup
-            # step, so the exploration stream is left as per-step draws leave it
-            row = (step - 1) % WARMUP_BLOCK
-            if row == 0:
-                block = streams.exploration.uniform(
-                    -spec.action_bound, spec.action_bound,
-                    size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim))
-            a = block[row]
-        else:
-            a = exploration_action(state, s, streams.exploration)
-        s2, r, done = env.step(s, a, streams.env)
-        # horizon timeouts are not terminal: bootstrap through the cutoff
-        buffer.push(s, a, r, s2)
-        s = env.reset(streams.env) if done else s2
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for step in range(1, cfg.total_steps + 1):
+                if step <= warmup:
+                    # one draw per block: PCG64 gives an (n, action_dim) draw the doubles
+                    # of n per-step draws, and the last block ends at the last warmup
+                    # step, so the exploration stream is left as per-step draws leave it
+                    row = (step - 1) % WARMUP_BLOCK
+                    if row == 0:
+                        block = streams.exploration.uniform(
+                            -spec.action_bound, spec.action_bound,
+                            size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim))
+                    a = block[row]
+                else:
+                    a = exploration_action(state, s, streams.exploration)
+                s2, r, done = env.step(s, a, streams.env)
+                # horizon timeouts are not terminal: bootstrap through the cutoff
+                buffer.push(s, a, r, s2)
+                s = env.reset(streams.env) if done else s2
 
-        if step > warmup:
-            # floor((step - warmup) * m) iterations in all by the end of this step
-            due = math.floor((step - warmup) * cfg.updates_multiplier)
-            while update_blocks < due:
-                try:
-                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if step > warmup:
+                    # floor((step - warmup) * m) iterations in all by the end of this step
+                    due = math.floor((step - warmup) * cfg.updates_multiplier)
+                    while update_blocks < due:
                         m = train_iteration(state, buffer, streams.replay)
-                except FloatingPointError as err:
-                    aborted_at = step
-                    aborted_op, aborted_kind = raised_at(err.__traceback__)
-                    break
-                if not all(math.isfinite(m[k]) for k in ("loss_critic", "loss_mcritic",
-                                                         "loss_meta", "loss_td")):
-                    aborted_at = step
-                    break
-                update_blocks += 1
-                for k in acc:
-                    acc[k] += m[k]
-                acc_n += 1
-        if aborted_at is not None:
-            rows.append((step, float("nan"), float("nan"),
-                         float("nan"), float("nan"), float("nan")))
-            break
+                        if not all(math.isfinite(m[k]) for k in (
+                                "loss_critic", "loss_mcritic", "loss_meta", "loss_td")):
+                            raise FloatingPointError("non-finite loss")  # no op raised
+                        update_blocks += 1
+                        for k in acc:
+                            acc[k] += m[k]
+                        acc_n += 1
 
-        if cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
-            save_params(os.path.join(snap_dir, f"seed{seed}_step{step:08d}.txt"),
-                        actor_named_params(state.actor))
+                if cfg.snapshot_every > 0 and step % cfg.snapshot_every == 0:
+                    save_params(os.path.join(snap_dir, f"seed{seed}_step{step:08d}.txt"),
+                                actor_named_params(state.actor))
 
-        if step % cfg.eval_every == 0:
-            mean, std = evaluate_policy(state.actor.act_np, eval_env, cfg.eval_episodes,
-                                        streams.evaluation)
-            k = max(acc_n, 1)
-            rows.append((step, mean, std, acc["loss_critic"] / k,
-                         acc["loss_mcritic"] / k, acc["loss_meta"] / k))
-            acc = {key: 0.0 for key in acc}
-            acc_n = 0
+                if step % cfg.eval_every == 0:
+                    mean, std = evaluate_policy(state.actor.act_np, eval_env,
+                                                cfg.eval_episodes, streams.evaluation)
+                    k = max(acc_n, 1)
+                    rows.append((step, mean, std, acc["loss_critic"] / k,
+                                 acc["loss_mcritic"] / k, acc["loss_meta"] / k))
+                    acc = {key: 0.0 for key in acc}
+                    acc_n = 0
+    except FloatingPointError as err:
+        aborted_at = step
+        aborted_op, aborted_kind = raised_at(err.__traceback__)
+        rows.append((step, float("nan"), float("nan"), float("nan"), float("nan"), float("nan")))
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"seed{seed}.csv")

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import plan
 from .offpac import AlgoState, actor_loss, actor_loss_np, vanilla_iteration
-# unused here, but bench/tracer.py patches both names on this module and needs them present
+# critic_update is unused here, but bench/tracer.py patches it on this module
 from .offpac import apply_target_updates, critic_update  # noqa: F401
 from .replay import Batch, ReplayBuffer
 
@@ -122,10 +122,10 @@ def meta_loss_clip(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
 def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
                   noise_trn: np.ndarray | None = None,
                   noise_val: np.ndarray | None = None) -> dict:
-    """Meta-train, meta-test, then commit both the actor and omega updates.
+    """Meta-train, meta-test, then step the actor and omega and blend the targets.
 
-    Everything before the commit is the recorded region "meta" (see
-    ``plan.replay``).
+    All of it is the recorded region "meta" (see ``plan.replay``), whose new
+    values are committed once it returns.
     """
     actor, omega = state.actor.parameters(), state.mc.parameters()
     meta_loss = meta_loss_clip if state.cfg.meta_loss == "clip" else meta_loss_plain
@@ -133,15 +133,17 @@ def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
     def region():
         pu = meta_train(state, d_trn, noise_trn)
         meta = meta_loss(state, d_val, pu, noise_val)
-        return [*pu.grad_total, *ad.backward(meta, omega),
-                pu.l_critic_trn, pu.l_mcritic_trn, ad.evaluate(meta)]
+        # actor takes the summed inner gradient; omega a plain SGD step
+        actor_next = state.actor_opt.step(pu.grad_total)
+        return [pu.l_critic_trn, pu.l_mcritic_trn, ad.evaluate(meta), *actor_next,
+                *state.mc_opt.step(ad.backward(meta, omega)),
+                *apply_target_updates(state, actor_next[:len(actor)])]
 
-    reads = [p.value for p in actor + omega + state.critic.parameters()]
+    reads = state.actor_opt.reads() + state.mc_opt.reads()
+    reads += [p.value for p in state.critic.parameters() + state.targets]
     reads += [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
-    *grads, l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, reads)
-    # actor takes the summed inner gradient; omega a plain SGD step
-    state.actor_opt.step(grads[:len(actor)])
-    state.mc_opt.step(grads[len(actor):])
+    writes = state.actor_opt.writes + state.mc_opt.writes + state.targets
+    l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, reads, writes)
     return {"loss_critic": float(l_critic), "loss_mcritic": float(l_mcritic),
             "loss_meta": float(l_meta)}
 

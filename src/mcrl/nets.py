@@ -90,15 +90,15 @@ class DenseNet:
         return h
 
 
-def polyak(target: list[Variable], source: list[Variable], tau: float) -> None:
-    """In-place blend target <- (1 - tau) * target + tau * source, parameter by parameter."""
+def polyak(target: list[Variable], source: list, tau: float) -> list[np.ndarray]:
+    """The next values (1 - tau) * target + tau * source, on the graph; sets nothing."""
     # compared up front: numpy would broadcast some mismatched pairs silently
-    if [t.value.shape for t in target] != [s.value.shape for s in source]:
+    if [t.shape for t in target] != [ad.as_node(s).shape for s in source]:
         raise ValueError("polyak: target and source parameter shapes differ")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("polyak: tau must lie in [0, 1]")
-    for t, s in zip(target, source):
-        t.set_value((1.0 - tau) * t.value + tau * s.value)
+    return [ad.evaluate(ad.add(ad.scale(t, 1.0 - tau), ad.scale(s, tau)))
+            for t, s in zip(target, source)]
 
 
 class Actor:

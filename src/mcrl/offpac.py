@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import plan
-from .autodiff import NumpyOps
+from .autodiff import NumpyOps, Variable
 from .envs import EnvSpec
 from .nets import Actor, Critic, MetaCriticNet, polyak
 from .replay import Batch, ReplayBuffer
@@ -45,12 +45,15 @@ ALGOS = ("ddpg", "td3", "sac")
 
 class Sgd:
     def __init__(self, variables, lr: float):
-        self.vars = list(variables)
+        self.vars = self.writes = list(variables)
         self.lr = lr
 
-    def step(self, grads) -> None:
-        for v, g in zip(self.vars, grads):
-            v.set_value(v.value - self.lr * g)
+    def reads(self) -> list:
+        """The arrays a step reads besides its gradients; it gives the next values of ``writes``."""
+        return [v.value for v in self.writes]
+
+    def step(self, grads) -> list:
+        return [ad.evaluate(ad.sub(v, ad.scale(g, self.lr))) for v, g in zip(self.vars, grads)]
 
 
 class Adam:
@@ -59,19 +62,27 @@ class Adam:
     def __init__(self, variables, lr: float):
         self.vars = list(variables)
         self.lr = lr
-        self.m = [np.zeros_like(v.value) for v in self.vars]
-        self.v = [np.zeros_like(v.value) for v in self.vars]
+        self.m = [Variable(np.zeros_like(v.value), f"{v.name}.m") for v in self.vars]
+        self.v = [Variable(np.zeros_like(v.value), f"{v.name}.v") for v in self.vars]
+        self.writes = self.vars + self.m + self.v
         self.t = 0
 
-    def step(self, grads) -> None:
+    def reads(self) -> list:
+        """Begins a step: counts it, and adds its 0-d bias corrections to the arrays it reads."""
         self.t += 1
-        c1 = 1.0 - self.B1 ** self.t
-        c2 = 1.0 - self.B2 ** self.t
-        for i, (var, g) in enumerate(zip(self.vars, grads)):
-            self.m[i] = self.B1 * self.m[i] + (1.0 - self.B1) * g
-            self.v[i] = self.B2 * self.v[i] + (1.0 - self.B2) * (g * g)
-            step = self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.EPS)
-            var.set_value(var.value - step)
+        self.bias = [np.array(1.0 - self.B1 ** self.t), np.array(1.0 - self.B2 ** self.t)]
+        return [x.value for x in self.writes] + self.bias
+
+    def step(self, grads) -> list:
+        (c1, c2), eps = self.bias, ad.full((), self.EPS)
+        ms = [ad.add(ad.scale(m, self.B1), ad.scale(g, 1.0 - self.B1))
+              for m, g in zip(self.m, grads)]
+        vs = [ad.add(ad.scale(v, self.B2), ad.scale(ad.square(g), 1.0 - self.B2))
+              for v, g in zip(self.v, grads)]
+        nxt = [ad.sub(x, ad.div(ad.scale(ad.div(m, c1), self.lr),
+                                ad.add(ad.sqrt(ad.div(v, c2)), eps)))
+               for x, m, v in zip(self.vars, ms, vs)]
+        return [ad.evaluate(x) for x in nxt + ms + vs]
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
@@ -95,6 +106,8 @@ class AlgoState:
                              hidden=cfg.hidden_critic, n_nets=1 if cfg.algo == "ddpg" else 2)
         self.target_actor = copy.deepcopy(self.actor) if cfg.algo in ("ddpg", "td3") else None
         self.target_critic = copy.deepcopy(self.critic)
+        self.targets = self.target_critic.parameters() + (  # what apply_target_updates blends
+            self.target_actor.parameters() if self.target_actor else [])
         optimizer = OPTIMIZERS[cfg.optimizer]
         self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
         self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
@@ -180,18 +193,23 @@ def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> 
     return ad.evaluate(ad.add(batch.r, ad.scale(q2, h.gamma)))
 
 
-def descend(state: AlgoState, key: str, opt, loss, reads: list) -> float:
+def descend(state: AlgoState, key: str, opt, loss, reads: list, blend: bool = False) -> float:
     """One step of ``opt`` down the gradient of ``loss()``, a graph scalar; returns its value.
 
-    The loss and its gradient are the recorded region ``key`` (see
-    ``plan.replay``), which reads the values of ``opt``'s variables and ``reads``.
+    The loss, its gradient, the step and, with ``blend``, the targets' polyak
+    blend are the recorded region ``key`` (see ``plan.replay``), which reads
+    ``opt.reads()``, ``reads`` and the targets it blends.
     """
+    targets = state.targets if blend else []
+
     def region():
         out = loss()
-        return [ad.evaluate(out), *ad.backward(out, opt.vars)]
+        nxt = opt.step(ad.backward(out, opt.vars))
+        return [ad.evaluate(out), *nxt,
+                *(apply_target_updates(state, nxt[:len(opt.vars)]) if blend else [])]
 
-    value, *grads = plan.replay(state.plans, key, region, [v.value for v in opt.vars] + reads)
-    opt.step(grads)
+    value, = plan.replay(state.plans, key, region,
+                         opt.reads() + reads + [t.value for t in targets], opt.writes + targets)
     return float(value)
 
 
@@ -225,17 +243,18 @@ def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator
     return NumpyOps.clip(a, -scale, scale)
 
 
-def apply_target_updates(state: AlgoState) -> None:
-    polyak(state.target_critic.parameters(), state.critic.parameters(), state.cfg.tau)
-    if state.target_actor is not None:
-        polyak(state.target_actor.parameters(), state.actor.parameters(), state.cfg.tau)
+def apply_target_updates(state: AlgoState, actor_values: list) -> list:
+    """The next values of ``state.targets``, blended toward the critic and, for a
+    target actor, toward ``actor_values``, the actor's next values."""
+    sources = state.critic.parameters() + (actor_values if state.target_actor else [])
+    return polyak(state.targets, sources, state.cfg.tau)
 
 
 def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Generator,
                       actor_step=None) -> dict:
-    """One gradient iteration: critic step, (possibly delayed) actor step,
-    polyak target updates. ``actor_step(batch, noise)`` replaces the plain
-    actor step and returns its metrics. Draw order from ``rng``: batch
+    """One gradient iteration: critic step, then the (possibly delayed) actor
+    step and polyak target updates, in one region. ``actor_step(batch, noise)``
+    replaces that region and returns its metrics. Draw order from ``rng``: batch
     indices, critic target noise, actor loss noise, then ``actor_step``'s."""
     if len(buffer) == 0:
         raise ValueError("empty buffer")
@@ -247,9 +266,9 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Gen
         if actor_step is None:
             value = descend(state, "actor", state.actor_opt,
                             lambda: actor_loss(state, batch, noise=noise),
-                            [*(p.value for p in state.critic.parameters()), batch.s, noise])
+                            [*(p.value for p in state.critic.parameters()), batch.s, noise],
+                            blend=True)
             state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
         else:
             state.last_metrics = actor_step(batch, noise)
-        apply_target_updates(state)
     return {**state.last_metrics, "loss_td": td_loss}

@@ -1,7 +1,7 @@
 """Record a gradient region once per learner, then replay its numpy formulas.
 
 A region is a function of no arguments that reads a known list of input
-arrays and returns a list of arrays, such as a loss and its gradients.
+arrays and returns a list of arrays, such as a loss and its step's parameters.
 ``replay`` runs it eagerly the first time, while ``autodiff`` reports each
 formula its primitives compute to a ``_Tape``, and records them into a
 ``Plan``; afterwards it runs only the plan's formulas on the current
@@ -138,27 +138,33 @@ class Plan:
         return [vals[i] for i in self.outputs]
 
 
-def replay(plans: dict, key: str, region: Callable[[], list], inputs: list) -> list:
-    """``region()``, a list of arrays, replayed from ``plans[key]`` when the inputs fit.
+def replay(plans: dict, key: str, region: Callable[[], list], inputs: list,
+           writes: list = ()) -> list:
+    """The figures of ``region()``, replayed from ``plans[key]`` when the inputs fit.
 
-    ``inputs`` lists every array the region reads, each a distinct object
-    (see the ``autodiff`` module docstring); a None in it is left out. The
-    first call, and any call whose input shapes differ from the plan's,
-    runs the region eagerly and records it into ``plans[key]``. A call
-    with a repeated input runs eagerly and records nothing.
+    ``region()`` returns its figures, then the next value of each Variable of
+    ``writes``, which are set only once it has returned. ``inputs`` lists
+    every array the region reads, each a distinct object (see the
+    ``autodiff`` module docstring); a None in it is left out. The first
+    call, and any call whose input shapes differ from the plan's, runs the
+    region eagerly and records it into ``plans[key]``. A call with a
+    repeated input runs eagerly and records nothing.
     """
     inputs = [a for a in inputs if a is not None]
     shapes = [a.shape for a in inputs]
-    if len({id(a) for a in inputs}) != len(inputs):
-        return region()
     plan = plans.get(key)
-    if plan is not None and plan.shapes == shapes:
-        try:
-            return plan.run(inputs)
-        except FloatingPointError:
-            pass  # nothing is committed: the eager run raises at the same op, with its frames
-        return region()
-    with _Tape(inputs) as tape:
+    if len({id(a) for a in inputs}) != len(inputs):
         outputs = region()
-    plans[key] = Plan(shapes, tape, outputs)
-    return outputs
+    elif plan is not None and plan.shapes == shapes:
+        try:
+            outputs = plan.run(inputs)
+        except FloatingPointError:  # the eager run raises at the same op, with its frames
+            outputs = region()
+    else:
+        with _Tape(inputs) as tape:
+            outputs = region()
+        plans[key] = Plan(shapes, tape, outputs)
+    n = len(outputs) - len(writes)
+    for var, value in zip(writes, outputs[n:]):
+        var.set_value(value)
+    return outputs[:n]

@@ -354,12 +354,14 @@ _NUMPY_OPS_CASES = {
     "sub": lambda r: (_rand(r, 4, 3), _rand(r, 4, 3)),
     "neg": lambda r: (_rand(r, 4, 3),),
     "mul": lambda r: (_rand(r, 4, 3), _rand(r, 1, 1)),
+    "div": lambda r: (_rand(r, 4, 3), np.abs(_rand(r, 1)) + 0.1),
     "scale": lambda r: (_rand(r, 4, 3), 0.37),
     "matmul": lambda r: (_rand(r, 4, 3), _rand(r, 3, 5)),
     **{f"dense-{act}": lambda r, act=act: (_rand(r, 4, 3) * 3, _rand(r, 3, 5), _rand(r, 5), act)
        for act in ad.DENSE_ACTS},
     "exp": lambda r: (_rand(r, 4, 3),),
     "log": lambda r: (np.abs(_rand(r, 4, 3)) + 0.1,),
+    "sqrt": lambda r: (np.abs(_rand(r, 4, 3)),),
     "tanh": lambda r: (_rand(r, 4, 3) * 3,),
     "softplus": lambda r: (_rand(r, 4, 3) * 5,),
     "sigmoid": lambda r: (_rand(r, 4, 3) * 5,),

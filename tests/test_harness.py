@@ -361,6 +361,21 @@ def test_real_divergence_aborts_with_the_primitive(tmp_path, text, step, iterati
     assert meta["aborted_kind"] == "forward"
 
 
+@pytest.mark.parametrize("algo, step", [("ddpg", 102), ("td3", 103), ("sac", 102)])
+def test_a_diverged_actor_ends_its_seed_not_the_run(tmp_path, algo, step):
+    # the first actor step at a rate of 1e308 overflows the next exploration
+    # action, outside any iteration; the run still finishes every seed
+    cfg = parse_config(f"algo={algo}\nenv=pendulum\nactor_lr=1e308\ncritic_lr=0\n"
+                       "total_steps=300\nwarmup_steps=100\neval_every=150\n"
+                       "eval_episodes=1\nseeds=0,1\n")
+    results = harness.run(cfg, str(tmp_path))
+    assert results[0]["aborted_at"] == step
+    for seed in cfg.seeds:
+        assert math_isnan_row(results[seed]["rows"][-1])
+        meta = harness.read_metadata(str(tmp_path / f"seed{seed}.meta.txt"))
+        assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("dense", "forward")
+
+
 def math_isnan_row(row):
     return all(np.isnan(v) for v in row[1:])
 

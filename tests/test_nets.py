@@ -259,22 +259,20 @@ def test_polyak_identities():
     a = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng).params
     b = nets.DenseNet([3, 4, 2], ["relu", "linear"], rng).params
     t = copy.deepcopy(a)
-    nets.polyak(t, b, 1.0)
-    for tp, bp in zip(t, b):
-        np.testing.assert_array_equal(tp.value, bp.value)
-    t = copy.deepcopy(a)
-    nets.polyak(t, b, 0.0)
-    for tp, ap in zip(t, a):
-        np.testing.assert_array_equal(tp.value, ap.value)
-    t = copy.deepcopy(a)
+    for tv, bp in zip(nets.polyak(t, b, 1.0), b):
+        np.testing.assert_array_equal(tv, bp.value)
+    for tv, ap in zip(nets.polyak(t, b, 0.0), a):
+        np.testing.assert_array_equal(tv, ap.value)
     for p in t:
         p.set_value(np.zeros_like(p.value))
     ones = copy.deepcopy(b)
     for p in ones:
         p.set_value(np.ones_like(p.value))
-    nets.polyak(t, ones, 0.005)
+    for tv in nets.polyak(t, ones, 0.005):
+        np.testing.assert_allclose(tv, 0.005)
+    # it sets nothing: the target keeps its values
     for tp in t:
-        np.testing.assert_allclose(tp.value, 0.005)
+        np.testing.assert_array_equal(tp.value, 0.0)
     with pytest.raises(ValueError):  # same count, other widths
         nets.polyak(t, nets.DenseNet([3, 5, 2], ["relu", "linear"], rng).params, 0.5)
     with pytest.raises(ValueError):  # (4,) would broadcast into a (3, 4) target

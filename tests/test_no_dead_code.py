@@ -10,10 +10,11 @@ Every ``harness.RunConfig`` field must be read, as an attribute, somewhere
 in ``src/`` outside ``RunConfig`` itself: a field that only ``validate``
 checks configures nothing.
 
-Primitives are named by the string keys of ``autodiff._VJP``, so the checks
-above cannot see a dead one. A second check runs a training iteration of
-every algo, meta-critic variant and meta-loss and requires each backward
-rule's primitive to be built as a Node on the way.
+Primitives are dispatched by name (``getattr(NumpyOps, name)``), so the
+checks above cannot see a dead one. A second check lists them from
+``autodiff`` itself, runs a training iteration of every algo, meta-critic
+variant and meta-loss, and one with Adam, and requires each primitive to be
+built as a Node on the way.
 """
 
 import ast
@@ -103,7 +104,17 @@ def test_every_config_field_is_read_outside_run_config():
     assert unread == [], "RunConfig fields nothing in src/ reads: " + ", ".join(unread)
 
 
-# primitives with a backward rule that no src/ path builds, each for one reason
+def graph_primitives() -> set:
+    """The graph primitives: the functions of ``autodiff`` named after a ``NumpyOps`` formula.
+
+    ``as_node`` and ``constant`` share a name with one too, but build no
+    Node of their own name.
+    """
+    return {name for name in vars(ad.NumpyOps) if not name.startswith("__")
+            and callable(getattr(ad, name, None))} - {"as_node", "constant"}
+
+
+# primitives that no src/ path builds, each for one reason
 UNBUILT = {
     "sum_to": "built by the add, sub and mul rules on a broadcast input and by broadcast's "
               "rule; no backward pass in src/ meets either, and its rule keeps those rules "
@@ -112,13 +123,14 @@ UNBUILT = {
 
 
 def _train_every_config():
-    """One actor update of every algo, meta-critic variant and meta-loss."""
+    """One actor update of every algo, meta-critic variant and meta-loss, and one with Adam."""
     spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=20)
-    for algo, variant, kind in itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
-                                                 metacritic.META_LOSS_KINDS):
+    configs = [(algo, variant, kind, "sgd") for algo, variant, kind in itertools.product(
+        offpac.ALGOS, ("none",) + nets.MC_VARIANTS, metacritic.META_LOSS_KINDS)]
+    for algo, variant, kind, optimizer in configs + [("ddpg", "none", "clip", "adam")]:
         cfg = harness.RunConfig(algo=algo, mc_variant=variant, meta_loss=kind,
-                                hidden_actor=(3,), hidden_critic=(3,), mc_hidden=3,
-                                batch_n=4)
+                                optimizer=optimizer, hidden_actor=(3,), hidden_critic=(3,),
+                                mc_hidden=3, batch_n=4)
         rng = np.random.default_rng(0)
         state = harness.build_meta_state(cfg, spec, rng)
         buffer = ReplayBuffer(8, spec.state_dim, spec.action_dim)
@@ -129,9 +141,11 @@ def _train_every_config():
             metacritic.train_iteration(state, buffer, rng)
 
 
-def test_every_backward_rule_has_a_primitive_src_builds(nodes_built):
+def test_every_primitive_is_built_by_src(nodes_built):
+    primitives = graph_primitives()
+    assert set(ad._VJP) <= primitives and {"div", "sqrt"} <= primitives
     made = set(nodes_built(_train_every_config))
-    assert sorted(set(ad._VJP) - made - set(UNBUILT)) == []
-    # an allowlisted primitive that src/ now builds, or that lost its rule, leaves the list
+    assert sorted(primitives - made - set(UNBUILT)) == []
+    # an allowlisted primitive that src/ now builds, or that is gone, leaves the list
     assert sorted(set(UNBUILT) & made) == []
-    assert sorted(set(UNBUILT) - set(ad._VJP)) == []
+    assert sorted(set(UNBUILT) - primitives) == []

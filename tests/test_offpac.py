@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcrl import autodiff as ad
-from mcrl import harness, offpac
+from mcrl import harness, nets, offpac, plan
 from mcrl.envs import EnvSpec
 from mcrl.replay import Batch, ReplayBuffer
 
@@ -147,6 +147,41 @@ def test_critic_targets_give_the_raw_array_formula_bits(algo):
         q2 = q2 - h.alpha * logp2
     want = batch.r + h.gamma * q2
     assert offpac.critic_targets(state, batch, noise).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("optimizer", sorted(offpac.OPTIMIZERS))
+def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
+    # the oracle is the raw-array Sgd, Adam and polyak the steps were written as
+    rng = np.random.default_rng(41)
+    net, target = (nets.DenseNet([3, 4, 2], ["relu", "linear"], rng) for _ in range(2))
+    lr, tau, (b1, b2, eps) = 0.3, 0.05, (offpac.Adam.B1, offpac.Adam.B2, offpac.Adam.EPS)
+    opt = offpac.OPTIMIZERS[optimizer](net.params, lr)
+    want, want_target = [p.value for p in net.params], [p.value for p in target.params]
+    m, v = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
+    plans = {}
+    for t in range(1, 5):
+        grads = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-3, 3) for w in want]
+
+        def region():
+            nxt = opt.step(grads)
+            return nxt + nets.polyak(target.params, nxt[:len(net.params)], tau)
+
+        built = nodes_built(lambda: plan.replay(
+            plans, "step", region, opt.reads() + grads + [p.value for p in target.params],
+            opt.writes + target.params))
+        assert (built == []) == (t > 1)  # recorded once, then replayed
+        if optimizer == "sgd":
+            want = [w - lr * g for w, g in zip(want, grads)]
+        else:
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grads)]
+            v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
+            want = [w - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+                    for w, mi, vi in zip(want, m, v)]
+            assert [x.value.tobytes() for x in opt.m + opt.v] == [x.tobytes() for x in m + v]
+        want_target = [(1.0 - tau) * wt + tau * w for wt, w in zip(want_target, want)]
+        assert [p.value.tobytes() for p in net.params] == [w.tobytes() for w in want]
+        assert [p.value.tobytes() for p in target.params] == [w.tobytes() for w in want_target]
 
 
 def test_td3_twin_swap_leaves_min_target_unchanged():

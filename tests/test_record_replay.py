@@ -6,6 +6,8 @@ keeps no intermediate, and falls back to the eager run on a raise.
 """
 
 import itertools
+import os
+import types
 import weakref
 
 import numpy as np
@@ -20,6 +22,10 @@ from mcrl.replay import ReplayBuffer
 SPEC = EnvSpec(state_dim=3, action_dim=2, action_bound=1.0, horizon=20)
 CONFIGS = list(itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
                                  metacritic.META_LOSS_KINDS))
+# Adam's moments and bias corrections enter the regions too
+REPLAY_CASES = [pytest.param(*c, "sgd", id="-".join(c)) for c in CONFIGS] + [
+    pytest.param(algo, variant, "clip", "adam", id=f"{algo}-{variant}-clip-adam")
+    for algo in offpac.ALGOS for variant in ("none", "feature")]
 K = 6  # iterations: td3's default delay of 2 makes three delayed and three actor steps
 
 
@@ -77,13 +83,15 @@ def run(state, buf, rng, fresh: bool, iterations: int) -> list:
     return metrics
 
 
-@pytest.mark.parametrize("algo,variant,loss", CONFIGS)
-def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_built):
+@pytest.mark.parametrize("algo,variant,loss,optimizer", REPLAY_CASES)
+def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, optimizer, nodes_built):
     buf = fill_buffer()
-    eager, eager_rng = make_state(algo, variant, loss), np.random.default_rng(2)
+    eager = make_state(algo, variant, loss, optimizer=optimizer)
+    eager_rng = np.random.default_rng(2)
     eager_metrics = run(eager, buf, eager_rng, fresh=True, iterations=K)
 
-    state, rng = make_state(algo, variant, loss), np.random.default_rng(2)
+    state = make_state(algo, variant, loss, optimizer=optimizer)
+    rng = np.random.default_rng(2)
     # every region is recorded by the second iteration, td3's first actor step
     metrics = run(state, buf, rng, fresh=False, iterations=2)
     built = nodes_built(lambda: metrics.extend(run(state, buf, rng, fresh=False,
@@ -92,12 +100,15 @@ def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, nodes_buil
     assert set(state.plans) == {"critic", "actor" if variant == "none" else "meta"}
     assert metrics == eager_metrics
     assert learner_bytes(state) == learner_bytes(eager)
+    for name in ("actor_opt", "critic_opt"):  # Adam's moments too
+        assert ([x.value.tobytes() for x in getattr(state, name).writes]
+                == [x.value.tobytes() for x in getattr(eager, name).writes])
 
 
 # algo -> recorded steps of its critic region (its TD targets included) and actor
 # region, and of its meta region with the feature meta-critic and the clip
 # meta-loss: they follow the algorithm and the depth of the nets, not their widths
-STEPS = {"ddpg": (39, 46, 232), "td3": (76, 46, 232), "sac": (97, 120, 408)}
+STEPS = {"ddpg": (51, 94, 292), "td3": (100, 112, 310), "sac": (121, 168, 468)}
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
@@ -202,6 +213,44 @@ def test_a_putative_update_overflow_names_its_op(replay_raised):
         assert ad.raised_at(err.value.__traceback__) == ("scale", "forward")
         assert bool(replay_raised) == replayed  # the recorded plan raised first
         replay_raised.clear()
+
+
+@pytest.mark.parametrize("optimizer", sorted(offpac.OPTIMIZERS))
+def test_an_optimizer_step_overflow_names_its_op(optimizer, tmp_path):
+    # lr * g overflows in the critic's first step
+    cfg = harness.RunConfig(env="pendulum", optimizer=optimizer, critic_lr=1e308,
+                            total_steps=300, warmup_steps=100, eval_every=150, eval_episodes=1)
+    res = harness.run_seed(cfg, 0, str(tmp_path))
+    assert res["aborted_at"] == 101
+    meta = harness.read_metadata(os.path.join(tmp_path, "seed0.meta.txt"))
+    assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("scale", "forward")
+
+
+@pytest.mark.parametrize("optimizer", sorted(offpac.OPTIMIZERS))
+def test_a_raising_step_commits_nothing(optimizer, replay_raised):
+    # the first variable's gradient is 1 and the last's 2 * last: at last = 1e10,
+    # lr * g overflows at the last variable alone, after the first one's step
+    first, last = ad.Variable(np.ones(2)), ad.Variable(np.ones(2))
+    opt = offpac.OPTIMIZERS[optimizer]([first, last], 1e300)
+    learner = types.SimpleNamespace(plans={})
+
+    def loss():
+        return ad.add(ad.asum(first), ad.asum(ad.square(last)))
+
+    for replayed in (False, True):
+        offpac.descend(learner, "r", opt, loss, [])  # records the region at last = 1
+        if not replayed:
+            learner.plans.clear()
+        last.set_value(np.full(2, 1e10))
+        before = [v.value.tobytes() for v in (first, last)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(FloatingPointError) as err:
+                offpac.descend(learner, "r", opt, loss, [])
+        assert [v.value.tobytes() for v in (first, last)] == before
+        assert ad.raised_at(err.value.__traceback__) == ("scale", "forward")
+        assert bool(replay_raised) == replayed
+        replay_raised.clear()
+        last.set_value(np.ones(2))
 
 
 @pytest.mark.parametrize("create_graph", [False, True])
