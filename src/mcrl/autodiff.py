@@ -10,30 +10,29 @@ the op that first overflows or makes a NaN raises FloatingPointError,
 forward or backward, and ``raised_at`` names its primitive from the
 traceback.
 
-There are two ops namespaces. ``NumpyOps`` is the one place each
-primitive's value formula is written: its ops compute on plain arrays and
-build no Node. Each primitive of this module checks shapes, takes its
-value from the ``NumpyOps`` op of the same name and records one Node, so
-the two namespaces give the same bits. All but three primitives are
-declared in one line each, through the factory ``_unary`` (one input, then
-named attrs) or ``_binary`` (two inputs), either with an optional shape
-rule; ``dense``, ``broadcast`` and ``concat`` are written by hand. Batch
-computations are written on the graph alone; only the policy forward
-(``nets.Actor.act`` and its compositions here) takes an ``ops`` argument,
-so that a single-state action runs on ``NumpyOps`` and builds no Node. Each
+Every computation, a single state's action included, is written on this
+module's primitives alone. Each checks shapes, takes its value from the
+``NumpyOps`` formula of the same name and records one Node. All but three
+are declared in one line each, through the factory ``_unary`` (one input,
+then named attrs) or ``_binary`` (two inputs), either with an optional
+shape rule; ``dense``, ``broadcast`` and ``concat`` are written by hand.
+A row stays rank-1: ``dense``, ``slice_cols``, ``pad_cols`` and
+``sum_axis1`` take one 1-D row on its last axis, so a state runs as a
+gemv. Only forwards run on a row: ``matmul`` and ``transpose`` take 2-D
+operands, so a backward through a row's ``dense`` raises ShapeError. Each
 backward rule is written once, on this module's primitives, so
 ``backward`` always builds the gradients as Nodes; ``create_graph`` only
-decides whether it returns those Nodes or their arrays. Returned as
-Nodes they remain differentiable, so a second backward pass yields mixed
-second derivatives such as the derivative of a gradient step with respect
-to parameters of the loss that produced it.
+decides whether it returns those Nodes or their arrays. Returned as Nodes
+they remain differentiable, so a second backward pass yields mixed second
+derivatives such as the derivative of a gradient step with respect to
+parameters of the loss that produced it.
 
 A fully-connected layer is one primitive, ``dense(x, w, b, act)``, so a
 net's forward records, and its backward walks, one Node per layer.
 
-Record and replay. A gradient region, such as a loss and its gradients,
-builds a graph of the same shape every iteration, so ``plan.replay`` runs
-it eagerly once, records each formula its primitives compute as (formula,
+Record and replay. A region, such as a loss and its step or an action,
+builds a graph of the same shape every call, so ``plan.replay`` runs it
+eagerly once, records each formula its primitives compute as (formula,
 input slots, attrs, output slot), and later replays only that list on new
 input arrays of the same shapes: no Node, no walk, no grads dict. New
 shapes record again. The recorder, in module ``plan``, learns only what
@@ -61,7 +60,6 @@ as an explicit argument; this module owns no RNG state.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, Iterable
 
 import numpy as np
@@ -71,7 +69,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 SQUASH_EPS = 1e-9
 DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
-_graph = sys.modules[__name__]  # the graph ops namespace: this module
 _tape = None  # plan's _Tape while a region records: _formula and full report to it
 
 
@@ -170,15 +167,14 @@ def evaluate(expr) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the raw-array ops namespace: every value formula
+# the value formulas
 # ---------------------------------------------------------------------------
 
 class NumpyOps:
-    """The raw-array ops namespace, where each primitive's value formula lives.
+    """The table of value formulas: each primitive's arithmetic, on plain arrays.
 
-    Its ops build no Node; the graph primitive of the same name takes its
-    value from here (see the module docstring). ``as_node`` unwraps a
-    Node, a Variable included, to its value.
+    They build no Node: the graph primitive of the same name takes its value
+    from here through ``_formula``, which a recording region hears.
 
     Each formula costs one C-level numpy call per step, since at these
     sizes numpy's per-call cost, not the flops, sets the price: ufuncs and
@@ -187,12 +183,6 @@ class NumpyOps:
     in place. Row ops index the last axis, so a forward runs on a 1-D row.
     """
 
-    @staticmethod
-    def as_node(x):
-        t = type(x)
-        return x.value if t is Variable or t is Node else x
-
-    constant = staticmethod(lambda x: x)
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
     neg = staticmethod(np.negative)
@@ -312,8 +302,8 @@ class NumpyOps:
 
     @staticmethod
     def pad_cols(a, i0, total):
-        v = np.zeros((a.shape[0], total), dtype=DTYPE)
-        v[:, i0:i0 + a.shape[1]] = a
+        v = np.zeros((*a.shape[:-1], total), dtype=DTYPE)
+        v[..., i0:i0 + a.shape[-1]] = a
         return v
 
 
@@ -375,24 +365,25 @@ minimum = _binary("minimum", lambda a, b: a.shape == b.shape)
 neg, tanh, sigmoid, softplus, exp, log, sqrt, square, absval, asum = (
     _unary(name) for name in
     ("neg", "tanh", "sigmoid", "softplus", "exp", "log", "sqrt", "square", "absval", "asum"))
-# sum_axis1 keeps the column axis: the row sums of an (N, D) array are (N, 1)
-sum_axis0, sum_axis1, transpose = (_unary(name, shape_ok=lambda a: a.ndim == 2)
-                                   for name in ("sum_axis0", "sum_axis1", "transpose"))
+sum_axis0, transpose = (_unary(name, shape_ok=lambda a: a.ndim == 2)
+                        for name in ("sum_axis0", "transpose"))
+# sum_axis1 keeps the column axis: the row sums of an (N, D) array are (N, 1), of a row (1,)
+sum_axis1 = _unary("sum_axis1", shape_ok=lambda a: a.ndim in (1, 2))
 scale = _unary("scale", "c")  # times a python scalar, which stays out of the graph
 power = _unary("power", "p")
 clip = _unary("clip", "lo", "hi")  # the gradient passes only where lo < x < hi
 sum_to = _unary("sum_to", "shape")  # reduce-sum down to a broadcast-compatible shape
 slice_cols = _unary("slice_cols", "i0", "i1",
-                    shape_ok=lambda a, i0, i1: a.ndim == 2 and 0 <= i0 <= i1 <= a.shape[1])
-pad_cols = _unary("pad_cols", "i0", "total")  # an (N, D) block into (N, total) zeros at i0
+                    shape_ok=lambda a, i0, i1: a.ndim in (1, 2) and 0 <= i0 <= i1 <= a.shape[-1])
+pad_cols = _unary("pad_cols", "i0", "total")  # an (N, D) block or a row into zeros at column i0
 
 
 def dense(x, w, b, act: str) -> Node:
-    """One fully-connected layer act(x @ w + b) for x (N, I), w (I, O), b (O,)."""
+    """One fully-connected layer act(x @ w + b) for x (N, I) or a row (I,), w (I, O), b (O,)."""
     x, w, b = as_node(x), as_node(w), as_node(b)
     xv, wv, bv = x.value, w.value, b.value
-    if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
-            or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
+    if (xv.ndim not in (1, 2) or wv.ndim != 2 or bv.ndim != 1
+            or xv.shape[-1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise ShapeError("dense", xv.shape, wv.shape, bv.shape)
     return Node("dense", _formula(NumpyOps.dense, xv, wv, bv, act), (x, w, b), (act,))
 
@@ -432,24 +423,23 @@ def mean(a) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# the policy's compositions, on either namespace (noise is always an explicit input)
+# the policy's compositions (noise is always an explicit input)
 # ---------------------------------------------------------------------------
 
-def gaussian_sample(mean_, log_std, noise, ops=_graph):
+def gaussian_sample(mean_, log_std, noise) -> Node:
     """Reparameterized draw mean + exp(log_std) * noise; deterministic in its inputs."""
-    return ops.add(mean_, ops.mul(ops.exp(log_std), ops.as_node(noise)))
+    return add(mean_, mul(exp(log_std), noise))
 
 
-def gaussian_log_density(x, mean_, log_std, ops=_graph):
+def gaussian_log_density(x, mean_, log_std) -> Node:
     """Row-wise diagonal-gaussian log density, shape (N, 1), or (1,) for one 1-D row."""
-    x = ops.as_node(x)
-    z = ops.mul(ops.sub(x, mean_), ops.exp(ops.neg(log_std)))
-    per = ops.sub(ops.scale(ops.square(z), -0.5), log_std)
-    return ops.add(ops.sum_axis1(per), ops.constant(full((), -0.5 * LOG_2PI * x.shape[-1])))
+    x = as_node(x)
+    z = mul(sub(x, mean_), exp(neg(log_std)))
+    per = sub(scale(square(z), -0.5), log_std)
+    return add(sum_axis1(per), constant(full((), -0.5 * LOG_2PI * x.shape[-1])))
 
 
-def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
-                      with_logp: bool = True):
+def squashed_gaussian(mean_, log_std, noise, action_scale: float, with_logp: bool = True):
     """tanh-squashed reparameterized gaussian.
 
     Returns (action, log_prob) with action = scale * tanh(u),
@@ -457,15 +447,14 @@ def squashed_gaussian(mean_, log_std, noise, action_scale: float, ops=_graph,
     variables correction sum log(scale * (1 - tanh(u)^2) + eps), shape (N, 1).
     Without ``with_logp`` the log-prob is not computed and reads None.
     """
-    u = gaussian_sample(mean_, log_std, noise, ops)
-    t = ops.tanh(u)
-    action = ops.scale(t, action_scale)
+    u = gaussian_sample(mean_, log_std, noise)
+    t = tanh(u)
+    action = scale(t, action_scale)
     if not with_logp:
         return action, None
-    corr = ops.log(ops.add(ops.scale(ops.sub(ops.constant(full((), 1.0)), ops.square(t)),
-                                     action_scale),
-                           ops.constant(full((), SQUASH_EPS))))
-    logp = ops.sub(gaussian_log_density(u, mean_, log_std, ops), ops.sum_axis1(corr))
+    corr = log(add(scale(sub(constant(full((), 1.0)), square(t)), action_scale),
+                   constant(full((), SQUASH_EPS))))
+    logp = sub(gaussian_log_density(u, mean_, log_std), sum_axis1(corr))
     return action, logp
 
 
@@ -595,12 +584,12 @@ def _vjp_concat(g, n, live):
 
 def _vjp_slice_cols(g, n, live):
     i0, _i1 = n.attrs
-    return (pad_cols(g, i0, n.parents[0].value.shape[1]),)
+    return (pad_cols(g, i0, n.parents[0].value.shape[-1]),)
 
 
 def _vjp_pad_cols(g, n, live):
     i0, _total = n.attrs
-    return (slice_cols(g, i0, i0 + n.parents[0].value.shape[1]),)
+    return (slice_cols(g, i0, i0 + n.parents[0].value.shape[-1]),)
 
 
 def _vjp_transpose(g, n, live):
@@ -717,7 +706,7 @@ def raised_at(tb) -> tuple[str, str]:
     op = kind = ""
     while tb is not None:
         frame, tb = tb.tb_frame, tb.tb_next
-        if frame.f_globals is not _graph.__dict__:
+        if frame.f_globals is not globals():  # this module's frames alone
             continue
         fn = frame.f_code.co_name
         if fn.startswith("_vjp_"):

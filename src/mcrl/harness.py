@@ -21,9 +21,10 @@ plot: ``smooth`` and ``max_average_return`` summarise the curves.
 
 Divergence ends one seed, not the run. An aborted seed's metadata holds
 ``aborted_at_step``, ``aborted_at_iteration``, ``update_blocks`` (the
-completed iterations) and the ``aborted_primitive`` and ``aborted_kind``
-(forward or backward) of the op that raised. Both are empty for a non-finite
-loss.
+completed iterations), the ``aborted_primitive`` and ``aborted_kind``
+(forward or backward) of the op that raised and ``aborted_phase``, the key
+of the region it raised in: "critic", "actor", "meta", "explore" or
+"greedy" (evaluation). All three are empty for a non-finite loss.
 """
 
 from __future__ import annotations
@@ -221,9 +222,9 @@ def rng_streams(seed: int) -> Streams:
 def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
     """Mean and std of the undiscounted episode return of the policy ``act``.
 
-    ``act`` is a callable state -> action; an actor's ``act_np``, called
-    without noise, gives its greedy action. No learning, no buffer
-    writes; uses only the generator passed in.
+    ``act`` is a callable from one 1-D state to its action, such as an
+    actor's ``act_np``, which replays its recorded greedy action. No
+    learning, no buffer writes; uses only the generator passed in.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -381,7 +382,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     acc_n = 0
     update_blocks = 0
     aborted_at = None
-    aborted_op = aborted_kind = ""
+    aborted_op = aborted_kind = aborted_phase = ""
     snap_dir = os.path.join(out_dir, "snapshots")
     if cfg.snapshot_every > 0:
         os.makedirs(snap_dir, exist_ok=True)
@@ -436,6 +437,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     except FloatingPointError as err:
         aborted_at = step
         aborted_op, aborted_kind = raised_at(err.__traceback__)
+        aborted_phase = getattr(err, "region", "")  # set by plan.replay
         rows.append((step, float("nan"), float("nan"), float("nan"), float("nan"), float("nan")))
 
     os.makedirs(out_dir, exist_ok=True)
@@ -450,7 +452,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             "params_formula": "hidden widths scaled by common integer-rounded factor",
             "aborted_at_step": aborted_at if aborted_at is not None else "",
             "aborted_at_iteration": state.it if aborted_at is not None else "",
-            "aborted_primitive": aborted_op, "aborted_kind": aborted_kind}
+            "aborted_primitive": aborted_op, "aborted_kind": aborted_kind,
+            "aborted_phase": aborted_phase}
     for line in config_to_text(cfg).splitlines():
         k, v = line.split("=", 1)
         meta[f"config.{k}"] = v

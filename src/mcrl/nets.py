@@ -11,11 +11,11 @@ auxiliary variants are supported:
 * ``feature-state-action``: the same MLP over (features, state, action),
 * ``param-reg``: a learned nonnegative per-parameter weight on |phi|.
 
-Every forward is written once, one ``ops.dense`` call per layer, and
+Every forward is written once, one ``autodiff.dense`` call per layer, and
 builds a graph, with parameters optionally overridden, which is how
-putative parameter sets and target nets are evaluated. The policy forward
-also runs on ``autodiff.NumpyOps`` (see ``autodiff``), building no graph,
-for the single-state actions of rollouts, where no gradient is ever needed.
+putative parameter sets and target nets are evaluated. One state runs
+as a 1-D row; its greedy action, which evaluation takes, is a region the
+actor records once and then replays (see ``plan.replay``).
 
 Parameter snapshots are saved as plain text, one tensor per line:
 ``name<TAB>dim0,dim1<TAB>v0 v1 v2 ...`` with full-precision floats
@@ -31,7 +31,8 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, NumpyOps, Variable
+from . import plan
+from .autodiff import Node, Variable
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -72,8 +73,8 @@ class DenseNet:
             self.params.append(Variable(w, f"{name}.{i}.W"))
             self.params.append(Variable(b, f"{name}.{i}.b"))
 
-    def forward(self, x, params=None, ops=ad, layers=None):
-        """Forward pass on ``ops``; ``params`` overrides the stored Variables.
+    def forward(self, x, params=None, layers=None) -> Node:
+        """Forward pass on the graph; ``params`` overrides the stored Variables.
 
         ``layers`` runs the layers ``activations[:layers]`` selects, so
         ``layers=-1`` stops at the penultimate activation.
@@ -83,10 +84,9 @@ class DenseNet:
         elif len(params) != len(self.params):
             raise ValueError(f"{self.name}: expected {len(self.params)} params, "
                              f"got {len(params)}")
-        as_node = ops.as_node
-        h = as_node(x)
+        h = ad.as_node(x)
         for i, act in enumerate(self.activations[:layers]):
-            h = ops.dense(h, as_node(params[2 * i]), as_node(params[2 * i + 1]), act)
+            h = ad.dense(h, params[2 * i], params[2 * i + 1], act)
         return h
 
 
@@ -124,6 +124,7 @@ class Actor:
         self.net = DenseNet([state_dim, *hidden, action_dim if det else 2 * action_dim],
                             ["relu"] * len(hidden) + ["tanh" if det else "linear"], rng,
                             "actor", final_scale=0.01)
+        self.plans: dict[str, plan.Plan] = {}  # the recorded greedy action, "greedy"
 
     @property
     def feature_dim(self) -> int:
@@ -143,33 +144,32 @@ class Actor:
         """Penultimate-layer output for a (N, state_dim) batch."""
         return self.net.forward(states, layers=-1)
 
-    def act(self, states, noise=None, params=None, ops=ad, with_logp: bool = True):
-        """Batched policy output on ``ops``: a sample given ``noise``, else the greedy action.
+    def act(self, states, noise=None, params=None, with_logp: bool = True):
+        """Policy output on the graph: a sample given ``noise``, else the greedy action.
 
-        Returns (action, log_prob); log_prob is None unless the head is
-        gaussian, ``noise`` is given and ``with_logp`` holds. Raises
-        ValueError when a deterministic actor is given noise.
+        ``states`` and ``noise`` are a batch or one 1-D row. Returns (action,
+        log_prob); log_prob is None unless the head is gaussian, ``noise`` is
+        given and ``with_logp`` holds. Raises ValueError when a deterministic
+        actor is given noise.
         """
         if noise is not None and self.head_kind == "deterministic":
             raise ValueError("a deterministic actor takes no noise")
-        out = self.net.forward(states, params, ops)
+        out = self.net.forward(states, params)
         if self.head_kind == "deterministic":
-            return ops.scale(out, self.action_scale), None
+            return ad.scale(out, self.action_scale), None
         d = self.action_dim
-        mean_ = ops.slice_cols(out, 0, d)
+        mean_ = ad.slice_cols(out, 0, d)
         if noise is None:
-            return ops.scale(ops.tanh(mean_), self.action_scale), None
-        log_std = ops.clip(ops.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
-        return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, ops, with_logp)
+            return ad.scale(ad.tanh(mean_), self.action_scale), None
+        log_std = ad.clip(ad.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
+        return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, with_logp)
 
-    def act_np(self, state: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-        """The action of ``act`` on ``NumpyOps``, from the stored parameters.
-
-        A 1-D state, as rollouts and evaluation pass, runs rank-1, the same
-        gemv as a batch of one with the same bytes, and gives an action of
-        shape (action_dim,); a batch of shape (N, state_dim) gives (N, action_dim).
-        """
-        return self.act(state, noise, None, NumpyOps, with_logp=False)[0]
+    def act_np(self, state: np.ndarray) -> np.ndarray:
+        """The greedy action of one 1-D state from the parameters' current values: the region
+        "greedy", recorded on the first call and replayed after. It runs rank-1, a gemv with
+        the bytes of a batch of one."""
+        return plan.replay(self.plans, "greedy", lambda: [ad.evaluate(self.act(state)[0])],
+                           [state, *(p.value for p in self.net.params)])[0]
 
 
 class Critic:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import plan
-from .autodiff import NumpyOps, Variable
+from .autodiff import Variable
 from .envs import EnvSpec
 from .nets import Actor, Critic, MetaCriticNet, polyak
 from .replay import Batch, ReplayBuffer
@@ -116,7 +116,7 @@ class AlgoState:
             self.mc = MetaCriticNet(cfg.mc_variant, self.actor, rng, hidden=cfg.mc_hidden)
             self.mc_opt = Sgd(self.mc.parameters(), cfg.mc_lr)
         self.it = 0
-        self.plans: dict[str, plan.Plan] = {}  # the recorded gradient regions, by name
+        self.plans: dict[str, plan.Plan] = {}  # the recorded regions, by name
         # the figures of the latest actor step, which delayed iterations repeat
         self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
@@ -232,15 +232,18 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
 
 
 def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Training-time action: noisy deterministic (ddpg/td3) or posterior sample (sac)."""
-    scale = state.spec.action_bound
-    if state.cfg.algo == "sac":
-        noise = rng.standard_normal(state.spec.action_dim)
-        a = state.actor.act_np(s, noise)
-    else:
-        a = state.actor.act_np(s)
-        a = a + rng.standard_normal(state.spec.action_dim) * (state.cfg.expl_noise * scale)
-    return NumpyOps.clip(a, -scale, scale)
+    """One 1-D state's training action, clipped: noisy greedy (ddpg/td3) or a sample (sac)."""
+    cfg, scale = state.cfg, state.spec.action_bound
+    noise = rng.standard_normal(state.spec.action_dim)  # drawn before the region "explore"
+
+    def region():
+        a = state.actor.act(s, noise if cfg.algo == "sac" else None, with_logp=False)[0]
+        if cfg.algo != "sac":
+            a = ad.add(a, ad.scale(noise, cfg.expl_noise * scale))
+        return [ad.evaluate(ad.clip(a, -scale, scale))]
+
+    return plan.replay(state.plans, "explore", region,
+                       [s, noise, *(p.value for p in state.actor.parameters())])[0]
 
 
 def apply_target_updates(state: AlgoState, actor_values: list) -> list:

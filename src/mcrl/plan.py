@@ -1,7 +1,7 @@
-"""Record a gradient region once per learner, then replay its numpy formulas.
+"""Record a region once per learner, then replay its numpy formulas.
 
 A region is a function of no arguments that reads a known list of input
-arrays and returns a list of arrays, such as a loss and its step's parameters.
+arrays and returns a list of arrays, such as a loss and its step, or an action.
 ``replay`` runs it eagerly the first time, while ``autodiff`` reports each
 formula its primitives compute to a ``_Tape``, and records them into a
 ``Plan``; afterwards it runs only the plan's formulas on the current
@@ -144,26 +144,30 @@ def replay(plans: dict, key: str, region: Callable[[], list], inputs: list,
 
     ``region()`` returns its figures, then the next value of each Variable of
     ``writes``, which are set only once it has returned. ``inputs`` lists
-    every array the region reads, each a distinct object (see the
-    ``autodiff`` module docstring); a None in it is left out. The first
-    call, and any call whose input shapes differ from the plan's, runs the
-    region eagerly and records it into ``plans[key]``. A call with a
-    repeated input runs eagerly and records nothing.
+    every array the region reads (see the ``autodiff`` module docstring); a
+    None in it is left out. The first call, and any call whose input shapes
+    differ from the plan's, runs it eagerly and records it into ``plans[key]``
+    if no input repeats (the tape knows arrays by id; a replay takes repeats).
+    A FloatingPointError leaves with ``key`` as its ``region``.
     """
     inputs = [a for a in inputs if a is not None]
     shapes = [a.shape for a in inputs]
     plan = plans.get(key)
-    if len({id(a) for a in inputs}) != len(inputs):
-        outputs = region()
-    elif plan is not None and plan.shapes == shapes:
-        try:
-            outputs = plan.run(inputs)
-        except FloatingPointError:  # the eager run raises at the same op, with its frames
+    try:
+        if plan is not None and plan.shapes == shapes:
+            try:
+                outputs = plan.run(inputs)
+            except FloatingPointError:  # the eager run raises at the same op, with its frames
+                outputs = region()
+        elif len({id(a) for a in inputs}) != len(inputs):
             outputs = region()
-    else:
-        with _Tape(inputs) as tape:
-            outputs = region()
-        plans[key] = Plan(shapes, tape, outputs)
+        else:
+            with _Tape(inputs) as tape:
+                outputs = region()
+            plans[key] = Plan(shapes, tape, outputs)
+    except FloatingPointError as err:
+        err.region = key
+        raise
     n = len(outputs) - len(writes)
     for var, value in zip(writes, outputs[n:]):
         var.set_value(value)

@@ -74,7 +74,11 @@ _REJECTED = {
     "slice_cols-past-end": lambda: ad.slice_cols(np.ones((2, 3)), 1, 4),
     "slice_cols-reversed": lambda: ad.slice_cols(np.ones((2, 3)), 2, 1),
     "slice_cols-negative": lambda: ad.slice_cols(np.ones((2, 3)), -1, 2),
-    "slice_cols-1d": lambda: ad.slice_cols(np.ones(3), 0, 1),
+    # a batch of rows or one 1-D row, nothing else
+    "slice_cols-0d": lambda: ad.slice_cols(np.ones(()), 0, 0),
+    "slice_cols-3d": lambda: ad.slice_cols(np.ones((2, 3, 4)), 0, 1),
+    "sum_axis1-0d": lambda: ad.sum_axis1(np.ones(())),
+    "dense-3d": lambda: ad.dense(np.ones((2, 1, 3)), np.ones((3, 5)), np.ones(5), "relu"),
     "dense": lambda: ad.dense(np.ones((2, 3)), np.ones((4, 5)), np.ones(5), "relu"),
     "dense-bias": lambda: ad.dense(np.ones((2, 3)), np.ones((3, 5)), np.ones(4), "relu"),
     "concat": lambda: ad.concat(np.ones((2, 3)), np.ones((3, 3))),
@@ -92,6 +96,22 @@ def test_shape_rules_reject_what_the_old_wrappers_rejected(name):
     with pytest.raises(ad.ShapeError) as ei:
         _REJECTED[name]()
     assert ei.value.op == name.split("-")[0]
+
+
+@pytest.mark.parametrize("act", ad.DENSE_ACTS)
+def test_a_backward_through_a_row_dense_raises_a_shape_error(act):
+    # a 1-D row runs forward only: matmul takes 2-D operands, so the rule's
+    # g @ w.T refuses the row's gradient rather than broadcast it
+    rng = np.random.default_rng(7)
+    x, w, b = (ad.Variable(rng.normal(size=shape)) for shape in ((3,), (3, 4), (4,)))
+    y = ad.asum(ad.dense(x, w, b, act))
+    with pytest.raises(ad.ShapeError) as ei:
+        ad.backward(y, [x, w, b])
+    assert ei.value.op == "matmul"
+    # without the row's own gradient, the rule's x.T @ g refuses it first
+    with pytest.raises(ad.ShapeError) as ei:
+        ad.backward(y, [w])
+    assert ei.value.op == "transpose"
 
 
 @pytest.mark.parametrize("op,attrs", [("exp", ()), ("neg", ()), ("absval", ()),
@@ -379,9 +399,11 @@ _NUMPY_OPS_CASES = {
     "slice_cols": lambda r: (_rand(r, 4, 5), 1, 4),
     "pad_cols": lambda r: (_rand(r, 4, 2), 1, 5),
     "transpose": lambda r: (_rand(r, 4, 3),),
-    "as_node-array": lambda r: (_rand(r, 4, 3),),
-    "as_node-variable": lambda r: (ad.Variable(_rand(r, 4, 3)),),
-    "as_node-node": lambda r: (ad.tanh(ad.Variable(_rand(r, 4, 3))),),
+    # one 1-D row, on its last axis
+    "dense-row": lambda r: (_rand(r, 3) * 3, _rand(r, 3, 5), _rand(r, 5), "relu"),
+    "sum_axis1-row": lambda r: (_rand(r, 3),),
+    "slice_cols-row": lambda r: (_rand(r, 5), 1, 4),
+    "pad_cols-row": lambda r: (_rand(r, 2), 1, 5),
 }
 
 
@@ -513,7 +535,10 @@ _VJP_CASES = {
     "sum_to": ((4, 3), (1,), lambda x, z: ad.sum_to(x, (1, 3))),
     "concat": ((4, 3), (4, 2), lambda x, z: ad.concat(x, z)),
     "slice_cols": ((4, 3), (1,), lambda x, z: ad.slice_cols(x, 1, 3)),
+    "slice_cols-row": ((5,), (1,), lambda x, z: ad.slice_cols(x, 1, 3)),
     "pad_cols": ((4, 3), (1,), lambda x, z: ad.pad_cols(x, 2, 6)),
+    "pad_cols-row": ((3,), (1,), lambda x, z: ad.pad_cols(x, 2, 6)),
+    "sum_axis1-row": ((4,), (1,), lambda x, z: ad.sum_axis1(x)),
     "transpose": ((4, 3), (1,), lambda x, z: ad.transpose(x)),
 }
 

@@ -310,6 +310,7 @@ def test_nan_abort_writes_diagnostic_row(tmp_path, monkeypatch):
     assert meta["aborted_at_step"] == "150"
     assert meta["aborted_at_iteration"] == "50" and meta["aborted_primitive"] == ""
     assert meta["aborted_kind"] == "" and meta["update_blocks"] == "49"
+    assert meta["aborted_phase"] == ""  # no op raised, so no region names it
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
@@ -329,18 +330,19 @@ DIVERGE = ("env=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=1500\n"
            "hidden_critic=8,8\nbatch_n=8\n")
 
 
-@pytest.mark.parametrize("text, step, iteration, primitive", [
+@pytest.mark.parametrize("text, step, iteration, primitive, phase", [
     ("algo=sac\nenv=pointmass\nactor_lr=1e6\ncritic_lr=1e6\ntotal_steps=105\n"
      "warmup_steps=100\neval_every=105\neval_episodes=1\nhidden_actor=8,8\n"
-     "hidden_critic=8,8\nbatch_n=8\n", 104, 4, "square"),
-    ("algo=ddpg\n" + DIVERGE, 1024, 24, "square"),
-    ("algo=ddpg\nmc_variant=feature\n" + DIVERGE, 1024, 24, "square"),
-    ("algo=td3\n" + DIVERGE, 1005, 5, "dense"),
-    ("algo=td3\nmc_variant=feature\n" + DIVERGE, 1006, 6, "dense"),
-    ("algo=sac\n" + DIVERGE, 1004, 4, "dense"),
-    ("algo=sac\nmc_variant=feature\n" + DIVERGE, 1004, 4, "dense"),
+     "hidden_critic=8,8\nbatch_n=8\n", 104, 4, "square", "critic"),
+    ("algo=ddpg\n" + DIVERGE, 1024, 24, "square", "critic"),
+    ("algo=ddpg\nmc_variant=feature\n" + DIVERGE, 1024, 24, "square", "critic"),
+    ("algo=td3\n" + DIVERGE, 1005, 5, "dense", "critic"),
+    ("algo=td3\nmc_variant=feature\n" + DIVERGE, 1006, 6, "dense", "critic"),
+    ("algo=sac\n" + DIVERGE, 1004, 4, "dense", "actor"),
+    ("algo=sac\nmc_variant=feature\n" + DIVERGE, 1004, 4, "dense", "critic"),
 ], ids=["sac-105", "ddpg", "ddpg-feature", "td3", "td3-feature", "sac", "sac-feature"])
-def test_real_divergence_aborts_with_the_primitive(tmp_path, text, step, iteration, primitive):
+def test_real_divergence_aborts_with_the_primitive(tmp_path, text, step, iteration, primitive,
+                                                   phase):
     # the first op to overflow raises in the forward pass, before any
     # loss or gradient is non-finite, and warns about nothing
     cfg = parse_config(text)
@@ -359,6 +361,7 @@ def test_real_divergence_aborts_with_the_primitive(tmp_path, text, step, iterati
     assert meta["update_blocks"] == str(iteration - 1)
     assert meta["aborted_primitive"] == primitive
     assert meta["aborted_kind"] == "forward"
+    assert meta["aborted_phase"] == phase  # the recorded region it raised in
 
 
 @pytest.mark.parametrize("algo, step", [("ddpg", 102), ("td3", 103), ("sac", 102)])
@@ -374,6 +377,25 @@ def test_a_diverged_actor_ends_its_seed_not_the_run(tmp_path, algo, step):
         assert math_isnan_row(results[seed]["rows"][-1])
         meta = harness.read_metadata(str(tmp_path / f"seed{seed}.meta.txt"))
         assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("dense", "forward")
+        assert meta["aborted_phase"] == "explore"
+
+
+def test_an_evaluation_abort_names_the_greedy_region(tmp_path, monkeypatch):
+    # every step is warmup, so the first policy call is evaluation's; actor
+    # weights of 1e200 overflow its second layer
+    real = harness.build_meta_state
+
+    def loud_actor(cfg, spec, rng):
+        state = real(cfg, spec, rng)
+        state.actor.set_param_values([np.full(p.shape, 1e200) for p in state.actor.parameters()])
+        return state
+
+    monkeypatch.setattr(harness, "build_meta_state", loud_actor)
+    res = harness.run_seed(_quick_cfg("warmup_steps=400\n"), 0, str(tmp_path))
+    assert res["aborted_at"] == 100 and res["update_blocks"] == 0
+    meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
+    assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("dense", "forward")
+    assert meta["aborted_phase"] == "greedy" and meta["aborted_at_iteration"] == "0"
 
 
 def math_isnan_row(row):

@@ -22,15 +22,18 @@ def test_zero_weight_feature_net_gives_zero_features():
     assert np.all(feats == 0.0)
 
 
-def test_identity_linear_layer_passes_states_through():
+def test_identity_linear_layer_passes_states_through(raw_forward):
     rng = np.random.default_rng(0)
     net = nets.DenseNet([3, 3], ["linear"], rng)
     w, b = net.params
     w.set_value(np.eye(3))
     b.set_value(np.zeros(3))
     x = rng.normal(size=(4, 3))
-    np.testing.assert_allclose(net.forward(x, ops=ad.NumpyOps), x)
-    np.testing.assert_allclose(ad.evaluate(net.forward(x)), x)
+    np.testing.assert_allclose(raw_forward(net, x), x)
+    for rows in (x, x[0]):  # a batch, and one 1-D row
+        out = ad.evaluate(net.forward(rows))
+        np.testing.assert_allclose(out, rows)
+        assert out.tobytes() == raw_forward(net, rows).tobytes()
 
 
 def test_graph_forward_records_one_node_per_layer(nodes_built):
@@ -68,20 +71,19 @@ def test_gaussian_zero_noise_equals_mean_mode():
     assert no_logp is None and logp is not None
 
 
-def test_noise_alone_selects_a_sample():
+def test_noise_alone_selects_a_sample(raw_forward):
     states = np.random.default_rng(0).normal(size=(4, 3))
     det = make_actor(seed=5)
     for state, noise in ((states, np.zeros((4, 2))), (states[0], np.zeros(2))):
         with pytest.raises(ValueError, match="no noise"):
-            det.act_np(state, noise)
-    with pytest.raises(ValueError, match="no noise"):
-        det.act(states, np.zeros((4, 2)))
+            det.act(state, noise)
     # without noise a gaussian actor gives scale * tanh(mean), the same bits
-    # on the graph and on raw arrays
+    # on the graph, for a batch and replayed for each 1-D state, as in numpy
     gauss = make_actor(head="gaussian", seed=5)
-    greedy = 1.5 * np.tanh(gauss.net.forward(states, ops=ad.NumpyOps)[:, :2])
-    assert np.array_equal(gauss.act_np(states), greedy)
+    greedy = 1.5 * np.tanh(raw_forward(gauss.net, states)[:, :2])
     assert np.array_equal(ad.evaluate(gauss.act(states)[0]), greedy)
+    for state in states:
+        assert np.array_equal(gauss.act_np(state), 1.5 * np.tanh(raw_forward(gauss.net, state)[:2]))
 
 
 @pytest.mark.parametrize("head, sampled", [("deterministic", False), ("gaussian", False),
@@ -89,7 +91,9 @@ def test_noise_alone_selects_a_sample():
                          ids=["deterministic", "gaussian-greedy", "gaussian-sampled"])
 @pytest.mark.parametrize("state_dim, action_dim", [(3, 1), (4, 2)])
 def test_single_state_runs_rank1_with_the_bytes_of_a_batch_of_one(
-        head, sampled, state_dim, action_dim, monkeypatch):
+        head, sampled, state_dim, action_dim, monkeypatch, raw_act):
+    # a greedy action is act_np's replay, a sample the graph's 1-D row;
+    # the oracle is numpy's batch of one
     actor = make_actor(head, state_dim, action_dim, seed=13, hidden=(64, 64))
     rng = np.random.default_rng(13)
     dense, ranks = ad.NumpyOps.dense, set()
@@ -103,15 +107,32 @@ def test_single_state_runs_rank1_with_the_bytes_of_a_batch_of_one(
         s = rng.normal(size=state_dim) * 3
         n = rng.normal(size=action_dim) if sampled else None
         ranks.clear()
-        a, logp = actor.act(s, n, ops=ad.NumpyOps)
+        if sampled:
+            a, logp = (ad.evaluate(x) for x in actor.act(s, n))
+        else:
+            a, logp = actor.act_np(s), None
         assert ranks == {1}
-        batch_a, batch_logp = actor.act(s[None, :], None if n is None else n[None, :],
-                                        ops=ad.NumpyOps)
+        batch_a, batch_logp = raw_act(actor, s[None, :], None if n is None else n[None, :])
         assert a.shape == (action_dim,) and a.tobytes() == batch_a[0].tobytes()
         if sampled:
             assert logp.shape == (1,) and logp.tobytes() == batch_logp[0].tobytes()
         else:
             assert logp is None and batch_logp is None
+
+
+def test_act_np_replays_on_the_values_set_after_it_recorded(raw_act, nodes_built):
+    # the CLI's eval and reward_surface set the parameters, then take actions
+    actor = make_actor(seed=17, hidden=(16, 16))
+    rng = np.random.default_rng(17)
+    s = rng.normal(size=3)
+    before = actor.act_np(s)
+    recorded = actor.plans["greedy"]
+    actor.set_param_values([rng.normal(size=p.shape) for p in actor.parameters()])
+    after = []
+    assert nodes_built(lambda: after.append(actor.act_np(s))) == []
+    assert actor.plans["greedy"] is recorded
+    assert after[0].tobytes() == raw_act(actor, s)[0].tobytes()
+    assert not np.array_equal(after[0], before)
 
 
 def test_actor_is_one_net_whose_prefix_gives_the_features():
@@ -126,20 +147,21 @@ def test_actor_is_one_net_whose_prefix_gives_the_features():
     assert np.array_equal(ad.evaluate(actor.features(states)), h)
 
 
-def test_actions_respect_bounds():
+def test_actions_respect_bounds(raw_act):
     actor = make_actor(head="gaussian", seed=7, scale=0.7)
     states = np.random.default_rng(1).normal(size=(64, 3)) * 5
     noise = np.random.default_rng(2).normal(size=(64, 2)) * 3
-    a = actor.act_np(states, noise)
+    a = ad.evaluate(actor.act(states, noise, with_logp=False)[0])
+    assert a.tobytes() == raw_act(actor, states, noise)[0].tobytes()
     assert np.all(np.abs(a) <= 0.7 + 1e-12)
 
 
-def test_squashed_logp_matches_quadrature():
+def test_squashed_logp_matches_quadrature(raw_forward):
     # integrate the implied density of the 1-D squashed action over a grid
     # and compare exp(logp) against it pointwise
     actor = make_actor(head="gaussian", state_dim=2, action_dim=1, scale=1.0, seed=9)
     state = np.random.default_rng(3).normal(size=(1, 2))
-    out = actor.net.forward(state, ops=ad.NumpyOps)
+    out = raw_forward(actor.net, state)
     mu, log_std = out[0, 0], np.clip(out[0, 1], nets.LOG_STD_MIN, nets.LOG_STD_MAX)
     sigma = np.exp(log_std)
 
@@ -155,14 +177,14 @@ def test_squashed_logp_matches_quadrature():
     a_grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 200001)
     grid_noise = ((np.arctanh(a_grid) - mu) / sigma)[:, None]
     grid_states = np.repeat(state, a_grid.size, axis=0)
-    _, grid_logp = actor.act(grid_states, grid_noise, ops=ad.NumpyOps)
+    grid_logp = ad.evaluate(actor.act(grid_states, grid_noise)[1])
     assert grid_logp.shape == (a_grid.size, 1)
     squashed_mass = np.trapezoid(np.exp(grid_logp[:, 0]), a_grid)
     assert abs(squashed_mass - 1.0) < 1e-6
 
     for eps in (-0.8, -0.3, 0.0, 0.4, 1.2):
         noise = np.array([[eps]])
-        a, logp = actor.act(state, noise, ops=ad.NumpyOps)
+        logp = ad.evaluate(actor.act(state, noise)[1])
         assert logp.shape == (1, 1)
         u = mu + sigma * eps
         p_analytic = (np.exp(-0.5 * eps**2) / (sigma * np.sqrt(2 * np.pi))
@@ -294,8 +316,8 @@ def test_snapshot_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def _forward_pairs(case, override):
-    """(graph output, numpy output) pairs of one forward on random inputs."""
+def _forward_pairs(case, override, raw_forward, raw_act):
+    """(graph output, numpy oracle output) pairs of one forward on random inputs."""
     rng = np.random.default_rng(41)
     states = rng.normal(size=(5, 3))
     kind, variant = case.split("-", 1)
@@ -306,7 +328,7 @@ def _forward_pairs(case, override):
     if kind == "dense":
         net = nets.DenseNet([3, 7, 4], [variant, variant], rng)
         params = params_for(net.params)
-        return [(net.forward(states, params), net.forward(states, params, ops=ad.NumpyOps))]
+        return [(net.forward(x, params), raw_forward(net, x, params)) for x in (states, states[0])]
     # "mean" is the gaussian actor without noise, its greedy action
     actor = make_actor(head="deterministic" if variant == "deterministic" else "gaussian",
                        seed=41)
@@ -316,12 +338,12 @@ def _forward_pairs(case, override):
     for i in (None, 0, 1, 2, 3, 4):  # the batch, then each state alone
         rows = slice(None) if i is None else slice(i, i + 1)
         n = None if noise is None else noise[rows]
-        graph = actor.act(states[rows], n, params)
-        if i is None:
-            raw = actor.act(states, n, params, ops=ad.NumpyOps)
-        else:  # a 1-D state and noise against a graph batch of one
-            raw = actor.act(states[i], None if n is None else n[0], params, ops=ad.NumpyOps)
-            graph = [None if g is None else g.value[0] for g in graph]
+        graph = [ad.evaluate(g) if g is not None else None
+                 for g in actor.act(states[rows], n, params)]
+        raw = raw_act(actor, states[rows], n, params)
+        if i is not None:  # a 1-D state and noise give the bytes of a batch of one
+            row = actor.act(states[i], None if n is None else n[0], params)
+            pairs += [(g, r[0]) for g, r in zip(row, raw) if r is not None]
         if variant != "sample":
             assert graph[1] is None and raw[1] is None
             graph, raw = graph[:1], raw[:1]
@@ -332,8 +354,8 @@ def _forward_pairs(case, override):
 @pytest.mark.parametrize("override", [False, True], ids=["stored", "override"])
 @pytest.mark.parametrize("case", [f"dense-{act}" for act in ("relu", "tanh", "softplus", "linear")]
                          + ["actor-deterministic", "actor-mean", "actor-sample"])
-def test_graph_and_numpy_forwards_agree(case, override):
-    for graph, raw in _forward_pairs(case, override):
+def test_graph_and_numpy_forwards_agree(case, override, raw_forward, raw_act):
+    for graph, raw in _forward_pairs(case, override, raw_forward, raw_act):
         assert isinstance(raw, np.ndarray)
         assert np.array_equal(ad.evaluate(graph), raw)
 

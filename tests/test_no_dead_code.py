@@ -104,14 +104,21 @@ def test_every_config_field_is_read_outside_run_config():
     assert unread == [], "RunConfig fields nothing in src/ reads: " + ", ".join(unread)
 
 
-def graph_primitives() -> set:
-    """The graph primitives: the functions of ``autodiff`` named after a ``NumpyOps`` formula.
+def test_no_function_takes_an_ops_namespace():
+    # every computation is written once, on the graph primitives
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    takes_ops = [f"{fname}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+                 for fname, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                 and "ops" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert takes_ops == [], "functions that take ops: " + ", ".join(takes_ops)
 
-    ``as_node`` and ``constant`` share a name with one too, but build no
-    Node of their own name.
-    """
+
+def graph_primitives() -> set:
+    """The graph primitives: the functions of ``autodiff`` named after a ``NumpyOps`` formula."""
     return {name for name in vars(ad.NumpyOps) if not name.startswith("__")
-            and callable(getattr(ad, name, None))} - {"as_node", "constant"}
+            and callable(getattr(ad, name, None))}
 
 
 # primitives that no src/ path builds, each for one reason

@@ -127,22 +127,22 @@ def test_critic_targets_are_gradient_isolated():
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
-def test_critic_targets_give_the_raw_array_formula_bits(algo):
+def test_critic_targets_give_the_raw_array_formula_bits(algo, raw_forward, raw_act):
     state = make_state(algo, seed=37)
     for p in state.actor.parameters():  # the live actor now differs from its target copy
         p.set_value(p.value + 0.1)
     batch = random_batch(n=48, seed=38)
     noise = target_noise(state, len(batch), 39)
-    h, c, ops = state.cfg, SPEC.action_bound, ad.NumpyOps
+    h, c = state.cfg, SPEC.action_bound
     if algo == "sac":
-        a2, logp2 = state.actor.act(batch.s_next, noise, ops=ops)
+        a2, logp2 = raw_act(state.actor, batch.s_next, noise)
     else:
-        a2, _ = state.target_actor.act(batch.s_next, ops=ops)
+        a2, _ = raw_act(state.target_actor, batch.s_next)
     if algo == "td3":
         eps = np.clip(noise * (h.target_noise * c), -h.noise_clip * c, h.noise_clip * c)
         a2 = np.clip(a2 + eps, -c, c)
     x = np.concatenate([batch.s_next, a2], axis=1)
-    q2 = np.minimum.reduce([net.forward(x, ops=ops) for net in state.target_critic.nets])
+    q2 = np.minimum.reduce([raw_forward(net, x) for net in state.target_critic.nets])
     if algo == "sac":
         q2 = q2 - h.alpha * logp2
     want = batch.r + h.gamma * q2
@@ -287,14 +287,42 @@ def test_metric_stream_deterministic():
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
-def test_numpy_paths_build_no_nodes(algo, nodes_built):
+def test_a_second_policy_call_builds_no_nodes(algo, nodes_built):
     state = make_state(algo)
     batch = random_batch(seed=1)
     noise = state.actor_noise(len(batch), np.random.default_rng(2))
-    assert nodes_built(lambda: offpac.exploration_action(state, batch.s[0],
-                                                         np.random.default_rng(4))) == []
-    # the same forward on the graph namespace does build Nodes
+    rng = np.random.default_rng(4)
+    calls = (lambda: state.actor.act_np(batch.s[0]),
+             lambda: offpac.exploration_action(state, batch.s[0], rng))
+    for call in calls:  # the first call records its region on the graph
+        assert nodes_built(call)
+    for call in calls:
+        assert nodes_built(call) == []
+    assert sorted(state.plans) == ["explore"] and sorted(state.actor.plans) == ["greedy"]
+    # the same forward on a batch builds Nodes
     assert nodes_built(lambda: offpac.actor_loss(state, batch, noise=noise))
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+def test_replayed_policy_calls_give_the_raw_rank1_bits(algo, raw_act):
+    cfg = harness.RunConfig(algo=algo, expl_noise=0.3)
+    state = offpac.AlgoState(cfg, SPEC, np.random.default_rng(53))
+    actor, c = state.actor, SPEC.action_bound
+    rng = np.random.default_rng(54)
+    draws, oracle_draws = np.random.default_rng(55), np.random.default_rng(55)
+    for _ in range(250):
+        s = rng.normal(size=SPEC.state_dim) * 3
+        assert actor.act_np(s).tobytes() == raw_act(actor, s)[0].tobytes()
+        a = offpac.exploration_action(state, s, draws)
+        noise = oracle_draws.standard_normal(SPEC.action_dim)
+        if algo == "sac":
+            want = raw_act(actor, s, noise)[0]
+        else:
+            want = raw_act(actor, s)[0] + noise * (cfg.expl_noise * c)
+        assert a.shape == (SPEC.action_dim,)
+        assert a.tobytes() == np.clip(want, -c, c).tobytes()
+    # the same stream: one draw of action_dim normals per action
+    assert draws.random() == oracle_draws.random()
 
 
 def test_empty_batch_rejected():

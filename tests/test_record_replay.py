@@ -224,6 +224,7 @@ def test_an_optimizer_step_overflow_names_its_op(optimizer, tmp_path):
     assert res["aborted_at"] == 101
     meta = harness.read_metadata(os.path.join(tmp_path, "seed0.meta.txt"))
     assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("scale", "forward")
+    assert meta["aborted_phase"] == "critic"
 
 
 @pytest.mark.parametrize("optimizer", sorted(offpac.OPTIMIZERS))
@@ -350,8 +351,22 @@ def test_a_plan_replays_on_new_values_and_records_again_on_new_shapes():
     assert plans["r"] is not first and plans["r"].shapes == [(3,)]
 
 
-def test_a_repeated_input_runs_eagerly_and_records_nothing():
+def test_a_repeated_input_runs_eagerly_and_records_nothing(nodes_built):
     a = np.array([1.0, 2.0])
     plans = {}
     out = plan.replay(plans, "r", lambda: [NumpyOps.mul(a, a)], [a, a])
     assert out[0].tolist() == [1.0, 4.0] and plans == {}
+    # a plan recorded on distinct inputs replays a repeated one, with the eager bits
+    x, y = ad.Variable(np.array([0.3, -1.7])), ad.Variable(np.array([2.0, 0.1]))
+
+    def region():
+        return [ad.evaluate(ad.add(ad.mul(x, y), ad.tanh(y)))]
+
+    plan.replay(plans, "r", region, [x.value, y.value])
+    recorded = plans["r"]
+    y.set_value(x.value)
+    assert y.value is x.value
+    out = []
+    assert nodes_built(lambda: out.extend(plan.replay(plans, "r", region, [x.value, y.value]))) == []
+    assert plans["r"] is recorded
+    assert out[0].tobytes() == region()[0].tobytes()
