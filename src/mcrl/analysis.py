@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .harness import evaluate_policy
-from .nets import Actor, flatten_values, load_params, unflatten_values
+from .nets import Actor, load_params, unflatten_values
 
 
 def pca_trajectory(snapshots: list[np.ndarray]):
@@ -47,7 +47,7 @@ def load_snapshot_vectors(paths: list[str]) -> list[np.ndarray]:
         named = load_params(p)
         if not named:
             raise ValueError(f"{p}: the snapshot holds no tensors")
-        out.append(flatten_values([arr for _, arr in named]))
+        out.append(np.concatenate([arr for _, arr in named], axis=None))
     return out
 
 
@@ -67,7 +67,7 @@ def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
     d1 = np.asarray(d1, dtype=np.float64).ravel()
     d2 = np.asarray(d2, dtype=np.float64).ravel()
     saved = [p.value.copy() for p in actor.parameters()]
-    center = flatten_values(saved)
+    center = np.concatenate(saved, axis=None)
     if center.size != d1.size or center.size != d2.size:
         raise ValueError(f"direction lengths {d1.size} and {d2.size} do not match "
                          f"the actor's {center.size} parameters")

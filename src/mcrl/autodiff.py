@@ -12,11 +12,11 @@ traceback.
 
 Every computation, a single state's action included, is written on this
 module's primitives alone. Each checks shapes, takes its value from the
-``NumpyOps`` formula of the same name and records one Node. All but three
+``NumpyOps`` formula of the same name and records one Node. All but four
 are declared in one line each, through the factory ``_unary`` (one input,
 then named attrs) or ``_binary`` (two inputs), either with an optional
-shape rule; ``dense``, ``broadcast`` and ``concat`` are written by hand.
-A row stays rank-1: ``dense``, ``slice_cols``, ``pad_cols`` and
+shape rule; ``dense``, ``broadcast``, ``concat`` and ``flat`` are written
+by hand. A row stays rank-1: ``dense``, ``slice_cols``, ``pad_cols`` and
 ``sum_axis1`` take one 1-D row on its last axis, so a state runs as a
 gemv. Only forwards run on a row: ``matmul`` and ``transpose`` take 2-D
 operands, so a backward through a row's ``dense`` raises ShapeError. Each
@@ -37,13 +37,15 @@ input slots, attrs, output slot), and later replays only that list on new
 input arrays of the same shapes: no Node, no walk, no grads dict. New
 shapes record again. The recorder, in module ``plan``, learns only what
 ``_formula`` (each value formula and float64 conversion) and ``full`` report.
-- Every array a region reads must be a declared input, a formula's value
-  or a literal made by ``full`` from shapes alone. The recorder raises on
-  any other, such as the value of a direct ``NumpyOps`` call, so a region
-  computes through this module alone and a backward rule's mask is a
-  formula too (``relu_mask``, ``minimum_mask``, ``clip_mask``, ``sign``,
-  ``invert``). A ``constant`` of a recorded value records its float64
-  conversion, if it needs one. Shape and graph checks run at record time.
+- Every array a region reads must be a declared input (per-call data), a
+  formula's value, a literal made by ``full`` from shapes alone or a live
+  Variable's array, which a plan keeps and a replay reads as it stands.
+  The recorder raises on any other, such as a direct ``NumpyOps`` call's
+  value, so a region computes through this module alone and a backward
+  rule's mask is a formula too (``relu_mask``, ``minimum_mask``,
+  ``clip_mask``, ``sign``, ``invert``). A ``constant`` of a recorded value
+  records its float64 conversion, if it needs one. Shape and graph checks
+  run at record time.
 - A replay keeps no intermediate: each value's slot is reused after its
   last read, and only the literals and the outputs outlive the call.
 - A region returns new values and commits nothing before it returns. A
@@ -60,6 +62,7 @@ as an explicit argument; this module owns no RNG state.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable
 
 import numpy as np
@@ -70,6 +73,7 @@ SQUASH_EPS = 1e-9
 DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
 _tape = None  # plan's _Tape while a region records: _formula and full report to it
+_variables = weakref.WeakValueDictionary()  # id of a Variable's array -> the Variable
 
 
 class AutodiffError(Exception):
@@ -110,20 +114,41 @@ class Node:
 
 
 class Variable(Node):
-    """A named leaf Node, a learned parameter: its value can be replaced, its shape cannot."""
+    """A learned parameter, a named leaf Node. It keeps one array for life, a copy of its
+    first value: ``set_value`` writes into it, and only ``pack`` re-points it, once."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "__weakref__")
 
     def __init__(self, value, name: str = ""):
-        super().__init__("leaf", _arr(value))
+        super().__init__("leaf", np.array(value, dtype=DTYPE))
         self.requires_grad = True
         self.name = name
+        _variables[id(self.value)] = self
+
+    def __deepcopy__(self, memo) -> Variable:  # a copied plan reads the copy's own array
+        new = Variable(self.value, self.name)
+        memo[id(self.value)] = new.value
+        return new
 
     def set_value(self, value) -> None:
         v = _arr(value)
         if v.shape != self.value.shape:
             raise ShapeError("set_value", self.value.shape, v.shape)
-        self.value = v
+        np.copyto(self.value, v)
+
+
+def pack(variables: list[Variable], name: str) -> Variable:
+    """One flat Variable holding ``variables``' values, each now a view into it. Pack in a
+    constructor, before any region records; a Variable packed already raises, since a second
+    pack would cut it off from the first flat and so from the optimizer that writes it."""
+    if any(v.value.base is not None for v in variables):
+        raise AutodiffError(f"pack {name}: a Variable is packed already")
+    whole = Variable(np.concatenate([v.value for v in variables], axis=None), name)
+    ends = np.cumsum([v.value.size for v in variables])[:-1]
+    for v, part in zip(variables, np.split(whole.value, ends)):
+        v.value = part.reshape(v.value.shape)
+        _variables[id(v.value)] = v
+    return whole
 
 
 def constant(value) -> Node:
@@ -243,6 +268,10 @@ class NumpyOps:
         return np.concatenate(parts, axis=1)
 
     @staticmethod
+    def flat(*parts):
+        return np.concatenate(parts, axis=None)
+
+    @staticmethod
     def slice_cols(a, i0, i1):
         return a[..., i0:i1]
 
@@ -308,14 +337,14 @@ class NumpyOps:
 
 
 # ---------------------------------------------------------------------------
-# graph primitives: one factory call each, three written by hand
+# graph primitives: one factory call each, four written by hand
 # ---------------------------------------------------------------------------
 # ``_unary`` and ``_binary`` write once the step every primitive shares:
 # unwrap and check the inputs, take the value from the ``NumpyOps`` op of the
 # same name through ``_formula`` and record one Node, which keeps a unary
 # primitive's attrs for its backward rule. By hand: ``dense`` (three inputs,
 # the hottest primitive), ``broadcast`` (numpy's ValueError becomes a
-# ShapeError) and ``concat`` (any number of inputs, column offsets).
+# ShapeError), ``concat`` (column offsets) and ``flat`` (any number of inputs).
 
 def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes, or one side of size 1: nothing else is silently numpy-broadcast."""
@@ -415,6 +444,11 @@ def concat(*parts) -> Node:
         o += nd.value.shape[1]
     return Node("concat", _formula(NumpyOps.concat, *(nd.value for nd in nodes)),
                 tuple(nodes), (tuple(offs), o))
+
+
+def flat(parts) -> Node:
+    """The values of ``parts`` raveled into one 1-D array, as a leaf: no gradient flows."""
+    return Node("flat", _formula(NumpyOps.flat, *(as_node(p).value for p in parts)))
 
 
 def mean(a) -> Node:
@@ -596,7 +630,7 @@ def _vjp_transpose(g, n, live):
     return (transpose(g),)
 
 
-# div and sqrt have none: only the optimizer steps build them, and nothing differentiates an update
+# div, sqrt and flat have none: only the optimizer steps, which nothing differentiates, use them
 _VJP: dict[str, Callable] = {
     "add": _vjp_add, "sub": _vjp_sub, "neg": _vjp_neg, "mul": _vjp_mul,
     "scale": _vjp_scale, "matmul": _vjp_matmul, "dense": _vjp_dense,

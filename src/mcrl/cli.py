@@ -52,6 +52,8 @@ def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise SystemExit(f"--workers: must be at least 1, got {args.workers}")
     cfg = _or_exit(args.config, harness.load_config, args.config)
     if args.seed is not None:
         cfg = _or_exit("--seed", dataclasses.replace(cfg, seeds=(args.seed,)).validate)

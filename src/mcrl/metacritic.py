@@ -127,7 +127,6 @@ def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
     All of it is the recorded region "meta" (see ``plan.replay``), whose new
     values are committed once it returns.
     """
-    actor, omega = state.actor.parameters(), state.mc.parameters()
     meta_loss = meta_loss_clip if state.cfg.meta_loss == "clip" else meta_loss_plain
 
     def region():
@@ -136,11 +135,10 @@ def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
         # actor takes the summed inner gradient; omega a plain SGD step
         actor_next = state.actor_opt.step(pu.grad_total)
         return [pu.l_critic_trn, pu.l_mcritic_trn, ad.evaluate(meta), *actor_next,
-                *state.mc_opt.step(ad.backward(meta, omega)),
-                *apply_target_updates(state, actor_next[:len(actor)])]
+                *state.mc_opt.step(ad.backward(meta, state.mc.parameters())),
+                *apply_target_updates(state, actor_next[0])]
 
     reads = state.actor_opt.reads() + state.mc_opt.reads()
-    reads += [p.value for p in state.critic.parameters() + state.targets]
     reads += [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
     writes = state.actor_opt.writes + state.mc_opt.writes + state.targets
     l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, reads, writes)

@@ -169,7 +169,7 @@ class Actor:
         "greedy", recorded on the first call and replayed after. It runs rank-1, a gemv with
         the bytes of a batch of one."""
         return plan.replay(self.plans, "greedy", lambda: [ad.evaluate(self.act(state)[0])],
-                           [state, *(p.value for p in self.net.params)])[0]
+                           [state])[0]
 
 
 class Critic:
@@ -277,10 +277,6 @@ def load_params(path) -> list[tuple[str, np.ndarray]]:
             except ValueError as err:
                 raise ValueError(f"{path}, line {lineno}: not a snapshot line ({err})") from None
     return out
-
-
-def flatten_values(values: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(v).ravel() for v in values])
 
 
 def unflatten_values(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:

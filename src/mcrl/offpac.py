@@ -8,10 +8,10 @@ The actor is trained on the critic-provided loss:
 
 and the critic regresses on one-step TD targets built from target
 networks. Both run on the graph, inside recorded regions (see
-``plan.replay``). The targets are a value computed from constant
-parameters, so they are gradient-isolated by construction; the critic
-enters the actor loss through constant parameter snapshots, so the
-actor update cannot move the critic either.
+``plan.replay``). The targets are a value, an array, so they are
+gradient-isolated by construction; the critic enters the actor loss
+through constant parameter snapshots, so the actor update cannot move the
+critic either.
 
 Every learner setting is read from the validated ``harness.RunConfig``
 the state was built with, the one place each is named and checked.
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import plan
-from .autodiff import Variable
 from .envs import EnvSpec
 from .nets import Actor, Critic, MetaCriticNet, polyak
 from .replay import Batch, ReplayBuffer
@@ -44,45 +43,47 @@ ALGOS = ("ddpg", "td3", "sac")
 
 
 class Sgd:
-    def __init__(self, variables, lr: float):
-        self.vars = self.writes = list(variables)
-        self.lr = lr
-
-    def reads(self) -> list:
-        """The arrays a step reads besides its gradients; it gives the next values of ``writes``."""
-        return [v.value for v in self.writes]
-
-    def step(self, grads) -> list:
-        return [ad.evaluate(ad.sub(v, ad.scale(g, self.lr))) for v, g in zip(self.vars, grads)]
-
-
-class Adam:
-    B1, B2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+    """Gradient descent on ``flat``, one Variable that packs ``vars``; ``step`` gives the next
+    value of each of ``writes``, one formula chain over the flat array."""
 
     def __init__(self, variables, lr: float):
         self.vars = list(variables)
+        self.flat = ad.pack(self.vars, "flat")
+        self.writes = [self.flat]
         self.lr = lr
-        self.m = [Variable(np.zeros_like(v.value), f"{v.name}.m") for v in self.vars]
-        self.v = [Variable(np.zeros_like(v.value), f"{v.name}.v") for v in self.vars]
-        self.writes = self.vars + self.m + self.v
+
+    def reads(self) -> list:
+        """Begins a step: the per-call arrays it reads besides its gradients, none."""
+        return []
+
+    def step(self, grads) -> list:
+        return [ad.evaluate(ad.sub(self.flat, ad.scale(ad.flat(grads), self.lr)))]
+
+
+class Adam(Sgd):
+    """Adam on one flat Variable, with one flat first moment ``m`` and one second ``v``."""
+
+    B1, B2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, variables, lr: float):
+        super().__init__(variables, lr)
+        self.m, self.v = (ad.Variable(np.zeros_like(self.flat.value), n) for n in ("m", "v"))
+        self.writes += [self.m, self.v]
         self.t = 0
 
     def reads(self) -> list:
-        """Begins a step: counts it, and adds its 0-d bias corrections to the arrays it reads."""
+        """Begins a step: counts it and gives its two 0-d bias corrections."""
         self.t += 1
         self.bias = [np.array(1.0 - self.B1 ** self.t), np.array(1.0 - self.B2 ** self.t)]
-        return [x.value for x in self.writes] + self.bias
+        return self.bias
 
     def step(self, grads) -> list:
-        (c1, c2), eps = self.bias, ad.full((), self.EPS)
-        ms = [ad.add(ad.scale(m, self.B1), ad.scale(g, 1.0 - self.B1))
-              for m, g in zip(self.m, grads)]
-        vs = [ad.add(ad.scale(v, self.B2), ad.scale(ad.square(g), 1.0 - self.B2))
-              for v, g in zip(self.v, grads)]
-        nxt = [ad.sub(x, ad.div(ad.scale(ad.div(m, c1), self.lr),
-                                ad.add(ad.sqrt(ad.div(v, c2)), eps)))
-               for x, m, v in zip(self.vars, ms, vs)]
-        return [ad.evaluate(x) for x in nxt + ms + vs]
+        (c1, c2), eps, g = self.bias, ad.full((), self.EPS), ad.flat(grads)
+        m = ad.add(ad.scale(self.m, self.B1), ad.scale(g, 1.0 - self.B1))
+        v = ad.add(ad.scale(self.v, self.B2), ad.scale(ad.square(g), 1.0 - self.B2))
+        x = ad.sub(self.flat, ad.div(ad.scale(ad.div(m, c1), self.lr),
+                                     ad.add(ad.sqrt(ad.div(v, c2)), eps)))
+        return [ad.evaluate(n) for n in (x, m, v)]
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
@@ -91,8 +92,10 @@ OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
 class AlgoState:
     """Everything one learner owns: validated config, nets, targets, optimizers, counters.
 
-    The auxiliary loss network omega (``mc``) and its SGD step (``mc_opt``)
-    are drawn last from ``rng``; both are None when ``mc_variant`` is "none".
+    Each optimizer packs its net's parameters into one flat Variable, and
+    ``targets`` holds one packed flat per target net, the critic's first. The
+    auxiliary loss network omega (``mc``) is drawn last from ``rng``; it and
+    its ``Sgd`` (``mc_opt``) are None when ``mc_variant`` is "none".
     """
 
     def __init__(self, cfg: RunConfig, env_spec: EnvSpec, rng: np.random.Generator):
@@ -106,8 +109,8 @@ class AlgoState:
                              hidden=cfg.hidden_critic, n_nets=1 if cfg.algo == "ddpg" else 2)
         self.target_actor = copy.deepcopy(self.actor) if cfg.algo in ("ddpg", "td3") else None
         self.target_critic = copy.deepcopy(self.critic)
-        self.targets = self.target_critic.parameters() + (  # what apply_target_updates blends
-            self.target_actor.parameters() if self.target_actor else [])
+        self.targets = [ad.pack(net.parameters(), "target")  # what apply_target_updates blends
+                        for net in (self.target_critic, self.target_actor) if net]
         optimizer = OPTIMIZERS[cfg.optimizer]
         self.actor_opt = optimizer(self.actor.parameters(), cfg.actor_lr)
         self.critic_opt = optimizer(self.critic.parameters(), cfg.critic_lr)
@@ -130,10 +133,6 @@ class AlgoState:
         """The TD target's policy: the target actor, or the live one for sac, which has none."""
         return self.target_actor or self.actor
 
-    def critic_const_params(self) -> list[list[np.ndarray]]:
-        """The critic's current values, one list per Q net."""
-        return [[p.value for p in net.params] for net in self.critic.nets]
-
     def actor_noise(self, n: int, rng: np.random.Generator):
         """Learning-time reparameterization noise; only SAC consumes any."""
         if self.cfg.algo == "sac":
@@ -150,7 +149,7 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
     if sac and noise is None:
         raise ValueError("sac actor loss needs reparameterization noise")
     a, logp = state.actor.act(batch.s, noise, actor_params)
-    qc = state.critic_const_params()
+    qc = [[p.value for p in net.params] for net in state.critic.nets]
     if not sac:  # td3 trains on Q1 alone
         q, = state.critic.qs(batch.s, a, qc, count=1)
         return ad.mean(ad.neg(q))
@@ -169,25 +168,17 @@ def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = Non
 
 
 def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> np.ndarray:
-    """One-step TD regression targets, on the graph from constant parameter values.
-
-    ``noise`` is the target-policy noise that ``critic_update`` draws,
-    None for ddpg. Returns the targets' value, which no gradient reaches.
-    """
+    """One-step TD regression targets, built on the graph: their value, which no gradient
+    reaches. ``noise`` is the target-policy noise ``critic_update`` draws, None for ddpg."""
     h = state.cfg
     scale = state.spec.action_bound
     sac = h.algo == "sac"
-
-    def values(net):
-        return [p.value for p in net.params]
-
-    policy = state.td_policy()
-    a2, logp2 = policy.act(batch.s_next, noise if sac else None, values(policy.net))
+    a2, logp2 = state.td_policy().act(batch.s_next, noise if sac else None)
     if h.algo == "td3":
         eps = ad.clip(ad.scale(noise, h.target_noise * scale),
                       -h.noise_clip * scale, h.noise_clip * scale)
         a2 = ad.clip(ad.add(a2, eps), -scale, scale)
-    q2 = state.target_critic.q_min(batch.s_next, a2, [values(q) for q in state.target_critic.nets])
+    q2 = state.target_critic.q_min(batch.s_next, a2)
     if sac:  # entropy-corrected target
         q2 = ad.sub(q2, ad.scale(logp2, h.alpha))
     return ad.evaluate(ad.add(batch.r, ad.scale(q2, h.gamma)))
@@ -197,19 +188,16 @@ def descend(state: AlgoState, key: str, opt, loss, reads: list, blend: bool = Fa
     """One step of ``opt`` down the gradient of ``loss()``, a graph scalar; returns its value.
 
     The loss, its gradient, the step and, with ``blend``, the targets' polyak
-    blend are the recorded region ``key`` (see ``plan.replay``), which reads
-    ``opt.reads()``, ``reads`` and the targets it blends.
+    blend are the recorded region ``key`` (see ``plan.replay``), whose
+    per-call inputs are ``opt.reads()`` and ``reads``.
     """
-    targets = state.targets if blend else []
-
     def region():
         out = loss()
         nxt = opt.step(ad.backward(out, opt.vars))
-        return [ad.evaluate(out), *nxt,
-                *(apply_target_updates(state, nxt[:len(opt.vars)]) if blend else [])]
+        return [ad.evaluate(out), *nxt, *(apply_target_updates(state, nxt[0]) if blend else [])]
 
-    value, = plan.replay(state.plans, key, region,
-                         opt.reads() + reads + [t.value for t in targets], opt.writes + targets)
+    value, = plan.replay(state.plans, key, region, opt.reads() + reads,
+                         opt.writes + (state.targets if blend else []))
     return float(value)
 
 
@@ -226,9 +214,8 @@ def critic_update(state: AlgoState, batch: Batch, rng: np.random.Generator) -> f
         return functools.reduce(ad.add, [ad.mean(ad.square(ad.sub(q, y)))
                                          for q in state.critic.qs(batch.s, batch.a)])
 
-    reads = [p.value for p in state.target_critic.parameters() + state.td_policy().parameters()]
-    reads += [batch.s, batch.a, batch.r, batch.s_next, noise]
-    return descend(state, "critic", state.critic_opt, td_loss, reads)
+    return descend(state, "critic", state.critic_opt, td_loss,
+                   [batch.s, batch.a, batch.r, batch.s_next, noise])
 
 
 def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -242,14 +229,13 @@ def exploration_action(state: AlgoState, s: np.ndarray, rng: np.random.Generator
             a = ad.add(a, ad.scale(noise, cfg.expl_noise * scale))
         return [ad.evaluate(ad.clip(a, -scale, scale))]
 
-    return plan.replay(state.plans, "explore", region,
-                       [s, noise, *(p.value for p in state.actor.parameters())])[0]
+    return plan.replay(state.plans, "explore", region, [s, noise])[0]
 
 
-def apply_target_updates(state: AlgoState, actor_values: list) -> list:
-    """The next values of ``state.targets``, blended toward the critic and, for a
-    target actor, toward ``actor_values``, the actor's next values."""
-    sources = state.critic.parameters() + (actor_values if state.target_actor else [])
+def apply_target_updates(state: AlgoState, actor_flat: np.ndarray) -> list:
+    """The next values of ``state.targets``, blended toward the critic's flat and, for a
+    target actor, toward ``actor_flat``, the actor's next flat value."""
+    sources = [state.critic_opt.flat] + ([actor_flat] if state.target_actor else [])
     return polyak(state.targets, sources, state.cfg.tau)
 
 
@@ -268,8 +254,7 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Gen
         noise = state.actor_noise(len(batch), rng)
         if actor_step is None:
             value = descend(state, "actor", state.actor_opt,
-                            lambda: actor_loss(state, batch, noise=noise),
-                            [*(p.value for p in state.critic.parameters()), batch.s, noise],
+                            lambda: actor_loss(state, batch, noise=noise), [batch.s, noise],
                             blend=True)
             state.last_metrics = {"loss_critic": value, "loss_mcritic": 0.0, "loss_meta": 0.0}
         else:

@@ -1,12 +1,12 @@
 """Record a region once per learner, then replay its numpy formulas.
 
-A region is a function of no arguments that reads a known list of input
-arrays and returns a list of arrays, such as a loss and its step, or an action.
-``replay`` runs it eagerly the first time, while ``autodiff`` reports each
-formula its primitives compute to a ``_Tape``, and records them into a
-``Plan``; afterwards it runs only the plan's formulas on the current
-inputs: no Node, no walk, no dict. The rules a region keeps, and what a
-replay keeps and does on a raise, are in the ``autodiff`` module docstring.
+A region is a function of no arguments that reads its per-call input arrays
+and Variables, and returns a list of arrays, such as a loss and its step, or
+an action. ``replay`` runs it eagerly the first time, while ``autodiff``
+reports each formula its primitives compute to a ``_Tape``, and records them
+into a ``Plan``; afterwards it runs only the plan's formulas on the current
+inputs and Variables: no Node, no walk, no dict. The rules a region keeps,
+and what a replay keeps and does on a raise, are in ``autodiff``'s docstring.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ _ARRAYS = (np.ndarray, np.generic)
 class _Tape:
     """The formulas one run of a region calls, over numbered slots.
 
-    The region's inputs take the first slots; each formula's value and each
-    ``full`` literal takes the next. An array is known by ``id``, and the
-    tape holds every array it numbers until it is done, so no id it knows
-    can be reused by another array while it records.
+    The region's inputs take the first slots; each formula's value, each
+    ``full`` literal and each Variable's array it reads takes the next. An
+    array is known by ``id``, and the tape holds every array it numbers
+    until it is done, so no id it knows can be reused while it records.
     """
 
     def __init__(self, inputs: list):
@@ -47,11 +47,13 @@ class _Tape:
         return slot
 
     def _slot(self, a, name: str) -> int:
-        slot = self.slots.get(id(a))
-        if slot is None:
-            raise AutodiffError(f"{name}: a recorded region read an array that is not an input, "
-                                "a formula's value or a literal made by full()")
-        return slot
+        if id(a) not in self.slots:
+            var = ad._variables.get(id(a))  # a live Variable's array, kept like a literal
+            if var is None or var.value is not a:
+                raise AutodiffError(f"{name}: a recorded region read an array that is not an "
+                                    "input, a formula's value, a full() literal or a Variable's")
+            self.literal(a)  # a replay reads it as it stands
+        return self.slots[id(a)]
 
     def literal(self, a: np.ndarray) -> None:
         self.literals[self._new_slot(a)] = a
@@ -88,12 +90,12 @@ _CHUNK = 32
 class Plan:
     """A recorded region: its input shapes, literals, formulas and output slots.
 
-    The inputs and the literals keep their slots. A formula's value takes a
-    slot that no live value holds, so a replay holds no more values at once
-    than are live, and none after it returns. The steps are compiled into
-    Python functions of the slot list, one line
-    ``v[<out>] = f<k>(v[<in>]..., a<k>_<j>...)`` per step, which replay
-    them at a fraction of a loop's per-step cost.
+    The inputs and the literals, Variables' arrays among them, keep their
+    slots. A formula's value takes a slot that no live value holds, so a
+    replay holds no more values at once than are live, and none after it
+    returns. The steps are compiled into Python functions of the slot list,
+    one line ``v[<out>] = f<k>(v[<in>]..., a<k>_<j>...)`` per step, which
+    replay them at a fraction of a loop's per-step cost.
     """
 
     __slots__ = ("shapes", "blank", "chunks", "outputs")
@@ -143,11 +145,13 @@ def replay(plans: dict, key: str, region: Callable[[], list], inputs: list,
     """The figures of ``region()``, replayed from ``plans[key]`` when the inputs fit.
 
     ``region()`` returns its figures, then the next value of each Variable of
-    ``writes``, which are set only once it has returned. ``inputs`` lists
-    every array the region reads (see the ``autodiff`` module docstring); a
-    None in it is left out. The first call, and any call whose input shapes
-    differ from the plan's, runs it eagerly and records it into ``plans[key]``
-    if no input repeats (the tape knows arrays by id; a replay takes repeats).
+    ``writes``, copied into them only once it has returned. ``inputs`` lists
+    the per-call data the region reads, such as a batch and its noise, and
+    a None in it is left out; Variables are read where they are (see the
+    ``autodiff`` module docstring). The first call, and any call whose input
+    shapes differ from the plan's, runs it eagerly and records it into
+    ``plans[key]`` if no input repeats (the tape knows arrays by id; a replay
+    takes repeats).
     A FloatingPointError leaves with ``key`` as its ``region``.
     """
     inputs = [a for a in inputs if a is not None]

@@ -43,6 +43,30 @@ def test_fd_gradient_parabola_and_constant():
         ad.fd_gradient(lambda v: 0.0, np.array(1.0), epsilon=0.0)
 
 
+def test_a_variable_copies_its_value_and_set_value_writes_into_its_array():
+    x = np.array([1.0, 2.0])
+    v = ad.Variable(x)
+    kept = v.value
+    v.set_value([3.0, -4.0])
+    assert v.value is kept and kept.tolist() == [3.0, -4.0]
+    assert x.tolist() == [1.0, 2.0]  # the caller's array is untouched
+    with pytest.raises(ad.ShapeError):
+        v.set_value(np.zeros(3))
+
+
+def test_pack_makes_views_into_one_flat_and_refuses_to_pack_twice():
+    a, b = ad.Variable(np.arange(4.0).reshape(2, 2)), ad.Variable(np.array(7.0))
+    flat = ad.pack([a, b], "flat")
+    assert flat.value.tolist() == [0.0, 1.0, 2.0, 3.0, 7.0]
+    assert ad.evaluate(ad.flat([a, b])).tobytes() == flat.value.tobytes()
+    a.set_value(np.full((2, 2), 5.0))
+    flat.set_value(flat.value * 2.0)
+    assert a.value.tolist() == [[10.0, 10.0], [10.0, 10.0]] and b.value.tolist() == 14.0
+    assert a.value.base is flat.value and b.value.base is flat.value
+    with pytest.raises(ad.AutodiffError, match="packed already"):
+        ad.pack([ad.Variable(np.ones(2)), b], "again")
+
+
 def test_non_scalar_output_rejected():
     x = ad.Variable(np.zeros((2, 2)))
     with pytest.raises(ad.ShapeError):
@@ -569,7 +593,7 @@ def test_each_backward_rule_matches_fd(op):
         return ad.asum(ad.mul(fn(x, z), cotangent))
 
     def loss_at(var, arr):
-        old = var.value
+        old = var.value.copy()  # set_value writes into the array var keeps
         var.set_value(arr)
         try:
             return float(ad.evaluate(loss()))

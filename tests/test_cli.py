@@ -204,6 +204,15 @@ def test_run_rejects_a_negative_seed_with_one_line(run_dir, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_fewer_than_one_worker_with_one_line(run_dir, tmp_path, workers):
+    _, cfg_path, _ = run_dir
+    with pytest.raises(SystemExit, match=f"^--workers: must be at least 1, got {workers}$"):
+        cli.main(["run", "--config", str(cfg_path), "--workers", workers,
+                  "--out", str(tmp_path / "out")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_unwritable_out_exits_with_one_line(run_dir, tmp_path):
     # a path under a regular file can never be a directory
     _, cfg_path, _ = run_dir

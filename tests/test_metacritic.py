@@ -82,16 +82,16 @@ def test_putative_difference_is_inner_auxiliary_step():
     d_trn = batch_of(8, 6)
     pu = mcmod.meta_train(state, d_trn)
     actor = state.actor
-    like = [p.value for p in actor.parameters()]
+    like = [p.value.copy() for p in actor.parameters()]
 
     def h_at(flat):  # the auxiliary loss with the actor set to ``flat``
         actor.set_param_values(nets.unflatten_values(flat, like))
         return float(ad.evaluate(state.mc.loss(actor, d_trn.s, d_trn.a)))
 
-    fd = ad.fd_gradient(h_at, nets.flatten_values(like), epsilon=1e-5)
+    fd = ad.fd_gradient(h_at, np.concatenate(like, axis=None), epsilon=1e-5)
     actor.set_param_values(like)
-    got = nets.flatten_values([np.asarray(ad.evaluate(new)) - old
-                               for old, new in zip(pu.phi_old, pu.phi_new)])
+    got = np.concatenate([np.asarray(ad.evaluate(new)) - old
+                          for old, new in zip(pu.phi_old, pu.phi_new)], axis=None)
     want = -0.07 * fd
     denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
     assert np.max(np.abs(got - want) / denom) < 1e-5
@@ -171,7 +171,7 @@ def test_meta_gradient_matches_full_pipeline_fd(algo, variant):
 
     pu = mcmod.meta_train(state, d_trn, noise_trn)
     meta = mcmod.meta_loss_clip(state, d_val, pu, noise_val)
-    got = nets.flatten_values(ad.backward(meta, omega))
+    got = np.concatenate(ad.backward(meta, omega), axis=None)
 
     def pipeline(flat):
         vals = nets.unflatten_values(flat, like)
@@ -184,7 +184,7 @@ def test_meta_gradient_matches_full_pipeline_fd(algo, variant):
             w.set_value(v)
         return out
 
-    fd = ad.fd_gradient(pipeline, nets.flatten_values(like), epsilon=1e-5)
+    fd = ad.fd_gradient(pipeline, np.concatenate(like, axis=None), epsilon=1e-5)
     # relative error of the gradient vector; a bare per-coordinate ratio
     # would be dominated by FD roundoff on near-zero coordinates
     assert np.linalg.norm(got - fd) < 1e-4 * max(np.linalg.norm(fd), 1e-8)
@@ -197,7 +197,7 @@ def test_omega_gradient_nonzero_for_generic_weights():
     state = make_state(seed=25, actor_lr=0.05)
     pu = mcmod.meta_train(state, batch_of(8, 26))
     meta = mcmod.meta_loss_clip(state, batch_of(8, 27), pu)
-    g = nets.flatten_values(ad.backward(meta, state.mc.parameters()))
+    g = np.concatenate(ad.backward(meta, state.mc.parameters()), axis=None)
     assert np.linalg.norm(g) > 0.0
 
 

@@ -135,6 +135,17 @@ def test_act_np_replays_on_the_values_set_after_it_recorded(raw_act, nodes_built
     assert not np.array_equal(after[0], before)
 
 
+def test_a_deep_copy_replays_on_its_own_values(raw_act):
+    # target nets are deep copies; a copy made after its source recorded keeps the plan
+    actor = make_actor(seed=17, hidden=(16, 16))
+    s = np.random.default_rng(17).normal(size=3)
+    before = actor.act_np(s)
+    twin = copy.deepcopy(actor)
+    twin.set_param_values([np.zeros(p.shape) for p in twin.parameters()])
+    assert twin.act_np(s).tobytes() == raw_act(twin, s)[0].tobytes()
+    assert actor.act_np(s).tobytes() == before.tobytes()
+
+
 def test_actor_is_one_net_whose_prefix_gives_the_features():
     actor = make_actor(head="gaussian", seed=7, hidden=(8, 5))
     assert actor.net.dims == [3, 8, 5, 4] and actor.feature_dim == 5
@@ -205,8 +216,8 @@ def test_logp_gradient_matches_fd():
 
     _, logp = actor.act(states, noise)
     grads = ad.backward(ad.mean(logp), params)
-    flat_g = nets.flatten_values(grads)
-    flat_p = nets.flatten_values([p.value for p in params])
+    flat_g = np.concatenate(grads, axis=None)
+    flat_p = np.concatenate([p.value for p in params], axis=None)
     fd = ad.fd_gradient(loss_at, flat_p, epsilon=1e-5)
     denom = np.maximum(np.maximum(np.abs(flat_g), np.abs(fd)), 1e-8)
     assert np.max(np.abs(flat_g - fd) / denom) < 1e-5
@@ -250,7 +261,7 @@ def test_param_reg_effective_ones_sums_abs():
     assert v == pytest.approx(total_abs, rel=1e-12)
 
     # the spec's tiny example: weights one, parameter values {1, -2, 3}
-    flat = nets.flatten_values([p.value for p in actor.parameters()])
+    flat = np.concatenate([p.value for p in actor.parameters()], axis=None)
     probe = np.zeros_like(flat)
     probe[:3] = [1.0, -2.0, 3.0]
     actor.set_param_values(nets.unflatten_values(probe, [p.value for p in actor.parameters()]))

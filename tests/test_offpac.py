@@ -61,7 +61,8 @@ def test_sac_alpha_zero_single_critic_equals_ddpg_form():
     loss_sac = float(ad.evaluate(offpac.actor_loss(state, batch, noise=noise)))
     # ddpg-style loss with the same actor's greedy action and same critic
     a, _ = state.actor.act(batch.s)
-    q1, = state.critic.qs(batch.s, a, state.critic_const_params(), count=1)
+    q1, = state.critic.qs(batch.s, a, [[p.value for p in q.params] for q in state.critic.nets],
+                          count=1)
     loss_ddpg = float(ad.evaluate(ad.mean(ad.neg(q1))))
     assert loss_sac == pytest.approx(loss_ddpg, rel=1e-12)
 
@@ -155,8 +156,11 @@ def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
     rng = np.random.default_rng(41)
     net, target = (nets.DenseNet([3, 4, 2], ["relu", "linear"], rng) for _ in range(2))
     lr, tau, (b1, b2, eps) = 0.3, 0.05, (offpac.Adam.B1, offpac.Adam.B2, offpac.Adam.EPS)
+    # copies: a commit writes into the arrays the Variables keep
+    want = [p.value.copy() for p in net.params]
+    want_target = [p.value.copy() for p in target.params]
     opt = offpac.OPTIMIZERS[optimizer](net.params, lr)
-    want, want_target = [p.value for p in net.params], [p.value for p in target.params]
+    target_flat = ad.pack(target.params, "target")
     m, v = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
     plans = {}
     for t in range(1, 5):
@@ -164,11 +168,10 @@ def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
 
         def region():
             nxt = opt.step(grads)
-            return nxt + nets.polyak(target.params, nxt[:len(net.params)], tau)
+            return nxt + nets.polyak([target_flat], nxt[:1], tau)
 
         built = nodes_built(lambda: plan.replay(
-            plans, "step", region, opt.reads() + grads + [p.value for p in target.params],
-            opt.writes + target.params))
+            plans, "step", region, opt.reads() + grads, opt.writes + [target_flat]))
         assert (built == []) == (t > 1)  # recorded once, then replayed
         if optimizer == "sgd":
             want = [w - lr * g for w, g in zip(want, grads)]
@@ -178,7 +181,8 @@ def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
             v = [b2 * vi + (1.0 - b2) * (g * g) for vi, g in zip(v, grads)]
             want = [w - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
                     for w, mi, vi in zip(want, m, v)]
-            assert [x.value.tobytes() for x in opt.m + opt.v] == [x.tobytes() for x in m + v]
+            assert ([opt.m.value.tobytes(), opt.v.value.tobytes()]
+                    == [np.concatenate(x, axis=None).tobytes() for x in (m, v)])
         want_target = [(1.0 - tau) * wt + tau * w for wt, w in zip(want_target, want)]
         assert [p.value.tobytes() for p in net.params] == [w.tobytes() for w in want]
         assert [p.value.tobytes() for p in target.params] == [w.tobytes() for w in want_target]
@@ -191,7 +195,7 @@ def test_td3_twin_swap_leaves_min_target_unchanged():
     y1 = offpac.critic_targets(state, batch, noise)
     q1, q2 = state.target_critic.nets
     for p1, p2 in zip(q1.params, q2.params):
-        v1 = p1.value
+        v1 = p1.value.copy()
         p1.set_value(p2.value)
         p2.set_value(v1)
     y2 = offpac.critic_targets(state, batch, noise)

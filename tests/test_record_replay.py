@@ -46,14 +46,18 @@ def fill_buffer(seed=1, n=32):
     return buf
 
 
-def learner_bytes(state):
+def learner_variables(state):
     variables = state.actor.parameters() + state.critic.parameters()
     variables += state.target_critic.parameters()
     if state.target_actor is not None:
         variables += state.target_actor.parameters()
     if state.mc is not None:
         variables += state.mc.parameters()
-    return [v.value.tobytes() for v in variables]
+    return variables
+
+
+def learner_bytes(state):
+    return [v.value.tobytes() for v in learner_variables(state)]
 
 
 @pytest.fixture
@@ -105,10 +109,77 @@ def test_replayed_iterations_give_the_eager_bits(algo, variant, loss, optimizer,
                 == [x.value.tobytes() for x in getattr(eager, name).writes])
 
 
-# algo -> recorded steps of its critic region (its TD targets included) and actor
-# region, and of its meta region with the feature meta-critic and the clip
-# meta-loss: they follow the algorithm and the depth of the nets, not their widths
-STEPS = {"ddpg": (51, 94, 292), "td3": (100, 112, 310), "sac": (121, 168, 468)}
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+@pytest.mark.parametrize("variant", ["none", "feature"])
+def test_the_regions_replay_on_the_values_set_after_they_recorded(algo, variant, nodes_built):
+    buf = fill_buffer()
+    results = []
+    for fresh in (False, True):
+        state, rng = make_state(algo, variant, "clip"), np.random.default_rng(2)
+        run(state, buf, rng, fresh=False, iterations=2)  # td3's second iteration steps the actor
+        recorded = dict(state.plans)
+        moved = np.random.default_rng(3)
+        # the critic through its optimizer's flat, every other net through its own Variables
+        for v in [state.critic_opt.flat] + [v for v in learner_variables(state)
+                                            if v not in state.critic.parameters()]:
+            v.set_value(v.value + 0.1 * moved.normal(size=v.shape))
+        if fresh:
+            state.plans.clear()
+        metrics = []
+        built = nodes_built(lambda: metrics.extend(run(state, buf, rng, fresh=False,
+                                                       iterations=2)))
+        assert (built == []) != fresh
+        assert (state.plans == recorded) != fresh
+        results.append((metrics, learner_bytes(state)))
+    assert results[0] == results[1]
+
+
+def test_a_commit_writes_into_the_arrays_the_variables_keep():
+    buf = fill_buffer()
+    state = make_state("td3", "feature", "clip", optimizer="adam")
+    flats = state.targets + [v for opt in (state.actor_opt, state.critic_opt, state.mc_opt)
+                             for v in opt.writes]  # Adam's moments among them
+    assert len(state.targets) == 2 and len(flats) == 2 + 3 + 3 + 1  # one array per learned set
+    owned = learner_variables(state) + flats
+    arrays = [v.value for v in owned]
+    before = [v.value.copy() for v in flats]
+    run(state, buf, np.random.default_rng(2), fresh=False, iterations=4)  # records, then replays
+    assert all(v.value is a for v, a in zip(owned, arrays))
+    assert not any(np.array_equal(v.value, b) for v, b in zip(flats, before))  # each was written
+
+
+@pytest.mark.parametrize("algo", offpac.ALGOS)
+@pytest.mark.parametrize("variant", ["none", "feature"])
+def test_no_replay_takes_a_variables_array_as_an_input(algo, variant, monkeypatch, tmp_path):
+    # a region reads the Variables' arrays where they are: its inputs are per-call data
+    real, calls = plan.replay, []
+
+    def spied(plans, key, region, inputs, writes=()):
+        calls.append((key, list(inputs)))  # kept alive, so that no id below is reused
+        return real(plans, key, region, inputs, writes)
+
+    monkeypatch.setattr(plan, "replay", spied)
+    cfg = harness.RunConfig(algo=algo, mc_variant=variant, total_steps=160, warmup_steps=100,
+                            eval_every=80, eval_episodes=1, hidden_actor=(4, 4),
+                            hidden_critic=(5, 5), mc_hidden=3, batch_n=6)
+    res = harness.run_seed(cfg, 0, str(tmp_path))
+    state = res["state"]
+    owned = learner_variables(state) + state.targets + [
+        v for opt in (state.actor_opt, state.critic_opt, state.mc_opt) if opt for v in opt.writes]
+    arrays = {id(v.value) for v in owned}
+    assert res["aborted_at"] is None
+    assert {key for key, _ in calls} == {"explore", "greedy", "critic",
+                                         "actor" if variant == "none" else "meta"}
+    assert [key for key, inputs in calls if any(id(a) in arrays for a in inputs)] == []
+
+
+# algo -> optimizer -> recorded steps of its critic region (its TD targets
+# included) and actor region, and of its meta region with the feature
+# meta-critic and the clip meta-loss: they follow the algorithm and the depth
+# of the nets, not their widths. Each update is one chain over one flat array.
+STEPS = {"ddpg": {"sgd": (42, 55, 244), "adam": (54, 67, 256)},
+         "td3": {"sgd": (79, 55, 244), "adam": (91, 67, 256)},
+         "sac": {"sgd": (100, 126, 417), "adam": (112, 138, 429)}}
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
@@ -122,13 +193,13 @@ def test_each_region_records_a_pinned_number_of_steps(algo, monkeypatch):
 
     monkeypatch.setattr(plan.Plan, "__init__", counting_init)
     buf = fill_buffer()
-    counts = {}
-    for variant in ("none", "feature"):
-        state, rng = make_state(algo, variant, "clip"), np.random.default_rng(2)
-        run(state, buf, rng, fresh=False, iterations=2)
-        counts.update((key, steps[id(p)]) for key, p in state.plans.items())
-    critic, actor, meta = STEPS[algo]
-    assert counts == {"critic": critic, "actor": actor, "meta": meta}
+    for optimizer, (critic, actor, meta) in STEPS[algo].items():
+        counts = {}
+        for variant in ("none", "feature"):
+            state = make_state(algo, variant, "clip", optimizer=optimizer)
+            run(state, buf, np.random.default_rng(2), fresh=False, iterations=2)
+            counts.update((key, steps[id(p)]) for key, p in state.plans.items())
+        assert counts == {"critic": critic, "actor": actor, "meta": meta}, optimizer
 
 
 @pytest.mark.parametrize("algo,variant,scaled,op", [
@@ -357,16 +428,16 @@ def test_a_repeated_input_runs_eagerly_and_records_nothing(nodes_built):
     out = plan.replay(plans, "r", lambda: [NumpyOps.mul(a, a)], [a, a])
     assert out[0].tolist() == [1.0, 4.0] and plans == {}
     # a plan recorded on distinct inputs replays a repeated one, with the eager bits
-    x, y = ad.Variable(np.array([0.3, -1.7])), ad.Variable(np.array([2.0, 0.1]))
+    inputs = [np.array([0.3, -1.7]), np.array([2.0, 0.1])]
 
     def region():
+        x, y = inputs
         return [ad.evaluate(ad.add(ad.mul(x, y), ad.tanh(y)))]
 
-    plan.replay(plans, "r", region, [x.value, y.value])
+    plan.replay(plans, "r", region, inputs)
     recorded = plans["r"]
-    y.set_value(x.value)
-    assert y.value is x.value
+    inputs[1] = inputs[0]
     out = []
-    assert nodes_built(lambda: out.extend(plan.replay(plans, "r", region, [x.value, y.value]))) == []
+    assert nodes_built(lambda: out.extend(plan.replay(plans, "r", region, inputs))) == []
     assert plans["r"] is recorded
     assert out[0].tobytes() == region()[0].tobytes()
