@@ -36,11 +36,14 @@ eagerly once, records each formula its primitives compute as (formula,
 input slots, attrs, output slot), and later replays only that list on new
 input arrays of the same shapes: no Node, no walk, no grads dict. New
 shapes record again. The recorder, in module ``plan``, learns only what
-``_formula`` (each value formula and float64 conversion) and ``full`` report.
+``_formula`` (each value formula and float64 conversion), ``full`` and
+``as_node`` (each Variable a primitive reads) report.
 - Every array a region reads must be a declared input (per-call data), a
-  formula's value, a literal made by ``full`` from shapes alone or a live
-  Variable's array, which a plan keeps and a replay reads as it stands.
-  The recorder raises on any other, such as a direct ``NumpyOps`` call's
+  formula's value, a literal made by ``full`` from shapes alone or the
+  array of a Variable a primitive read, which a plan keeps and a replay
+  reads as it stands: a region never reads a Variable's ``.value``, and
+  ``constant(v)`` holds one constant. The recorder raises on any other
+  array, such as a direct ``NumpyOps`` call's
   value, so a region computes through this module alone and a backward
   rule's mask is a formula too (``relu_mask``, ``minimum_mask``,
   ``clip_mask``, ``sign``, ``invert``). A ``constant`` of a recorded value
@@ -62,7 +65,6 @@ as an explicit argument; this module owns no RNG state.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Callable, Iterable
 
 import numpy as np
@@ -72,8 +74,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 SQUASH_EPS = 1e-9
 DENSE_ACTS = ("relu", "tanh", "softplus", "linear")  # the activations of ``dense``
 
-_tape = None  # plan's _Tape while a region records: _formula and full report to it
-_variables = weakref.WeakValueDictionary()  # id of a Variable's array -> the Variable
+_tape = None  # plan's _Tape while a region records: _formula, full and as_node report to it
 
 
 class AutodiffError(Exception):
@@ -117,18 +118,12 @@ class Variable(Node):
     """A learned parameter, a named leaf Node. It keeps one array for life, a copy of its
     first value: ``set_value`` writes into it, and only ``pack`` re-points it, once."""
 
-    __slots__ = ("name", "__weakref__")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str = ""):
         super().__init__("leaf", np.array(value, dtype=DTYPE))
         self.requires_grad = True
         self.name = name
-        _variables[id(self.value)] = self
-
-    def __deepcopy__(self, memo) -> Variable:  # a copied plan reads the copy's own array
-        new = Variable(self.value, self.name)
-        memo[id(self.value)] = new.value
-        return new
 
     def set_value(self, value) -> None:
         v = _arr(value)
@@ -147,7 +142,6 @@ def pack(variables: list[Variable], name: str) -> Variable:
     ends = np.cumsum([v.value.size for v in variables])[:-1]
     for v, part in zip(variables, np.split(whole.value, ends)):
         v.value = part.reshape(v.value.shape)
-        _variables[id(v.value)] = v
     return whole
 
 
@@ -157,7 +151,10 @@ def constant(value) -> Node:
     A backward rule's mask (``relu_mask``, ``minimum_mask``, ``invert``,
     ``clip_mask``) is the one non-float64 value a Node holds: a gradient
     times it has the same bits, and a recorded region converts nothing.
+    A Variable gives its own array, as it stands at each replay, and no gradient.
     """
+    if type(value) is Variable:
+        return Node("const", as_node(value).value)
     kept = type(value) is np.ndarray and value.dtype in (np.bool_, DTYPE)
     return Node("const", value if kept else _formula(_arr, value))  # a replay converts too
 
@@ -181,6 +178,8 @@ def _formula(fn: Callable, *args):
 
 def as_node(x) -> Node:
     t = type(x)
+    if t is Variable and _tape is not None:
+        _tape.literal(x.value)  # a recording region keeps the array a replay reads
     if t is Node or t is Variable:
         return x
     return constant(x)
@@ -357,7 +356,7 @@ def _unary(name: str, *attr_names: str,
 
     The attrs go to the value formula and onto the Node, and must pass
     ``shape_ok(value, *attrs)`` when it is given. A wrong attr count raises
-    TypeError first, so an extra array never reaches a ufunc's ``out=`` slot.
+    TypeError first, so an extra array never gets to a ufunc's ``out=`` slot.
     """
     n_attrs = len(attr_names)
 
@@ -696,7 +695,7 @@ def backward(output, wrt: Iterable, create_graph: bool = False) -> list:
     step; otherwise it returns their arrays.
 
     Only the nodes on a path from ``output`` to an entry of ``wrt`` are
-    walked, in reverse post-order, so a branch that reaches no entry gets
+    walked, in reverse post-order, so a branch that leads to no entry gets
     no VJP and builds no Node. Each returned gradient has the same bits
     whatever the other entries of ``wrt`` are.
 
@@ -779,18 +778,3 @@ def fd_gradient(f: Callable[[np.ndarray], float], point, epsilon: float = 1e-4) 
         gflat[i] = (fp - fm) / (2.0 * epsilon)
     return g
 
-
-def reaches(node: Node, targets: Iterable[Node]) -> bool:
-    """True if any of ``targets`` is reachable from ``node`` through parents."""
-    wanted = {as_node(t) for t in targets}
-    seen: set[Node] = set()
-    stack = [as_node(node)]
-    while stack:
-        n = stack.pop()
-        if n in wanted:
-            return True
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(n.parents)
-    return False

@@ -43,18 +43,15 @@ from .replay import Batch, ReplayBuffer
 META_LOSS_KINDS = ("plain", "clip")
 
 
-class MetaGraphError(RuntimeError):
-    """The putative update has no differentiable path to omega."""
-
-
 class PutativeUpdate(NamedTuple):
     """Trial parameter step measured by the meta-test.
 
     phi_old holds plain arrays (no graph at all); phi_new holds Nodes
-    whose graphs reach omega through the single inner gradient step.
-    grad_total is the summed inner gradient used for the committed actor
-    update. The two losses are 0-d values, which a recorded region can
-    return.
+    whose graphs reach omega through the single inner gradient step (no
+    guard checks it at run time; the meta-gradient's finite-difference test
+    does). grad_total is the summed inner gradient used for the committed
+    actor update. The two losses are 0-d values, which a recorded region
+    can return.
     """
 
     phi_old: list
@@ -64,26 +61,16 @@ class PutativeUpdate(NamedTuple):
     l_mcritic_trn: np.float64
 
 
-def _require_omega_path(state: AlgoState, pu: PutativeUpdate) -> None:
-    omega = state.mc.parameters()
-    if not any(ad.reaches(pn, omega) for pn in pu.phi_new):
-        raise MetaGraphError(
-            "phi_new carries no gradient path to the meta-critic parameters; "
-            "the inner gradient must be taken with create_graph")
-
-
 def meta_train(state: AlgoState, d_trn: Batch, noise: np.ndarray | None = None) -> PutativeUpdate:
     """Putative updates on the training batch; does not touch the live actor."""
     if state.mc is None:
         raise ValueError("meta_train needs an auxiliary critic")
-    if len(d_trn) == 0:
-        raise ValueError("empty batch")
     params = state.actor.parameters()
     eta = state.cfg.actor_lr  # the inner step takes the actor's own rate
 
     l_c = actor_loss(state, d_trn, noise=noise)
     g_c = ad.backward(l_c, params)
-    phi_old = [ad.evaluate(ad.sub(p.value, ad.scale(g, eta))) for p, g in zip(params, g_c)]
+    phi_old = [ad.evaluate(ad.sub(p, ad.scale(g, eta))) for p, g in zip(params, g_c)]
 
     h = state.mc.loss(state.actor, d_trn.s, d_trn.a)
     g_m = ad.backward(h, params, create_graph=True)
@@ -97,9 +84,6 @@ def meta_train(state: AlgoState, d_trn: Batch, noise: np.ndarray | None = None) 
 def meta_loss_plain(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
                     noise: np.ndarray | None = None) -> ad.Node:
     """Validation loss of the updated actor; differentiable in omega."""
-    if len(d_val) == 0:
-        raise ValueError("empty batch")
-    _require_omega_path(state, pu)
     return actor_loss(state, d_val, noise=noise, actor_params=pu.phi_new)
 
 
@@ -107,10 +91,10 @@ def meta_loss_clip(state: AlgoState, d_val: Batch, pu: PutativeUpdate,
                    noise: np.ndarray | None = None) -> ad.Node:
     """tanh of the validation improvement over the no-auxiliary baseline.
 
-    The phi_new branch is ``meta_loss_plain``, checks included. The
-    baseline branch is evaluated at constant phi_old values, so it
-    contributes nothing to the omega gradient; the result always lies in
-    (-1, 1). Both branches share the validation batch and noise.
+    The phi_new branch is ``meta_loss_plain``. The baseline branch is
+    evaluated at constant phi_old values, so it contributes nothing to the
+    omega gradient; the result always lies in (-1, 1). Both branches share
+    the validation batch and noise.
     """
     l_new = meta_loss_plain(state, d_val, pu, noise)
     # the baseline is all constants: only its value (the same actor_loss

@@ -10,8 +10,8 @@ and the critic regresses on one-step TD targets built from target
 networks. Both run on the graph, inside recorded regions (see
 ``plan.replay``). The targets are a value, an array, so they are
 gradient-isolated by construction; the critic enters the actor loss
-through constant parameter snapshots, so the actor update cannot move the
-critic either.
+through ``ad.constant`` of its Variables, so the actor update cannot move
+the critic either.
 
 Every learner setting is read from the validated ``harness.RunConfig``
 the state was built with, the one place each is named and checked.
@@ -123,6 +123,10 @@ class AlgoState:
         # the figures of the latest actor step, which delayed iterations repeat
         self.last_metrics = {"loss_critic": 0.0, "loss_mcritic": 0.0, "loss_meta": 0.0}
 
+    def __reduce_ex__(self, protocol):  # a copied view is no view: a copy's nets would not learn
+        raise TypeError("an AlgoState cannot be copied or pickled, since its nets view the flat "
+                        "arrays its optimizers write; build a new learner instead")
+
     def actor_due(self) -> bool:
         """True when this iteration performs an actor (and target) update."""
         if self.cfg.algo == "td3":
@@ -149,7 +153,7 @@ def actor_loss(state: AlgoState, batch: Batch, noise: np.ndarray | None = None,
     if sac and noise is None:
         raise ValueError("sac actor loss needs reparameterization noise")
     a, logp = state.actor.act(batch.s, noise, actor_params)
-    qc = [[p.value for p in net.params] for net in state.critic.nets]
+    qc = [[ad.constant(p) for p in net.params] for net in state.critic.nets]
     if not sac:  # td3 trains on Q1 alone
         q, = state.critic.qs(batch.s, a, qc, count=1)
         return ad.mean(ad.neg(q))
@@ -169,7 +173,7 @@ def actor_loss_np(state: AlgoState, batch: Batch, noise: np.ndarray | None = Non
 
 def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> np.ndarray:
     """One-step TD regression targets, built on the graph: their value, which no gradient
-    reaches. ``noise`` is the target-policy noise ``critic_update`` draws, None for ddpg."""
+    enters. ``noise`` is the target-policy noise ``critic_update`` draws, None for ddpg."""
     h = state.cfg
     scale = state.spec.action_bound
     sac = h.algo == "sac"
@@ -245,10 +249,8 @@ def vanilla_iteration(state: AlgoState, buffer: ReplayBuffer, rng: np.random.Gen
     step and polyak target updates, in one region. ``actor_step(batch, noise)``
     replaces that region and returns its metrics. Draw order from ``rng``: batch
     indices, critic target noise, actor loss noise, then ``actor_step``'s."""
-    if len(buffer) == 0:
-        raise ValueError("empty buffer")
-    state.it += 1
     batch = buffer.sample_batch(state.cfg.batch_n, rng)
+    state.it += 1
     td_loss = critic_update(state, batch, rng)
     if state.actor_due():
         noise = state.actor_noise(len(batch), rng)

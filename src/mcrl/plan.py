@@ -26,9 +26,10 @@ class _Tape:
     """The formulas one run of a region calls, over numbered slots.
 
     The region's inputs take the first slots; each formula's value, each
-    ``full`` literal and each Variable's array it reads takes the next. An
-    array is known by ``id``, and the tape holds every array it numbers
-    until it is done, so no id it knows can be reused while it records.
+    ``full`` literal and the array of each Variable a primitive reads takes
+    the next. An array is known by ``id``, and the tape holds every array it
+    numbers until it is done, so no id it knows can be reused while it
+    records. A formula that reads any other array raises.
     """
 
     def __init__(self, inputs: list):
@@ -47,16 +48,16 @@ class _Tape:
         return slot
 
     def _slot(self, a, name: str) -> int:
-        if id(a) not in self.slots:
-            var = ad._variables.get(id(a))  # a live Variable's array, kept like a literal
-            if var is None or var.value is not a:
-                raise AutodiffError(f"{name}: a recorded region read an array that is not an "
-                                    "input, a formula's value, a full() literal or a Variable's")
-            self.literal(a)  # a replay reads it as it stands
-        return self.slots[id(a)]
+        slot = self.slots.get(id(a))
+        if slot is None:
+            raise AutodiffError(f"{name}: a recorded region read an array that is not an input, "
+                                "a formula's value, a full() literal or the array of a Variable "
+                                "a primitive read")
+        return slot
 
     def literal(self, a: np.ndarray) -> None:
-        self.literals[self._new_slot(a)] = a
+        if id(a) not in self.slots:  # a Variable's array is reported at each read
+            self.literals[self._new_slot(a)] = a
 
     def step(self, fn: Callable, args: tuple, out) -> None:
         """Record ``out = fn(*args)``: its leading array arguments are slots, the rest attrs."""

@@ -707,14 +707,6 @@ def _outer_value(omega_arr, phi_val, xs, wf):
     return float(ad.evaluate(f))
 
 
-def test_reaches_helper():
-    x = ad.Variable(np.array(1.0))
-    y = ad.square(ad.tanh(x))
-    assert ad.reaches(y, [x])
-    z = ad.Variable(np.array(2.0))
-    assert not ad.reaches(y, [z])
-
-
 def test_interior_diamond_accumulates_before_propagation():
     # r = m + 2*m with m = 1*x: the shared interior node m must receive the
     # contributions from both consumers before its own vjp runs

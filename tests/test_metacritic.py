@@ -227,18 +227,6 @@ def test_gradient_bits_do_not_depend_on_other_targets(algo, variant):
         assert np.array_equal(a, b)
 
 
-def test_detached_putative_update_fails_loudly():
-    state = make_state(seed=29)
-    pu = mcmod.meta_train(state, batch_of(8, 30))
-    broken = mcmod.PutativeUpdate(
-        pu.phi_old, [ad.constant(ad.evaluate(n)) for n in pu.phi_new],
-        pu.grad_total, pu.l_critic_trn, pu.l_mcritic_trn)
-    with pytest.raises(mcmod.MetaGraphError):
-        mcmod.meta_loss_clip(state, batch_of(8, 31), broken)
-    with pytest.raises(mcmod.MetaGraphError):
-        mcmod.meta_loss_plain(state, batch_of(8, 31), broken)
-
-
 def test_meta_optimise_sgd_adopts_phi_new():
     state = make_state(seed=33, optimizer="sgd")
     d_trn, d_val = batch_of(8, 34), batch_of(8, 35)

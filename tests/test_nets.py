@@ -144,6 +144,16 @@ def test_a_deep_copy_replays_on_its_own_values(raw_act):
     twin.set_param_values([np.zeros(p.shape) for p in twin.parameters()])
     assert twin.act_np(s).tobytes() == raw_act(twin, s)[0].tobytes()
     assert actor.act_np(s).tobytes() == before.tobytes()
+    # a copy made before any recording records on its own arrays, then replays on them
+    source = make_actor(seed=17, hidden=(16, 16))
+    early = copy.deepcopy(source)
+    assert early.act_np(s).tobytes() == before.tobytes()
+    recorded = early.plans["greedy"]
+    rng = np.random.default_rng(18)
+    early.set_param_values([rng.normal(size=p.shape) for p in early.parameters()])
+    assert early.act_np(s).tobytes() == raw_act(early, s)[0].tobytes()
+    assert early.plans["greedy"] is recorded and source.plans == {}
+    assert source.act_np(s).tobytes() == before.tobytes()
 
 
 def test_actor_is_one_net_whose_prefix_gives_the_features():

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from mcrl import autodiff as ad
-from mcrl import harness, nets, offpac, plan
+from mcrl import harness, metacritic, nets, offpac, plan
 from mcrl.envs import EnvSpec
 from mcrl.replay import Batch, ReplayBuffer
 
@@ -338,3 +341,23 @@ def test_empty_batch_rejected():
         offpac.actor_loss(state, empty)
     with pytest.raises(ValueError):
         offpac.critic_update(state, empty, np.random.default_rng(0))
+    # the meta step's first graph call is actor_loss, on either batch
+    meta = make_state("ddpg", mc_variant="feature")
+    for d_trn, d_val in ((empty, random_batch()), (random_batch(), empty)):
+        with pytest.raises(ValueError, match="empty batch"):
+            metacritic.meta_optimise(meta, d_trn, d_val)
+    # an empty buffer raises in its sample, before the iteration is counted
+    with pytest.raises(ValueError, match="empty buffer"):
+        offpac.vanilla_iteration(state, ReplayBuffer(8, 3, 2), np.random.default_rng(0))
+    assert state.it == 0
+
+
+def test_a_learner_refuses_a_deep_copy_and_its_nets_do_not():
+    # a copy's nets would view arrays that no copied optimizer writes, so it would not learn
+    state = make_state("ddpg", mc_variant="feature")
+    for copy_of in (copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match="build a new learner"):
+            copy_of(state)
+    twin = copy.deepcopy(state.actor)  # the target nets are made this way
+    for a, b in zip(twin.parameters(), state.actor.parameters()):
+        assert a.value is not b.value and np.array_equal(a.value, b.value)

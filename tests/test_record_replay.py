@@ -367,6 +367,7 @@ def test_a_replay_keeps_no_intermediate(monkeypatch):
 
 def test_the_recorder_refuses_an_array_from_outside_its_inputs():
     x = ad.Variable(np.array([1.0, 2.0]))
+    y = ad.Variable(np.array([5.0, 6.0]))  # no primitive of the regions reads it
     outside = np.array([3.0, 4.0])
 
     def fresh_after_a_dropped_value():
@@ -381,11 +382,35 @@ def test_the_recorder_refuses_an_array_from_outside_its_inputs():
                    lambda: [ad.evaluate(ad.mul(x, NumpyOps.add(x.value, x.value)))],
                    # a Python number is no literal either: full() makes one
                    lambda: [ad.evaluate(ad.mul(x, ad.constant(2.0)))],
+                   # a Variable's array read past the primitives, which alone report it
+                   lambda: [ad.evaluate(ad.mul(x, y.value))],
                    fresh_after_a_dropped_value):
         plans = {}
         with pytest.raises(ad.AutodiffError, match="recorded"):
             plan.replay(plans, "r", region, [x.value])
         assert plans == {}
+
+
+def test_a_constant_variable_takes_no_gradient_and_replays_its_current_value():
+    v = ad.Variable(np.array([1.0, 2.0]))
+    w = ad.Variable(np.array([3.0, 5.0]))
+
+    def region():
+        loss = ad.asum(ad.mul(ad.constant(v), ad.square(w)))
+        return [ad.evaluate(loss), *ad.backward(loss, [v, w])]
+
+    def check(value):
+        v.set_value(value)
+        loss, gv, gw = plan.replay(plans, "r", region, [])
+        assert loss == np.sum(np.array(value) * w.value ** 2)
+        assert np.array_equal(gv, [0.0, 0.0])
+        assert np.array_equal(gw, 2.0 * np.array(value) * w.value)
+
+    plans = {}
+    check([1.0, 2.0])  # recorded
+    recorded = plans["r"]
+    check([4.0, -6.0])  # replayed on the value set after recording
+    assert plans["r"] is recorded
 
 
 def test_recording_leaves_numpy_ops_as_it_is():
