@@ -38,19 +38,20 @@ input arrays of the same shapes: no Node, no walk, no grads dict. New
 shapes record again. The recorder, in module ``plan``, learns only what
 ``_formula`` (each value formula and float64 conversion), ``full`` and
 ``as_node`` (each Variable a primitive reads) report.
-- Every array a region reads must be a declared input (per-call data), a
-  formula's value, a literal made by ``full`` from shapes alone or the
-  array of a Variable a primitive read, which a plan keeps and a replay
-  reads as it stands: a region never reads a Variable's ``.value``, and
-  ``constant(v)`` holds one constant. The recorder raises on any other
-  array, such as a direct ``NumpyOps`` call's
-  value, so a region computes through this module alone and a backward
-  rule's mask is a formula too (``relu_mask``, ``minimum_mask``,
-  ``clip_mask``, ``sign``, ``invert``). A ``constant`` of a recorded value
-  records its float64 conversion, if it needs one. Shape and graph checks
-  run at record time.
+- Every array a region reads must be a declared input, a formula's value,
+  a literal made by ``full`` from shapes alone or the array of a Variable
+  a primitive read, which a plan keeps and a replay reads as it stands: a
+  region never reads a Variable's ``.value``, and ``constant(v)`` holds
+  one constant. Inputs are per-call data (batch columns, noise, a state);
+  learner state is a Variable, and what derives from it a formula, as
+  Adam's bias corrections are (``rpow``). The recorder raises on any other
+  array, such as a direct ``NumpyOps`` call's value, so a region computes
+  through this module alone and a backward rule's mask is a formula too
+  (``relu_mask``, ``minimum_mask``, ``clip_mask``, ``sign``, ``invert``).
+  A ``constant`` of a recorded value records its float64 conversion, if it
+  needs one. Shape and graph checks run at record time.
 - A replay keeps no intermediate: each value's slot is reused after its
-  last read, and only the literals and the outputs outlive the call.
+  last read, and only the literals and new outputs outlive the call.
 - A region returns new values and commits nothing before it returns. A
   FloatingPointError in a replay discards it and runs the region eagerly
   on the same inputs, so it raises at the same op with ``raised_at``'s frames.
@@ -164,7 +165,7 @@ def full(shape, fill: float) -> np.ndarray:
     out = np.empty(shape, dtype=DTYPE)
     out.fill(fill)
     if _tape is not None:
-        _tape.literal(out)
+        _tape.literal(out, copy=True)  # the plan keeps a copy: the region may hand out ``out``
     return out
 
 
@@ -239,6 +240,10 @@ class NumpyOps:
     @staticmethod
     def power(a, p):
         return a ** p
+
+    @staticmethod
+    def rpow(t, base):  # by Python's float power: numpy's can differ from it in the last bit
+        return np.array(base ** float(t))
 
     @staticmethod
     def softplus(a):
@@ -399,6 +404,7 @@ sum_axis0, transpose = (_unary(name, shape_ok=lambda a: a.ndim == 2)
 sum_axis1 = _unary("sum_axis1", shape_ok=lambda a: a.ndim in (1, 2))
 scale = _unary("scale", "c")  # times a python scalar, which stays out of the graph
 power = _unary("power", "p")
+rpow = _unary("rpow", "base", shape_ok=lambda t, base: t.ndim == 0)  # base ** t, no VJP
 clip = _unary("clip", "lo", "hi")  # the gradient passes only where lo < x < hi
 sum_to = _unary("sum_to", "shape")  # reduce-sum down to a broadcast-compatible shape
 slice_cols = _unary("slice_cols", "i0", "i1",
@@ -629,7 +635,7 @@ def _vjp_transpose(g, n, live):
     return (transpose(g),)
 
 
-# div, sqrt and flat have none: only the optimizer steps, which nothing differentiates, use them
+# div, sqrt, rpow and flat have none: only the optimizer steps, never differentiated, use them
 _VJP: dict[str, Callable] = {
     "add": _vjp_add, "sub": _vjp_sub, "neg": _vjp_neg, "mul": _vjp_mul,
     "scale": _vjp_scale, "matmul": _vjp_matmul, "dense": _vjp_dense,

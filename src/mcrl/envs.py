@@ -209,15 +209,14 @@ def make_env(name: str, env_seed: int = 0, horizon: int = 0):
 # ---------------------------------------------------------------------------
 
 def value_iteration(mdp: TabularMdp, gamma: float, horizon: int) -> np.ndarray:
-    """Finite-horizon optimal values V_h(s) for h steps to go; returns V_horizon."""
-    V = np.zeros(mdp.n_states)
+    """Finite-horizon optimal action values Q_h(s, a) for h steps to go; returns Q_horizon."""
+    Q = np.zeros((mdp.n_states, mdp.n_actions))
     for _ in range(horizon):
-        Q = mdp.R + gamma * (mdp.P @ V)
-        V = Q.max(axis=1)
-    return V
+        Q = mdp.R + gamma * (mdp.P @ Q.max(axis=1))
+    return Q
 
 
 def tabular_optimal_return(mdp: TabularMdp, gamma: float, horizon: int | None = None) -> float:
     """Optimal expected discounted return from the initial state (state 0)."""
     h = mdp.spec.horizon if horizon is None else horizon
-    return float(value_iteration(mdp, gamma, h)[0])
+    return float(value_iteration(mdp, gamma, h).max(axis=1)[0])

@@ -122,10 +122,9 @@ def meta_optimise(state: AlgoState, d_trn: Batch, d_val: Batch,
                 *state.mc_opt.step(ad.backward(meta, state.mc.parameters())),
                 *apply_target_updates(state, actor_next[0])]
 
-    reads = state.actor_opt.reads() + state.mc_opt.reads()
-    reads += [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
+    data = [d_trn.s, d_trn.a, d_val.s, noise_trn, noise_val]
     writes = state.actor_opt.writes + state.mc_opt.writes + state.targets
-    l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, reads, writes)
+    l_critic, l_mcritic, l_meta = plan.replay(state.plans, "meta", region, data, writes)
     return {"loss_critic": float(l_critic), "loss_mcritic": float(l_mcritic),
             "loss_meta": float(l_meta)}
 

@@ -44,7 +44,7 @@ ALGOS = ("ddpg", "td3", "sac")
 
 class Sgd:
     """Gradient descent on ``flat``, one Variable that packs ``vars``; ``step`` gives the next
-    value of each of ``writes``, one formula chain over the flat array."""
+    value of each of ``writes`` from the gradients alone, one formula chain over the flat array."""
 
     def __init__(self, variables, lr: float):
         self.vars = list(variables)
@@ -52,38 +52,31 @@ class Sgd:
         self.writes = [self.flat]
         self.lr = lr
 
-    def reads(self) -> list:
-        """Begins a step: the per-call arrays it reads besides its gradients, none."""
-        return []
-
     def step(self, grads) -> list:
         return [ad.evaluate(ad.sub(self.flat, ad.scale(ad.flat(grads), self.lr)))]
 
 
 class Adam(Sgd):
-    """Adam on one flat Variable, with one flat first moment ``m`` and one second ``v``."""
+    """Adam on one flat Variable, with one flat first moment ``m``, one second ``v`` and the 0-d
+    step count ``t``, all committed together: a step takes its bias corrections on the graph."""
 
     B1, B2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
     def __init__(self, variables, lr: float):
         super().__init__(variables, lr)
         self.m, self.v = (ad.Variable(np.zeros_like(self.flat.value), n) for n in ("m", "v"))
-        self.writes += [self.m, self.v]
-        self.t = 0
-
-    def reads(self) -> list:
-        """Begins a step: counts it and gives its two 0-d bias corrections."""
-        self.t += 1
-        self.bias = [np.array(1.0 - self.B1 ** self.t), np.array(1.0 - self.B2 ** self.t)]
-        return self.bias
+        self.t = ad.Variable(np.zeros(()), "t")
+        self.writes += [self.m, self.v, self.t]
 
     def step(self, grads) -> list:
-        (c1, c2), eps, g = self.bias, ad.full((), self.EPS), ad.flat(grads)
+        one, eps, g = ad.full((), 1.0), ad.full((), self.EPS), ad.flat(grads)
+        t = ad.add(self.t, one)
+        c1, c2 = (ad.sub(one, ad.rpow(t, b)) for b in (self.B1, self.B2))
         m = ad.add(ad.scale(self.m, self.B1), ad.scale(g, 1.0 - self.B1))
         v = ad.add(ad.scale(self.v, self.B2), ad.scale(ad.square(g), 1.0 - self.B2))
         x = ad.sub(self.flat, ad.div(ad.scale(ad.div(m, c1), self.lr),
                                      ad.add(ad.sqrt(ad.div(v, c2)), eps)))
-        return [ad.evaluate(n) for n in (x, m, v)]
+        return [ad.evaluate(n) for n in (x, m, v, t)]
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
@@ -188,19 +181,19 @@ def critic_targets(state: AlgoState, batch: Batch, noise: np.ndarray | None) -> 
     return ad.evaluate(ad.add(batch.r, ad.scale(q2, h.gamma)))
 
 
-def descend(state: AlgoState, key: str, opt, loss, reads: list, blend: bool = False) -> float:
+def descend(state: AlgoState, key: str, opt, loss, data: list, blend: bool = False) -> float:
     """One step of ``opt`` down the gradient of ``loss()``, a graph scalar; returns its value.
 
     The loss, its gradient, the step and, with ``blend``, the targets' polyak
     blend are the recorded region ``key`` (see ``plan.replay``), whose
-    per-call inputs are ``opt.reads()`` and ``reads``.
+    per-call inputs are ``data``, the batch columns and noise the loss reads.
     """
     def region():
         out = loss()
         nxt = opt.step(ad.backward(out, opt.vars))
         return [ad.evaluate(out), *nxt, *(apply_target_updates(state, nxt[0]) if blend else [])]
 
-    value, = plan.replay(state.plans, key, region, opt.reads() + reads,
+    value, = plan.replay(state.plans, key, region, data,
                          opt.writes + (state.targets if blend else []))
     return float(value)
 

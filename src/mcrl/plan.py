@@ -55,9 +55,9 @@ class _Tape:
                                 "a primitive read")
         return slot
 
-    def literal(self, a: np.ndarray) -> None:
+    def literal(self, a: np.ndarray, copy: bool = False) -> None:
         if id(a) not in self.slots:  # a Variable's array is reported at each read
-            self.literals[self._new_slot(a)] = a
+            self.literals[self._new_slot(a)] = a.copy() if copy else a
 
     def step(self, fn: Callable, args: tuple, out) -> None:
         """Record ``out = fn(*args)``: its leading array arguments are slots, the rest attrs."""
@@ -109,7 +109,7 @@ class Plan:
         where = {slot: i for i, slot in enumerate(fixed)}
         self.blank = [tape.literals.get(slot) for slot in fixed]
         free: list[int] = []
-        names: dict = {}
+        names: dict = {"copy": np.copy}
         lines = []
         for k, (fn, ins, attrs, out) in enumerate(tape.steps):
             args = [f"v[{where[i]}]" for i in ins] + [f"a{k}_{j}" for j in range(len(attrs))]
@@ -126,6 +126,8 @@ class Plan:
             if out not in last and out not in out_slots:  # a value nothing reads
                 free.append(where[out])
         self.outputs = [where[slot] for slot in out_slots]
+        # an output that is an input or a literal goes out as a copy, over the call's own list
+        lines += [f"    v[{i}] = copy(v[{i}])" for i in set(self.outputs) if i < len(fixed)]
         self.chunks = []
         for start in range(0, len(lines), _CHUNK):
             exec(compile("\n".join(["def chunk(v):", *lines[start:start + _CHUNK]]),
@@ -147,12 +149,12 @@ def replay(plans: dict, key: str, region: Callable[[], list], inputs: list,
 
     ``region()`` returns its figures, then the next value of each Variable of
     ``writes``, copied into them only once it has returned. ``inputs`` lists
-    the per-call data the region reads, such as a batch and its noise, and
-    a None in it is left out; Variables are read where they are (see the
-    ``autodiff`` module docstring). The first call, and any call whose input
-    shapes differ from the plan's, runs it eagerly and records it into
-    ``plans[key]`` if no input repeats (the tape knows arrays by id; a replay
-    takes repeats).
+    the per-call data the region reads, batch columns, noise or a state, and
+    a None in it is left out; learner state is a Variable, read where it is
+    (see the ``autodiff`` module docstring). The first call, and any call
+    whose input shapes differ from the plan's, runs it eagerly and records
+    it into ``plans[key]`` if no input repeats (the tape knows arrays by id;
+    a replay takes repeats).
     A FloatingPointError leaves with ``key`` as its ``region``.
     """
     inputs = [a for a in inputs if a is not None]

@@ -264,6 +264,21 @@ def test_value_iteration_contracts():
             V, W = V2, W2
 
 
+def test_value_iteration_gives_the_stationary_greedy_policies():
+    # a learner bootstraps through the episode's end at gamma 0.99, so its optimum is the
+    # stationary discounted policy, which 5,000 sweeps settle
+    policies = []
+    for seed in range(4):
+        mdp = envs.TabularMdp.random_instance(seed)
+        Q = envs.value_iteration(mdp, 0.99, 5000)
+        V = np.zeros(2)
+        for _ in range(5000):  # the state-value sweeps: Q's row maxima, bit for bit
+            V = (mdp.R + 0.99 * (mdp.P @ V)).max(axis=1)
+        assert Q.max(axis=1).tobytes() == V.tobytes()
+        policies.append(tuple(Q.argmax(axis=1).tolist()))
+    assert policies == [(0, 1), (1, 1), (0, 0), (0, 1)]
+
+
 def test_random_instance_oracle_is_reproducible():
     a = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123), gamma=0.9)
     b = envs.tabular_optimal_return(envs.TabularMdp.random_instance(123), gamma=0.9)

@@ -245,6 +245,18 @@ def test_meta_optimise_zero_inner_rate_leaves_omega():
         np.testing.assert_array_equal(w.value, old)
 
 
+def test_a_region_that_raises_leaves_every_optimizer_as_it_was():
+    state = make_state(optimizer="adam")
+    empty = Batch(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2)))
+    opt = state.actor_opt
+    kept = [opt.flat, opt.m, opt.v, opt.t, *state.mc_opt.writes]
+    before = [x.value.copy() for x in kept]
+    with pytest.raises(ValueError, match="empty batch"):
+        mcmod.meta_optimise(state, empty, empty)
+    assert [x.value.tobytes() for x in kept] == [b.tobytes() for b in before]
+    assert opt.t.value == 0  # Adam counts a step only when the step commits
+
+
 def fill_buffer(n=64, seed=40):
     buf = ReplayBuffer(capacity=256, state_dim=2, action_dim=1)
     rng = np.random.default_rng(seed)

@@ -174,7 +174,7 @@ def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
             return nxt + nets.polyak([target_flat], nxt[:1], tau)
 
         built = nodes_built(lambda: plan.replay(
-            plans, "step", region, opt.reads() + grads, opt.writes + [target_flat]))
+            plans, "step", region, grads, opt.writes + [target_flat]))
         assert (built == []) == (t > 1)  # recorded once, then replayed
         if optimizer == "sgd":
             want = [w - lr * g for w, g in zip(want, grads)]
@@ -186,6 +186,7 @@ def test_graph_steps_give_the_raw_array_formula_bits(optimizer, nodes_built):
                     for w, mi, vi in zip(want, m, v)]
             assert ([opt.m.value.tobytes(), opt.v.value.tobytes()]
                     == [np.concatenate(x, axis=None).tobytes() for x in (m, v)])
+            assert opt.t.value == t
         want_target = [(1.0 - tau) * wt + tau * w for wt, w in zip(want_target, want)]
         assert [p.value.tobytes() for p in net.params] == [w.tobytes() for w in want]
         assert [p.value.tobytes() for p in target.params] == [w.tobytes() for w in want_target]

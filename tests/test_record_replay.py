@@ -22,7 +22,7 @@ from mcrl.replay import ReplayBuffer
 SPEC = EnvSpec(state_dim=3, action_dim=2, action_bound=1.0, horizon=20)
 CONFIGS = list(itertools.product(offpac.ALGOS, ("none",) + nets.MC_VARIANTS,
                                  metacritic.META_LOSS_KINDS))
-# Adam's moments and bias corrections enter the regions too
+# Adam's moments and step count enter the regions too
 REPLAY_CASES = [pytest.param(*c, "sgd", id="-".join(c)) for c in CONFIGS] + [
     pytest.param(algo, variant, "clip", "adam", id=f"{algo}-{variant}-clip-adam")
     for algo in offpac.ALGOS for variant in ("none", "feature")]
@@ -138,8 +138,8 @@ def test_a_commit_writes_into_the_arrays_the_variables_keep():
     buf = fill_buffer()
     state = make_state("td3", "feature", "clip", optimizer="adam")
     flats = state.targets + [v for opt in (state.actor_opt, state.critic_opt, state.mc_opt)
-                             for v in opt.writes]  # Adam's moments among them
-    assert len(state.targets) == 2 and len(flats) == 2 + 3 + 3 + 1  # one array per learned set
+                             for v in opt.writes]  # Adam's moments and step counts among them
+    assert len(state.targets) == 2 and len(flats) == 2 + 4 + 4 + 1  # one array per learned set
     owned = learner_variables(state) + flats
     arrays = [v.value for v in owned]
     before = [v.value.copy() for v in flats]
@@ -150,8 +150,11 @@ def test_a_commit_writes_into_the_arrays_the_variables_keep():
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
 @pytest.mark.parametrize("variant", ["none", "feature"])
-def test_no_replay_takes_a_variables_array_as_an_input(algo, variant, monkeypatch, tmp_path):
-    # a region reads the Variables' arrays where they are: its inputs are per-call data
+@pytest.mark.parametrize("optimizer", sorted(offpac.OPTIMIZERS))
+def test_no_replay_takes_a_variables_array_as_an_input(algo, variant, optimizer, monkeypatch,
+                                                       tmp_path):
+    # a region reads the Variables' arrays where they are: its inputs are per-call data,
+    # each a batch column, a noise draw or a state, so none is 0-d
     real, calls = plan.replay, []
 
     def spied(plans, key, region, inputs, writes=()):
@@ -159,9 +162,9 @@ def test_no_replay_takes_a_variables_array_as_an_input(algo, variant, monkeypatc
         return real(plans, key, region, inputs, writes)
 
     monkeypatch.setattr(plan, "replay", spied)
-    cfg = harness.RunConfig(algo=algo, mc_variant=variant, total_steps=160, warmup_steps=100,
-                            eval_every=80, eval_episodes=1, hidden_actor=(4, 4),
-                            hidden_critic=(5, 5), mc_hidden=3, batch_n=6)
+    cfg = harness.RunConfig(algo=algo, mc_variant=variant, optimizer=optimizer,
+                            total_steps=160, warmup_steps=100, eval_every=80, eval_episodes=1,
+                            hidden_actor=(4, 4), hidden_critic=(5, 5), mc_hidden=3, batch_n=6)
     res = harness.run_seed(cfg, 0, str(tmp_path))
     state = res["state"]
     owned = learner_variables(state) + state.targets + [
@@ -171,15 +174,17 @@ def test_no_replay_takes_a_variables_array_as_an_input(algo, variant, monkeypatc
     assert {key for key, _ in calls} == {"explore", "greedy", "critic",
                                          "actor" if variant == "none" else "meta"}
     assert [key for key, inputs in calls if any(id(a) in arrays for a in inputs)] == []
+    assert [key for key, inputs in calls
+            if any(a is not None and a.ndim == 0 for a in inputs)] == []
 
 
 # algo -> optimizer -> recorded steps of its critic region (its TD targets
 # included) and actor region, and of its meta region with the feature
 # meta-critic and the clip meta-loss: they follow the algorithm and the depth
 # of the nets, not their widths. Each update is one chain over one flat array.
-STEPS = {"ddpg": {"sgd": (42, 55, 244), "adam": (54, 67, 256)},
-         "td3": {"sgd": (79, 55, 244), "adam": (91, 67, 256)},
-         "sac": {"sgd": (100, 126, 417), "adam": (112, 138, 429)}}
+STEPS = {"ddpg": {"sgd": (42, 55, 244), "adam": (59, 72, 261)},
+         "td3": {"sgd": (79, 55, 244), "adam": (96, 72, 261)},
+         "sac": {"sgd": (100, 126, 417), "adam": (117, 143, 434)}}
 
 
 @pytest.mark.parametrize("algo", offpac.ALGOS)
@@ -411,6 +416,28 @@ def test_a_constant_variable_takes_no_gradient_and_replays_its_current_value():
     recorded = plans["r"]
     check([4.0, -6.0])  # replayed on the value set after recording
     assert plans["r"] is recorded
+
+
+def test_a_replay_hands_out_no_array_the_plan_keeps():
+    # the zero gradient of a constant is a full() literal that the plan keeps
+    v = ad.Variable(np.array([1.0, 2.0]))
+    w = ad.Variable(np.array([3.0, 5.0]))
+
+    def region():
+        loss = ad.asum(ad.mul(ad.constant(v), ad.square(w)))
+        return ad.backward(loss, [v, w])
+
+    plans = {}
+    for _ in range(3):  # recorded, then replayed
+        gv, _ = plan.replay(plans, "r", region, [])
+        assert np.array_equal(gv, [0.0, 0.0])
+        gv += 7.0  # a caller's write
+    # a replayed output that is an input or a Variable's array is a copy of it too
+    x = np.array([0.5, 0.25])
+    for _ in range(2):
+        out = plan.replay(plans, "pass", lambda: [x, ad.evaluate(ad.constant(w))], [x])
+    assert [np.array_equal(o, a) for o, a in zip(out, (x, w.value))] == [True, True]
+    assert not any(np.shares_memory(o, a) for o, a in zip(out, (x, w.value)))
 
 
 def test_recording_leaves_numpy_ops_as_it_is():

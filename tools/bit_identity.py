@@ -22,8 +22,9 @@ primitive and kind (forward or backward) of the op that raised.
 Last come the control configs, each a digest line that also gives the
 sha256 of the ``params_*`` lines of its ``seed0.meta.txt``: TD3 with Adam
 at ``params_multiplier=2`` on PointMass, SAC at ``updates_multiplier=1.5``
-on the tabular MDP, and DDPG with the param-reg meta-critic at
-``params_multiplier=1.3`` on Pendulum.
+on the tabular MDP, DDPG with the param-reg meta-critic at
+``params_multiplier=1.3`` on Pendulum, and DDPG and SAC with Adam and the
+feature meta-critic at the clip meta-loss on PointMass.
 
 ``main(names)`` prints only the lines of ``names``, in the same order;
 ``tests/test_bit_identity.py`` runs it that way against the pinned lines.
@@ -54,6 +55,9 @@ CONTROLS = {
     "control/sac/updates1.5/tabular": dict(algo="sac", updates_multiplier=1.5, env="tabular"),
     "control/ddpg/param-reg/params1.3/pendulum": dict(algo="ddpg", mc_variant="param-reg",
                                                       params_multiplier=1.3, env="pendulum"),
+    # Adam inside the meta region, named so that the tests' fast subset runs them
+    "control/ddpg/adam/feature/clip": dict(algo="ddpg", optimizer="adam", mc_variant="feature"),
+    "control/sac/adam/feature/clip": dict(algo="sac", optimizer="adam", mc_variant="feature"),
 }
 
 
