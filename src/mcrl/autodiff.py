@@ -18,8 +18,12 @@ then named attrs) or ``_binary`` (two inputs), either with an optional
 shape rule; ``dense``, ``broadcast``, ``concat`` and ``flat`` are written
 by hand. A row stays rank-1: ``dense``, ``slice_cols``, ``pad_cols`` and
 ``sum_axis1`` take one 1-D row on its last axis, so a state runs as a
-gemv. Only forwards run on a row: ``matmul`` and ``transpose`` take 2-D
-operands, so a backward through a row's ``dense`` raises ShapeError. Each
+gemv. ``dense`` and ``slice_cols`` also take an (E, 1, I) stack of rows,
+no other 3-D shape: numpy's matmul runs each (1, I) slice as the gemv of
+its 1-D row, so each row keeps that row's bits, which a 2-D batch's gemm
+does not. Only forwards run on a row or a stack: ``matmul`` and
+``transpose`` take 2-D operands, so a backward through their ``dense``
+raises ShapeError. Each
 backward rule is written once, on this module's primitives, so
 ``backward`` always builds the gradients as Nodes; ``create_graph`` only
 decides whether it returns those Nodes or their arrays. Returned as Nodes
@@ -355,6 +359,11 @@ def _binary_shapes_ok(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape or a.size == 1 or b.size == 1
 
 
+def _rows_ok(a: np.ndarray) -> bool:
+    """A batch (N, D), a row (D,) or a stack of rows (E, 1, D)."""
+    return a.ndim in (1, 2) or (a.ndim == 3 and a.shape[1] == 1)
+
+
 def _unary(name: str, *attr_names: str,
            shape_ok: Callable[..., bool] | None = None) -> Callable[..., Node]:
     """The graph primitive ``name``: one input, then the attrs ``attr_names``.
@@ -408,15 +417,16 @@ rpow = _unary("rpow", "base", shape_ok=lambda t, base: t.ndim == 0)  # base ** t
 clip = _unary("clip", "lo", "hi")  # the gradient passes only where lo < x < hi
 sum_to = _unary("sum_to", "shape")  # reduce-sum down to a broadcast-compatible shape
 slice_cols = _unary("slice_cols", "i0", "i1",
-                    shape_ok=lambda a, i0, i1: a.ndim in (1, 2) and 0 <= i0 <= i1 <= a.shape[-1])
+                    shape_ok=lambda a, i0, i1: _rows_ok(a) and 0 <= i0 <= i1 <= a.shape[-1])
 pad_cols = _unary("pad_cols", "i0", "total")  # an (N, D) block or a row into zeros at column i0
 
 
 def dense(x, w, b, act: str) -> Node:
-    """One fully-connected layer act(x @ w + b) for x (N, I) or a row (I,), w (I, O), b (O,)."""
+    """One fully-connected layer act(x @ w + b) for x (N, I), a row (I,) or a stack of rows
+    (E, 1, I), w (I, O), b (O,)."""
     x, w, b = as_node(x), as_node(w), as_node(b)
     xv, wv, bv = x.value, w.value, b.value
-    if (xv.ndim not in (1, 2) or wv.ndim != 2 or bv.ndim != 1
+    if (not _rows_ok(xv) or wv.ndim != 2 or bv.ndim != 1
             or xv.shape[-1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise ShapeError("dense", xv.shape, wv.shape, bv.shape)
     return Node("dense", _formula(NumpyOps.dense, xv, wv, bv, act), (x, w, b), (act,))

@@ -31,12 +31,11 @@ def _check_out(path: str) -> None:
         raise SystemExit(f"--out: cannot write a file at {path}")
 
 
-def _build_actor_for(cfg: harness.RunConfig):
-    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
-    spec = env.spec
+def _build_actor_for(cfg: harness.RunConfig) -> nets.Actor:
+    spec = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon).spec
     learner = harness.learner_config(cfg, spec.state_dim, spec.action_dim)
     learner = dataclasses.replace(learner, mc_variant="none")  # only the actor is read: no omega
-    return env, offpac.AlgoState(learner, spec, np.random.default_rng(0)).actor
+    return offpac.AlgoState(learner, spec, np.random.default_rng(0)).actor
 
 
 def _load_actor_params(actor: nets.Actor, snapshot_path: str) -> None:
@@ -70,9 +69,10 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _or_exit(args.config, harness.load_config, args.config)
     rng = _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)
-    env, actor = _build_actor_for(cfg)
+    actor = _build_actor_for(cfg)
     _load_actor_params(actor, args.params)
-    mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, env, args.episodes, rng)
+    envs = harness.make_eval_envs(cfg, args.episodes)
+    mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, envs, rng)
     print(f"eval_return_mean={mean!r}")
     print(f"eval_return_std={std!r}")
     return 0
@@ -106,7 +106,7 @@ def cmd_surface(args) -> int:
     _check_out(args.out)
     cfg = _or_exit(args.config, harness.load_config, args.config)
     _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)  # each grid point makes one
-    env, actor = _build_actor_for(cfg)
+    actor = _build_actor_for(cfg)
     if args.snapshots:
         paths, (_, _, (d1, d2)) = _snapshot_pca(args.snapshots, args.pattern)
         _load_actor_params(actor, paths[-1])
@@ -116,8 +116,9 @@ def cmd_surface(args) -> int:
         _load_actor_params(actor, args.center)
         d1, d2 = _or_exit("snapshot", analysis.load_snapshot_vectors, [args.d1, args.d2])
     xs = ys = _or_exit("--steps", np.linspace, args.lo, args.hi, args.steps)
-    grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys, env,
-                    episodes=args.episodes, eval_seed=args.eval_seed)  # checks run first
+    grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys,
+                    harness.make_eval_envs(cfg, args.episodes),
+                    eval_seed=args.eval_seed)  # checks run first
     with open(args.out, "w") as fh:
         fh.write("# rows: y from low to high; cols: x from low to high\n")
         fh.write("# xs=" + ",".join(repr(float(v)) for v in xs) + "\n")

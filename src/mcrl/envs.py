@@ -3,8 +3,14 @@
 Environments are cheap stateful objects: ``reset(rng)`` begins an
 episode and ``step(state, action, rng)`` advances it. Dynamics are pure
 functions of (state, action, rng draw); the only internal state is the
-episode step counter used for the horizon cutoff. Actions are clamped
-into bounds; NaN actions are rejected.
+episode step counter used for the horizon cutoff, the only end of an
+episode. Actions are clamped into bounds; NaN actions are rejected.
+
+Each environment declares ``draws_per_episode``, the 64-bit draws one
+episode takes from its generator: 2 at reset for PointMass and Pendulum
+(one double per coordinate), 1 per step for the tabular MDP, so its
+horizon. Evaluation runs its episodes side by side on generators
+advanced by that count (``harness.evaluate_policy``).
 
 The per-step math runs on Python floats, not one-element numpy values:
 on values this small numpy's dispatch costs several times the
@@ -84,6 +90,7 @@ class TabularMdp:
         # ``rng.choice(2, p=row)``'s cdf at 0: its one random() draw >= this picks 1
         self._cdf0 = (P[..., 0] / (P[..., 0] + P[..., 1])).tolist()
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=horizon)
+        self.draws_per_episode = horizon  # one random() per step picks the next state
         self._t = 0
 
     @classmethod
@@ -126,6 +133,7 @@ class PointMass:
     VEL_BOX = 2.0
     INIT_BOX = 1.0
     HORIZON = 100
+    draws_per_episode = 2  # the initial position
 
     def __init__(self, horizon: int = HORIZON):
         self.goal = np.zeros(2)
@@ -164,6 +172,7 @@ class Pendulum:
     L = 1.0
     MAX_SPEED = 8.0
     HORIZON = 200
+    draws_per_episode = 2  # the initial angle and angular velocity
 
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)

@@ -29,6 +29,7 @@ of the region it raised in: "critic", "actor", "meta", "explore" or
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
@@ -219,24 +220,52 @@ def rng_streams(seed: int) -> Streams:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
-    """Mean and std of the undiscounted episode return of the policy ``act``.
+def make_eval_envs(cfg: RunConfig, episodes: int) -> list:
+    """One environment per evaluation episode, each built by ``make_env``."""
+    return [make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon) for _ in range(episodes)]
 
-    ``act`` is a callable from one 1-D state to its action, such as an
-    actor's ``act_np``, which replays its recorded greedy action. No
-    learning, no buffer writes; uses only the generator passed in.
+
+def evaluate_policy(act, envs: list, rng: np.random.Generator):
+    """Mean and std of the undiscounted episode returns of the policy ``act``, one
+    episode on each env of ``envs``, all of one kind (see ``make_eval_envs``).
+
+    The episodes run in lockstep. At each step ``act`` maps the (E, 1, state_dim) stack
+    of the E episodes' states to their (E, 1, action_dim) actions; an actor's ``act_np``
+    replays its recorded greedy action once for the stack, and each row has the bits of
+    its own 1-D state's action. Then each env steps its episode. An episode ends only at
+    its horizon, so episodes that end at different steps raise ValueError.
+
+    Episode e draws from its own copy of ``rng``, advanced by e times the env's
+    ``draws_per_episode``, and ``rng`` ends advanced by E times it (it must be a bit
+    generator with ``advance``, such as PCG64). So each draw, each return and the
+    generator's final state are those of the E episodes run one after another. When
+    several episodes overflow, the op a FloatingPointError names is the first one in
+    step-major order: the first step at which any episode's action or env step raises.
+    No learning, no buffer writes; uses only the generator passed in.
     """
-    if episodes < 1:
+    if not envs:
         raise ValueError("episodes must be >= 1")
-    returns = []
-    for _ in range(episodes):
-        s = env.reset(rng)
-        total = 0.0
-        done = False
-        while not done:
-            s, r, done = env.step(s, act(s), rng)
-            total += r
-        returns.append(total)
+    if len({id(env) for env in envs}) != len(envs):
+        raise ValueError("each episode needs its own env: an env counts one episode's steps")
+    draws = envs[0].draws_per_episode
+    rngs = []
+    for e in range(len(envs)):
+        bits = copy.copy(rng.bit_generator)  # a new bit generator in rng's state
+        bits.advance(e * draws)
+        rngs.append(np.random.Generator(bits))
+    rng.bit_generator.advance(len(envs) * draws)
+    states = [env.reset(g) for env, g in zip(envs, rngs)]
+    returns = [0.0] * len(envs)
+    dones = {False}
+    while dones == {False}:
+        actions = act(np.stack(states)[:, None])
+        steps = [env.step(s, a, g) for env, s, a, g in zip(envs, states, actions, rngs)]
+        states = [s2 for s2, _, _ in steps]
+        returns = [total + r for total, (_, r, _) in zip(returns, steps)]
+        dones = {done for _, _, done in steps}
+    if len(dones) > 1:
+        raise ValueError("evaluation episodes ended at different steps; "
+                         "an episode must end only at its horizon")
     returns = np.asarray(returns)
     return float(returns.mean()), float(returns.std())
 
@@ -367,7 +396,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """
     streams = rng_streams(seed)
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
-    eval_env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
+    eval_envs = make_eval_envs(cfg, cfg.eval_episodes)
     spec = env.spec
 
     learner = learner_config(cfg, spec.state_dim, spec.action_dim)
@@ -427,8 +456,8 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                                 actor_named_params(state.actor))
 
                 if step % cfg.eval_every == 0:
-                    mean, std = evaluate_policy(state.actor.act_np, eval_env,
-                                                cfg.eval_episodes, streams.evaluation)
+                    mean, std = evaluate_policy(state.actor.act_np, eval_envs,
+                                                streams.evaluation)
                     k = max(acc_n, 1)
                     rows.append((step, mean, std, acc["loss_critic"] / k,
                                  acc["loss_mcritic"] / k, acc["loss_meta"] / k))

@@ -14,8 +14,10 @@ auxiliary variants are supported:
 Every forward is written once, one ``autodiff.dense`` call per layer, and
 builds a graph, with parameters optionally overridden, which is how
 putative parameter sets and target nets are evaluated. One state runs
-as a 1-D row; its greedy action, which evaluation takes, is a region the
-actor records once and then replays (see ``plan.replay``).
+as a 1-D row. The greedy action is a region the actor records once and
+then replays (see ``plan.replay``); evaluation takes it for all of its
+episodes at once, on an (E, 1, state_dim) stack of rows, each of which
+keeps the bits of its own row.
 
 Parameter snapshots are saved as plain text, one tensor per line:
 ``name<TAB>dim0,dim1<TAB>v0 v1 v2 ...`` with full-precision floats
@@ -164,12 +166,14 @@ class Actor:
         log_std = ad.clip(ad.slice_cols(out, d, 2 * d), LOG_STD_MIN, LOG_STD_MAX)
         return ad.squashed_gaussian(mean_, log_std, noise, self.action_scale, with_logp)
 
-    def act_np(self, state: np.ndarray) -> np.ndarray:
-        """The greedy action of one 1-D state from the parameters' current values: the region
-        "greedy", recorded on the first call and replayed after. It runs rank-1, a gemv with
-        the bytes of a batch of one."""
-        return plan.replay(self.plans, "greedy", lambda: [ad.evaluate(self.act(state)[0])],
-                           [state])[0]
+    def act_np(self, states: np.ndarray) -> np.ndarray:
+        """The greedy action of one 1-D state, or the (E, 1, action_dim) greedy actions of an
+        (E, 1, state_dim) stack of rows, from the parameters' current values: the region
+        "greedy", recorded when the input's shape differs from the last recording's and
+        replayed after. A row runs rank-1, a gemv with the bytes of a batch of one, and each
+        row of a stack runs as that row's gemv, so it has the bytes of the row's own call."""
+        return plan.replay(self.plans, "greedy", lambda: [ad.evaluate(self.act(states)[0])],
+                           [states])[0]
 
 
 class Critic:

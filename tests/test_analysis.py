@@ -44,28 +44,27 @@ def make_actor(seed=0):
 
 def test_surface_single_point_equals_direct_evaluation():
     actor = make_actor()
-    env = envs.PointMass(horizon=20)
     n = sum(p.value.size for p in actor.parameters())
     rng = np.random.default_rng(3)
     d1, d2 = rng.normal(size=n), rng.normal(size=n)
-    grid = analysis.reward_surface(actor, d1, d2, [0.0], [0.0], env,
-                                   episodes=3, eval_seed=11)
-    direct, _ = harness.evaluate_policy(actor.act_np, envs.PointMass(horizon=20),
-                                        episodes=3, rng=np.random.default_rng(11))
+    grid = analysis.reward_surface(actor, d1, d2, [0.0], [0.0],
+                                   [envs.PointMass(horizon=20) for _ in range(3)], eval_seed=11)
+    direct, _ = harness.evaluate_policy(actor.act_np,
+                                        [envs.PointMass(horizon=20) for _ in range(3)],
+                                        rng=np.random.default_rng(11))
     assert grid.shape == (1, 1)
     assert grid[0, 0] == direct
 
 
 def test_surface_shape_and_argmax_consistency():
     actor = make_actor(seed=5)
-    env = envs.PointMass(horizon=10)
     n = sum(p.value.size for p in actor.parameters())
     rng = np.random.default_rng(7)
     d1, d2 = rng.normal(size=n) * 0.1, rng.normal(size=n) * 0.1
     xs = np.linspace(-1, 1, 3)
     ys = np.linspace(-1, 1, 4)
-    grid = analysis.reward_surface(actor, d1, d2, xs, ys, env, episodes=2,
-                                   eval_seed=1)
+    grid = analysis.reward_surface(actor, d1, d2, xs, ys,
+                                   [envs.PointMass(horizon=10) for _ in range(2)], eval_seed=1)
     assert grid.shape == (4, 3)
     j, i = np.unravel_index(np.argmax(grid), grid.shape)
     assert grid[j, i] == grid.max()
@@ -77,8 +76,7 @@ def test_surface_shape_and_argmax_consistency():
 
 def test_collinear_directions_rejected():
     actor = make_actor(seed=9)
-    env = envs.PointMass(horizon=10)
     n = sum(p.value.size for p in actor.parameters())
     d = np.random.default_rng(0).normal(size=n)
     with pytest.raises(ValueError, match="independent"):
-        analysis.reward_surface(actor, d, 2.0 * d, [0.0], [0.0], env)
+        analysis.reward_surface(actor, d, 2.0 * d, [0.0], [0.0], [envs.PointMass(horizon=10)])

@@ -98,11 +98,13 @@ _REJECTED = {
     "slice_cols-past-end": lambda: ad.slice_cols(np.ones((2, 3)), 1, 4),
     "slice_cols-reversed": lambda: ad.slice_cols(np.ones((2, 3)), 2, 1),
     "slice_cols-negative": lambda: ad.slice_cols(np.ones((2, 3)), -1, 2),
-    # a batch of rows or one 1-D row, nothing else
+    # a batch of rows, one 1-D row or an (E, 1, I) stack of rows, nothing else
     "slice_cols-0d": lambda: ad.slice_cols(np.ones(()), 0, 0),
     "slice_cols-3d": lambda: ad.slice_cols(np.ones((2, 3, 4)), 0, 1),
+    "slice_cols-4d": lambda: ad.slice_cols(np.ones((2, 1, 1, 4)), 0, 1),
     "sum_axis1-0d": lambda: ad.sum_axis1(np.ones(())),
-    "dense-3d": lambda: ad.dense(np.ones((2, 1, 3)), np.ones((3, 5)), np.ones(5), "relu"),
+    "dense-3d": lambda: ad.dense(np.ones((2, 2, 3)), np.ones((3, 5)), np.ones(5), "relu"),
+    "dense-4d": lambda: ad.dense(np.ones((2, 1, 1, 3)), np.ones((3, 5)), np.ones(5), "relu"),
     "dense": lambda: ad.dense(np.ones((2, 3)), np.ones((4, 5)), np.ones(5), "relu"),
     "dense-bias": lambda: ad.dense(np.ones((2, 3)), np.ones((3, 5)), np.ones(4), "relu"),
     "concat": lambda: ad.concat(np.ones((2, 3)), np.ones((3, 3))),
@@ -120,6 +122,23 @@ def test_shape_rules_reject_what_the_old_wrappers_rejected(name):
     with pytest.raises(ad.ShapeError) as ei:
         _REJECTED[name]()
     assert ei.value.op == name.split("-")[0]
+
+
+def test_shape_rules_admit_a_stack_of_rows():
+    # dense and slice_cols take (E, 1, I), each slice computed as its 1-D row
+    rng = np.random.default_rng(3)
+    x, w, b = rng.normal(size=(4, 1, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)
+    h = ad.evaluate(ad.dense(x, w, b, "tanh"))
+    cols = ad.evaluate(ad.slice_cols(h, 1, 4))
+    assert h.shape == (4, 1, 5) and cols.shape == (4, 1, 3)
+    for i in range(4):
+        row = ad.evaluate(ad.dense(x[i, 0], w, b, "tanh"))
+        assert h[i, 0].tobytes() == row.tobytes()
+        assert cols[i, 0].tobytes() == row[1:4].tobytes()
+    # forward only, as for a row: the rule's 2-D matmul refuses the stack's gradient
+    xv, wv, bv = (ad.Variable(v) for v in (x, w, b))
+    with pytest.raises(ad.ShapeError):
+        ad.backward(ad.asum(ad.dense(xv, wv, bv, "tanh")), [xv, wv, bv])
 
 
 @pytest.mark.parametrize("act", ad.DENSE_ACTS)

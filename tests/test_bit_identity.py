@@ -1,7 +1,8 @@
 """Training runs reproduce the digests pinned in ``bit_identity_digests.txt``.
 
 The lines are ``tools/bit_identity.py``'s: each pins one seed's CSV and
-final parameters, or one diverging seed's abort record. They are
+final parameters, one diverging seed's abort record, or one evaluation's
+returns and generator state. They are
 recomputed in a subprocess that has one BLAS thread from the start, as
 the tool's own run has: numpy reads the thread count when it loads, and
 with more threads some matmuls sum in another order.
@@ -20,10 +21,10 @@ LINES = Path(__file__).with_name("bit_identity_digests.txt").read_text().splitli
 HEADER = LINES[0]  # names the numpy the lines were made with
 PINNED = {line.split()[0]: line for line in LINES if line and not line.startswith("#")}
 # each algo at the clip meta-loss with no, the feature and the param-reg meta-critic,
-# and every abort record
+# every abort record and every evaluation line
 FAST = [name for name in PINNED
         if name.endswith(("/none/clip", "/feature/clip", "/param-reg/clip"))
-        or name.startswith("diverge/")]
+        or name.startswith(("diverge/", "eval/"))]
 
 
 def _recompute(names: list) -> list:

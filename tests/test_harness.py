@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mcrl import envs, harness, offpac
+from mcrl import envs, harness, nets, offpac
 from mcrl.harness import parse_config
 
 
@@ -160,6 +160,8 @@ def test_smooth_examples():
 
 
 class ConstantRewardEnv:
+    draws_per_episode = 0
+
     def __init__(self, horizon=7):
         self.spec = envs.EnvSpec(2, 1, 1.0, horizon)
         self._t = 0
@@ -173,17 +175,19 @@ class ConstantRewardEnv:
         return state, 1.0, self._t >= self.spec.horizon
 
 
+def zeros_policy(states):
+    return np.zeros((len(states), 1, 1))
+
+
 def test_evaluate_policy_constant_env():
-    env = ConstantRewardEnv(horizon=7)
-    mean, std = harness.evaluate_policy(lambda s: np.zeros(1), env, episodes=10,
+    mean, std = harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(7) for _ in range(10)],
                                         rng=np.random.default_rng(0))
     assert mean == 7.0 and std == 0.0
-    mean1, std1 = harness.evaluate_policy(lambda s: np.zeros(1), env, episodes=1,
+    mean1, std1 = harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(7)],
                                           rng=np.random.default_rng(0))
     assert std1 == 0.0
-    with pytest.raises(ValueError):
-        harness.evaluate_policy(lambda s: np.zeros(1), env, episodes=0,
-                                rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        harness.evaluate_policy(zeros_policy, [], rng=np.random.default_rng(0))
 
 
 def test_evaluate_matches_value_iteration_oracle():
@@ -196,12 +200,77 @@ def test_evaluate_matches_value_iteration_oracle():
     P[1, 1, 0] = 1.0
     P[1, 0, 1] = 1.0
     R = np.array([[0.1, 1.0], [0.0, 0.2]])
-    mdp = envs.TabularMdp(P, R, horizon=12)
-    mean, std = harness.evaluate_policy(lambda s: np.array([1.0]), mdp, episodes=10,
+    mdps = [envs.TabularMdp(P, R, horizon=12) for _ in range(10)]
+    mean, std = harness.evaluate_policy(lambda s: np.ones((len(s), 1, 1)), mdps,
                                         rng=np.random.default_rng(3))
-    oracle = envs.tabular_optimal_return(mdp, gamma=1.0, horizon=12)
+    oracle = envs.tabular_optimal_return(mdps[0], gamma=1.0, horizon=12)
     assert std == 0.0
     assert abs(mean - oracle) <= 1e-9
+
+
+def sequential_evaluation(act, env, episodes, rng):
+    """The reference: one episode after another on one env, one 1-D state per action."""
+    returns = []
+    for _ in range(episodes):
+        s = env.reset(rng)
+        total = 0.0
+        done = False
+        while not done:
+            s, r, done = env.step(s, act(s), rng)
+            total += r
+        returns.append(total)
+    returns = np.asarray(returns)
+    return float(returns.mean()), float(returns.std())
+
+
+@pytest.mark.parametrize("head", ["deterministic", "gaussian"])
+@pytest.mark.parametrize("episodes", [1, 2, 10])
+@pytest.mark.parametrize("env_name", envs.ENV_NAMES)
+def test_lockstep_evaluation_has_the_bytes_of_sequential_episodes(env_name, episodes, head):
+    spec = envs.make_env(env_name, 4).spec
+    actor = nets.Actor(spec.state_dim, spec.action_dim, spec.action_bound,
+                       np.random.default_rng(5), hidden=(64, 64), head_kind=head)
+    # large weights, so that actions and returns spread over many values
+    actor.set_param_values([3.0 * p.value for p in actor.parameters()])
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for g in (rng, ref_rng):  # start the generators mid-stream
+        g.random(3)
+    stacks = []
+
+    def act(states):
+        stacks.append(states.shape)
+        return actor.act_np(states)
+
+    got = harness.evaluate_policy(act, [envs.make_env(env_name, 4) for _ in range(episodes)], rng)
+    want = sequential_evaluation(actor.act_np, envs.make_env(env_name, 4), episodes, ref_rng)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # one replay per step, over the stack of every episode's state
+    assert stacks == [(episodes, 1, spec.state_dim)] * spec.horizon
+
+
+@pytest.mark.parametrize("env_name, horizon", [("tabular", 0), ("tabular", 7), ("pointmass", 0),
+                                               ("pointmass", 7), ("pendulum", 0)])
+def test_one_episode_takes_its_declared_draws(env_name, horizon):
+    env = envs.make_env(env_name, 2, horizon=horizon)
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    actions = np.random.default_rng(2)
+    s, done = env.reset(rng), False
+    while not done:
+        a = actions.uniform(-1.0, 1.0, size=env.spec.action_dim)
+        s, _, done = env.step(s, a, rng)
+    ref.bit_generator.advance(env.draws_per_episode)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_episodes_that_end_at_different_steps_raise():
+    with pytest.raises(ValueError, match="ended at different steps"):
+        harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(3), ConstantRewardEnv(5)],
+                                rng=np.random.default_rng(0))
+    # one env cannot run two episodes at once
+    env = ConstantRewardEnv(3)
+    with pytest.raises(ValueError, match="its own env"):
+        harness.evaluate_policy(zeros_policy, [env, env], rng=np.random.default_rng(0))
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -391,11 +460,13 @@ def test_an_evaluation_abort_names_the_greedy_region(tmp_path, monkeypatch):
         return state
 
     monkeypatch.setattr(harness, "build_meta_state", loud_actor)
-    res = harness.run_seed(_quick_cfg("warmup_steps=400\n"), 0, str(tmp_path))
-    assert res["aborted_at"] == 100 and res["update_blocks"] == 0
-    meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
-    assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("dense", "forward")
-    assert meta["aborted_phase"] == "greedy" and meta["aborted_at_iteration"] == "0"
+    # every episode overflows at its first action; the record is the same at 3 episodes
+    for extra in ("", "eval_episodes=3\n"):
+        res = harness.run_seed(_quick_cfg("warmup_steps=400\n" + extra), 0, str(tmp_path))
+        assert res["aborted_at"] == 100 and res["update_blocks"] == 0
+        meta = harness.read_metadata(str(tmp_path / "seed0.meta.txt"))
+        assert (meta["aborted_primitive"], meta["aborted_kind"]) == ("dense", "forward")
+        assert meta["aborted_phase"] == "greedy" and meta["aborted_at_iteration"] == "0"
 
 
 def math_isnan_row(row):

@@ -118,6 +118,17 @@ def test_single_state_runs_rank1_with_the_bytes_of_a_batch_of_one(
             assert logp.shape == (1,) and logp.tobytes() == batch_logp[0].tobytes()
         else:
             assert logp is None and batch_logp is None
+    if sampled:
+        return
+    # an (E, 1, D) stack of rows runs rank-3, each slice as its row's gemv: each row of
+    # the greedy actions has the bytes of act_np of the 1-D row
+    for e in (1, 2, 10, 64):
+        stack = rng.normal(size=(e, 1, state_dim)) * 3
+        ranks.clear()
+        a = actor.act_np(stack)
+        assert ranks == {3} and a.shape == (e, 1, action_dim)
+        for i in range(e):
+            assert a[i, 0].tobytes() == actor.act_np(stack[i, 0]).tobytes()
 
 
 def test_act_np_replays_on_the_values_set_after_it_recorded(raw_act, nodes_built):

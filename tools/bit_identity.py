@@ -26,6 +26,13 @@ on the tabular MDP, DDPG with the param-reg meta-critic at
 ``params_multiplier=1.3`` on Pendulum, and DDPG and SAC with Adam and the
 feature meta-critic at the clip meta-loss on PointMass.
 
+Then, for each environment, an ``eval/<env>`` line: one fixed seeded
+actor, evaluated by ``harness.evaluate_policy`` for 10 episodes on the
+environment built from seed 11 with a generator seeded 11, gives the
+sha256 of the ``(mean, std)`` bytes and of the generator's final state.
+These pin the evaluation's draw order, which the training runs above
+cover with 2 episodes alone.
+
 ``main(names)`` prints only the lines of ``names``, in the same order;
 ``tests/test_bit_identity.py`` runs it that way against the pinned lines.
 """
@@ -40,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_SEED = 11  # the seed the benchmark records use
+EVAL_EPISODES = 10  # the episodes of each eval/<env> line
 
 # the configs' own settings: short, but past warmup, through the meta step
 # and through evaluation, at the default 64-wide nets and batch 64
@@ -94,10 +102,25 @@ def abort_line(name: str, cfg, harness) -> str:
             f"kind={meta['aborted_kind']}")
 
 
+def eval_line(name: str, env_name: str, harness, nets) -> str:
+    import numpy as np  # after main has set the BLAS thread count
+
+    cfg = harness.RunConfig(env=env_name, env_seed=WORKLOAD_SEED)
+    envs = harness.make_eval_envs(cfg, EVAL_EPISODES)
+    spec = envs[0].spec
+    actor = nets.Actor(spec.state_dim, spec.action_dim, spec.action_bound,
+                       np.random.default_rng(WORKLOAD_SEED), hidden=(64, 64))
+    rng = np.random.default_rng(WORKLOAD_SEED)
+    mean_std = np.array(harness.evaluate_policy(actor.act_np, envs, rng))
+    state = repr(rng.bit_generator.state).encode()
+    return (f"{name} mean_std={hashlib.sha256(mean_std.tobytes()).hexdigest()} "
+            f"rng={hashlib.sha256(state).hexdigest()}")
+
+
 def runs():
-    """``(name, line)`` for every line, in print order; ``line()`` trains its seed."""
+    """``(name, line)`` for every line, in print order; ``line()`` runs its seed or evaluation."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    from mcrl import harness, metacritic, nets, offpac
+    from mcrl import envs, harness, metacritic, nets, offpac
     import workloads
 
     for algo, variant, loss in itertools.product(
@@ -117,6 +140,9 @@ def runs():
     for name, fields in CONTROLS.items():
         cfg = harness.RunConfig(**{**SHORT, **fields}).validate()
         yield name, functools.partial(digest_line, name, cfg, harness, with_params_meta=True)
+    for env_name in envs.ENV_NAMES:
+        name = f"eval/{env_name}"
+        yield name, functools.partial(eval_line, name, env_name, harness, nets)
 
 
 def main(names=None) -> int:
