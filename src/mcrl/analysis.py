@@ -52,11 +52,11 @@ def load_snapshot_vectors(paths: list[str]) -> list[np.ndarray]:
 
 
 def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
-                   xs, ys, envs: list, eval_seed: int = 0) -> np.ndarray:
+                   xs, ys, env, episodes: int, eval_seed: int = 0) -> np.ndarray:
     """Mean returns of the policy at center + x*d1 + y*d2 over the grid.
 
-    Each grid point runs one episode on each env of ``envs`` (see
-    ``harness.make_eval_envs``), with an identically seeded generator
+    Each grid point runs ``episodes`` episodes on ``env`` through
+    ``harness.evaluate_policy``, with an identically seeded generator
     (common random numbers), so the surface is a deterministic function
     of the parameters. Returns an array of shape (len(ys), len(xs)).
     Raises ValueError, before any evaluation, for an empty grid and for
@@ -80,7 +80,7 @@ def reward_surface(actor: Actor, d1: np.ndarray, d2: np.ndarray,
             for i, x in enumerate(xs):
                 actor.set_param_values(unflatten_values(center + x * d1 + y * d2, saved))
                 rng = np.random.default_rng(eval_seed)
-                grid[j, i], _ = evaluate_policy(actor.act_np, envs, rng)
+                grid[j, i], _ = evaluate_policy(actor.act_np, env, episodes, rng)
     finally:
         actor.set_param_values(saved)
     return grid

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import analysis, harness, nets, offpac
 from .autodiff import ShapeError
-from .envs import make_env
+from .envs import EnvSpec, make_env
 
 
 def _or_exit(prefix: str, fn, *args, **kwargs):
@@ -31,8 +31,7 @@ def _check_out(path: str) -> None:
         raise SystemExit(f"--out: cannot write a file at {path}")
 
 
-def _build_actor_for(cfg: harness.RunConfig) -> nets.Actor:
-    spec = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon).spec
+def _build_actor_for(cfg: harness.RunConfig, spec: EnvSpec) -> nets.Actor:
     learner = harness.learner_config(cfg, spec.state_dim, spec.action_dim)
     learner = dataclasses.replace(learner, mc_variant="none")  # only the actor is read: no omega
     return offpac.AlgoState(learner, spec, np.random.default_rng(0)).actor
@@ -69,10 +68,10 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _or_exit(args.config, harness.load_config, args.config)
     rng = _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)
-    actor = _build_actor_for(cfg)
+    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
+    actor = _build_actor_for(cfg, env.spec)
     _load_actor_params(actor, args.params)
-    envs = harness.make_eval_envs(cfg, args.episodes)
-    mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, envs, rng)
+    mean, std = _or_exit("eval", harness.evaluate_policy, actor.act_np, env, args.episodes, rng)
     print(f"eval_return_mean={mean!r}")
     print(f"eval_return_std={std!r}")
     return 0
@@ -106,7 +105,8 @@ def cmd_surface(args) -> int:
     _check_out(args.out)
     cfg = _or_exit(args.config, harness.load_config, args.config)
     _or_exit("--eval-seed", np.random.default_rng, args.eval_seed)  # each grid point makes one
-    actor = _build_actor_for(cfg)
+    env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
+    actor = _build_actor_for(cfg, env.spec)
     if args.snapshots:
         paths, (_, _, (d1, d2)) = _snapshot_pca(args.snapshots, args.pattern)
         _load_actor_params(actor, paths[-1])
@@ -116,9 +116,8 @@ def cmd_surface(args) -> int:
         _load_actor_params(actor, args.center)
         d1, d2 = _or_exit("snapshot", analysis.load_snapshot_vectors, [args.d1, args.d2])
     xs = ys = _or_exit("--steps", np.linspace, args.lo, args.hi, args.steps)
-    grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys,
-                    harness.make_eval_envs(cfg, args.episodes),
-                    eval_seed=args.eval_seed)  # checks run first
+    grid = _or_exit("surface", analysis.reward_surface, actor, d1, d2, xs, ys, env,
+                    args.episodes, eval_seed=args.eval_seed)  # checks run first
     with open(args.out, "w") as fh:
         fh.write("# rows: y from low to high; cols: x from low to high\n")
         fh.write("# xs=" + ",".join(repr(float(v)) for v in xs) + "\n")

@@ -1,10 +1,13 @@
 """Desk-scale environments: a 2x2 tabular MDP and two control toys.
 
-Environments are cheap stateful objects: ``reset(rng)`` begins an
-episode and ``step(state, action, rng)`` advances it. Dynamics are pure
-functions of (state, action, rng draw); the only internal state is the
-episode step counter used for the horizon cutoff, the only end of an
-episode. Actions are clamped into bounds; NaN actions are rejected.
+Environments hold no state: ``reset(rng)`` returns an episode's first
+state and ``step(state, action, rng)`` returns ``(s2, r)``, the next
+state and the reward. Both are pure functions of their arguments and
+the generator's draws, so one env can run any number of episodes, side
+by side or one after another. An episode ends only at ``spec.horizon``
+steps, which the caller counts (``harness.run_seed``,
+``harness.evaluate_policy``). Actions are clamped into bounds; NaN
+actions are rejected.
 
 Each environment declares ``draws_per_episode``, the 64-bit draws one
 episode takes from its generator: 2 at reset for PointMass and Pendulum
@@ -91,7 +94,6 @@ class TabularMdp:
         self._cdf0 = (P[..., 0] / (P[..., 0] + P[..., 1])).tolist()
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=horizon)
         self.draws_per_episode = horizon  # one random() per step picks the next state
-        self._t = 0
 
     @classmethod
     def random_instance(cls, seed: int, horizon: int = HORIZON) -> "TabularMdp":
@@ -107,7 +109,6 @@ class TabularMdp:
         return v
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._t = 0
         return self._encode(0)  # delta initial distribution at state 0
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
@@ -116,15 +117,13 @@ class TabularMdp:
         k = 1 if a[0] > 0.0 else 0
         r = float(self.R[s, k])
         s2 = int(rng.random() >= self._cdf0[s][k])
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        return self._encode(s2), r, done
+        return self._encode(s2), r
 
 
 class PointMass:
     """2-D double integrator pushed toward the origin by a force input.
 
-    reward = -||pos - goal|| - 0.01 * ||force||^2, dt = 0.05; the state
+    reward = -||pos|| - 0.01 * ||force||^2, dt = 0.05; the state
     box is position in [-2, 2]^2 and velocity in [-2, 2]^2.
     """
 
@@ -136,12 +135,9 @@ class PointMass:
     draws_per_episode = 2  # the initial position
 
     def __init__(self, horizon: int = HORIZON):
-        self.goal = np.zeros(2)
         self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0, horizon=horizon)
-        self._t = 0
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._t = 0
         pos = rng.uniform(-self.INIT_BOX, self.INIT_BOX, size=2)
         return np.concatenate([pos, np.zeros(2)])
 
@@ -154,10 +150,8 @@ class PointMass:
         y = _clamp(y + vy * self.DT, self.POS_BOX)
         s2 = np.array([x, y, vx, vy])
         f = np.array(f)
-        r = -float(np.linalg.norm(s2[:2] - self.goal)) - 0.01 * float(f @ f)
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        return s2, r, done
+        r = -float(np.linalg.norm(s2[:2])) - 0.01 * float(f @ f)
+        return s2, r
 
 
 class Pendulum:
@@ -176,14 +170,12 @@ class Pendulum:
 
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)
-        self._t = 0
 
     @staticmethod
     def _wrap(theta: float) -> float:
         return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._t = 0
         return np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0)])
 
     def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
@@ -194,9 +186,7 @@ class Pendulum:
                          + 3.0 / (self.M * self.L**2) * tau) * self.DT
         thdot = _clamp(thdot, self.MAX_SPEED)
         th = self._wrap(th + thdot * self.DT)
-        self._t += 1
-        done = self._t >= self.spec.horizon
-        return np.array([th, thdot]), r, done
+        return np.array([th, thdot]), r
 
 
 ENV_NAMES = ("tabular", "pointmass", "pendulum")

@@ -220,20 +220,15 @@ def rng_streams(seed: int) -> Streams:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def make_eval_envs(cfg: RunConfig, episodes: int) -> list:
-    """One environment per evaluation episode, each built by ``make_env``."""
-    return [make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon) for _ in range(episodes)]
+def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
+    """Mean and std of the undiscounted returns of ``episodes`` episodes of the policy
+    ``act`` on ``env``, each ``env.spec.horizon`` steps long.
 
-
-def evaluate_policy(act, envs: list, rng: np.random.Generator):
-    """Mean and std of the undiscounted episode returns of the policy ``act``, one
-    episode on each env of ``envs``, all of one kind (see ``make_eval_envs``).
-
-    The episodes run in lockstep. At each step ``act`` maps the (E, 1, state_dim) stack
-    of the E episodes' states to their (E, 1, action_dim) actions; an actor's ``act_np``
-    replays its recorded greedy action once for the stack, and each row has the bits of
-    its own 1-D state's action. Then each env steps its episode. An episode ends only at
-    its horizon, so episodes that end at different steps raise ValueError.
+    The episodes run in lockstep on the one env, which holds no state. At each step
+    ``act`` maps the (E, 1, state_dim) stack of the E episodes' states to their
+    (E, 1, action_dim) actions; an actor's ``act_np`` replays its recorded greedy action
+    once for the stack, and each row has the bits of its own 1-D state's action. Then
+    the env steps each episode.
 
     Episode e draws from its own copy of ``rng``, advanced by e times the env's
     ``draws_per_episode``, and ``rng`` ends advanced by E times it (it must be a bit
@@ -243,29 +238,22 @@ def evaluate_policy(act, envs: list, rng: np.random.Generator):
     step-major order: the first step at which any episode's action or env step raises.
     No learning, no buffer writes; uses only the generator passed in.
     """
-    if not envs:
+    if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if len({id(env) for env in envs}) != len(envs):
-        raise ValueError("each episode needs its own env: an env counts one episode's steps")
-    draws = envs[0].draws_per_episode
+    draws = env.draws_per_episode
     rngs = []
-    for e in range(len(envs)):
+    for e in range(episodes):
         bits = copy.copy(rng.bit_generator)  # a new bit generator in rng's state
         bits.advance(e * draws)
         rngs.append(np.random.Generator(bits))
-    rng.bit_generator.advance(len(envs) * draws)
-    states = [env.reset(g) for env, g in zip(envs, rngs)]
-    returns = [0.0] * len(envs)
-    dones = {False}
-    while dones == {False}:
+    rng.bit_generator.advance(episodes * draws)
+    states = [env.reset(g) for g in rngs]
+    returns = [0.0] * episodes
+    for _ in range(env.spec.horizon):
         actions = act(np.stack(states)[:, None])
-        steps = [env.step(s, a, g) for env, s, a, g in zip(envs, states, actions, rngs)]
-        states = [s2 for s2, _, _ in steps]
-        returns = [total + r for total, (_, r, _) in zip(returns, steps)]
-        dones = {done for _, _, done in steps}
-    if len(dones) > 1:
-        raise ValueError("evaluation episodes ended at different steps; "
-                         "an episode must end only at its horizon")
+        steps = [env.step(s, a, g) for s, a, g in zip(states, actions, rngs)]
+        states = [s2 for s2, _ in steps]
+        returns = [total + r for total, (_, r) in zip(returns, steps)]
     returns = np.asarray(returns)
     return float(returns.mean()), float(returns.std())
 
@@ -396,7 +384,6 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """
     streams = rng_streams(seed)
     env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
-    eval_envs = make_eval_envs(cfg, cfg.eval_episodes)
     spec = env.spec
 
     learner = learner_config(cfg, spec.state_dim, spec.action_dim)
@@ -433,10 +420,11 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                     a = block[row]
                 else:
                     a = exploration_action(state, s, streams.exploration)
-                s2, r, done = env.step(s, a, streams.env)
+                s2, r = env.step(s, a, streams.env)
                 # horizon timeouts are not terminal: bootstrap through the cutoff
                 buffer.push(s, a, r, s2)
-                s = env.reset(streams.env) if done else s2
+                # episodes start at step 1 and end only at the horizon
+                s = env.reset(streams.env) if step % spec.horizon == 0 else s2
 
                 if step > warmup:
                     # floor((step - warmup) * m) iterations in all by the end of this step
@@ -456,7 +444,7 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                                 actor_named_params(state.actor))
 
                 if step % cfg.eval_every == 0:
-                    mean, std = evaluate_policy(state.actor.act_np, eval_envs,
+                    mean, std = evaluate_policy(state.actor.act_np, env, cfg.eval_episodes,
                                                 streams.evaluation)
                     k = max(acc_n, 1)
                     rows.append((step, mean, std, acc["loss_critic"] / k,

@@ -1,8 +1,8 @@
 """Transition storage as a column ring, with uniform with-replacement sampling.
 
 Each transition is stored once, as one row of four preallocated float64
-columns (s, a, r, s_next). There is no terminal flag: every environment's
-``done`` is a horizon timeout, which the learner bootstraps through, so a
+columns (s, a, r, s_next). There is no terminal flag: an episode ends
+only at its horizon, a timeout the learner bootstraps through, so a
 stored transition is never terminal. Sampling draws independent uniform
 indices, so the training and validation mini-batches of one iteration
 are independent draws that may overlap by chance. Sampling gathers

@@ -47,10 +47,9 @@ def test_surface_single_point_equals_direct_evaluation():
     n = sum(p.value.size for p in actor.parameters())
     rng = np.random.default_rng(3)
     d1, d2 = rng.normal(size=n), rng.normal(size=n)
-    grid = analysis.reward_surface(actor, d1, d2, [0.0], [0.0],
-                                   [envs.PointMass(horizon=20) for _ in range(3)], eval_seed=11)
-    direct, _ = harness.evaluate_policy(actor.act_np,
-                                        [envs.PointMass(horizon=20) for _ in range(3)],
+    grid = analysis.reward_surface(actor, d1, d2, [0.0], [0.0], envs.PointMass(horizon=20), 3,
+                                   eval_seed=11)
+    direct, _ = harness.evaluate_policy(actor.act_np, envs.PointMass(horizon=20), 3,
                                         rng=np.random.default_rng(11))
     assert grid.shape == (1, 1)
     assert grid[0, 0] == direct
@@ -63,8 +62,8 @@ def test_surface_shape_and_argmax_consistency():
     d1, d2 = rng.normal(size=n) * 0.1, rng.normal(size=n) * 0.1
     xs = np.linspace(-1, 1, 3)
     ys = np.linspace(-1, 1, 4)
-    grid = analysis.reward_surface(actor, d1, d2, xs, ys,
-                                   [envs.PointMass(horizon=10) for _ in range(2)], eval_seed=1)
+    grid = analysis.reward_surface(actor, d1, d2, xs, ys, envs.PointMass(horizon=10), 2,
+                                   eval_seed=1)
     assert grid.shape == (4, 3)
     j, i = np.unravel_index(np.argmax(grid), grid.shape)
     assert grid[j, i] == grid.max()
@@ -79,4 +78,4 @@ def test_collinear_directions_rejected():
     n = sum(p.value.size for p in actor.parameters())
     d = np.random.default_rng(0).normal(size=n)
     with pytest.raises(ValueError, match="independent"):
-        analysis.reward_surface(actor, d, 2.0 * d, [0.0], [0.0], [envs.PointMass(horizon=10)])
+        analysis.reward_surface(actor, d, 2.0 * d, [0.0], [0.0], envs.PointMass(horizon=10), 1)

@@ -237,6 +237,14 @@ def test_eval_rejects_zero_episodes_with_one_line(run_dir):
                   "--episodes", "0"])
 
 
+def test_surface_rejects_zero_episodes_with_one_line(run_dir):
+    root, cfg_path, out = run_dir
+    with pytest.raises(SystemExit, match="^surface: episodes must be >= 1$"):
+        cli.main(["surface", "--config", str(cfg_path), "--snapshots", str(out / "snapshots"),
+                  "--pattern", "seed0_*.txt", "--episodes", "0", "--out", str(root / "bad.csv")])
+    assert not (root / "bad.csv").exists()
+
+
 @pytest.mark.parametrize("cmd", ["eval", "surface"])
 def test_a_negative_eval_seed_exits_with_one_line_naming_it(run_dir, cmd):
     root, cfg_path, out = run_dir

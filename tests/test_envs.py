@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,9 @@ def test_tabular_deterministic_row_lookup():
     R = np.array([[0.25, 0.5], [0.75, 1.0]])
     mdp = envs.TabularMdp(P, R, horizon=3)
     s = mdp.reset(np.random.default_rng(0))
-    s2, r, done = mdp.step(s, np.array([-0.3]), np.random.default_rng(0))  # bin 0
+    s2, r = mdp.step(s, np.array([-0.3]), np.random.default_rng(0))  # bin 0
     assert r == 0.25
     np.testing.assert_array_equal(s2, [0.0, 1.0])
-    assert not done
 
 
 def test_tabular_tables_validated():
@@ -76,11 +77,9 @@ def _numpy_tabular_step(env, state, action, rng):
     k = 1 if float(np.asarray(a).ravel()[0]) > 0.0 else 0
     r = float(env.R[s, k])
     s2 = int(rng.choice(2, p=env.P[s, k]))
-    env._t += 1
-    done = env._t >= env.spec.horizon
     v = np.zeros(2, dtype=np.float64)
     v[s2] = 1.0
-    return v, r, done
+    return v, r
 
 
 def _numpy_pointmass_step(env, state, action, rng):
@@ -88,11 +87,9 @@ def _numpy_pointmass_step(env, state, action, rng):
     pos, vel = state[:2], state[2:]
     vel = np.clip(vel + f * env.DT, -env.VEL_BOX, env.VEL_BOX)
     pos = np.clip(pos + vel * env.DT, -env.POS_BOX, env.POS_BOX)
-    dist = float(np.linalg.norm(pos - env.goal))
+    dist = float(np.linalg.norm(pos))
     r = -dist - 0.01 * float(f @ f)
-    env._t += 1
-    done = env._t >= env.spec.horizon
-    return np.concatenate([pos, vel]), r, done
+    return np.concatenate([pos, vel]), r
 
 
 def _numpy_pendulum_step(env, state, action, rng):
@@ -103,9 +100,7 @@ def _numpy_pendulum_step(env, state, action, rng):
                      + 3.0 / (env.M * env.L**2) * tau) * env.DT
     thdot = float(np.clip(thdot, -env.MAX_SPEED, env.MAX_SPEED))
     th = float((th + thdot * env.DT + np.pi) % (2.0 * np.pi) - np.pi)
-    env._t += 1
-    done = env._t >= env.spec.horizon
-    return np.array([th, thdot]), r, done
+    return np.array([th, thdot]), r
 
 
 def _random_state(name, rng):
@@ -123,7 +118,7 @@ _NUMPY_STEP = {"tabular": _numpy_tabular_step, "pointmass": _numpy_pointmass_ste
 @pytest.mark.parametrize("name", envs.ENV_NAMES)
 def test_step_matches_numpy_reference_bit_for_bit(name):
     reference = _NUMPY_STEP[name]
-    env, ref_env = envs.make_env(name, 5, horizon=7), envs.make_env(name, 5, horizon=7)
+    env = envs.make_env(name, 5)
     bound = env.spec.action_bound
     special = np.array([bound, -bound, -0.0, 0.0, np.inf, -np.inf,
                         np.nextafter(bound, np.inf), np.nextafter(-bound, -np.inf)])
@@ -135,12 +130,8 @@ def test_step_matches_numpy_reference_bit_for_bit(name):
         a = draw.uniform(-3.0 * bound, 3.0 * bound, size=env.spec.action_dim)
         pick = draw.random(a.size) < 0.3
         a[pick] = draw.choice(special, size=int(pick.sum()))
-        s2, r, done = env.step(s, a, rng)
-        ref_s2, ref_r, ref_done = reference(ref_env, s.copy(), a.copy(), ref_rng)
-        assert done == ref_done
-        if done:
-            env.reset(rng)
-            ref_env.reset(ref_rng)
+        s2, r = env.step(s, a, rng)
+        ref_s2, ref_r = reference(env, s.copy(), a.copy(), ref_rng)
         states.append(s2)
         ref_states.append(ref_s2)
         rewards.append(r)
@@ -162,7 +153,7 @@ def test_tabular_draw_matches_rng_choice():
         rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
         for t in range(200):
             s, k = t % 2, t // 2 % 2
-            s2, _, _ = env.step(np.eye(2)[s], np.array([k - 0.5]), rng)
+            s2, _ = env.step(np.eye(2)[s], np.array([k - 0.5]), rng)
             assert int(np.argmax(s2)) == int(ref_rng.choice(2, p=P[s, k]))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -180,36 +171,29 @@ def test_pointmass_at_goal_zero_force_zero_reward():
     env = envs.PointMass()
     env.reset(np.random.default_rng(0))
     s = np.zeros(4)
-    _, r, _ = env.step(s, np.zeros(2), np.random.default_rng(0))
+    _, r = env.step(s, np.zeros(2), np.random.default_rng(0))
     assert r == 0.0
 
 
 def test_pendulum_equilibrium():
     env = envs.Pendulum()
     env.reset(np.random.default_rng(0))
-    s2, r, done = env.step(np.zeros(2), np.zeros(1), np.random.default_rng(0))
+    s2, r = env.step(np.zeros(2), np.zeros(1), np.random.default_rng(0))
     assert r == 0.0
     np.testing.assert_array_equal(s2, np.zeros(2))
-    assert not done
 
 
 def test_pendulum_angle_wraps():
     env = envs.Pendulum()
     env.reset(np.random.default_rng(0))
     s = np.array([np.pi - 0.01, 5.0])
-    s2, _, _ = env.step(s, np.zeros(1), np.random.default_rng(0))
+    s2, _ = env.step(s, np.zeros(1), np.random.default_rng(0))
     assert -np.pi <= s2[0] <= np.pi
 
 
-def test_horizon_done_flags():
-    env = envs.PointMass(horizon=3)
-    rng = np.random.default_rng(1)
-    s = env.reset(rng)
-    dones = []
-    for _ in range(3):
-        s, _, d = env.step(s, np.zeros(2), rng)
-        dones.append(d)
-    assert dones == [False, False, True]
+def _policy_step(env, state, rng):
+    """The (s2, r) of one step under a fixed policy of the state."""
+    return env.step(state, np.tanh(state[: env.spec.action_dim]), rng)
 
 
 def test_determinism_identical_trajectories():
@@ -221,13 +205,37 @@ def test_determinism_identical_trajectories():
             s = env.reset(rng)
             tr = [s.copy()]
             for _ in range(20):
-                a = np.tanh(s[: env.spec.action_dim])  # a fixed policy of the state
-                s, r, done = env.step(s, a, rng)
+                s, _ = _policy_step(env, s, rng)
                 tr.append(s.copy())
-                if done:
-                    s = env.reset(rng)
             trajs.append(np.stack(tr))
         np.testing.assert_array_equal(trajs[0], trajs[1])
+
+
+@pytest.mark.parametrize("name", envs.ENV_NAMES)
+def test_an_env_holds_no_state(name):
+    env = envs.make_env(name, 3, horizon=5)
+    before = pickle.dumps(vars(env))
+    rng = np.random.default_rng(8)
+    s = env.reset(rng)
+    for _ in range(12):  # past the horizon
+        s, _ = _policy_step(env, s, rng)
+    assert pickle.dumps(vars(env)) == before
+    # two episodes interleaved on one env have the bytes of the same two on two envs
+    one = [[], []]
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    states = [env.reset(g) for g in rngs]
+    for _ in range(env.spec.horizon):
+        for e in (0, 1):
+            states[e], r = _policy_step(env, states[e], rngs[e])
+            one[e].append(np.append(states[e], r))
+    two = [[], []]
+    for e, seed in enumerate((1, 2)):
+        own, rng = envs.make_env(name, 3, horizon=5), np.random.default_rng(seed)
+        s = own.reset(rng)
+        for _ in range(own.spec.horizon):
+            s, r = _policy_step(own, s, rng)
+            two[e].append(np.append(s, r))
+    assert np.array(one).tobytes() == np.array(two).tobytes()
 
 
 def test_optimal_return_zero_rewards():

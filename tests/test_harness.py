@@ -164,15 +164,12 @@ class ConstantRewardEnv:
 
     def __init__(self, horizon=7):
         self.spec = envs.EnvSpec(2, 1, 1.0, horizon)
-        self._t = 0
 
     def reset(self, rng):
-        self._t = 0
         return np.zeros(2)
 
     def step(self, state, action, rng):
-        self._t += 1
-        return state, 1.0, self._t >= self.spec.horizon
+        return state, 1.0
 
 
 def zeros_policy(states):
@@ -180,14 +177,15 @@ def zeros_policy(states):
 
 
 def test_evaluate_policy_constant_env():
-    mean, std = harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(7) for _ in range(10)],
+    mean, std = harness.evaluate_policy(zeros_policy, ConstantRewardEnv(7), 10,
                                         rng=np.random.default_rng(0))
     assert mean == 7.0 and std == 0.0
-    mean1, std1 = harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(7)],
+    mean1, std1 = harness.evaluate_policy(zeros_policy, ConstantRewardEnv(7), 1,
                                           rng=np.random.default_rng(0))
     assert std1 == 0.0
     with pytest.raises(ValueError, match="episodes must be >= 1"):
-        harness.evaluate_policy(zeros_policy, [], rng=np.random.default_rng(0))
+        harness.evaluate_policy(zeros_policy, ConstantRewardEnv(7), 0,
+                                rng=np.random.default_rng(0))
 
 
 def test_evaluate_matches_value_iteration_oracle():
@@ -200,10 +198,10 @@ def test_evaluate_matches_value_iteration_oracle():
     P[1, 1, 0] = 1.0
     P[1, 0, 1] = 1.0
     R = np.array([[0.1, 1.0], [0.0, 0.2]])
-    mdps = [envs.TabularMdp(P, R, horizon=12) for _ in range(10)]
-    mean, std = harness.evaluate_policy(lambda s: np.ones((len(s), 1, 1)), mdps,
+    mdp = envs.TabularMdp(P, R, horizon=12)
+    mean, std = harness.evaluate_policy(lambda s: np.ones((len(s), 1, 1)), mdp, 10,
                                         rng=np.random.default_rng(3))
-    oracle = envs.tabular_optimal_return(mdps[0], gamma=1.0, horizon=12)
+    oracle = envs.tabular_optimal_return(mdp, gamma=1.0, horizon=12)
     assert std == 0.0
     assert abs(mean - oracle) <= 1e-9
 
@@ -214,9 +212,8 @@ def sequential_evaluation(act, env, episodes, rng):
     for _ in range(episodes):
         s = env.reset(rng)
         total = 0.0
-        done = False
-        while not done:
-            s, r, done = env.step(s, act(s), rng)
+        for _ in range(env.spec.horizon):
+            s, r = env.step(s, act(s), rng)
             total += r
         returns.append(total)
     returns = np.asarray(returns)
@@ -241,7 +238,7 @@ def test_lockstep_evaluation_has_the_bytes_of_sequential_episodes(env_name, epis
         stacks.append(states.shape)
         return actor.act_np(states)
 
-    got = harness.evaluate_policy(act, [envs.make_env(env_name, 4) for _ in range(episodes)], rng)
+    got = harness.evaluate_policy(act, envs.make_env(env_name, 4), episodes, rng)
     want = sequential_evaluation(actor.act_np, envs.make_env(env_name, 4), episodes, ref_rng)
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -255,22 +252,12 @@ def test_one_episode_takes_its_declared_draws(env_name, horizon):
     env = envs.make_env(env_name, 2, horizon=horizon)
     rng, ref = np.random.default_rng(1), np.random.default_rng(1)
     actions = np.random.default_rng(2)
-    s, done = env.reset(rng), False
-    while not done:
+    s = env.reset(rng)
+    for _ in range(env.spec.horizon):
         a = actions.uniform(-1.0, 1.0, size=env.spec.action_dim)
-        s, _, done = env.step(s, a, rng)
+        s, _ = env.step(s, a, rng)
     ref.bit_generator.advance(env.draws_per_episode)
     assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_episodes_that_end_at_different_steps_raise():
-    with pytest.raises(ValueError, match="ended at different steps"):
-        harness.evaluate_policy(zeros_policy, [ConstantRewardEnv(3), ConstantRewardEnv(5)],
-                                rng=np.random.default_rng(0))
-    # one env cannot run two episodes at once
-    env = ConstantRewardEnv(3)
-    with pytest.raises(ValueError, match="its own env"):
-        harness.evaluate_policy(zeros_policy, [env, env], rng=np.random.default_rng(0))
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -581,27 +568,29 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
     from mcrl.replay import ReplayBuffer
 
     # the second config's warmup crosses two warmup-block boundaries and
-    # ends inside a third block
+    # ends inside a third block; the third's horizon divides neither the
+    # warmup nor eval_every, so episodes end between them
     warmup = 2 * harness.WARMUP_BLOCK + 37
-    for cfg in (_quick_cfg(), _quick_cfg(f"warmup_steps={warmup}\ntotal_steps={warmup + 20}\n"
-                                         f"eval_every={warmup + 20}\n")):
+    long_warmup = f"warmup_steps={warmup}\ntotal_steps={warmup + 20}\neval_every={warmup + 20}\n"
+    for cfg in (_quick_cfg(), _quick_cfg(long_warmup), _quick_cfg("horizon=7\n")):
         res = harness.run_seed(cfg, 3, str(tmp_path))
 
         streams = harness.rng_streams(3)
-        env = make_env(cfg.env, cfg.env_seed)
+        env = make_env(cfg.env, cfg.env_seed, horizon=cfg.horizon)
         state = harness.build_meta_state(
             harness.learner_config(cfg, env.spec.state_dim, env.spec.action_dim), env.spec,
             streams.init)
         buf = ReplayBuffer(cfg.buffer_capacity, env.spec.state_dim, env.spec.action_dim)
-        s = env.reset(streams.env)
+        s, t = env.reset(streams.env), 0  # t: the steps taken in this episode
         for step in range(1, cfg.total_steps + 1):
             if step <= cfg.warmup_steps:
                 a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
             else:
                 a = exploration_action(state, s, streams.exploration)
-            s2, r, done = env.step(s, a, streams.env)
+            s2, r = env.step(s, a, streams.env)
             buf.push(s, a, r, s2)
-            s = env.reset(streams.env) if done else s2
+            t += 1
+            s, t = (env.reset(streams.env), 0) if t == env.spec.horizon else (s2, t)
             if step > cfg.warmup_steps:
                 vanilla_iteration(state, buf, streams.replay)
         final = [p.value for p in state.actor.parameters()]

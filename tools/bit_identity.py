@@ -28,10 +28,10 @@ feature meta-critic at the clip meta-loss on PointMass.
 
 Then, for each environment, an ``eval/<env>`` line: one fixed seeded
 actor, evaluated by ``harness.evaluate_policy`` for 10 episodes on the
-environment built from seed 11 with a generator seeded 11, gives the
-sha256 of the ``(mean, std)`` bytes and of the generator's final state.
-These pin the evaluation's draw order, which the training runs above
-cover with 2 episodes alone.
+one environment ``harness.make_env`` builds from seed 11, with a
+generator seeded 11, gives the sha256 of the ``(mean, std)`` bytes and
+of the generator's final state. These pin the evaluation's draw order,
+which the training runs above cover with 2 episodes alone.
 
 ``main(names)`` prints only the lines of ``names``, in the same order;
 ``tests/test_bit_identity.py`` runs it that way against the pinned lines.
@@ -105,13 +105,12 @@ def abort_line(name: str, cfg, harness) -> str:
 def eval_line(name: str, env_name: str, harness, nets) -> str:
     import numpy as np  # after main has set the BLAS thread count
 
-    cfg = harness.RunConfig(env=env_name, env_seed=WORKLOAD_SEED)
-    envs = harness.make_eval_envs(cfg, EVAL_EPISODES)
-    spec = envs[0].spec
+    env = harness.make_env(env_name, WORKLOAD_SEED)
+    spec = env.spec
     actor = nets.Actor(spec.state_dim, spec.action_dim, spec.action_bound,
                        np.random.default_rng(WORKLOAD_SEED), hidden=(64, 64))
     rng = np.random.default_rng(WORKLOAD_SEED)
-    mean_std = np.array(harness.evaluate_policy(actor.act_np, envs, rng))
+    mean_std = np.array(harness.evaluate_policy(actor.act_np, env, EVAL_EPISODES, rng))
     state = repr(rng.bit_generator.state).encode()
     return (f"{name} mean_std={hashlib.sha256(mean_std.tobytes()).hexdigest()} "
             f"rng={hashlib.sha256(state).hexdigest()}")
