@@ -196,6 +196,32 @@ def _policy_step(env, state, rng):
     return env.step(state, np.tanh(state[: env.spec.action_dim]), rng)
 
 
+def test_horizon_done_flags():
+    # an env raises no done flag; an episode ends after spec.horizon steps, and
+    # evaluation takes exactly that many
+    from mcrl.harness import evaluate_policy
+
+    env = envs.PointMass(horizon=3)
+    assert env.spec.horizon == 3
+    rng = np.random.default_rng(1)
+    s = env.reset(rng)
+    rewards = []
+    for _ in range(3):
+        out = env.step(s, np.zeros(2), rng)
+        assert len(out) == 2
+        s, r = out
+        rewards.append(r)
+    calls = []
+
+    def act(states):
+        calls.append(states.shape)
+        return np.zeros((states.shape[0], 1, 2))
+
+    mean, std = evaluate_policy(act, env, 1, np.random.default_rng(1))
+    assert calls == [(1, 1, 4)] * 3
+    assert (mean, std) == (sum(rewards), 0.0)
+
+
 def test_determinism_identical_trajectories():
     for name in envs.ENV_NAMES:
         env = envs.make_env(name, env_seed=11)
