@@ -3,17 +3,11 @@
 Environments hold no state: ``reset(rng)`` returns an episode's first
 state and ``step(state, action, rng)`` returns ``(s2, r)``, the next
 state and the reward. Both are pure functions of their arguments and
-the generator's draws, so one env can run any number of episodes, side
-by side or one after another. An episode ends only at ``spec.horizon``
-steps, which the caller counts (``harness.run_seed``,
-``harness.evaluate_policy``). Actions are clamped into bounds; NaN
-actions are rejected.
-
-Each environment declares ``draws_per_episode``, the 64-bit draws one
-episode takes from its generator: 2 at reset for PointMass and Pendulum
-(one double per coordinate), 1 per step for the tabular MDP, so its
-horizon. Evaluation runs its episodes side by side on generators
-advanced by that count (``harness.evaluate_policy``).
+of the draws they take from the generator passed in, however many, so
+one env runs any number of episodes, side by side or one after another.
+An episode ends only at ``spec.horizon`` steps, which the caller counts
+(``harness.run_seed``, ``harness.evaluate_policy``). Actions are clamped
+into bounds; NaN actions are rejected.
 
 The per-step math runs on Python floats, not one-element numpy values:
 on values this small numpy's dispatch costs several times the
@@ -93,7 +87,6 @@ class TabularMdp:
         # ``rng.choice(2, p=row)``'s cdf at 0: its one random() draw >= this picks 1
         self._cdf0 = (P[..., 0] / (P[..., 0] + P[..., 1])).tolist()
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=1.0, horizon=horizon)
-        self.draws_per_episode = horizon  # one random() per step picks the next state
 
     @classmethod
     def random_instance(cls, seed: int, horizon: int = HORIZON) -> "TabularMdp":
@@ -132,7 +125,6 @@ class PointMass:
     VEL_BOX = 2.0
     INIT_BOX = 1.0
     HORIZON = 100
-    draws_per_episode = 2  # the initial position
 
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0, horizon=horizon)
@@ -166,7 +158,6 @@ class Pendulum:
     L = 1.0
     MAX_SPEED = 8.0
     HORIZON = 200
-    draws_per_episode = 2  # the initial angle and angular velocity
 
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)

@@ -29,7 +29,6 @@ of the region it raised in: "critic", "actor", "meta", "explore" or
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import os
@@ -230,28 +229,21 @@ def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
     once for the stack, and each row has the bits of its own 1-D state's action. Then
     the env steps each episode.
 
-    Episode e draws from its own copy of ``rng``, advanced by e times the env's
-    ``draws_per_episode``, and ``rng`` ends advanced by E times it (it must be a bit
-    generator with ``advance``, such as PCG64). So each draw, each return and the
-    generator's final state are those of the E episodes run one after another. When
-    several episodes overflow, the op a FloatingPointError names is the first one in
-    step-major order: the first step at which any episode's action or env step raises.
-    No learning, no buffer writes; uses only the generator passed in.
+    Every draw comes from ``rng``, any numpy Generator, in step-major order: the E
+    resets in episode order, then at each step the E env steps in episode order. Which
+    draw goes to which episode changes no return's distribution; for an env that draws
+    only at reset (PointMass, Pendulum) each return is also that of the E episodes run
+    one after another. When several episodes overflow, the op a FloatingPointError
+    names is the first one in step-major order too. No learning, no buffer writes; uses
+    only the generator passed in.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    draws = env.draws_per_episode
-    rngs = []
-    for e in range(episodes):
-        bits = copy.copy(rng.bit_generator)  # a new bit generator in rng's state
-        bits.advance(e * draws)
-        rngs.append(np.random.Generator(bits))
-    rng.bit_generator.advance(episodes * draws)
-    states = [env.reset(g) for g in rngs]
+    states = [env.reset(rng) for _ in range(episodes)]
     returns = [0.0] * episodes
     for _ in range(env.spec.horizon):
         actions = act(np.stack(states)[:, None])
-        steps = [env.step(s, a, g) for s, a, g in zip(states, actions, rngs)]
+        steps = [env.step(s, a, rng) for s, a in zip(states, actions)]
         states = [s2 for s2, _ in steps]
         returns = [total + r for total, (_, r) in zip(returns, steps)]
     returns = np.asarray(returns)
@@ -486,7 +478,7 @@ def _run_seed_slim(args) -> tuple:
 
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> dict:
-    """Run every seed in the config; returns per-seed artifact records.
+    """Run every seed in the config; returns each seed's ``run_seed`` record without its ``state``.
 
     Seeds are independent (per-seed RNG streams and per-seed output
     files), so with workers > 1 they execute in parallel processes; the
@@ -495,17 +487,14 @@ def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> dict:
     cfg.validate()
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
+    jobs = [(cfg, s, out) for s in cfg.seeds]
     if workers > 1 and len(cfg.seeds) > 1:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(workers, len(cfg.seeds))) as pool:
-            return dict(pool.map(_run_seed_slim,
-                                 [(cfg, s, out) for s in cfg.seeds]))
-    results = {}
-    for seed in cfg.seeds:
-        results[seed] = run_seed(cfg, seed, out)
-    return results
+            return dict(pool.map(_run_seed_slim, jobs))
+    return dict(map(_run_seed_slim, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +513,8 @@ def max_average_return(curves: list[dict], window: int = 30) -> float:
     for c in curves[1:]:
         if not np.array_equal(c["step"], steps):
             raise ValueError("curves have mismatched evaluation steps")
+    if len(steps) == 0:
+        raise ValueError("curves have no evaluation rows")
     mean = np.mean(np.stack([c["eval_return_mean"] for c in curves]), axis=0)
     return float(np.max(smooth(mean, window)))
 

@@ -52,3 +52,20 @@ def test_a_subset_of_runs_reproduces_the_pinned_digests():
 @pytest.mark.slow
 def test_every_run_reproduces_the_pinned_digests():
     _check(list(PINNED))
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_the_tool_refuses_a_numpy_loaded_without_one_blas_thread(threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads:
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    code = "import numpy, bit_identity; bit_identity.main(['eval/pointmass'])"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "tools", env=env,
+                          capture_output=True, text=True)
+    if threads:
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [PINNED["eval/pointmass"]]
+    else:
+        assert done.returncode != 0 and done.stdout == ""
+        assert "run the tool in a fresh process" in done.stderr

@@ -230,6 +230,16 @@ def test_compare_bad_input_exits_with_one_line(run_dir, tmp_path):
         cli.main(["compare", str(out), str(out), "--window", "0"])
 
 
+def test_compare_a_run_with_no_evaluation_rows_exits_with_one_line(run_dir, tmp_path):
+    _, _, out = run_dir
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("total_steps=0\n")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 0
+    for a, b in ((tmp_path / "empty", out), (out, tmp_path / "empty")):
+        with pytest.raises(SystemExit, match="^compare: curves have no evaluation rows$"):
+            cli.main(["compare", str(a), str(b)])
+
+
 def test_eval_rejects_zero_episodes_with_one_line(run_dir):
     _, cfg_path, out = run_dir
     with pytest.raises(SystemExit, match="eval: episodes must be >= 1"):

@@ -160,7 +160,7 @@ def test_smooth_examples():
 
 
 class ConstantRewardEnv:
-    draws_per_episode = 0
+    """An env needs only ``spec``, ``reset`` and ``step``."""
 
     def __init__(self, horizon=7):
         self.spec = envs.EnvSpec(2, 1, 1.0, horizon)
@@ -206,8 +206,21 @@ def test_evaluate_matches_value_iteration_oracle():
     assert abs(mean - oracle) <= 1e-9
 
 
+def step_major_evaluation(act, env, episodes, rng):
+    """The reference: the episodes' resets in order, then each step's env steps in
+    episode order, one 1-D state per action."""
+    states = [env.reset(rng) for _ in range(episodes)]
+    returns = [0.0] * episodes
+    for _ in range(env.spec.horizon):
+        for e in range(episodes):
+            states[e], r = env.step(states[e], act(states[e]), rng)
+            returns[e] += r
+    returns = np.asarray(returns)
+    return float(returns.mean()), float(returns.std())
+
+
 def sequential_evaluation(act, env, episodes, rng):
-    """The reference: one episode after another on one env, one 1-D state per action."""
+    """One episode after another on one env, one 1-D state per action."""
     returns = []
     for _ in range(episodes):
         s = env.reset(rng)
@@ -220,44 +233,56 @@ def sequential_evaluation(act, env, episodes, rng):
     return float(returns.mean()), float(returns.std())
 
 
-@pytest.mark.parametrize("head", ["deterministic", "gaussian"])
-@pytest.mark.parametrize("episodes", [1, 2, 10])
-@pytest.mark.parametrize("env_name", envs.ENV_NAMES)
-def test_lockstep_evaluation_has_the_bytes_of_sequential_episodes(env_name, episodes, head):
+def _spread_actor(env_name, head):
     spec = envs.make_env(env_name, 4).spec
     actor = nets.Actor(spec.state_dim, spec.action_dim, spec.action_bound,
                        np.random.default_rng(5), hidden=(64, 64), head_kind=head)
     # large weights, so that actions and returns spread over many values
     actor.set_param_values([3.0 * p.value for p in actor.parameters()])
-    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    return actor
+
+
+def _evaluations_agree(reference, env_name, episodes, actor, bits=np.random.PCG64):
+    """``evaluate_policy`` and ``reference`` give the same (mean, std) bytes and leave
+    their generators, on ``bits`` seeded alike, in the same state."""
+    rng, ref_rng = np.random.Generator(bits(9)), np.random.Generator(bits(9))
     for g in (rng, ref_rng):  # start the generators mid-stream
         g.random(3)
+    got = harness.evaluate_policy(actor.act_np, envs.make_env(env_name, 4), episodes, rng)
+    want = reference(actor.act_np, envs.make_env(env_name, 4), episodes, ref_rng)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # repr, since MT19937's state holds an array
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("head", ["deterministic", "gaussian"])
+@pytest.mark.parametrize("episodes", [1, 2, 10])
+@pytest.mark.parametrize("env_name", envs.ENV_NAMES)
+def test_lockstep_evaluation_has_the_bytes_of_sequential_episodes(env_name, episodes, head):
+    # step-major draws for every env; PointMass and Pendulum draw only at reset, so
+    # for them that is also the order of the episodes run one after another
+    actor = _spread_actor(env_name, head)
+    _evaluations_agree(step_major_evaluation, env_name, episodes, actor)
+    if env_name != "tabular":
+        _evaluations_agree(sequential_evaluation, env_name, episodes, actor)
     stacks = []
 
     def act(states):
         stacks.append(states.shape)
         return actor.act_np(states)
 
-    got = harness.evaluate_policy(act, envs.make_env(env_name, 4), episodes, rng)
-    want = sequential_evaluation(actor.act_np, envs.make_env(env_name, 4), episodes, ref_rng)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    spec = envs.make_env(env_name, 4).spec
+    harness.evaluate_policy(act, envs.make_env(env_name, 4), episodes, np.random.default_rng(9))
     # one replay per step, over the stack of every episode's state
     assert stacks == [(episodes, 1, spec.state_dim)] * spec.horizon
 
 
-@pytest.mark.parametrize("env_name, horizon", [("tabular", 0), ("tabular", 7), ("pointmass", 0),
-                                               ("pointmass", 7), ("pendulum", 0)])
-def test_one_episode_takes_its_declared_draws(env_name, horizon):
-    env = envs.make_env(env_name, 2, horizon=horizon)
-    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-    actions = np.random.default_rng(2)
-    s = env.reset(rng)
-    for _ in range(env.spec.horizon):
-        a = actions.uniform(-1.0, 1.0, size=env.spec.action_dim)
-        s, _ = env.step(s, a, rng)
-    ref.bit_generator.advance(env.draws_per_episode)
-    assert rng.bit_generator.state == ref.bit_generator.state
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64])
+@pytest.mark.parametrize("env_name", envs.ENV_NAMES)
+def test_evaluation_takes_any_numpy_generator(env_name, bits):
+    # bit generators without PCG64's advance()
+    _evaluations_agree(step_major_evaluation, env_name, 10, _spread_actor(env_name, "gaussian"),
+                       bits)
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -533,11 +558,12 @@ def test_max_average_return_and_compare(tmp_path):
 
 def test_parallel_run_matches_serial(tmp_path):
     cfg = parse_config(cfg_text("seeds=0,1\ntotal_steps=200\n"))
-    harness.run(cfg, str(tmp_path / "ser"), workers=1)
-    harness.run(cfg, str(tmp_path / "par"), workers=2)
-    for k in (0, 1):
-        assert ((tmp_path / "ser" / f"seed{k}.csv").read_bytes()
-                == (tmp_path / "par" / f"seed{k}.csv").read_bytes())
+    serial = harness.run(cfg, str(tmp_path), workers=1)
+    csvs = [(tmp_path / f"seed{k}.csv").read_bytes() for k in (0, 1)]
+    parallel = harness.run(cfg, str(tmp_path), workers=2)
+    # one record shape on both paths: neither keeps a seed's learner state
+    assert parallel == serial
+    assert [(tmp_path / f"seed{k}.csv").read_bytes() for k in (0, 1)] == csvs
 
 
 def test_snapshots_written_and_loadable(tmp_path):

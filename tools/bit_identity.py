@@ -12,7 +12,8 @@ actor, critic and omega parameters (``-`` without a meta-critic). Two
 trees are bit-identical on these runs exactly when their outputs are
 equal, so run it in both and ``diff`` the two files. The digests assume
 one BLAS thread: ``main`` sets ``OPENBLAS_NUM_THREADS`` and
-``OMP_NUM_THREADS`` to 1, which numpy obeys only if it is not loaded yet.
+``OMP_NUM_THREADS`` to 1, which numpy obeys only if it is not loaded yet,
+so ``main`` exits if numpy is loaded and either variable is not 1.
 
 Then, for each algo x {none, feature} on a config that diverges (PointMass
 at learning rates of 1e6, 8-wide nets, batch 8), it prints the seed's abort
@@ -30,8 +31,10 @@ Then, for each environment, an ``eval/<env>`` line: one fixed seeded
 actor, evaluated by ``harness.evaluate_policy`` for 10 episodes on the
 one environment ``harness.make_env`` builds from seed 11, with a
 generator seeded 11, gives the sha256 of the ``(mean, std)`` bytes and
-of the generator's final state. These pin the evaluation's draw order,
-which the training runs above cover with 2 episodes alone.
+of the generator's final state. These pin the evaluation's draw order:
+the 10 resets, then each step's 10 env steps, which draw only on the
+tabular MDP. The training runs above cover evaluation with 2 episodes
+alone.
 
 ``main(names)`` prints only the lines of ``names``, in the same order;
 ``tests/test_bit_identity.py`` runs it that way against the pinned lines.
@@ -145,8 +148,12 @@ def runs():
 
 
 def main(names=None) -> int:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    os.environ["OMP_NUM_THREADS"] = "1"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in threads):
+        sys.exit("bit_identity: numpy is loaded already and may use several BLAS threads, "
+                 "so the digests could differ; run the tool in a fresh process")
+    for v in threads:
+        os.environ[v] = "1"
     for name, line in runs():
         if names is None or name in names:
             print(line(), flush=True)
