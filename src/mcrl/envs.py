@@ -9,14 +9,17 @@ An episode ends only at ``spec.horizon`` steps, which the caller counts
 (``harness.run_seed``, ``harness.evaluate_policy``). Actions are clamped
 into bounds; NaN actions are rejected.
 
-The per-step math runs on Python floats, not one-element numpy values:
-on values this small numpy's dispatch costs several times the
-arithmetic. The float forms give the numpy forms' bits, which
+The interface carries Python floats: a state is a tuple of floats, a
+reward a float, and ``step`` takes the state and the action as any flat
+sequence of numbers (a tuple, a list or a 1-D array). On values this
+small numpy's dispatch and conversions cost several times the
+arithmetic, so the caller builds an array only where a network reads
+the state. The float forms give the numpy forms' bits, which
 ``tests/test_envs.py`` checks against a numpy copy of each step:
-``min(max(x, -b), b)`` is ``np.clip`` for every non-NaN input, and
+``_clamp``'s two comparisons give ``np.clip``'s bits, and
 ``math.sin`` gave ``np.sin``'s bits on every sampled angle. PointMass
-keeps ``np.linalg.norm`` and ``f @ f``, because a float norm and a
-float dot product round differently in the last bit on a share of
+keeps ``np.linalg.norm`` and ``f @ f`` on arrays, because a float norm
+and a float dot product round differently in the last bit on a share of
 inputs.
 
 The tabular MDP exposes a continuous interface so the same actors work
@@ -48,21 +51,23 @@ class EnvSpec:
 
 
 def _clamp(x: float, bound: float) -> float:
-    """``np.clip(x, -bound, bound)`` on a float; NaN passes through."""
-    return min(max(x, -bound), bound)
+    """``np.clip(x, -bound, bound)`` on a float, NaN included; cheaper than ``min``/``max``."""
+    return -bound if x < -bound else bound if x > bound else x
 
 
-def _check_action(action: np.ndarray, spec: EnvSpec) -> list[float]:
-    """The action's ``spec.action_dim`` elements as floats clamped into the action bound."""
-    xs = np.asarray(action, dtype=np.float64).ravel().tolist()
-    if len(xs) != spec.action_dim:
-        raise ValueError(f"action has {len(xs)} elements, expected {spec.action_dim}")
-    bound = spec.action_bound
+def _check_action(action, spec: EnvSpec) -> list[float]:
+    """A flat action's ``spec.action_dim`` elements as floats clamped into the action bound."""
     out = []
-    for x in xs:
-        if x != x:
-            raise ValueError("NaN action")
-        out.append(_clamp(x, bound))
+    try:
+        for x in action:
+            x = float(x)
+            if x != x:
+                raise ValueError("NaN action")
+            out.append(_clamp(x, spec.action_bound))
+    except TypeError:  # a number, or a nested sequence such as a (1, action_dim) array
+        raise ValueError(f"action must be a flat sequence of shape ({spec.action_dim},)") from None
+    if len(out) != spec.action_dim:
+        raise ValueError(f"action has {len(out)} elements, expected {spec.action_dim}")
     return out
 
 
@@ -72,6 +77,7 @@ class TabularMdp:
     n_states = 2
     n_actions = 2
     HORIZON = 10  # the default episode length
+    ONE_HOT = ((1.0, 0.0), (0.0, 1.0))  # the observation of each state
 
     def __init__(self, transitions: np.ndarray, rewards: np.ndarray, horizon: int = HORIZON):
         P = np.asarray(transitions, dtype=np.float64)
@@ -96,21 +102,16 @@ class TabularMdp:
         P = rng.dirichlet(np.ones(2), size=(2, 2))
         return cls(P, R, horizon=horizon)
 
-    def _encode(self, s: int) -> np.ndarray:
-        v = np.zeros(2, dtype=np.float64)
-        v[s] = 1.0
-        return v
+    def reset(self, rng: np.random.Generator) -> tuple:
+        return self.ONE_HOT[0]  # delta initial distribution at state 0
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self._encode(0)  # delta initial distribution at state 0
-
-    def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
+    def step(self, state, action, rng: np.random.Generator):
         a = _check_action(action, self.spec)
         s = int(np.argmax(state))
         k = 1 if a[0] > 0.0 else 0
         r = float(self.R[s, k])
         s2 = int(rng.random() >= self._cdf0[s][k])
-        return self._encode(s2), r
+        return self.ONE_HOT[s2], r
 
 
 class PointMass:
@@ -129,21 +130,20 @@ class PointMass:
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=4, action_dim=2, action_bound=1.0, horizon=horizon)
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        pos = rng.uniform(-self.INIT_BOX, self.INIT_BOX, size=2)
-        return np.concatenate([pos, np.zeros(2)])
+    def reset(self, rng: np.random.Generator) -> tuple:
+        x, y = rng.uniform(-self.INIT_BOX, self.INIT_BOX, size=2).tolist()
+        return x, y, 0.0, 0.0
 
-    def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
+    def step(self, state, action, rng: np.random.Generator):
         f = _check_action(action, self.spec)
-        x, y, vx, vy = state.tolist()
+        x, y, vx, vy = map(float, state)
         vx = _clamp(vx + f[0] * self.DT, self.VEL_BOX)
         vy = _clamp(vy + f[1] * self.DT, self.VEL_BOX)
         x = _clamp(x + vx * self.DT, self.POS_BOX)
         y = _clamp(y + vy * self.DT, self.POS_BOX)
-        s2 = np.array([x, y, vx, vy])
         f = np.array(f)
-        r = -float(np.linalg.norm(s2[:2])) - 0.01 * float(f @ f)
-        return s2, r
+        r = -float(np.linalg.norm(np.array([x, y]))) - 0.01 * float(f @ f)
+        return (x, y, vx, vy), r
 
 
 class Pendulum:
@@ -162,22 +162,19 @@ class Pendulum:
     def __init__(self, horizon: int = HORIZON):
         self.spec = EnvSpec(state_dim=2, action_dim=1, action_bound=2.0, horizon=horizon)
 
-    @staticmethod
-    def _wrap(theta: float) -> float:
-        return (theta + math.pi) % (2.0 * math.pi) - math.pi
+    def reset(self, rng: np.random.Generator) -> tuple:
+        return rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0)
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0)])
-
-    def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator):
+    def step(self, state, action, rng: np.random.Generator):
         tau = _check_action(action, self.spec)[0]
-        th, thdot = state.tolist()
+        th, thdot = state
+        th, thdot = float(th), float(thdot)  # Python floats, also from a 1-D array
         r = -(th * th + 0.1 * thdot * thdot + 0.001 * tau * tau)
         thdot = thdot + (3.0 * self.G / (2.0 * self.L) * math.sin(th)
                          + 3.0 / (self.M * self.L**2) * tau) * self.DT
         thdot = _clamp(thdot, self.MAX_SPEED)
-        th = self._wrap(th + thdot * self.DT)
-        return np.array([th, thdot]), r
+        th = (th + thdot * self.DT + math.pi) % (2.0 * math.pi) - math.pi  # into [-pi, pi)
+        return (th, thdot), r
 
 
 ENV_NAMES = ("tabular", "pointmass", "pendulum")

@@ -227,7 +227,8 @@ def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
     ``act`` maps the (E, 1, state_dim) stack of the E episodes' states to their
     (E, 1, action_dim) actions; an actor's ``act_np`` replays its recorded greedy action
     once for the stack, and each row has the bits of its own 1-D state's action. Then
-    the env steps each episode.
+    the env steps each episode on its state's tuple of floats and its action's row,
+    taken as floats with one ``tolist`` for the stack.
 
     Every draw comes from ``rng``, any numpy Generator, in step-major order: the E
     resets in episode order, then at each step the E env steps in episode order. Which
@@ -242,8 +243,8 @@ def evaluate_policy(act, env, episodes: int, rng: np.random.Generator):
     states = [env.reset(rng) for _ in range(episodes)]
     returns = [0.0] * episodes
     for _ in range(env.spec.horizon):
-        actions = act(np.stack(states)[:, None])
-        steps = [env.step(s, a, rng) for s, a in zip(states, actions)]
+        actions = act(np.array(states)[:, None]).tolist()
+        steps = [env.step(s, a[0], rng) for s, a in zip(states, actions)]
         states = [s2 for s2, _ in steps]
         returns = [total + r for total, (_, r) in zip(returns, steps)]
     returns = np.asarray(returns)
@@ -408,10 +409,11 @@ def run_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                     if row == 0:
                         block = streams.exploration.uniform(
                             -spec.action_bound, spec.action_bound,
-                            size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim))
+                            size=(min(WARMUP_BLOCK, warmup - step + 1), spec.action_dim)
+                        ).tolist()
                     a = block[row]
                 else:
-                    a = exploration_action(state, s, streams.exploration)
+                    a = exploration_action(state, np.array(s), streams.exploration)
                 s2, r = env.step(s, a, streams.env)
                 # horizon timeouts are not terminal: bootstrap through the cutoff
                 buffer.push(s, a, r, s2)

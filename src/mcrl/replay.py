@@ -1,12 +1,14 @@
-"""Transition storage as a column ring, with uniform with-replacement sampling.
+"""Transition storage as a ring of rows, with uniform with-replacement sampling.
 
-Each transition is stored once, as one row of four preallocated float64
-columns (s, a, r, s_next). There is no terminal flag: an episode ends
+Each transition is stored once, as one row ``(s, a, r, s_next)`` of a
+preallocated float64 matrix of ``2 * state_dim + action_dim + 1`` columns,
+written in one assignment. There is no terminal flag: an episode ends
 only at its horizon, a timeout the learner bootstraps through, so a
 stored transition is never terminal. Sampling draws independent uniform
 indices, so the training and validation mini-batches of one iteration
-are independent draws that may overlap by chance. Sampling gathers
-copies of the rows and never mutates stored transitions.
+are independent draws that may overlap by chance. Sampling gathers one
+copy of the drawn rows, and the batch's fields are column views of that
+copy; it never mutates stored transitions.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity column ring; the oldest rows are overwritten first.
+    """Fixed-capacity ring of rows; the oldest rows are overwritten first.
 
-    ``push`` copies the transition into the next row of the columns, so
-    the caller may reuse or mutate its arrays afterwards. Rows fill in
-    order until the ring is full; from then on row ``_head`` (the
-    oldest) is replaced and ``_head`` advances. Batched sampling is a
-    fancy-index gather over the filled rows.
+    ``push`` copies the transition, any flat sequences of numbers, into
+    row ``count % capacity`` of the matrix, so the caller may reuse or
+    mutate its arrays afterwards: rows fill in order until the ring is
+    full, then the oldest is replaced. ``_cols`` holds the matrix's
+    column blocks as views, by field name.
     """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
@@ -46,47 +48,37 @@ class ReplayBuffer:
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._len = 0
-        self._head = 0
-        self._cols = {
-            "s": np.empty((capacity, state_dim)),
-            "a": np.empty((capacity, action_dim)),
-            "r": np.empty((capacity, 1)),
-            "s_next": np.empty((capacity, state_dim)),
-        }
+        self._count = 0  # transitions pushed
+        self._rows = np.empty((capacity, 2 * state_dim + action_dim + 1))
+        ends = np.cumsum([0, state_dim, action_dim, 1, state_dim]).tolist()
+        self._fields = [slice(i, j) for i, j in zip(ends, ends[1:])]  # s, a, r, s_next
+        self._cols = {k: self._rows[:, f] for k, f in zip(("s", "a", "r", "s_next"), self._fields)}
+        self._shape_error = (f"a transition is a ({state_dim},) state, a ({action_dim},) "
+                             f"action, a scalar reward and a ({state_dim},) next state")
 
     def __len__(self) -> int:
-        return self._len
+        return min(self._count, self.capacity)
 
-    def push(self, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray) -> None:
-        if s.shape != (self.state_dim,) or s_next.shape != (self.state_dim,):
-            raise ValueError(f"state shape {s.shape} does not match ({self.state_dim},)")
-        if a.shape != (self.action_dim,):
-            raise ValueError(f"action shape {a.shape} does not match ({self.action_dim},)")
+    def push(self, s, a, r: float, s_next) -> None:
+        if len(s) != self.state_dim or len(a) != self.action_dim or len(s_next) != self.state_dim:
+            raise ValueError(self._shape_error)
         try:
             finite = math.isfinite(r)
         except TypeError:
             raise ValueError(f"reward must be a scalar, got {type(r).__name__}") from None
         if not finite:
             raise ValueError("reward must be finite")
-        if self._len < self.capacity:
-            slot = self._len
-            self._len += 1
-        else:
-            slot = self._head
-            self._head = (self._head + 1) % self.capacity
-        c = self._cols
-        c["s"][slot] = s
-        c["a"][slot] = a
-        c["r"][slot, 0] = r
-        c["s_next"][slot] = s_next
+        try:
+            self._rows[self._count % self.capacity] = (*s, *a, r, *s_next)
+        except ValueError:  # a nested element, such as a (state_dim, 1) state
+            raise ValueError(self._shape_error) from None
+        self._count += 1
 
     def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if not self._len:
+        if not self._count:
             raise ValueError("cannot sample from an empty buffer")
-        return rng.integers(0, self._len, size=n)
+        return rng.integers(0, len(self), size=n)
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> Batch:
-        idx = self.sample_indices(n, rng)
-        c = self._cols
-        return Batch(s=c["s"][idx], a=c["a"][idx], r=c["r"][idx], s_next=c["s_next"][idx])
+        rows = self._rows[self.sample_indices(n, rng)]
+        return Batch(*(rows[:, f] for f in self._fields))

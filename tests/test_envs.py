@@ -6,13 +6,18 @@ import pytest
 from mcrl import envs
 
 
+def _is_floats(state, n):
+    """Whether ``state`` is a tuple of ``n`` Python floats, as the env interface carries."""
+    return type(state) is tuple and len(state) == n and all(type(x) is float for x in state)
+
+
 def test_tabular_reset_is_one_hot_and_deterministic():
     mdp = envs.TabularMdp.random_instance(0)
     s1 = mdp.reset(np.random.default_rng(5))
     s2 = mdp.reset(np.random.default_rng(5))
-    assert s1.shape == (2,)
-    assert sorted(s1.tolist()) == [0.0, 1.0]
-    np.testing.assert_array_equal(s1, s2)
+    assert _is_floats(s1, 2)
+    assert sorted(s1) == [0.0, 1.0]
+    assert s1 == s2
 
 
 def test_tabular_deterministic_row_lookup():
@@ -59,6 +64,11 @@ def test_action_of_the_wrong_length_rejected(name):
     for n in (dim - 1, dim + 1):
         with pytest.raises(ValueError, match=f"action has {n} elements, expected {dim}"):
             env.step(s, np.full(n, 0.5), np.random.default_rng(0))
+    # a nested action used to be raveled and taken; a row of an (E, 1, action_dim) stack
+    # must be indexed down to its (action_dim,) action first
+    for nested in (np.full((1, dim), 0.5), [[0.5] * dim], 0.5):
+        with pytest.raises(ValueError, match=rf"action must be a flat sequence of shape \({dim},\)"):
+            env.step(s, nested, np.random.default_rng(0))
 
 
 # The numpy form of each step, kept as the reference the float forms in
@@ -122,25 +132,32 @@ def test_step_matches_numpy_reference_bit_for_bit(name):
     bound = env.spec.action_bound
     special = np.array([bound, -bound, -0.0, 0.0, np.inf, -np.inf,
                         np.nextafter(bound, np.inf), np.nextafter(-bound, -np.inf)])
+    assert _is_floats(env.reset(np.random.default_rng(0)), env.spec.state_dim)
+    # step takes the state and the action as any flat sequence; each form gives the bytes
+    forms = (tuple, list, np.array)
     draw = np.random.default_rng(23)
-    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    states, ref_states, rewards, ref_rewards = [], [], [], []
+    rngs, ref_rng = [np.random.default_rng(4) for _ in forms], np.random.default_rng(4)
+    states, rewards = [[] for _ in forms], [[] for _ in forms]
+    ref_states, ref_rewards = [], []
     for _ in range(10_000):
         s = _random_state(name, draw)
         a = draw.uniform(-3.0 * bound, 3.0 * bound, size=env.spec.action_dim)
         pick = draw.random(a.size) < 0.3
         a[pick] = draw.choice(special, size=int(pick.sum()))
-        s2, r = env.step(s, a, rng)
+        for i, (form, rng) in enumerate(zip(forms, rngs)):
+            s2, r = env.step(form(s.tolist()), form(a.tolist()), rng)
+            assert _is_floats(s2, env.spec.state_dim) and type(r) is float
+            states[i].append(s2)
+            rewards[i].append(r)
         ref_s2, ref_r = reference(env, s.copy(), a.copy(), ref_rng)
-        states.append(s2)
         ref_states.append(ref_s2)
-        rewards.append(r)
         ref_rewards.append(ref_r)
     # compared as raw bits, so a -0.0 where numpy gives 0.0 fails too
-    assert np.array_equal(np.stack(states).view(np.uint64),
-                          np.stack(ref_states).view(np.uint64))
-    assert np.array_equal(np.array(rewards).view(np.uint64),
-                          np.array(ref_rewards).view(np.uint64))
+    for got_states, got_rewards in zip(states, rewards):
+        assert np.array_equal(np.array(got_states).view(np.uint64),
+                              np.stack(ref_states).view(np.uint64))
+        assert np.array_equal(np.array(got_rewards).view(np.uint64),
+                              np.array(ref_rewards).view(np.uint64))
 
 
 def test_tabular_draw_matches_rng_choice():
@@ -163,8 +180,8 @@ def test_pointmass_reset_within_box():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         s = env.reset(rng)
-        assert np.all(np.abs(s[:2]) <= env.INIT_BOX)
-        assert np.all(s[2:] == 0.0)
+        assert all(abs(x) <= env.INIT_BOX for x in s[:2])
+        assert s[2:] == (0.0, 0.0)
 
 
 def test_pointmass_at_goal_zero_force_zero_reward():
@@ -229,11 +246,11 @@ def test_determinism_identical_trajectories():
         for _ in range(2):
             rng = np.random.default_rng(99)
             s = env.reset(rng)
-            tr = [s.copy()]
+            tr = [s]
             for _ in range(20):
                 s, _ = _policy_step(env, s, rng)
-                tr.append(s.copy())
-            trajs.append(np.stack(tr))
+                tr.append(s)
+            trajs.append(np.array(tr))
         np.testing.assert_array_equal(trajs[0], trajs[1])
 
 

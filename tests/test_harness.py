@@ -213,7 +213,7 @@ def step_major_evaluation(act, env, episodes, rng):
     returns = [0.0] * episodes
     for _ in range(env.spec.horizon):
         for e in range(episodes):
-            states[e], r = env.step(states[e], act(states[e]), rng)
+            states[e], r = env.step(states[e], act(np.array(states[e])), rng)
             returns[e] += r
     returns = np.asarray(returns)
     return float(returns.mean()), float(returns.std())
@@ -226,7 +226,7 @@ def sequential_evaluation(act, env, episodes, rng):
         s = env.reset(rng)
         total = 0.0
         for _ in range(env.spec.horizon):
-            s, r = env.step(s, act(s), rng)
+            s, r = env.step(s, act(np.array(s)), rng)
             total += r
         returns.append(total)
     returns = np.asarray(returns)
@@ -612,7 +612,7 @@ def test_vanilla_stream_reproduced_by_hand_rolled_loop(tmp_path):
             if step <= cfg.warmup_steps:
                 a = streams.exploration.uniform(-1.0, 1.0, env.spec.action_dim)
             else:
-                a = exploration_action(state, s, streams.exploration)
+                a = exploration_action(state, np.array(s), streams.exploration)
             s2, r = env.step(s, a, streams.env)
             buf.push(s, a, r, s2)
             t += 1

@@ -46,12 +46,20 @@ def test_ring_overwrite_keeps_newest_rows_in_slot_order():
 
 def test_shape_and_reward_validation():
     buf = ReplayBuffer(capacity=4, state_dim=2, action_dim=1)
-    with pytest.raises(ValueError):
+    shape = r"a transition is a \(2,\) state, a \(1,\) action, a scalar reward"
+    with pytest.raises(ValueError, match=shape):
         buf.push(np.zeros(3), np.zeros(1), 0.0, np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=shape):
         buf.push(np.zeros(2), np.zeros(1), 0.0, np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=shape):
         buf.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2))
+    # nested elements pass the length checks; the row write must not take them
+    for s, a, s_next in ((np.zeros((2, 1)), np.zeros(1), np.zeros(2)),
+                         (np.zeros(2), np.zeros((1, 1)), np.zeros(2)),
+                         (np.zeros(2), [[0.0]], np.zeros(2)),
+                         ((0.0, 0.0), (0.0,), [[0.0], [0.0]])):
+        with pytest.raises(ValueError, match=shape):
+            buf.push(s, a, 0.0, s_next)
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             buf.push(np.zeros(2), np.zeros(1), bad, np.zeros(2))
